@@ -33,7 +33,7 @@ use bq_storage::wal::{LogRecord, Wal};
 use bq_storage::StorageError;
 use bq_txn::locks::{LockResult, LockTable, Mode};
 use bq_txn::ops::TxnId;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -1215,14 +1215,15 @@ impl Db {
 
         // Analysis over the WAL: who committed?
         let records = self.wal.iter()?;
-        let mut committed: Vec<u64> = Vec::new();
+        let mut committed: HashSet<u64> = HashSet::new();
         let mut started: Vec<u64> = Vec::new();
         let mut owner: BTreeMap<(u32, u16), u64> = BTreeMap::new();
         for rec in &records {
             match rec {
                 LogRecord::Begin(t) => started.push(*t),
-                LogRecord::Commit(t) => committed.push(*t),
-                LogRecord::TaggedCommit { txn, .. } => committed.push(*txn),
+                LogRecord::Commit(t) | LogRecord::TaggedCommit { txn: t, .. } => {
+                    committed.insert(*t);
+                }
                 LogRecord::RowInsert {
                     txn, page, slot, ..
                 } => {
@@ -1241,6 +1242,7 @@ impl Db {
             .copied()
             .filter(|t| !committed.contains(t))
             .collect();
+        let lost: HashSet<u64> = losers.iter().copied().collect();
 
         // Rebuild: scan heaps; keep records owned by winners (or pre-WAL),
         // physically delete loser records.
@@ -1250,7 +1252,7 @@ impl Db {
             let entries = heap.scan(&mut self.store)?;
             for (rid, bytes) in entries {
                 let who = owner.get(&(rid.page.0, rid.slot)).copied();
-                if who.is_some_and(|t| losers.contains(&t)) {
+                if who.is_some_and(|t| lost.contains(&t)) {
                     heap.delete(&mut self.store, rid)?;
                     continue;
                 }
@@ -2097,10 +2099,19 @@ mod tests {
         let out = db
             .explain_sql("select e.name from emp e where e.sal > 75")
             .unwrap();
-        assert!(out.contains("SeqScan [emp]"), "{out}");
-        assert!(out.contains("Filter"), "{out}");
-        assert!(out.contains("rows="), "{out}");
+        // The selection is pushed into the scan: no stand-alone filter, and
+        // no seek either, since `sal` does not lead emp's column order.
+        assert!(out.contains("SeqScan [emp] where e.sal > 75  ("), "{out}");
+        assert!(!out.contains("Filter"), "{out}");
+        assert!(out.contains("rows=2 in=3"), "{out}");
         assert!(out.starts_with("mode:"), "{out}");
+        let out = db
+            .explain_sql("select e.sal from emp e where e.name = 'bob'")
+            .unwrap();
+        assert!(
+            out.contains("SeqScan [emp] where e.name = 'bob' seek name = 'bob'  (rows=1 in=1"),
+            "{out}"
+        );
     }
 
     #[test]

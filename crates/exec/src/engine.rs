@@ -7,6 +7,7 @@
 //! slow morsel only delays its own worker.
 
 use crate::plan::{lower, PhysPlan, SetOpKind};
+use crate::pred::BoundPred;
 use crate::stats::ExecStats;
 use bq_governor::{Charger, QueryContext};
 use bq_relational::algebra::expr::Expr;
@@ -199,34 +200,35 @@ impl Executor {
         ctx.check()?;
         let w = self.workers();
         match plan {
-            PhysPlan::SeqScan { rel, schema } => {
+            PhysPlan::SeqScan {
+                rel,
+                schema,
+                pred,
+                seek,
+            } => {
                 let t0 = Instant::now();
-                let batches = db.get(rel)?.morsels(self.morsel_size);
-                // The scan clones the table into morsels; charge the copy.
-                let mut charger = Charger::new(ctx);
-                if charger.is_enabled() {
-                    for batch in &batches {
-                        for t in batch {
-                            charger.charge(t.approx_bytes())?;
-                        }
+                let relation = db.get(rel)?;
+                let (batches, examined, mem) = match seek {
+                    Some(seek) => {
+                        let run = relation.iter_from(&seek.start);
+                        self.scan(run.take_while(|t| seek.covers(t)), pred.as_ref(), ctx)?
                     }
-                    charger.flush()?;
-                }
+                    None => self.scan(relation.iter(), pred.as_ref(), ctx)?,
+                };
                 let run = Run {
                     schema: schema.clone(),
                     batches,
                 };
-                let stats = self.stats_for(plan, 0, &run, t0, charger.total(), vec![]);
+                let stats = self.stats_for(plan, examined, &run, t0, mem, vec![]);
                 Ok((run, stats))
             }
             PhysPlan::Filter { pred, input } => {
                 let (child, cstats) = self.exec(input, db, ctx)?;
                 let t0 = Instant::now();
-                let schema = &child.schema;
                 let batches = par_map(w, &child.batches, ctx, |batch| {
                     let mut out = Vec::new();
                     for t in batch {
-                        if pred.eval(schema, t)? {
+                        if pred.eval(t)? {
                             out.push(t.clone());
                         }
                     }
@@ -444,6 +446,46 @@ impl Executor {
                 Ok((run, stats))
             }
         }
+    }
+
+    /// The scan's single pass: walk `tuples` by reference, clone the ones
+    /// `pred` accepts into morsel-sized batches, and return the batches,
+    /// the number of tuples examined and the bytes charged. The context
+    /// is checked once per morsel examined, and only the copies that
+    /// exist — the matches — are charged to the memory budget.
+    fn scan<'a>(
+        &self,
+        tuples: impl Iterator<Item = &'a Tuple>,
+        pred: Option<&BoundPred>,
+        ctx: &QueryContext,
+    ) -> Result<(Vec<Vec<Tuple>>, u64, u64)> {
+        let mut charger = Charger::new(ctx);
+        let mut batches = Vec::new();
+        let mut batch = Vec::new();
+        let mut examined = 0usize;
+        for t in tuples {
+            if examined > 0 && examined.is_multiple_of(self.morsel_size) {
+                ctx.check()?;
+            }
+            examined += 1;
+            if let Some(pred) = pred {
+                if !pred.eval(t)? {
+                    continue;
+                }
+            }
+            if charger.is_enabled() {
+                charger.charge(t.approx_bytes())?;
+            }
+            batch.push(t.clone());
+            if batch.len() == self.morsel_size {
+                batches.push(std::mem::take(&mut batch));
+            }
+        }
+        if !batch.is_empty() {
+            batches.push(batch);
+        }
+        charger.flush()?;
+        Ok((batches, examined as u64, charger.total()))
     }
 
     fn stats_for(
@@ -802,7 +844,11 @@ mod tests {
     fn injected_worker_panic_degrades_to_sequential_run() {
         let site = "exec.morsel.panic";
         let db = emp_db(200);
-        let expr = Expr::rel("emp").select(Predicate::eq_const("dept", 3i64));
+        // The selection itself runs inline in the scan's pass; the
+        // projection over its 20 matches is what reaches pool workers.
+        let expr = Expr::rel("emp")
+            .select(Predicate::eq_const("dept", 3i64))
+            .project(&["id"]);
         let expected = eval(&expr, &db).unwrap();
         // Global scope: the panic must land on a pool worker thread, not
         // the configuring thread. Nth(1) fires exactly once, so the
@@ -828,6 +874,45 @@ mod tests {
             &db,
         );
         check(&Expr::rel("emp").project(&["dept"]), &db);
+    }
+
+    #[test]
+    fn point_select_examines_one_row_only_on_the_leading_column() {
+        let db = emp_db(5000);
+        for ex in modes() {
+            for (attr, examined, matches) in [("id", 1, 1), ("dept", 5000, 500)] {
+                let expr = Expr::rel("emp").select(Predicate::eq_const(attr, 7i64));
+                let (rel, stats) = ex.execute_with_stats(&expr, &db).unwrap();
+                assert_eq!(rel, eval(&expr, &db).unwrap());
+                assert!(stats.op.starts_with("SeqScan [emp] where"), "{}", stats.op);
+                assert_eq!(stats.op.contains(" seek "), attr == "id", "{}", stats.op);
+                assert_eq!((stats.rows_in, stats.rows_out), (examined, matches));
+            }
+        }
+    }
+
+    #[test]
+    fn scan_charges_the_matches_not_the_rows_examined() {
+        let db = emp_db(100);
+        let all = Expr::rel("emp");
+        let some = Expr::rel("emp").select(Predicate::eq_const("dept", 3i64));
+        let ex = Executor::new(ExecMode::Sequential).with_morsel_size(7);
+        let charged = |expr: &Expr| {
+            let ctx = QueryContext::unlimited().with_memory_budget(1 << 20);
+            let (_, stats) = ex.execute_with_stats_ctx(expr, &db, &ctx).unwrap();
+            assert_eq!(stats.mem_bytes, ctx.budget().unwrap().used());
+            stats.mem_bytes
+        };
+        assert_eq!(charged(&some) * 10, charged(&all), "10 of 100 rows copied");
+        // A budget smaller than the matches stops the pass; one that only
+        // the whole table would exceed does not.
+        let tight = |bytes: u64| QueryContext::unlimited().with_memory_budget(bytes);
+        assert!(ex
+            .execute_with_ctx(&all, &db, &tight(charged(&some)))
+            .is_err());
+        assert!(ex
+            .execute_with_ctx(&some, &db, &tight(charged(&some)))
+            .is_ok());
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //! parallelism scheme (Leis et al., SIGMOD '14) with materialized operator
 //! boundaries.
 //!
+//! Selections over a base table are folded into the scan at lowering, with
+//! their attribute names bound to column positions ([`BoundPred`]): the
+//! scan is one pass by reference that copies only the matches, and when
+//! the conjuncts fix a leading-column prefix the pass starts from an
+//! ordered [`Seek`] into the relation's tuple set instead of its first
+//! tuple (DESIGN.md §16).
+//!
 //! Joins are build/probe **partitioned hash joins**: both inputs are hash
 //! partitioned on the join key across the worker count, and each partition
 //! is then built and probed independently, in parallel.
@@ -31,8 +38,10 @@
 
 pub mod engine;
 pub mod plan;
+pub mod pred;
 pub mod stats;
 
 pub use engine::{ExecMode, Executor, DEFAULT_MORSEL_SIZE};
-pub use plan::{lower, PhysPlan, SetOpKind};
+pub use plan::{lower, PhysPlan, Seek, SetOpKind};
+pub use pred::BoundPred;
 pub use stats::ExecStats;

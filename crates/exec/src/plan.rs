@@ -5,11 +5,13 @@
 //! every node knows its output [`Schema`]. Execution then never touches
 //! the catalog again except to read base relations.
 
-use bq_relational::algebra::expr::{Expr, Predicate};
+use crate::pred::BoundPred;
+use bq_relational::algebra::expr::Expr;
 use bq_relational::catalog::Database;
 use bq_relational::error::RelError;
 use bq_relational::schema::Schema;
-use bq_relational::Result;
+use bq_relational::value::CmpOp;
+use bq_relational::{Result, Tuple, Value};
 use std::fmt;
 
 /// Which partitioned hash set-operation to perform.
@@ -30,23 +32,107 @@ impl fmt::Display for SetOpKind {
     }
 }
 
+/// Where an ordered pass over a base relation starts and stops.
+///
+/// A relation's tuple set is ordered by its columns left to right under
+/// `Value::total_cmp` — the order `CmpOp::apply` compares by — so
+/// conjuncts that fix a leading-column prefix by equality, optionally
+/// with bounds on the next column, confine the matches to one contiguous
+/// run. The bounds may admit tuples the predicate rejects (a strict lower
+/// bound starts at the first equal value), never the reverse: the scan's
+/// whole predicate still runs on every tuple in the run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Seek {
+    /// First position to visit: the equality values of the leading
+    /// columns, then the lower bound on the next column when there is one.
+    pub start: Tuple,
+    /// How many leading columns `start` fixes by equality.
+    pub eq: usize,
+    /// `Lt`/`Le` bound on column `eq`; the pass stops at the first tuple
+    /// that fails it.
+    pub upper: Option<(CmpOp, Value)>,
+}
+
+impl Seek {
+    /// Derive the seek, if any, that `pred`'s top-level conjuncts allow.
+    fn derive(pred: &BoundPred, arity: usize) -> Option<Seek> {
+        let bounds = pred.column_bounds()?;
+        let on = |col: usize, ops: &[CmpOp]| {
+            bounds
+                .iter()
+                .find(|(c, op, _)| *c == col && ops.contains(op))
+                .map(|(_, op, v)| (*op, (*v).clone()))
+        };
+        let mut start: Vec<Value> = (0..arity)
+            .map_while(|col| on(col, &[CmpOp::Eq]))
+            .map(|(_, v)| v)
+            .collect();
+        let eq = start.len();
+        let (lower, upper) = if eq < arity {
+            (
+                on(eq, &[CmpOp::Gt, CmpOp::Ge]),
+                on(eq, &[CmpOp::Lt, CmpOp::Le]),
+            )
+        } else {
+            (None, None)
+        };
+        if eq == 0 && lower.is_none() && upper.is_none() {
+            return None;
+        }
+        start.extend(lower.map(|(_, v)| v));
+        Some(Seek {
+            start: Tuple::new(start),
+            eq,
+            upper,
+        })
+    }
+
+    /// Is `tuple` (at or after `start`) still inside the run?
+    pub fn covers(&self, tuple: &Tuple) -> bool {
+        tuple.values()[..self.eq] == self.start.values()[..self.eq]
+            && self
+                .upper
+                .as_ref()
+                .is_none_or(|(op, v)| op.apply(tuple.get(self.eq), v))
+    }
+
+    fn render(&self, schema: &Schema) -> String {
+        let name = |i: usize| &schema.attrs()[i].name;
+        let mut parts: Vec<String> = (0..self.eq)
+            .map(|i| format!("{} = {}", name(i), self.start.get(i)))
+            .collect();
+        if self.start.arity() > self.eq {
+            parts.push(format!("{} >= {}", name(self.eq), self.start.get(self.eq)));
+        }
+        if let Some((op, v)) = &self.upper {
+            parts.push(format!("{} {op} {v}", name(self.eq)));
+        }
+        parts.join(", ")
+    }
+}
+
 /// A physical operator tree.
 ///
 /// Schemas are resolved at lowering time; [`PhysPlan::schema`] is
 /// therefore a cheap lookup, not an inference pass.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysPlan {
-    /// Scan a named base relation in morsels.
+    /// One ordered pass over a named base relation, producing morsels of
+    /// the tuples that satisfy `pred`.
     SeqScan {
         /// Base relation name.
         rel: String,
         /// The relation's schema.
         schema: Schema,
+        /// Conjunction of the selections lowering folded into the scan.
+        pred: Option<BoundPred>,
+        /// Where the pass starts and stops, when `pred` confines it.
+        seek: Option<Seek>,
     },
-    /// Morsel-parallel selection.
+    /// Morsel-parallel selection over a non-scan input.
     Filter {
         /// Filter predicate (evaluated per tuple).
-        pred: Predicate,
+        pred: BoundPred,
         /// Input plan.
         input: Box<PhysPlan>,
     },
@@ -139,7 +225,21 @@ impl PhysPlan {
     /// Short operator label for EXPLAIN output.
     pub fn label(&self) -> String {
         match self {
-            PhysPlan::SeqScan { rel, .. } => format!("SeqScan [{rel}]"),
+            PhysPlan::SeqScan {
+                rel,
+                schema,
+                pred,
+                seek,
+            } => {
+                let mut label = format!("SeqScan [{rel}]");
+                if let Some(pred) = pred {
+                    label.push_str(&format!(" where {pred}"));
+                }
+                if let Some(seek) = seek {
+                    label.push_str(&format!(" seek {}", seek.render(schema)));
+                }
+                label
+            }
             PhysPlan::Filter { pred, .. } => format!("Filter [{pred}]"),
             PhysPlan::Project { cols, .. } => format!("Project [{}]", cols.join(", ")),
             PhysPlan::Reschema { schema, .. } => format!("Reschema [{schema}]"),
@@ -199,11 +299,14 @@ pub fn lower(expr: &Expr, db: &Database) -> Result<PhysPlan> {
         Expr::Rel(name) => Ok(PhysPlan::SeqScan {
             rel: name.clone(),
             schema: db.get(name)?.schema().clone(),
+            pred: None,
+            seek: None,
         }),
-        Expr::Select { pred, input } => Ok(PhysPlan::Filter {
-            pred: pred.clone(),
-            input: Box::new(lower(input, db)?),
-        }),
+        Expr::Select { pred, input } => {
+            let child = lower(input, db)?;
+            let pred = BoundPred::bind(pred, child.schema());
+            Ok(select(pred, child))
+        }
         Expr::Project { cols, input } => {
             let child = lower(input, db)?;
             let names: Vec<&str> = cols.iter().map(String::as_str).collect();
@@ -340,6 +443,47 @@ pub fn lower(expr: &Expr, db: &Database) -> Result<PhysPlan> {
     }
 }
 
+/// Place a selection over `input`: folded into the base scan when only
+/// relabellings (which move no column) lie between, a stand-alone
+/// [`PhysPlan::Filter`] otherwise.
+fn select(pred: BoundPred, input: PhysPlan) -> PhysPlan {
+    match input {
+        PhysPlan::SeqScan {
+            rel,
+            schema,
+            pred: inner,
+            ..
+        } => {
+            let pred = match inner {
+                Some(inner) => inner.and(pred),
+                None => pred,
+            };
+            PhysPlan::SeqScan {
+                seek: Seek::derive(&pred, schema.arity()),
+                pred: Some(pred),
+                rel,
+                schema,
+            }
+        }
+        PhysPlan::Reschema { schema, input } if reaches_scan(&input) => PhysPlan::Reschema {
+            schema,
+            input: Box::new(select(pred, *input)),
+        },
+        input => PhysPlan::Filter {
+            pred,
+            input: Box::new(input),
+        },
+    }
+}
+
+fn reaches_scan(plan: &PhysPlan) -> bool {
+    match plan {
+        PhysPlan::SeqScan { .. } => true,
+        PhysPlan::Reschema { input, .. } => reaches_scan(input),
+        _ => false,
+    }
+}
+
 fn lower_setop(l: &Expr, r: &Expr, op: SetOpKind, name: &str, db: &Database) -> Result<PhysPlan> {
     let left = lower(l, db)?;
     let right = lower(r, db)?;
@@ -365,6 +509,7 @@ fn check_compatible(l: &PhysPlan, r: &PhysPlan, op: &str) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bq_relational::algebra::expr::{Operand, Predicate};
     use bq_relational::tup;
     use bq_relational::value::Type;
     use bq_relational::Relation;
@@ -389,10 +534,96 @@ mod tests {
         let p = lower(&e, &db()).unwrap();
         assert!(matches!(p, PhysPlan::HashDistinct { .. }));
         assert_eq!(p.schema().names(), vec!["b"]);
-        assert_eq!(p.size(), 4, "distinct + project + filter + scan");
+        assert_eq!(p.size(), 3, "distinct + project + scan: the filter folds");
         let rendered = p.render();
-        assert!(rendered.contains("SeqScan [r]"), "{rendered}");
-        assert!(rendered.contains("Filter [a = 1]"), "{rendered}");
+        assert!(
+            rendered.contains("SeqScan [r] where a = 1 seek a = 1"),
+            "{rendered}"
+        );
+        assert!(!rendered.contains("Filter"), "{rendered}");
+    }
+
+    fn cmp(attr: &str, op: CmpOp, v: i64) -> Predicate {
+        Predicate::cmp(Operand::attr(attr), op, Operand::Const(v.into()))
+    }
+
+    /// Lower `σ[pred](t)` over `t(a, b, c)` and return the scan's label
+    /// with the `SeqScan [t] where <pred>` prefix removed.
+    fn seek_of(pred: Predicate) -> String {
+        let mut db = Database::new();
+        let attrs = [("a", Type::Int), ("b", Type::Int), ("c", Type::Int)];
+        db.add("t", Relation::with_schema(&attrs).unwrap());
+        let plan = lower(&Expr::rel("t").select(pred.clone()), &db).unwrap();
+        assert_eq!(plan.size(), 1, "{}", plan.render());
+        let label = plan.label();
+        label
+            .strip_prefix(&format!("SeqScan [t] where {pred}"))
+            .unwrap_or_else(|| panic!("{label}"))
+            .to_string()
+    }
+
+    #[test]
+    fn seek_needs_an_equality_prefix_of_the_column_order() {
+        use CmpOp::*;
+        assert_eq!(seek_of(cmp("a", Eq, 7)), " seek a = 7");
+        assert_eq!(
+            seek_of(cmp("b", Eq, 2).and(cmp("a", Eq, 7))),
+            " seek a = 7, b = 2",
+            "conjunct order is irrelevant"
+        );
+        assert_eq!(
+            seek_of(cmp("a", Eq, 7).and(cmp("b", Gt, 2)).and(cmp("b", Le, 9))),
+            " seek a = 7, b >= 2, b <= 9",
+            "a strict lower bound starts at the equal values"
+        );
+        assert_eq!(seek_of(cmp("a", Lt, 3)), " seek a < 3");
+        assert_eq!(seek_of(cmp("a", Ge, 3)), " seek a >= 3");
+        let flipped = Predicate::cmp(Operand::Const(3i64.into()), Lt, Operand::attr("a"));
+        assert_eq!(seek_of(flipped), " seek a >= 3", "3 < a reads a > 3");
+        assert_eq!(
+            seek_of(cmp("a", Eq, 1).and(cmp("c", Eq, 5))),
+            " seek a = 1",
+            "c is not next in the column order"
+        );
+        // No seek: the leading column is free, unequal, or only
+        // constrained under a disjunction or negation.
+        for pred in [
+            cmp("b", Eq, 2),
+            cmp("a", Ne, 2),
+            Predicate::Or(Box::new(cmp("a", Eq, 1)), Box::new(cmp("a", Eq, 2))),
+            Predicate::Not(Box::new(cmp("a", Eq, 1))),
+            Predicate::eq_attrs("a", "b"),
+            cmp("a", Eq, 1).and(cmp("ghost", Eq, 2)),
+        ] {
+            assert_eq!(seek_of(pred), "");
+        }
+    }
+
+    #[test]
+    fn selections_fold_through_relabellings_only() {
+        let db = db();
+        // σ over ρ over σ over a qualified scan: one scan, relabellings on
+        // top, conjuncts in evaluation order (innermost first).
+        let e = Expr::rel("r")
+            .qualify("x")
+            .select(Predicate::eq_const("x.b", "x"))
+            .rename("x.a", "k")
+            .select(Predicate::eq_const("k", 1i64));
+        let p = lower(&e, &db).unwrap();
+        assert_eq!(p.schema().names(), vec!["k", "x.b"]);
+        let rendered = p.render();
+        assert_eq!(p.size(), 3, "{rendered}");
+        assert!(
+            rendered.contains("SeqScan [r] where (x.b = 'x' ∧ k = 1) seek a = 1, b = 'x'"),
+            "{rendered}"
+        );
+        // Anything that moves or merges columns keeps a stand-alone filter.
+        let e = Expr::rel("r")
+            .natural_join(Expr::rel("s"))
+            .select(Predicate::eq_const("a", 1i64));
+        let p = lower(&e, &db).unwrap();
+        assert!(matches!(p, PhysPlan::Filter { .. }), "{}", p.render());
+        assert!(p.render().contains("Filter [a = 1]"), "{}", p.render());
     }
 
     #[test]

@@ -148,6 +148,7 @@ mod tests {
 
     #[test]
     fn session_captures_deltas_and_spans() {
+        let _s = tracer::serial();
         let session = ProfileSession::start("select 1");
         crate::counter!("bq_obs_profile_selftest_total", "profile self-test").add(5);
         {
@@ -174,6 +175,7 @@ mod tests {
 
     #[test]
     fn finish_restores_tracing_state() {
+        let _s = tracer::serial();
         tracer::set_enabled(false);
         let session = ProfileSession::start("x");
         assert!(tracer::enabled());

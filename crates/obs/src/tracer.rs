@@ -283,16 +283,18 @@ macro_rules! span {
     };
 }
 
+/// The tracer flag and span ring are process-global, so every test in this
+/// crate that toggles or drains them serialises on this lock and starts
+/// from a drained ring.
+#[cfg(test)]
+pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The tracer is process-global, so every test serialises on this lock
-    // and starts from a drained ring.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn disabled_spans_record_nothing() {

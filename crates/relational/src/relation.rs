@@ -88,6 +88,16 @@ impl Relation {
         self.tuples.iter()
     }
 
+    /// Iterate, in canonical order, from the first tuple that is not less
+    /// than `start`. `start` may be shorter than the arity: a tuple sorts
+    /// before every tuple it is a proper prefix of, so a key over the
+    /// leading columns seeks to the first tuple that matches or exceeds
+    /// it there. The set is a clustered index on the column order; this
+    /// is the one way into it that does not begin at the first tuple.
+    pub fn iter_from<'a>(&'a self, start: &Tuple) -> impl Iterator<Item = &'a Tuple> + 'a {
+        self.tuples.range::<Tuple, _>(start..)
+    }
+
     /// All tuples, cloned into a vector.
     pub fn tuples(&self) -> Vec<Tuple> {
         self.tuples.iter().cloned().collect()
@@ -105,26 +115,6 @@ impl Relation {
             .iter()
             .flat_map(|t| t.values().iter().cloned())
             .collect()
-    }
-
-    /// Split the tuples into morsels — fixed-size batches of cloned tuples
-    /// in canonical order — for batch-at-a-time execution engines
-    /// (`bq-exec`). The final morsel may be short; an empty relation yields
-    /// no morsels.
-    pub fn morsels(&self, size: usize) -> Vec<Vec<Tuple>> {
-        assert!(size > 0, "morsel size must be positive");
-        let mut out = Vec::with_capacity(self.len().div_ceil(size));
-        let mut cur = Vec::with_capacity(size.min(self.len()));
-        for t in &self.tuples {
-            cur.push(t.clone());
-            if cur.len() == size {
-                out.push(std::mem::replace(&mut cur, Vec::with_capacity(size)));
-            }
-        }
-        if !cur.is_empty() {
-            out.push(cur);
-        }
-        out
     }
 
     /// Build a relation from a schema and an iterator of tuples, validating
@@ -236,6 +226,25 @@ mod tests {
         assert!(r2.contains(&tup![1i64, "codd"]));
         let bad = Schema::new(&[("x", Type::Int)]).unwrap();
         assert!(r.with_renamed_schema(bad).is_err());
+    }
+
+    #[test]
+    fn iter_from_seeks_on_a_leading_prefix() {
+        let mut r = Relation::with_schema(&[("a", Type::Int), ("b", Type::Int)]).unwrap();
+        for a in 0..4i64 {
+            for b in 0..3i64 {
+                r.insert(tup![a, b]).unwrap();
+            }
+        }
+        let from = |key: Tuple| r.iter_from(&key).cloned().collect::<Vec<_>>();
+        assert_eq!(from(tup![]), r.tuples(), "the empty key is the whole table");
+        assert_eq!(from(tup![2i64])[0], tup![2i64, 0i64], "prefix key");
+        assert_eq!(from(tup![2i64]).len(), 6);
+        assert_eq!(from(tup![2i64, 1i64])[0], tup![2i64, 1i64], "full key");
+        assert_eq!(from(tup![9i64]), vec![], "past the end");
+        // Cross-type keys follow the same total order the set is kept in:
+        // every int sorts before every string.
+        assert_eq!(from(tup!["x"]), vec![]);
     }
 
     #[test]

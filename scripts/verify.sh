@@ -29,6 +29,13 @@ BQ_REPL_SEED=20260807 cargo test -q --test repl_torture
 echo "==> backup torture: PITR oracle, crash atomicity, chain healing, ENOSPC (pinned seed)"
 BQ_BACKUP_SEED=20260809 cargo test -q --test backup_torture
 
+# bq-spine is its own workspace (BENCHMARK.json builds and runs it from
+# source), so `cargo test` above never compiles it: an engine API change
+# that breaks its build or its smoke oracles must fail here, not in the
+# benchmark pipeline.
+echo "==> bq-spine: benchmark builds against this engine, smoke oracles agree"
+cargo test -q --manifest-path benchspine/Cargo.toml
+
 echo "==> server smoke (ephemeral port, remote driver roundtrip, clean shutdown)"
 cargo run -q --release --example serve
 

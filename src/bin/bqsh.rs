@@ -846,7 +846,7 @@ mod tests {
         )
         .unwrap();
         assert!(out.starts_with("mode:"), "{out}");
-        assert!(out.contains("SeqScan [emp]"), "{out}");
+        assert!(out.contains("SeqScan [emp] where e.sal > 80"), "{out}");
         assert!(out.contains("rows="), "{out}");
     }
 

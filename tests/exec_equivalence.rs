@@ -4,10 +4,11 @@
 //! [`bq_relational::algebra::eval::eval`] — same sorted tuple set on
 //! success, and an error exactly when the oracle errors.
 
-use big_queries::bq_exec::{ExecMode, Executor};
+use big_queries::bq_exec::{lower, ExecMode, Executor};
 use big_queries::bq_relational::algebra::eval::eval;
 use big_queries::bq_relational::algebra::expr::{Expr, Operand, Predicate};
 use big_queries::bq_relational::catalog::Database;
+use big_queries::bq_relational::error::RelError;
 use big_queries::bq_relational::value::CmpOp;
 use big_queries::bq_relational::{Relation, Schema, Tuple, Type, Value};
 use big_queries::bq_util::{Rng, SplitMix64};
@@ -199,6 +200,51 @@ fn executors(rng: &mut SplitMix64) -> Vec<Executor> {
     out
 }
 
+/// Every executor must return exactly the oracle's sorted tuple set under
+/// the oracle's schema, and fail exactly when the oracle fails.
+fn assert_engine_agrees(
+    case: u64,
+    expr: &Expr,
+    db: &Database,
+    expected: &Result<Relation, RelError>,
+    executors: &[Executor],
+) {
+    for ex in executors {
+        let got = ex.execute(expr, db);
+        match (expected, got) {
+            (Ok(want), Ok(got)) => {
+                assert_eq!(
+                    got.schema(),
+                    want.schema(),
+                    "case {case} mode {:?}: schema drift on {expr}",
+                    ex.mode()
+                );
+                let want_rows: Vec<&Tuple> = want.iter().collect();
+                let got_rows: Vec<&Tuple> = got.iter().collect();
+                assert_eq!(
+                    got_rows,
+                    want_rows,
+                    "case {case} mode {:?}: rows differ on {expr}",
+                    ex.mode()
+                );
+            }
+            (Err(_), Err(_)) => {}
+            (Ok(_), Err(e)) => {
+                panic!(
+                    "case {case} mode {:?}: engine rejected {expr}: {e}",
+                    ex.mode()
+                )
+            }
+            (Err(e), Ok(_)) => {
+                panic!(
+                    "case {case} mode {:?}: engine accepted {expr}: oracle says {e}",
+                    ex.mode()
+                )
+            }
+        }
+    }
+}
+
 /// The tentpole differential test: 240 random expression/database pairs,
 /// each executed under sequential mode and worker counts 1/2/4/8.
 #[test]
@@ -220,46 +266,196 @@ fn engine_agrees_with_oracle_on_random_expressions() {
             }
             Err(_) => err_cases += 1,
         }
-        for ex in executors(&mut rng) {
-            let got = ex.execute(&expr, &db);
-            match (&expected, got) {
-                (Ok(want), Ok(got)) => {
-                    assert_eq!(
-                        got.schema(),
-                        want.schema(),
-                        "case {case} mode {:?}: schema drift on {expr}",
-                        ex.mode()
-                    );
-                    let want_rows: Vec<&Tuple> = want.iter().collect();
-                    let got_rows: Vec<&Tuple> = got.iter().collect();
-                    assert_eq!(
-                        got_rows,
-                        want_rows,
-                        "case {case} mode {:?}: rows differ on {expr}",
-                        ex.mode()
-                    );
-                }
-                (Err(_), Err(_)) => {}
-                (Ok(_), Err(e)) => {
-                    panic!(
-                        "case {case} mode {:?}: engine rejected {expr}: {e}",
-                        ex.mode()
-                    )
-                }
-                (Err(e), Ok(_)) => {
-                    panic!(
-                        "case {case} mode {:?}: engine accepted {expr}: oracle says {e}",
-                        ex.mode()
-                    )
-                }
-            }
-        }
+        assert_engine_agrees(case, &expr, &db, &expected, &executors(&mut rng));
     }
     // Guard against generator degeneration: both paths must be exercised
     // and a healthy share of successful answers must be non-empty.
     assert!(ok_cases >= 100, "only {ok_cases}/240 cases evaluated");
     assert!(err_cases >= 10, "only {err_cases}/240 cases errored");
     assert!(nonempty >= 40, "only {nonempty} non-empty answers");
+}
+
+/// A constant to compare a column of type `ty` against: usually from the
+/// column's own domain, sometimes outside it on either side (empty and
+/// whole-table ranges), sometimes of another type or a labelled null (the
+/// cross-type branch of `total_cmp`, which orders the table too).
+fn scan_const(rng: &mut SplitMix64, ty: Type) -> Value {
+    match rng.gen_index(10) {
+        0 => Value::Int(-1),
+        1 => Value::Int(99),
+        2 => Value::str(""),
+        3 => Value::str("zzz"),
+        4 => Value::Bool(rng.gen_bool()),
+        5 => Value::Null(rng.gen_range(2) as u32),
+        _ => random_value(rng, ty),
+    }
+}
+
+fn scan_cmp(rng: &mut SplitMix64, cols: &[(String, Type)], col: usize, ops: &[CmpOp]) -> Predicate {
+    let (name, ty) = &cols[col];
+    let op = ops[rng.gen_index(ops.len())];
+    let (attr, constant) = (Operand::attr(name), Operand::Const(scan_const(rng, *ty)));
+    if rng.gen_pct(20) {
+        // `3 < a` reads `a > 3`.
+        Predicate::cmp(constant, op.flip(), attr)
+    } else {
+        Predicate::cmp(attr, op, constant)
+    }
+}
+
+/// A predicate over a base table's columns (under their current names),
+/// and whether its shape allows a seek: some top-level conjunct pins or
+/// bounds the leading column and no operand is unknown.
+fn scan_pred(rng: &mut SplitMix64, cols: &[(String, Type)]) -> (Predicate, bool) {
+    use CmpOp::*;
+    const ALL: [CmpOp; 6] = [Eq, Ne, Lt, Le, Gt, Ge];
+    const RANGE: [CmpOp; 4] = [Lt, Le, Gt, Ge];
+    let and = |a: Predicate, b: Predicate| Predicate::And(Box::new(a), Box::new(b));
+    match rng.gen_index(7) {
+        // One comparison on any column.
+        0 => {
+            let col = rng.gen_index(cols.len());
+            let p = scan_cmp(rng, cols, col, &ALL);
+            let seeks = col == 0 && !matches!(p, Predicate::Cmp { op: Ne, .. });
+            (p, seeks)
+        }
+        // Equality prefix of one or two columns, maybe a range on the next.
+        1 | 2 => {
+            let fixed = (1 + rng.gen_index(2)).min(cols.len());
+            let mut conjuncts: Vec<Predicate> =
+                (0..fixed).map(|c| scan_cmp(rng, cols, c, &[Eq])).collect();
+            if fixed < cols.len() && rng.gen_bool() {
+                conjuncts.push(scan_cmp(rng, cols, fixed, &RANGE));
+                if rng.gen_bool() {
+                    conjuncts.push(scan_cmp(rng, cols, fixed, &RANGE));
+                }
+            }
+            // Conjunct order must not matter to the seek.
+            if rng.gen_bool() {
+                conjuncts.reverse();
+            }
+            (conjuncts.into_iter().reduce(and).unwrap(), true)
+        }
+        // A range on the leading column, one- or two-sided, plus a residual.
+        3 => {
+            let mut p = scan_cmp(rng, cols, 0, &RANGE);
+            if rng.gen_bool() {
+                p = and(p, scan_cmp(rng, cols, 0, &RANGE));
+            }
+            if rng.gen_bool() {
+                p = and(p, scan_cmp(rng, cols, cols.len() - 1, &ALL));
+            }
+            (p, true)
+        }
+        // Disjunction and negation pin nothing.
+        4 => {
+            let (l, r) = (scan_cmp(rng, cols, 0, &ALL), scan_cmp(rng, cols, 0, &ALL));
+            (Predicate::Or(Box::new(l), Box::new(r)), false)
+        }
+        5 => (
+            Predicate::Not(Box::new(scan_cmp(rng, cols, 0, &[Eq, Lt, Ge]))),
+            false,
+        ),
+        // An unknown name makes evaluation fallible: no seek, and an error
+        // exactly when a tuple reaches the operand.
+        _ => {
+            let ghost = Predicate::eq_const("zz", 0i64);
+            let pin = scan_cmp(rng, cols, 0, &[Eq]);
+            let p = if rng.gen_bool() {
+                and(pin, ghost)
+            } else {
+                and(ghost, pin)
+            };
+            (p, false)
+        }
+    }
+}
+
+/// Selections over base tables — the plans lowering folds into the scan
+/// and, on a leading-column prefix, turns into an ordered seek — must agree
+/// with the oracle exactly like every other plan: through qualification
+/// and renaming, across types, on empty and whole-table ranges, at every
+/// worker count.
+#[test]
+fn selections_over_base_tables_agree_with_oracle() {
+    let mut rng = SplitMix64::seed_from_u64(0x5ee4_2026);
+    let (mut seeks, mut nonempty, mut partial, mut errors) = (0u32, 0u32, 0u32, 0u32);
+    for case in 0..400u64 {
+        // One table of up to 60 rows over a random prefix-closed choice of
+        // the pool, with the odd labelled null.
+        let arity = 1 + rng.gen_index(POOL.len());
+        let start = rng.gen_index(POOL.len() - arity + 1);
+        let pool = &POOL[start..start + arity];
+        let mut rel = Relation::with_schema(pool).unwrap();
+        for _ in 0..rng.gen_index(61) {
+            let row = pool.iter().map(|&(_, ty)| {
+                if rng.gen_pct(3) {
+                    Value::Null(rng.gen_range(2) as u32)
+                } else {
+                    random_value(&mut rng, ty)
+                }
+            });
+            rel.insert(Tuple::new(row.collect())).unwrap();
+        }
+        let rows = rel.len();
+        let mut db = Database::new();
+        db.add("t", rel);
+
+        // One to three selections, with relabellings between them.
+        let mut cols: Vec<(String, Type)> =
+            pool.iter().map(|&(n, ty)| (n.to_string(), ty)).collect();
+        let mut expr = Expr::rel("t");
+        let mut may_seek = false;
+        for layer in 0..1 + rng.gen_index(3) {
+            if rng.gen_pct(40) {
+                let var = format!("q{layer}");
+                expr = expr.qualify(&var);
+                for (name, _) in &mut cols {
+                    *name = format!("{var}.{name}");
+                }
+            }
+            if rng.gen_pct(30) {
+                let col = rng.gen_index(cols.len());
+                let to = format!("w{layer}");
+                expr = expr.rename(&cols[col].0, &to);
+                cols[col].0 = to;
+            }
+            let (pred, seekable) = scan_pred(&mut rng, &cols);
+            expr = expr.select(pred);
+            may_seek |= seekable;
+        }
+        // A fallible conjunct anywhere in the chain forbids the seek.
+        let fallible = expr.to_string().contains("zz = 0");
+
+        let plan = lower(&expr, &db).unwrap().render();
+        assert!(!plan.contains("Filter"), "case {case}: not folded:\n{plan}");
+        assert_eq!(
+            plan.contains(" seek "),
+            may_seek && !fallible,
+            "case {case}: {expr}\n{plan}"
+        );
+        seeks += u32::from(plan.contains(" seek "));
+
+        let expected = eval(&expr, &db);
+        match &expected {
+            Ok(out) => {
+                nonempty += u32::from(!out.is_empty());
+                partial += u32::from(!out.is_empty() && out.len() < rows);
+            }
+            Err(_) => errors += 1,
+        }
+        assert_engine_agrees(case, &expr, &db, &expected, &executors(&mut rng));
+    }
+    assert!(seeks >= 150, "only {seeks}/400 plans seek");
+    assert!(nonempty >= 100, "only {nonempty}/400 answers are non-empty");
+    assert!(
+        partial >= 60,
+        "only {partial}/400 answers are a strict subset"
+    );
+    assert!(
+        errors >= 10,
+        "only {errors}/400 cases reach the unknown name"
+    );
 }
 
 /// A join-heavy plan big enough that every worker actually gets morsels.

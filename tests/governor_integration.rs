@@ -309,9 +309,12 @@ fn datalog_iteration_cap_and_validation_order() {
 #[test]
 fn reserve_failpoint_makes_out_of_memory_deterministic() {
     let _g = serial();
+    // Caller-thread scope: the other tests in this binary reserve against
+    // budgets concurrently and would otherwise race for the one firing.
+    // The statement's first reservation is the scan's, on this thread.
     faults::configure(
         "governor.reserve.fail",
-        Policy::new(Action::Error, Trigger::Nth(1)),
+        Policy::new(Action::Error, Trigger::Nth(1)).caller_thread(),
     );
     let db = numbers_db(50);
     let ctx = QueryContext::unlimited().with_memory_budget(1 << 30);
