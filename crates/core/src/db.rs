@@ -16,6 +16,7 @@ use crate::vtab::{
     ReplicasTable, RunningQueries, SessionRegistry, SessionsTable, SlowLogTable, VirtualTable,
     VTAB_PREFIX,
 };
+use crate::watch::WalWatch;
 use crate::Result;
 use bq_datalog::parser::{parse_atom, parse_program};
 use bq_datalog::{FactStore, SemiNaive};
@@ -119,6 +120,9 @@ pub struct Db {
     indexes: BTreeMap<(String, String), BPlusTree<Value, Vec<Tuple>>>,
     locks: LockTable,
     wal: Wal,
+    /// Where [`Db::sync_wal`] publishes the durable WAL horizon; a
+    /// primary's shipping loops wait on a clone instead of polling.
+    watch: WalWatch,
     open: BTreeMap<u64, OpenTxn>,
     next_txn: u64,
     /// The physical execution engine behind every query surface.
@@ -191,6 +195,7 @@ impl Db {
             indexes: BTreeMap::new(),
             locks: LockTable::new(),
             wal: Wal::new(),
+            watch: WalWatch::default(),
             open: BTreeMap::new(),
             next_txn: 1,
             exec: Executor::default(),
@@ -414,7 +419,7 @@ impl Db {
     /// durable on the next successful sync. `DiskFull` is the only error
     /// [`Wal::sync`] can raise today.
     fn sync_tolerating_full(&mut self) {
-        if self.wal.sync().is_err() {
+        if self.sync_wal().is_err() {
             bq_obs::counter!(
                 "bq_core_wal_sync_enospc_total",
                 "WAL syncs refused by a full device (records stay volatile)"
@@ -1280,12 +1285,23 @@ impl Db {
         self.backups.clone()
     }
 
+    /// The watch this engine publishes its durable WAL horizon to. A
+    /// primary's shipping loops take a clone once and block on it while
+    /// they are caught up.
+    pub fn wal_watch(&self) -> WalWatch {
+        self.watch.clone()
+    }
+
     /// Force the WAL and return the durable horizon in bytes: every
     /// commit logged so far sits inside the durable prefix afterwards.
-    /// The incremental-backup cut point.
+    /// The incremental-backup cut point — and the only place the engine
+    /// syncs its WAL, so every advance of the horizon reaches
+    /// [`Db::wal_watch`].
     pub fn sync_wal(&mut self) -> Result<u64> {
         self.wal.sync()?;
-        Ok(self.wal.synced_len() as u64)
+        let horizon = self.wal.synced_len() as u64;
+        self.watch.publish(horizon);
+        Ok(horizon)
     }
 
     /// Bytes of the WAL guaranteed durable — the shipping horizon.
@@ -1339,7 +1355,7 @@ impl Db {
     /// full log device fails the export typed (an image claiming a stale
     /// horizon while carrying newer commits would restore wrongly).
     pub fn snapshot_bytes(&mut self) -> Result<Vec<u8>> {
-        self.wal.sync()?;
+        self.sync_wal()?;
         let mut buf = Vec::new();
         buf.push(SNAPSHOT_VERSION);
         snap_u64(&mut buf, self.next_txn);
@@ -1474,6 +1490,8 @@ impl Db {
         self.indexes = BTreeMap::new();
         self.locks = LockTable::new();
         self.wal = Wal::new();
+        // A fresh WAL: the horizon moves back to zero.
+        self.watch.publish(0);
         self.open = BTreeMap::new();
         self.next_txn = next_txn;
         self.dedup = BTreeMap::new();
@@ -1541,7 +1559,7 @@ impl Db {
             LogRecord::Commit(t) => {
                 self.open.remove(t);
                 self.wal.append(rec)?;
-                self.wal.sync()?;
+                self.sync_wal()?;
             }
             LogRecord::TaggedCommit {
                 txn,
@@ -1550,7 +1568,7 @@ impl Db {
             } => {
                 self.open.remove(txn);
                 self.wal.append(rec)?;
-                self.wal.sync()?;
+                self.sync_wal()?;
                 let client = client.clone();
                 self.note_request(&client, *request);
             }
@@ -1581,7 +1599,7 @@ impl Db {
                     let id = self.table_ids.len();
                     self.table_ids.insert(name.clone(), id);
                     self.wal.append(rec)?;
-                    self.wal.sync()?;
+                    self.sync_wal()?;
                 }
             }
             LogRecord::RowInsert {
@@ -2401,6 +2419,42 @@ mod tests {
             dst.apply_record(rec).unwrap();
         }
         from + consumed as u64
+    }
+
+    #[test]
+    fn every_move_of_the_durable_horizon_reaches_the_watch() {
+        let mut primary = emp_db();
+        let watch = primary.wal_watch();
+        let check = |db: &Db, what: &str| {
+            assert_eq!(watch.horizon(), db.wal_durable_len(), "after {what}");
+        };
+        check(&primary, "create table + autocommit inserts");
+        let row = |n: &str| vec![Value::str(n), Value::str("cs"), Value::Int(1)];
+        let h = primary.begin().unwrap();
+        primary.insert_in(h, "emp", row("w1")).unwrap();
+        assert!(watch.horizon() < primary.wal.byte_len() as u64, "unsynced");
+        primary.commit_tagged(h, "client-a", 1).unwrap();
+        check(&primary, "tagged commit");
+        let h = primary.begin().unwrap();
+        primary.insert_in(h, "emp", row("w2")).unwrap();
+        primary.abort(h).unwrap();
+        check(&primary, "abort");
+        let _open = primary.begin().unwrap();
+        primary.snapshot_bytes().unwrap();
+        check(&primary, "snapshot export");
+
+        // A replica's engine publishes to its own watch as it applies,
+        // and a re-bootstrap moves the horizon back with the fresh WAL.
+        let mut replica = Db::new();
+        let applied = replica.wal_watch();
+        ship(&primary, &mut replica, 0);
+        assert!(applied.horizon() > 0);
+        assert_eq!(applied.horizon(), replica.wal_durable_len());
+        replica
+            .apply_snapshot(&primary.snapshot_bytes().unwrap())
+            .unwrap();
+        assert_eq!(applied.horizon(), 0);
+        assert_eq!(replica.wal_durable_len(), 0);
     }
 
     #[test]

@@ -15,6 +15,7 @@ pub mod db;
 pub mod error;
 pub mod slowlog;
 pub mod vtab;
+pub mod watch;
 
 pub use advisor::{advise, DesignReport};
 pub use db::{Db, SessionLimits, TxnHandle};
@@ -24,6 +25,7 @@ pub use vtab::{
     BackupRegistry, BackupRow, ReplicaRegistry, ReplicaRow, SessionRegistry, SessionRow,
     VirtualTable,
 };
+pub use watch::WalWatch;
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

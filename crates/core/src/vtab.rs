@@ -18,7 +18,8 @@ use crate::Result;
 use bq_relational::{Relation, Tuple, Type, Value};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 /// Name prefix that routes a relation to the virtual catalog.
 pub const VTAB_PREFIX: &str = "bq.";
@@ -424,11 +425,21 @@ pub struct ReplicaRow {
 }
 
 /// Shared registry behind `bq.replicas`. The primary's subscriber loops
-/// upsert rows as segments ship and acks arrive; the semi-sync commit
-/// wait polls [`ReplicaRegistry::all_acked`].
+/// upsert a row per state change and [`ReplicaRegistry::record_ack`]
+/// per acknowledged segment; the semi-sync commit wait blocks in
+/// [`ReplicaRegistry::wait_all_acked`]. Every change notifies, and the
+/// waiter checks the rows under the same mutex before it sleeps, so an
+/// ack that lands just before the wait is never missed. The mutex is a
+/// leaf: nothing else is taken under it.
 #[derive(Debug, Clone, Default)]
 pub struct ReplicaRegistry {
-    inner: Arc<Mutex<BTreeMap<u64, ReplicaRow>>>,
+    inner: Arc<ReplicaShared>,
+}
+
+#[derive(Debug, Default)]
+struct ReplicaShared {
+    rows: Mutex<BTreeMap<u64, ReplicaRow>>,
+    changed: Condvar,
 }
 
 impl ReplicaRegistry {
@@ -437,25 +448,43 @@ impl ReplicaRegistry {
         ReplicaRegistry::default()
     }
 
-    /// Insert or update one replica's row.
+    fn rows(&self) -> MutexGuard<'_, BTreeMap<u64, ReplicaRow>> {
+        self.inner.rows.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Insert one replica's row, or replace it on a state change.
     pub fn upsert(&self, row: ReplicaRow) {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(row.id, row);
+        self.rows().insert(row.id, row);
+        self.inner.changed.notify_all();
+    }
+
+    /// Record one acknowledged segment on replica `id`'s row, in place.
+    /// A replica that already departed is left departed.
+    pub fn record_ack(&self, id: u64, acked: u64, shipped: u64, now_us: u64) {
+        if let Some(row) = self.rows().get_mut(&id) {
+            row.acked = acked;
+            row.shipped = shipped;
+            row.last_ack_us = now_us;
+        }
+        self.inner.changed.notify_all();
     }
 
     /// Remove a departed replica.
     pub fn remove(&self, id: u64) {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&id);
+        self.rows().remove(&id);
+        self.inner.changed.notify_all();
+    }
+
+    /// Wake every waiter without changing a row, so a stopping server's
+    /// semi-sync waits re-check their stop flag now.
+    pub fn wake_all(&self) {
+        let _rows = self.rows();
+        self.inner.changed.notify_all();
     }
 
     /// Number of subscribed replicas.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.rows().len()
     }
 
     /// Is the registry empty?
@@ -466,22 +495,28 @@ impl ReplicaRegistry {
     /// Have all subscribed replicas acknowledged at least `offset`?
     /// Vacuously true with no replicas — the semi-sync commit wait
     /// degrades to primary-only durability when nothing is subscribed.
-    pub fn all_acked(&self, offset: u64) -> bool {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-            .all(|r| r.acked >= offset)
+    /// Returns `true` at once when they have; otherwise sleeps until the
+    /// registry next changes (an ack, a state change, a departure, a
+    /// [`ReplicaRegistry::wake_all`]) or `slice` passes, and answers for
+    /// the rows as they stand then. `false` means "not yet": the caller
+    /// checks its own ceiling and stop flag and calls again.
+    pub fn wait_all_acked(&self, offset: u64, slice: Duration) -> bool {
+        let all_acked = |rows: &BTreeMap<u64, ReplicaRow>| rows.values().all(|r| r.acked >= offset);
+        let rows = self.rows();
+        if all_acked(&rows) {
+            return true;
+        }
+        let (rows, _) = self
+            .inner
+            .changed
+            .wait_timeout(rows, slice)
+            .unwrap_or_else(|e| e.into_inner());
+        all_acked(&rows)
     }
 
     /// Snapshot of the subscribed replicas, by id.
     pub fn snapshot(&self) -> Vec<ReplicaRow> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-            .cloned()
-            .collect()
+        self.rows().values().cloned().collect()
     }
 }
 
@@ -717,7 +752,7 @@ mod tests {
     #[test]
     fn replica_registry_tracks_acks_and_lag() {
         let reg = ReplicaRegistry::new();
-        assert!(reg.all_acked(u64::MAX), "vacuously true with no replicas");
+        assert!(reg.is_empty());
         reg.upsert(ReplicaRow {
             id: 3,
             endpoint: "127.0.0.1:5000".to_string(),
@@ -726,8 +761,8 @@ mod tests {
             shipped: 164,
             last_ack_us: bq_obs::now_us(),
         });
-        assert!(reg.all_acked(100));
-        assert!(!reg.all_acked(101));
+        assert!(reg.wait_all_acked(100, Duration::ZERO));
+        assert!(!reg.wait_all_acked(101, Duration::ZERO));
         let rel = ReplicasTable::new(reg.clone()).snapshot().unwrap();
         assert_eq!(rel.len(), 1);
         let row = rel.iter().next().unwrap();
@@ -735,6 +770,67 @@ mod tests {
         assert_eq!(row.get(3), &Value::Int(100));
         assert_eq!(row.get(4), &Value::Int(64));
         reg.remove(3);
+        assert!(reg.is_empty());
+    }
+
+    fn replica_row(id: u64, acked: u64) -> ReplicaRow {
+        ReplicaRow {
+            id,
+            endpoint: "127.0.0.1:5000".to_string(),
+            state: "streaming".to_string(),
+            acked,
+            shipped: acked,
+            last_ack_us: 1,
+        }
+    }
+
+    /// Long enough that a test passing on it means a wake-up was lost.
+    const LONG: Duration = Duration::from_secs(30);
+
+    /// Run `change` on another thread while this one waits for `offset`.
+    /// The change may land before or after the wait starts: the level
+    /// check makes both orders come back `true`, never on the slice.
+    fn woken_by(reg: &ReplicaRegistry, offset: u64, change: impl FnOnce(&ReplicaRegistry) + Send) {
+        std::thread::scope(|s| {
+            s.spawn(move || change(reg));
+            // `false` before the slice is up is a wake-up for some other
+            // change; only running out the slice means one was lost.
+            let start = std::time::Instant::now();
+            while !reg.wait_all_acked(offset, LONG) {
+                assert!(start.elapsed() < LONG, "wake-up lost");
+            }
+        });
+    }
+
+    #[test]
+    fn wait_all_acked_is_vacuous_with_no_replicas() {
+        assert!(ReplicaRegistry::new().wait_all_acked(u64::MAX, LONG));
+    }
+
+    #[test]
+    fn wait_all_acked_is_woken_by_record_ack_upsert_and_remove() {
+        let reg = ReplicaRegistry::new();
+        reg.upsert(replica_row(3, 100));
+        assert!(reg.wait_all_acked(100, LONG), "already acked: no wait");
+        woken_by(&reg, 164, |r| r.record_ack(3, 164, 164, 2));
+        assert_eq!(reg.snapshot()[0], {
+            let mut row = replica_row(3, 164);
+            row.last_ack_us = 2;
+            row
+        });
+        woken_by(&reg, 200, |r| r.upsert(replica_row(3, 200)));
+        woken_by(&reg, 300, |r| r.remove(3));
+        assert!(reg.is_empty());
+    }
+
+    #[test]
+    fn wait_all_acked_is_false_when_the_slice_runs_out() {
+        let reg = ReplicaRegistry::new();
+        reg.upsert(replica_row(3, 100));
+        assert!(!reg.wait_all_acked(101, Duration::from_millis(10)));
+        // An ack for a replica that already left does not resurrect it.
+        reg.remove(3);
+        reg.record_ack(3, 500, 500, 9);
         assert!(reg.is_empty());
     }
 

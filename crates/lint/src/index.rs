@@ -42,6 +42,8 @@ pub struct FnInfo {
 pub struct HeldGuard {
     /// Receiver the guard was taken from (`inner` for `x.inner.lock()`).
     pub recv: String,
+    /// The `let` binding holding the guard (`g` for `let g = x.lock()`).
+    pub binding: Option<String>,
     /// Line of the acquisition.
     pub line: u32,
 }
@@ -78,6 +80,9 @@ pub struct CallSite {
     pub recv: Option<String>,
     /// Did the call take zero arguments (`h.join()`)?
     pub zero_arg: bool,
+    /// First argument when it is a bare identifier (`g` for
+    /// `cv.wait(g)`): a guard passed this way moves into the callee.
+    pub arg0: Option<String>,
     /// Line of the call.
     pub line: u32,
     /// Guards live at the call, outermost first (never empty).
@@ -235,6 +240,7 @@ fn held_of(stack: &[LiveGuard]) -> Vec<HeldGuard> {
         .iter()
         .map(|g| HeldGuard {
             recv: g.recv.clone(),
+            binding: g.binding.clone(),
             line: g.line,
         })
         .collect()
@@ -433,6 +439,10 @@ pub fn index_file(file: &SourceFile) -> FileIndex {
                 method,
                 recv,
                 zero_arg: file.is_punct(i + 2, ")"),
+                arg0: (i + 3 < n
+                    && file.tok(i + 2).kind == Kind::Ident
+                    && (file.is_punct(i + 3, ",") || file.is_punct(i + 3, ")")))
+                .then(|| file.tok(i + 2).text.clone()),
                 line: file.tok(i).line,
                 held: held_of(&guards),
                 in_test: file.in_test(i),

@@ -1,5 +1,5 @@
-//! Blocking-while-locked: no fsync, socket I/O, join, sleep, or channel
-//! wait while a Mutex/RwLock guard is live in scope.
+//! Blocking-while-locked: no fsync, socket I/O, join, sleep, channel or
+//! condvar wait while a Mutex/RwLock guard is live in scope.
 //!
 //! A blocking call under a hot lock is the classic tail-latency killer
 //! in a serving stack: every other thread that needs the guard queues
@@ -35,7 +35,7 @@ impl WorkspaceLint for Blocking {
     }
 
     fn summary(&self) -> &'static str {
-        "no fsync/socket I/O/join/sleep/channel recv while a guard is held"
+        "no fsync/socket I/O/join/sleep/channel recv/condvar wait while a guard is held"
     }
 
     fn explain(&self) -> &'static str {
@@ -47,8 +47,12 @@ impl WorkspaceLint for Blocking {
          the blocking ones — WAL/file sync (`sync`, `sync_all`, `sync_data`, \
          `fsync`, `sync_wal`), socket I/O (`connect`, `accept`, `read_exact`, \
          `write_all`, `read_frame`, `write_frame`, `read_to_end`), \
-         `JoinHandle::join`, `thread::sleep`, and channel `recv` / \
-         `recv_timeout`. Fix by narrowing the guard (copy what you need out, \
+         `JoinHandle::join`, `thread::sleep`, channel `recv` / \
+         `recv_timeout`, and condvar waits (`wait`, `wait_while`, \
+         `wait_timeout`, `wait_timeout_while`, and the engine's wrappers \
+         `wait_past` / `wait_all_acked`). A condvar releases the one guard \
+         it is handed, so that guard does not count; any other guard live \
+         across the wait does. Fix by narrowing the guard (copy what you need out, \
          drop, then block) or, where the blocking is the lock's very purpose \
          (group-commit fsync under the WAL latch, a snapshot taken inside the \
          engine write lock so the WAL horizon cannot move), suppress with \
@@ -67,12 +71,23 @@ impl WorkspaceLint for Blocking {
                 let Some(kind) = blocking_kind(c) else {
                     continue;
                 };
-                let held = c
+                // A condvar wait releases the guard it is handed; only
+                // the other live guards are held across it.
+                let released = if kind == CONDVAR_WAIT {
+                    c.arg0.as_deref()
+                } else {
+                    None
+                };
+                let held: Vec<String> = c
                     .held
                     .iter()
+                    .filter(|h| released.is_none() || h.binding.as_deref() != released)
                     .map(|h| format!("`{}` (line {})", h.recv, h.line))
-                    .collect::<Vec<_>>()
-                    .join(", ");
+                    .collect();
+                if held.is_empty() {
+                    continue;
+                }
+                let held = held.join(", ");
                 f.src.emit(
                     rep,
                     self.name(),
@@ -88,6 +103,8 @@ impl WorkspaceLint for Blocking {
     }
 }
 
+const CONDVAR_WAIT: &str = "condvar wait";
+
 /// Classify a call-under-guard as blocking, or `None`.
 fn blocking_kind(c: &CallSite) -> Option<&'static str> {
     let name = c.callee.as_str();
@@ -96,6 +113,14 @@ fn blocking_kind(c: &CallSite) -> Option<&'static str> {
         "join" if c.method && c.zero_arg => Some("thread join"),
         "sleep" => Some("sleep"),
         "recv" | "recv_timeout" if c.method => Some("channel wait"),
+        // `Condvar::wait*`, and the engine's wrappers over one: the
+        // WAL-horizon watch and the replica registry's semi-sync wait.
+        "wait" | "wait_while" | "wait_timeout" | "wait_timeout_while" | "wait_past"
+        | "wait_all_acked"
+            if c.method =>
+        {
+            Some(CONDVAR_WAIT)
+        }
         // File/WAL durability. `sync`/`sync_all`/`sync_data` with zero
         // args are the fsync family; `sync_wal` is the Db-level wrapper.
         "sync" | "sync_all" | "sync_data" if c.method && c.zero_arg => Some("fsync"),

@@ -30,8 +30,13 @@ pub const CRATE_ORDERS: &[(&str, &[&str])] = &[
     ("backup", &["state", "db", "objects"]),
     // `inner` is the vtab registry, `ring` the slow-query ring; they
     // guard disjoint subsystems and never nest today — the order makes
-    // any future nesting take the registry first.
-    ("core", &["inner", "ring"]),
+    // any future nesting take the registry first. `rows` (the replica
+    // registry a semi-sync wait blocks on) and `horizon` (the WAL watch
+    // a shipping loop blocks on) are leaves: each is paired with a
+    // condvar, nothing is taken under either, and neither is ever held
+    // while taking the engine `RwLock<Db>` — `Db` publishes to
+    // `horizon` under the engine write guard, never the reverse.
+    ("core", &["inner", "ring", "rows", "horizon"]),
 ];
 
 /// A zero-argument acquisition method on Mutex/RwLock.

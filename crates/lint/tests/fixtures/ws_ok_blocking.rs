@@ -1,6 +1,7 @@
 //! Clean blocking fixture (virtual path crates/storage/src/ws.rs):
-//! copy-then-drop before blocking, a justified group-commit hold, and
-//! test code (out of scope).
+//! copy-then-drop before blocking, a justified group-commit hold,
+//! test code (out of scope), and the same condvar waits as the bad
+//! fixture with the engine guard dropped first.
 
 pub fn flush(&self) {
     let page = {
@@ -25,4 +26,19 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(1));
         drop(g);
     }
+}
+
+pub fn ship(&self) {
+    let pos = {
+        let db = self.db.read().unwrap();
+        db.wal_durable_len()
+    };
+    let woke = self.watch.wait_past(pos, FALLBACK);
+    let _ = woke;
+}
+
+pub fn await_turn(&self) {
+    let q = self.queue.lock().unwrap();
+    let q = self.turn.wait(q).unwrap();
+    let _ = q;
 }

@@ -103,7 +103,7 @@ fn lock_graph_accepts_ordered_call_edges_and_ignores_non_self_receivers() {
 // ------------------------------------------- blocking-while-locked
 
 #[test]
-fn blocking_flags_fsync_sleep_recv_and_join_under_guard() {
+fn blocking_flags_fsync_sleep_recv_join_and_condvar_waits_under_guard() {
     let rep = run(
         "blocking-while-locked",
         &[(
@@ -111,19 +111,29 @@ fn blocking_flags_fsync_sleep_recv_and_join_under_guard() {
             include_str!("fixtures/ws_bad_blocking.rs"),
         )],
     );
-    assert_eq!(rep.diags.len(), 4, "{:#?}", rep.diags);
+    assert_eq!(rep.diags.len(), 6, "{:#?}", rep.diags);
     assert_eq!(
         rep.diags.iter().map(|d| d.line).collect::<Vec<_>>(),
-        vec![7, 8, 14, 21]
+        vec![9, 10, 16, 23, 29, 37]
     );
-    for (d, kind) in rep
-        .diags
-        .iter()
-        .zip(["fsync", "sleep", "channel wait", "thread join"])
-    {
+    for (d, (kind, guard)) in rep.diags.iter().zip([
+        ("fsync", "`inner`"),
+        ("sleep", "`inner`"),
+        ("channel wait", "`inner`"),
+        ("thread join", "`inner`"),
+        ("condvar wait", "`db`"),
+        ("condvar wait", "`db`"),
+    ]) {
         assert!(d.message.starts_with(kind), "{d} should start with {kind}");
-        assert!(d.message.contains("`inner`"), "{d} should name the guard");
+        assert!(d.message.contains(guard), "{d} should name the guard");
     }
+    // The wait releases the `queue` guard it is handed; only the engine
+    // guard held across it is the finding.
+    assert!(
+        !rep.diags[5].message.contains("`queue`"),
+        "{}",
+        rep.diags[5]
+    );
 }
 
 #[test]

@@ -2,12 +2,12 @@
 //! a running-query registry behind client-visible `KILL`, and graceful
 //! shutdown.
 //!
-//! Concurrency model: one accept thread polls a nonblocking listener;
-//! each admitted connection gets a handler thread holding an
-//! [`AdmissionPermit`], so the [`bq_governor::AdmissionController`] *is*
-//! the connection bound — when slots run out the accept thread answers
-//! with a typed `Overloaded` error frame and closes, it never leaves the
-//! client hanging. Sessions execute statements against a shared
+//! Concurrency model: one accept thread blocks in `accept` (shutdown
+//! wakes it with a loopback self-connect); each admitted connection gets
+//! a handler thread holding an [`AdmissionPermit`], so the
+//! [`bq_governor::AdmissionController`] *is* the connection bound — when
+//! slots run out the accept thread answers with a typed `Overloaded`
+//! error frame and closes, it never leaves the client hanging. Sessions execute statements against a shared
 //! `Arc<RwLock<Db>>`: selects under the read half (concurrent), mutations
 //! under the write half.
 //!
@@ -18,25 +18,36 @@
 
 use crate::stmt::{parse_statement, SessionCore, Statement};
 use crate::wire::{self, ErrorCode, QueryInfo, Request, Response, PROTOCOL_VERSION};
-use bq_core::{Db, ReplicaRegistry, ReplicaRow, SessionLimits, SessionRegistry, SessionRow};
+use bq_core::{
+    Db, ReplicaRegistry, ReplicaRow, SessionLimits, SessionRegistry, SessionRow, WalWatch,
+};
 use bq_governor::{AdmissionController, AdmissionPermit, CancelRegistry, QueryContext};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-/// Accept-loop poll interval while the listener has nothing to hand out.
+/// Back-off after a failed `accept` (so `EMFILE` cannot spin), and the
+/// drain loop's poll of its worker threads.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
 /// Largest WAL chunk one `WalSegment` frame ships; well under
 /// [`wire::MAX_FRAME`] so the segment header always fits too.
 const SEGMENT_MAX: usize = 256 << 10;
 
-/// Shipping-loop poll interval while the WAL horizon is caught up.
-const SHIP_POLL: Duration = Duration::from_millis(2);
+/// Longest a caught-up shipping loop sleeps on the WAL watch before it
+/// looks at the WAL again unprompted. Commits wake it through the watch;
+/// this only bounds the damage of a wake-up that never came.
+const SHIP_IDLE_FALLBACK: Duration = Duration::from_millis(100);
+
+/// Longest a semi-sync wait sleeps on the replica registry before it
+/// re-checks its ceiling and the stop flag. Acks and departures wake it
+/// through the registry; this bounds how far past `sync_wait_ms` a wait
+/// can run.
+const ACK_WAIT_SLICE: Duration = Duration::from_millis(5);
 
 /// Server tunables. `addr` may use port 0 for an ephemeral port; read the
 /// bound address back from [`Server::local_addr`].
@@ -97,8 +108,11 @@ struct Shared {
     /// Replica mode: mutations refused until promotion flips this off.
     read_only: AtomicBool,
     /// The engine's `bq.replicas` registry; subscriber loops publish
-    /// per-replica progress here and the semi-sync wait polls it.
+    /// per-replica progress here and the semi-sync wait blocks on it.
     replicas: ReplicaRegistry,
+    /// The engine's durable-WAL-horizon watch; caught-up subscriber
+    /// loops block on it until a commit lands.
+    watch: WalWatch,
     /// Semi-sync ceiling for tagged writes (0 = disabled).
     sync_wait_ms: u64,
 }
@@ -116,11 +130,10 @@ pub struct Server {
 /// runs, and can keep the `Arc` to inspect state after shutdown.
 pub fn serve(db: Arc<RwLock<Db>>, config: ServerConfig) -> io::Result<Server> {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
     let local_addr = listener.local_addr()?;
-    let (registry, replicas) = {
+    let (registry, replicas, watch) = {
         let db = db.read().unwrap_or_else(|e| e.into_inner());
-        (db.cancel_handle(), db.replica_registry())
+        (db.cancel_handle(), db.replica_registry(), db.wal_watch())
     };
     let shared = Arc::new(Shared {
         db,
@@ -134,6 +147,7 @@ pub fn serve(db: Arc<RwLock<Db>>, config: ServerConfig) -> io::Result<Server> {
         batch_rows: config.batch_rows.max(1),
         read_only: AtomicBool::new(config.read_only),
         replicas,
+        watch,
         sync_wait_ms: config.sync_wait_ms,
     });
     let accept_shared = Arc::clone(&shared);
@@ -196,6 +210,13 @@ impl Server {
         self.stopped = true;
         // relaxed: advisory stop flag, re-polled by every loop.
         self.shared.stop.store(true, Ordering::Relaxed);
+        // Everything that blocks gets a wake-up to see the flag: the
+        // accept thread a loopback connection (if the backlog is too full
+        // to take it, `accept` is not blocked), shipping loops and
+        // semi-sync waits a notify.
+        let _ = TcpStream::connect_timeout(&wake_addr(self.local_addr), Duration::from_secs(1));
+        self.shared.watch.wake_all();
+        self.shared.replicas.wake_all();
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
@@ -258,23 +279,35 @@ impl Drop for Server {
 // Accept path
 // ---------------------------------------------------------------------
 
+/// Where `Server::stop` connects to wake the accept thread: the bound
+/// address, with an unspecified IP (`0.0.0.0`, `::`) mapped to loopback.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     loop {
-        // relaxed: advisory stop flag, re-polled every iteration.
+        let accepted = listener.accept();
+        // relaxed: advisory stop flag, re-checked after every accept;
+        // the connection that woke us for it is simply dropped.
         if shared.stop.load(Ordering::Relaxed) {
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => handle_accept(&shared, stream),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
             Err(_) => thread::sleep(ACCEPT_POLL),
         }
     }
 }
 
 fn handle_accept(shared: &Arc<Shared>, mut stream: TcpStream) {
-    // The listener is nonblocking; sessions want blocking reads.
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_nodelay(true);
     match shared.admission.admit(&QueryContext::unlimited()) {
         Ok(permit) => spawn_session(shared, stream, permit),
@@ -721,18 +754,25 @@ fn run_tagged(
     }
 }
 
-/// Semi-sync wait: poll the replica registry until every subscriber has
-/// acknowledged `offset`, the ceiling passes, or the server stops.
+/// Semi-sync wait: block on the replica registry until every subscriber
+/// has acknowledged `offset` (or left), the ceiling passes, or the server
+/// stops.
 fn wait_for_replica_acks(shared: &Shared, offset: u64) {
     if shared.sync_wait_ms == 0 || shared.replicas.is_empty() {
         return;
     }
+    let _wait = bq_obs::histogram!(
+        "bq_repl_ack_wait_us",
+        "semi-sync wait for replica acks, per tagged write (us)",
+        bq_obs::LATENCY_BUCKETS_US
+    )
+    .start_timer();
     // The governor's deadline context is the sanctioned stopwatch (no
     // direct clock reads in this crate).
     let deadline =
         QueryContext::unlimited().with_deadline(Duration::from_millis(shared.sync_wait_ms));
-    while !shared.replicas.all_acked(offset) {
-        // relaxed: advisory stop flag, re-polled every iteration.
+    while !shared.replicas.wait_all_acked(offset, ACK_WAIT_SLICE) {
+        // relaxed: advisory stop flag, re-checked after every wake-up.
         if deadline.check().is_err() || shared.stop.load(Ordering::Relaxed) {
             bq_obs::counter!(
                 "bq_repl_sync_timeouts_total",
@@ -741,7 +781,6 @@ fn wait_for_replica_acks(shared: &Shared, offset: u64) {
             .inc();
             return;
         }
-        thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -899,6 +938,12 @@ fn subscriber_loop(
         "replication subscriptions accepted"
     )
     .inc();
+    // Registered with the first subscriber, so `bq.metrics` shows the row
+    // at zero on a healthy primary instead of hiding it.
+    let idle_wakeups = bq_obs::counter!(
+        "bq_repl_ship_idle_wakeups_total",
+        "shipping-loop waits ended by the fallback timeout, not by a commit"
+    );
     let mut pos = start;
     if start == wire::SUBSCRIBE_BOOTSTRAP {
         publish_replica(shared, conn_id, peer, "bootstrapping", 0, 0, 0);
@@ -947,12 +992,19 @@ fn subscriber_loop(
             );
             return Ok(());
         }
+        // Caught up: sleep until a commit moves the durable horizon past
+        // `pos` (returns at once if one already has). The engine lock is
+        // only taken when there is something to read.
+        if !shared.watch.wait_past(pos, SHIP_IDLE_FALLBACK) {
+            idle_wakeups.inc();
+            continue;
+        }
         let chunk = {
             let db = shared.db.read().unwrap_or_else(|e| e.into_inner());
             db.wal_durable_bytes(pos, SEGMENT_MAX)
         };
         if chunk.is_empty() {
-            thread::sleep(SHIP_POLL);
+            // Woken for the stop flag, not for bytes.
             continue;
         }
         match ship_plan() {
@@ -963,24 +1015,24 @@ fn subscriber_loop(
                 pos += chunk.len() as u64;
             }
             ShipPlan::Duplicate => {
-                let _ = ship_segment(shared, stream, conn_id, peer, pos, chunk.clone())?;
-                pos = ship_segment(shared, stream, conn_id, peer, pos, chunk)?;
+                let _ = ship_segment(shared, stream, conn_id, pos, chunk.clone())?;
+                pos = ship_segment(shared, stream, conn_id, pos, chunk)?;
             }
             ShipPlan::Reorder => {
                 let mid = chunk.len() / 2;
                 if mid == 0 {
-                    pos = ship_segment(shared, stream, conn_id, peer, pos, chunk)?;
+                    pos = ship_segment(shared, stream, conn_id, pos, chunk)?;
                 } else {
                     // Second half first: the replica refuses the gap and
                     // acks its horizon; the first half then applies.
                     let second = chunk[mid..].to_vec();
                     let first = chunk[..mid].to_vec();
-                    let _ = ship_segment(shared, stream, conn_id, peer, pos + mid as u64, second)?;
-                    pos = ship_segment(shared, stream, conn_id, peer, pos, first)?;
+                    let _ = ship_segment(shared, stream, conn_id, pos + mid as u64, second)?;
+                    pos = ship_segment(shared, stream, conn_id, pos, first)?;
                 }
             }
             ShipPlan::Normal => {
-                pos = ship_segment(shared, stream, conn_id, peer, pos, chunk)?;
+                pos = ship_segment(shared, stream, conn_id, pos, chunk)?;
             }
         }
     }
@@ -992,7 +1044,6 @@ fn ship_segment(
     shared: &Shared,
     stream: &mut TcpStream,
     conn_id: u64,
-    peer: &str,
     start: u64,
     bytes: Vec<u8>,
 ) -> io::Result<u64> {
@@ -1016,15 +1067,9 @@ fn ship_segment(
         "bytes shipped but not yet acknowledged"
     )
     .set(shipped.saturating_sub(ack) as i64);
-    publish_replica(
-        shared,
-        conn_id,
-        peer,
-        "streaming",
-        ack,
-        shipped,
-        bq_obs::now_us(),
-    );
+    shared
+        .replicas
+        .record_ack(conn_id, ack, shipped, bq_obs::now_us());
     Ok(ack)
 }
 
@@ -1061,6 +1106,8 @@ fn read_ack(stream: &mut TcpStream) -> io::Result<u64> {
     }
 }
 
+/// Publish a subscriber's row on a state change; per-segment progress
+/// goes through [`ReplicaRegistry::record_ack`] instead.
 fn publish_replica(
     shared: &Shared,
     id: u64,

@@ -17,6 +17,10 @@
 //!   transparently, no acknowledged tagged write is lost on the promoted
 //!   replica, and no tagged write is ever applied twice — a re-sent
 //!   request id answers from the dedup table.
+//! * **Wake-ups** — a tagged write's commit wakes the caught-up ship
+//!   loop and its ack wakes the waiting session (no timer on that path:
+//!   the idle-fallback counter stays flat over 200 writes), and a replica
+//!   that leaves mid-wait releases the write long before the ceiling.
 //! * **Differential** — with every `repl.*` failpoint disarmed, the
 //!   replicated workload fingerprints identically to a clean run.
 //!
@@ -73,13 +77,22 @@ fn durable_len(db: &Arc<RwLock<Db>>) -> u64 {
 
 /// A primary serving a fresh engine with table `t(a int, b int)`.
 fn serve_primary() -> (Server, String, Arc<RwLock<Db>>) {
+    serve_primary_with(ServerConfig::default())
+}
+
+fn serve_primary_with(config: ServerConfig) -> (Server, String, Arc<RwLock<Db>>) {
     let mut db = Db::new();
     db.create_table("t", &[("a", Type::Int), ("b", Type::Int)])
         .unwrap();
     let db = Arc::new(RwLock::new(db));
-    let server = serve(Arc::clone(&db), ServerConfig::default()).unwrap();
+    let server = serve(Arc::clone(&db), config).unwrap();
     let addr = server.local_addr().to_string();
     (server, addr, db)
+}
+
+/// Current value of a process-wide metric (0 before it registers).
+fn metric(name: &str) -> i64 {
+    bq_obs::global().snapshot().get(name)
 }
 
 /// A read-only server fronting a replica's engine.
@@ -309,6 +322,106 @@ fn link_stall_delays_acks_but_still_converges() {
     }
 
     drop(replica);
+    primary.shutdown(Duration::from_millis(200));
+}
+
+#[test]
+fn tagged_writes_wake_the_ship_loop() {
+    let _g = serial();
+    let (primary, addr, pdb) = serve_primary();
+    let mut conn = connect(&addr).unwrap();
+    let replica = attach_replica(&addr);
+    wait_until("replica streaming", Duration::from_secs(10), || {
+        replica.state() == "streaming"
+    });
+
+    let timeouts = metric("bq_repl_sync_timeouts_total");
+    let idle = metric("bq_repl_ship_idle_wakeups_total");
+    let waits = metric("bq_repl_ack_wait_us_count");
+    for i in 0..200 {
+        conn.execute_tagged(&format!("insert into t values ({i}, 0)"), 5_000 + i)
+            .unwrap();
+        // Semi-sync: the reply means the replica already has the row.
+        assert!(replica.applied() >= durable_len(&pdb), "write {i} unacked");
+    }
+    assert_eq!(metric("bq_repl_sync_timeouts_total"), timeouts);
+    assert_eq!(metric("bq_repl_ack_wait_us_count") - waits, 200);
+    // Each commit wakes the caught-up ship loop through the WAL watch; a
+    // loop that slept on a timer instead would count ~one idle wake-up
+    // per write. A handful is allowed for a scheduler stall that leaves
+    // the loop idle past its fallback.
+    let idle_wakeups = metric("bq_repl_ship_idle_wakeups_total") - idle;
+    assert!(
+        idle_wakeups <= 5,
+        "{idle_wakeups} idle wake-ups in 200 writes"
+    );
+    // An operator sees both instruments with one query.
+    let seen = rows(
+        conn.execute(
+            "select m.name from bq.metrics m where m.name = 'bq_repl_ack_wait_us' \
+             or m.name = 'bq_repl_ship_idle_wakeups_total'",
+        )
+        .unwrap(),
+    );
+    assert_eq!(seen.len(), 2, "{seen:?}");
+    wait_converged("convergence after tagged writes", &pdb, &replica);
+
+    drop(replica);
+    primary.shutdown(Duration::from_millis(200));
+}
+
+#[test]
+fn replica_departure_releases_a_waiting_tagged_write() {
+    let _g = serial();
+    faults::set_seed(repl_seed());
+    // A ceiling far longer than the test: a tagged write that comes back
+    // was released, it did not time out.
+    let (primary, addr, pdb) = serve_primary_with(ServerConfig {
+        sync_wait_ms: 60_000,
+        ..ServerConfig::default()
+    });
+    let mut conn = connect(&addr).unwrap();
+    let mut replica = attach_replica(&addr);
+    wait_until("replica streaming", Duration::from_secs(10), || {
+        replica.state() == "streaming"
+    });
+    let timeouts = metric("bq_repl_sync_timeouts_total");
+
+    // Every ack now takes 100 ms. The first insert's segment puts the
+    // replica into that stall with the link busy: whatever commits next
+    // cannot even ship until the ack is back.
+    faults::configure(
+        "repl.link.stall",
+        Policy::new(Action::Error, Trigger::Always),
+    );
+    conn.execute("insert into t values (1, 0)").unwrap();
+    wait_until("replica inside the stall", Duration::from_secs(10), || {
+        replica.applied() == durable_len(&pdb)
+    });
+    let writer = std::thread::spawn(move || {
+        let start = Instant::now();
+        let out = conn.execute_tagged("insert into t values (2, 0)", 777);
+        (out, start.elapsed())
+    });
+    wait_until("tagged write committed", Duration::from_secs(10), || {
+        durable_len(&pdb) > replica.applied()
+    });
+    // The replica leaves mid-wait: it finishes its stall, acks the first
+    // segment only, and hangs up. The departure is what frees the write.
+    replica.stop();
+    let (out, took) = writer.join().unwrap();
+    out.unwrap();
+    faults::off("repl.link.stall");
+    assert!(took < Duration::from_secs(10), "released after {took:?}");
+    assert_eq!(metric("bq_repl_sync_timeouts_total"), timeouts);
+    let replicas = pdb
+        .read()
+        .unwrap_or_else(|e| e.into_inner())
+        .replica_registry();
+    wait_until("bq.replicas empties", Duration::from_secs(10), || {
+        replicas.is_empty()
+    });
+
     primary.shutdown(Duration::from_millis(200));
 }
 

@@ -23,7 +23,7 @@
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread;
 use std::time::Duration;
 
@@ -35,14 +35,22 @@ use big_queries::bq_server::{DriverError, RunningQuery};
 use big_queries::bq_util::{Rng, SplitMix64};
 use big_queries::prelude::*;
 
-/// The failpoint registry is process-global; tests touching it serialize,
-/// mirroring `crash_torture.rs` and `governor_integration.rs`.
-static SERIAL: Mutex<()> = Mutex::new(());
+/// The failpoint registry is process-global, and an armed `server.*`
+/// site fires in whichever server reads a frame next. Tests that arm
+/// failpoints hold this exclusively ([`serial`], mirroring
+/// `crash_torture.rs` and `governor_integration.rs`); every other test
+/// holds it shared ([`unarmed`]), so none of its sessions can swallow a
+/// fault meant for another test's server.
+static SERIAL: RwLock<()> = RwLock::new(());
 
-fn serial() -> MutexGuard<'static, ()> {
-    let g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+fn serial() -> RwLockWriteGuard<'static, ()> {
+    let g = SERIAL.write().unwrap_or_else(|e| e.into_inner());
     faults::reset();
     g
+}
+
+fn unarmed() -> RwLockReadGuard<'static, ()> {
+    SERIAL.read().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Seed for the storm and fuzz schedules; override with `BQ_SERVER_SEED=<n>`.
@@ -86,6 +94,7 @@ fn rows(out: Outcome) -> Relation {
 
 #[test]
 fn handshake_statements_and_prepared_roundtrip() {
+    let _g = unarmed();
     let (server, addr) = serve_numbers(5, 3, ServerConfig::default());
     let mut conn = connect(&addr).unwrap();
     assert_eq!(conn.backend(), "remote");
@@ -152,6 +161,7 @@ fn handshake_statements_and_prepared_roundtrip() {
 
 #[test]
 fn version_mismatch_is_refused_with_a_typed_error() {
+    let _g = unarmed();
     let (server, addr) = serve_numbers(1, 1, ServerConfig::default());
 
     let mut raw = TcpStream::connect(&addr).unwrap();
@@ -188,6 +198,7 @@ fn version_mismatch_is_refused_with_a_typed_error() {
 
 #[test]
 fn per_session_limits_bind_only_their_session() {
+    let _g = unarmed();
     let (server, addr) = serve_numbers(120, 120, ServerConfig::default());
     let mut starved = connect(&addr).unwrap();
     let mut free = connect(&addr).unwrap();
@@ -235,6 +246,7 @@ fn per_session_limits_bind_only_their_session() {
 
 #[test]
 fn kill_cancels_a_running_query_from_another_session() {
+    let _g = unarmed();
     // Big enough that the parallel cross product runs for a while; the
     // governor checks at morsel boundaries make the kill bite quickly.
     let (server, addr) = serve_numbers(1200, 1200, ServerConfig::default());
@@ -285,6 +297,7 @@ fn kill_cancels_a_running_query_from_another_session() {
 /// `bq.sessions` shows the live connection with its peer address.
 #[test]
 fn trace_ids_join_frames_catalog_and_kill() {
+    let _g = unarmed();
     let (server, addr) = serve_numbers(1200, 1200, ServerConfig::default());
     let mut conn = connect(&addr).unwrap();
 
@@ -392,6 +405,7 @@ fn trace_ids_join_frames_catalog_and_kill() {
 
 #[test]
 fn admission_sheds_a_connection_storm_with_typed_overloaded() {
+    let _g = unarmed();
     let (server, addr) = serve_numbers(
         4,
         4,
@@ -458,6 +472,7 @@ fn admission_sheds_a_connection_storm_with_typed_overloaded() {
 
 #[test]
 fn protocol_fuzz_never_panics_the_server() {
+    let _g = unarmed();
     let (server, addr) = serve_numbers(3, 3, ServerConfig::default());
 
     let hello = Request::Hello {
@@ -588,6 +603,7 @@ fn protocol_fuzz_never_panics_the_server() {
 
 #[test]
 fn graceful_shutdown_keeps_every_acknowledged_write() {
+    let _g = unarmed();
     let db = Arc::new(RwLock::new(Db::new()));
     db.write()
         .unwrap()
@@ -705,6 +721,7 @@ fn workload_fingerprint(driver: &mut dyn Driver) -> String {
 
 #[test]
 fn embedded_and_remote_drivers_agree() {
+    let _g = unarmed();
     let mut embedded = EmbeddedDriver::default();
     let local = workload_fingerprint(&mut embedded);
 
