@@ -36,7 +36,7 @@ fn main() {
         for _ in 0..1000 {
             heap.insert(&mut store, &rec).expect("insert");
         }
-        heap.scan(&mut store).expect("scan").len()
+        heap.scan(&store).expect("scan").len()
     });
 
     {

@@ -1,16 +1,19 @@
-//! The facade `Db`: storage-backed tables, query surfaces, and
-//! transactional sessions with WAL-style durability bookkeeping.
+//! The facade `Db`: transactions, the WAL, and the query, replication
+//! and introspection surfaces over one table store.
 //!
-//! Architecture: the logical layer is a [`bq_relational::Database`]
-//! (queried by SQL-ish, algebra, calculus, and Datalog); every committed
-//! tuple also lives in a heap file inside a shared [`PageStore`] behind a
-//! table-granularity strict-2PL lock table, and every transactional
-//! mutation is logged so [`Db::simulate_crash_and_recover`] can rebuild
-//! the logical layer from storage + WAL alone.
+//! Architecture: the tables live in [`crate::table`] — a relation per
+//! table for the query surfaces (SQL-ish, algebra, calculus, Datalog), a
+//! heap file per table for recovery, `RecordId` indexes — and rows enter
+//! and leave them only through its `put`/`take`. This module owns what
+//! surrounds a row: the table-granularity strict-2PL lock table, the
+//! undo list of every open transaction, and the log record of every
+//! mutation, from which [`Db::simulate_crash_and_recover`] tells the
+//! table store which heap records to drop.
 
 use crate::codec;
 use crate::error::CoreError;
 use crate::slowlog::{plan_fingerprint, SlowEntry, SlowLog};
+use crate::table::{Placed, Tables};
 use crate::vtab::{
     BackupRegistry, BackupsTable, FailpointsTable, MetricsTable, QueriesTable, ReplicaRegistry,
     ReplicasTable, RunningQueries, SessionRegistry, SessionsTable, SlowLogTable, VirtualTable,
@@ -27,14 +30,10 @@ use bq_relational::calculus::{eval_query, Query as CalcQuery};
 use bq_relational::codd::calculus_to_algebra;
 use bq_relational::sqlish;
 use bq_relational::{Database, Relation, Schema, Tuple, Type, Value};
-use bq_storage::btree::BPlusTree;
-use bq_storage::heap::{HeapFile, RecordId};
-use bq_storage::page::{PageId, PageStore};
 use bq_storage::wal::{LogRecord, Wal};
-use bq_storage::StorageError;
 use bq_txn::locks::{LockResult, LockTable, Mode};
 use bq_txn::ops::TxnId;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -65,12 +64,6 @@ fn type_from_byte(b: u8) -> Result<Type> {
         2 => Ok(Type::Bool),
         other => Err(CoreError::Codec(format!("bad type byte {other}"))),
     }
-}
-
-#[derive(Debug)]
-struct OpenTxn {
-    /// Inserted records to undo on abort: (table, record id, tuple).
-    undo: Vec<(String, RecordId, Tuple)>,
 }
 
 /// Session-level resource defaults, applied to every statement that does
@@ -110,20 +103,16 @@ impl SessionLimits {
 /// The database engine facade.
 #[derive(Debug)]
 pub struct Db {
-    catalog: Database,
-    store: PageStore,
-    heaps: BTreeMap<String, HeapFile>,
-    /// Table name → lock-item index for the lock table.
-    table_ids: BTreeMap<String, usize>,
-    /// Secondary indexes: (table, column) → B+-tree from encoded key to
-    /// the matching tuples (duplicates allowed via multiset payload).
-    indexes: BTreeMap<(String, String), BPlusTree<Value, Vec<Tuple>>>,
+    /// Relations, heap pages, indexes and lock ids of every table.
+    tables: Tables,
     locks: LockTable,
     wal: Wal,
     /// Where [`Db::sync_wal`] publishes the durable WAL horizon; a
     /// primary's shipping loops wait on a clone instead of polling.
     watch: WalWatch,
-    open: BTreeMap<u64, OpenTxn>,
+    /// Open transactions, each with the receipts of the rows it put —
+    /// what an abort takes back.
+    open: BTreeMap<u64, Vec<Placed>>,
     next_txn: u64,
     /// The physical execution engine behind every query surface.
     exec: Executor,
@@ -188,11 +177,7 @@ impl Db {
             .map(|vt| (vt.name().to_string(), vt))
             .collect();
         Db {
-            catalog: Database::new(),
-            store: PageStore::new(),
-            heaps: BTreeMap::new(),
-            table_ids: BTreeMap::new(),
-            indexes: BTreeMap::new(),
+            tables: Tables::default(),
             locks: LockTable::new(),
             wal: Wal::new(),
             watch: WalWatch::default(),
@@ -233,7 +218,7 @@ impl Db {
     /// Create a table. DDL is logged and synced immediately so a lone
     /// `create table` ships to replicas without waiting for a commit.
     pub fn create_table(&mut self, name: &str, attrs: &[(&str, Type)]) -> Result<()> {
-        if self.heaps.contains_key(name) {
+        if self.tables.contains(name) {
             return Err(CoreError::TableExists(name.to_string()));
         }
         let schema = Schema::new(attrs)?;
@@ -246,37 +231,53 @@ impl Db {
                 .map(|(n, t)| (n.to_string(), type_to_byte(*t)))
                 .collect(),
         })?;
-        self.catalog.add(name, Relation::new(schema));
-        self.heaps.insert(name.to_string(), HeapFile::new());
-        let id = self.table_ids.len();
-        self.table_ids.insert(name.to_string(), id);
+        self.tables.create(name, schema)?;
         self.sync_tolerating_full();
         Ok(())
     }
 
     /// Autocommit insert: a one-row transaction.
     pub fn insert(&mut self, table: &str, row: Vec<Value>) -> Result<()> {
+        self.autocommit_insert(table, row, None)
+    }
+
+    /// Autocommit insert whose commit carries a client idempotency tag
+    /// (see [`Db::commit_tagged`]).
+    pub fn insert_tagged(
+        &mut self,
+        table: &str,
+        row: Vec<Value>,
+        client: &str,
+        request: u64,
+    ) -> Result<()> {
+        self.autocommit_insert(table, row, Some((client, request)))
+    }
+
+    /// begin → insert → commit, aborting when the insert is refused (a
+    /// refused commit has rolled the transaction back already).
+    fn autocommit_insert(
+        &mut self,
+        table: &str,
+        row: Vec<Value>,
+        tag: Option<(&str, u64)>,
+    ) -> Result<()> {
         let _t = Self::stmt_timer("insert");
         let h = self.begin()?;
-        match self.insert_in(h, table, row) {
-            Ok(()) => self.commit(h),
-            Err(e) => {
-                self.abort(h)?;
-                Err(e)
-            }
+        if let Err(e) = self.insert_in(h, table, row) {
+            self.abort(h)?;
+            return Err(e);
         }
+        self.commit_with(h, tag)
     }
 
     /// Names of all tables.
     pub fn tables(&self) -> Vec<&str> {
-        self.heaps.keys().map(String::as_str).collect()
+        self.tables.relations().names()
     }
 
     /// Read-only view of a whole table.
     pub fn table(&self, name: &str) -> Result<&Relation> {
-        self.catalog
-            .get(name)
-            .map_err(|_| CoreError::NoSuchTable(name.to_string()))
+        self.tables.relation(name)
     }
 
     /// Number of rows in a table.
@@ -290,45 +291,18 @@ impl Db {
 
     /// Create (and build) a B+-tree index on `table.column`.
     pub fn create_index(&mut self, table: &str, column: &str) -> Result<()> {
-        let rel = self
-            .catalog
-            .get(table)
-            .map_err(|_| CoreError::NoSuchTable(table.to_string()))?;
-        let idx = rel.schema().require(column)?;
-        let mut tree: BPlusTree<Value, Vec<Tuple>> = BPlusTree::default();
-        for t in rel.iter() {
-            let key = t.get(idx).clone();
-            let mut bucket = tree.get(&key).cloned().unwrap_or_default();
-            bucket.push(t.clone());
-            tree.upsert(key, bucket);
-        }
-        self.indexes
-            .insert((table.to_string(), column.to_string()), tree);
-        Ok(())
+        self.tables.create_index(table, column)
     }
 
     /// Is there an index on `table.column`?
     pub fn has_index(&self, table: &str, column: &str) -> bool {
-        self.indexes
-            .contains_key(&(table.to_string(), column.to_string()))
+        self.tables.has_index(table, column)
     }
 
     /// Point lookup `table.column = value`, via the index when one exists
     /// (O(log n)), else by scanning.
     pub fn lookup(&self, table: &str, column: &str, value: &Value) -> Result<Vec<Tuple>> {
-        if let Some(tree) = self.indexes.get(&(table.to_string(), column.to_string())) {
-            return Ok(tree.get(value).cloned().unwrap_or_default());
-        }
-        let rel = self
-            .catalog
-            .get(table)
-            .map_err(|_| CoreError::NoSuchTable(table.to_string()))?;
-        let idx = rel.schema().require(column)?;
-        Ok(rel
-            .iter()
-            .filter(|t| t.get(idx) == value)
-            .cloned()
-            .collect())
+        self.tables.lookup_range(table, column, value, value)
     }
 
     /// Range lookup `lo <= table.column <= hi` via the index when present.
@@ -339,64 +313,7 @@ impl Db {
         lo: &Value,
         hi: &Value,
     ) -> Result<Vec<Tuple>> {
-        if let Some(tree) = self.indexes.get(&(table.to_string(), column.to_string())) {
-            return Ok(tree
-                .range(lo, hi)
-                .into_iter()
-                .flat_map(|(_, bucket)| bucket)
-                .collect());
-        }
-        let rel = self
-            .catalog
-            .get(table)
-            .map_err(|_| CoreError::NoSuchTable(table.to_string()))?;
-        let idx = rel.schema().require(column)?;
-        Ok(rel
-            .iter()
-            .filter(|t| t.get(idx) >= lo && t.get(idx) <= hi)
-            .cloned()
-            .collect())
-    }
-
-    fn index_insert(&mut self, table: &str, tuple: &Tuple) {
-        for ((t, col), tree) in self.indexes.iter_mut() {
-            if t == table {
-                let rel = self.catalog.get(t).expect("indexed table exists");
-                let idx = rel.schema().require(col).expect("indexed column exists");
-                let key = tuple.get(idx).clone();
-                let mut bucket = tree.get(&key).cloned().unwrap_or_default();
-                bucket.push(tuple.clone());
-                tree.upsert(key, bucket);
-            }
-        }
-    }
-
-    fn index_remove(&mut self, table: &str, tuple: &Tuple) {
-        for ((t, col), tree) in self.indexes.iter_mut() {
-            if t == table {
-                let rel = self.catalog.get(t).expect("indexed table exists");
-                let idx = rel.schema().require(col).expect("indexed column exists");
-                let key = tuple.get(idx).clone();
-                if let Some(bucket) = tree.get(&key) {
-                    let mut bucket = bucket.clone();
-                    bucket.retain(|b| b != tuple);
-                    if bucket.is_empty() {
-                        tree.remove(&key);
-                    } else {
-                        tree.upsert(key, bucket);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Rebuild every index from the current catalog (used after recovery).
-    fn rebuild_indexes(&mut self) -> Result<()> {
-        let keys: Vec<(String, String)> = self.indexes.keys().cloned().collect();
-        for (table, column) in keys {
-            self.create_index(&table, &column)?;
-        }
-        Ok(())
+        self.tables.lookup_range(table, column, lo, hi)
     }
 
     // ------------------------------------------------------------------
@@ -409,7 +326,7 @@ impl Db {
         let h = self.next_txn;
         self.next_txn += 1;
         self.wal.append(&LogRecord::Begin(h))?;
-        self.open.insert(h, OpenTxn { undo: Vec::new() });
+        self.open.insert(h, Vec::new());
         bq_obs::counter!("bq_core_txn_begins_total", "transactions begun").inc();
         Ok(TxnHandle(h))
     }
@@ -437,9 +354,9 @@ impl Db {
     }
 
     fn lock_table_for(&mut self, h: TxnHandle, table: &str, mode: Mode) -> Result<()> {
-        let &id = self
-            .table_ids
-            .get(table)
+        let id = self
+            .tables
+            .lock_id(table)
             .ok_or_else(|| CoreError::NoSuchTable(table.to_string()))?;
         match self.locks.request(TxnId(h.0 as u32), id, mode) {
             LockResult::Granted => Ok(()),
@@ -449,47 +366,36 @@ impl Db {
         }
     }
 
-    /// Insert within a transaction (takes an exclusive table lock).
+    /// Insert within a transaction (takes an exclusive table lock). A
+    /// row the table already holds is a no-op: nothing is stored, logged
+    /// or left to undo.
     pub fn insert_in(&mut self, h: TxnHandle, table: &str, row: Vec<Value>) -> Result<()> {
         self.check_open(h)?;
         self.lock_table_for(h, table, Mode::Exclusive)?;
         let tuple = Tuple::new(row);
-        // Validate against the schema first (so storage stays clean).
-        {
-            let rel = self
-                .catalog
-                .get(table)
-                .map_err(|_| CoreError::NoSuchTable(table.to_string()))?;
-            if !tuple.conforms_to(rel.schema()) {
-                return Err(CoreError::Rel(bq_relational::RelError::SchemaMismatch(
-                    format!("tuple {tuple} vs {}", rel.schema()),
-                )));
-            }
-        }
         let bytes = codec::encode(&tuple);
-        let heap = self.heaps.get_mut(table).expect("table exists");
-        let rid = heap.insert(&mut self.store, &bytes)?;
+        self.put_logged(h.0, table, tuple, bytes)
+    }
+
+    /// Put a row on behalf of `txn` and log it under the record id it
+    /// got — on a primary and, for a shipped row, on a replica alike.
+    fn put_logged(&mut self, txn: u64, table: &str, tuple: Tuple, bytes: Vec<u8>) -> Result<()> {
+        let Some(placed) = self.tables.put(table, tuple, &bytes)? else {
+            return Ok(());
+        };
         if let Err(e) = self.wal.append(&LogRecord::RowInsert {
-            txn: h.0,
-            page: rid.page,
-            slot: rid.slot,
+            txn,
+            page: placed.rid.page,
+            slot: placed.rid.slot,
             table: table.to_string(),
             bytes,
         }) {
-            // The row never reached the log: take it back out of the
-            // heap so storage and log agree, then surface the error.
-            if let Some(heap) = self.heaps.get_mut(table) {
-                heap.delete(&mut self.store, rid)?;
-            }
+            // The row never reached the log: take it back out so tables
+            // and log agree, then surface the error.
+            self.tables.take(&placed)?;
             return Err(e.into());
         }
-        self.catalog.get_mut(table)?.insert(tuple.clone())?;
-        self.index_insert(table, &tuple);
-        self.open
-            .get_mut(&h.0)
-            .expect("checked open")
-            .undo
-            .push((table.to_string(), rid, tuple));
+        self.open.entry(txn).or_default().push(placed);
         Ok(())
     }
 
@@ -503,8 +409,28 @@ impl Db {
     /// Commit: log COMMIT, force the log (one fsync batch per commit),
     /// release locks.
     pub fn commit(&mut self, h: TxnHandle) -> Result<()> {
+        self.commit_with(h, None)
+    }
+
+    /// Commit carrying a client idempotency tag: logs
+    /// [`LogRecord::TaggedCommit`] (which replicates the dedup entry
+    /// along with the commit), forces the log, notes the (client,
+    /// request) pair locally, and releases locks.
+    pub fn commit_tagged(&mut self, h: TxnHandle, client: &str, request: u64) -> Result<()> {
+        self.commit_with(h, Some((client, request)))
+    }
+
+    fn commit_with(&mut self, h: TxnHandle, tag: Option<(&str, u64)>) -> Result<()> {
         self.check_open(h)?;
-        if let Err(e) = self.wal.append(&LogRecord::Commit(h.0)) {
+        let record = match tag {
+            None => LogRecord::Commit(h.0),
+            Some((client, request)) => LogRecord::TaggedCommit {
+                txn: h.0,
+                client: client.to_string(),
+                request,
+            },
+        };
+        if let Err(e) = self.wal.append(&record) {
             // The COMMIT record never reached the log, so the
             // transaction can never become durable: roll it back and
             // surface the typed error. Reads stay available; no lock is
@@ -520,33 +446,9 @@ impl Db {
         self.sync_tolerating_full();
         self.open.remove(&h.0);
         self.locks.release_all(TxnId(h.0 as u32));
-        bq_obs::counter!("bq_core_txn_commits_total", "transactions committed").inc();
-        Ok(())
-    }
-
-    /// Commit carrying a client idempotency tag: logs
-    /// [`LogRecord::TaggedCommit`] (which replicates the dedup entry
-    /// along with the commit), forces the log, notes the (client,
-    /// request) pair locally, and releases locks.
-    pub fn commit_tagged(&mut self, h: TxnHandle, client: &str, request: u64) -> Result<()> {
-        self.check_open(h)?;
-        if let Err(e) = self.wal.append(&LogRecord::TaggedCommit {
-            txn: h.0,
-            client: client.to_string(),
-            request,
-        }) {
-            self.rollback_effects(h)?;
-            bq_obs::counter!(
-                "bq_core_txn_enospc_aborts_total",
-                "transactions rolled back because the WAL device was full"
-            )
-            .inc();
-            return Err(e.into());
+        if let Some((client, request)) = tag {
+            self.note_request(client, request);
         }
-        self.sync_tolerating_full();
-        self.open.remove(&h.0);
-        self.locks.release_all(TxnId(h.0 as u32));
-        self.note_request(client, request);
         bq_obs::counter!("bq_core_txn_commits_total", "transactions committed").inc();
         Ok(())
     }
@@ -606,16 +508,17 @@ impl Db {
     /// order) and release its locks. Shared by [`Db::abort`] and the
     /// commit path's disk-full bail-out.
     fn rollback_effects(&mut self, h: TxnHandle) -> Result<()> {
-        let txn = self.open.remove(&h.0).expect("checked open");
-        for (table, rid, tuple) in txn.undo.into_iter().rev() {
-            if let Some(heap) = self.heaps.get_mut(&table) {
-                heap.delete(&mut self.store, rid)?;
-            }
-            self.catalog.get_mut(&table)?.remove(&tuple);
-            self.index_remove(&table, &tuple);
-        }
+        let undo = self.open.remove(&h.0).expect("checked open");
+        self.take_back(undo)?;
         self.locks.release_all(TxnId(h.0 as u32));
         Ok(())
+    }
+
+    /// Take a transaction's rows back out of the tables, newest first.
+    fn take_back(&mut self, undo: Vec<Placed>) -> Result<()> {
+        undo.iter()
+            .rev()
+            .try_for_each(|placed| self.tables.take(placed))
     }
 
     // ------------------------------------------------------------------
@@ -758,11 +661,7 @@ impl Db {
     /// `bq.locks` materialised from the live lock table: one row per
     /// held lock, one (with `waiting = true`) per outstanding request.
     fn locks_relation(&self) -> Result<Relation> {
-        let names: BTreeMap<usize, &str> = self
-            .table_ids
-            .iter()
-            .map(|(name, &id)| (id, name.as_str()))
-            .collect();
+        let names = self.tables.lock_names();
         let mut rel = Relation::with_schema(&[
             ("item", Type::Str),
             ("txn", Type::Int),
@@ -802,13 +701,7 @@ impl Db {
             } else if name.starts_with(VTAB_PREFIX) {
                 return Err(CoreError::NoSuchTable(name.clone()));
             } else {
-                overlay.add(
-                    name,
-                    self.catalog
-                        .get(name)
-                        .map_err(|_| CoreError::NoSuchTable(name.clone()))?
-                        .clone(),
-                );
+                overlay.add(name, self.tables.relation(name)?.clone());
             }
         }
         Ok(Some(overlay))
@@ -823,7 +716,7 @@ impl Db {
     ) -> Result<T> {
         match self.overlay_for(expr)? {
             Some(overlay) => f(&overlay),
-            None => f(&self.catalog),
+            None => f(self.tables.relations()),
         }
     }
 
@@ -842,7 +735,7 @@ impl Db {
     /// cancel token, and memory budget it carries are honoured at every
     /// morsel boundary and allocation site inside the engine.
     pub fn sql_with_ctx(&self, text: &str, ctx: &QueryContext) -> Result<Relation> {
-        self.sql_governed(text, ctx, &self.exec)
+        Ok(self.sql_governed(text, ctx, &self.exec)?.0)
     }
 
     /// Run a SQL-ish query under an explicit [`QueryContext`] *and* an
@@ -855,13 +748,19 @@ impl Db {
         ctx: &QueryContext,
         mode: ExecMode,
     ) -> Result<Relation> {
-        self.sql_governed(text, ctx, &Executor::new(mode))
+        Ok(self.sql_governed(text, ctx, &Executor::new(mode))?.0)
     }
 
     /// Shared body of the SQL surfaces: parse, resolve (virtual-table
     /// overlay or real catalog), execute with per-operator stats, and
-    /// feed the slow log.
-    fn sql_governed(&self, text: &str, ctx: &QueryContext, exec: &Executor) -> Result<Relation> {
+    /// feed the slow log. Returns the result, its operator statistics
+    /// and the statement's wall time in microseconds.
+    fn sql_governed(
+        &self,
+        text: &str,
+        ctx: &QueryContext,
+        exec: &Executor,
+    ) -> Result<(Relation, ExecStats, u64)> {
         let ((rel, stats), elapsed_us) = self.run_governed("sql", text, ctx, || {
             let expr = sqlish::parse(text)?;
             self.with_catalog_for(&expr, |cat| {
@@ -870,7 +769,7 @@ impl Db {
             })
         })?;
         self.note_slow(ctx, text, elapsed_us, rel.len() as u64, &stats);
-        Ok(rel)
+        Ok((rel, stats, elapsed_us))
     }
 
     /// Execute an already-parsed-and-optimized plan (a prepared statement)
@@ -905,14 +804,10 @@ impl Db {
     /// engine. (The original recursive interpreter survives as
     /// [`bq_relational::algebra::eval`], the differential-testing oracle.)
     pub fn algebra(&self, expr: &Expr) -> Result<Relation> {
-        self.algebra_with_ctx(expr, &self.govern())
-    }
-
-    /// Evaluate an algebra expression under an explicit [`QueryContext`].
-    pub fn algebra_with_ctx(&self, expr: &Expr, ctx: &QueryContext) -> Result<Relation> {
-        self.run_governed("algebra", "(algebra)", ctx, || {
+        let ctx = self.govern();
+        self.run_governed("algebra", "(algebra)", &ctx, || {
             self.with_catalog_for(expr, |cat| {
-                Ok(self.exec.execute_with_ctx(expr, cat, ctx)?)
+                Ok(self.exec.execute_with_ctx(expr, cat, &ctx)?)
             })
         })
         .map(|(rel, _)| rel)
@@ -924,26 +819,24 @@ impl Db {
     /// interpreter.
     pub fn calculus(&self, query: &CalcQuery) -> Result<Relation> {
         let ctx = self.govern();
+        let cat = self.tables.relations();
         self.run_governed(
             "calculus",
             "(calculus)",
             &ctx,
-            || match calculus_to_algebra(query, &self.catalog) {
-                Ok(expr) => Ok(self.exec.execute_with_ctx(&expr, &self.catalog, &ctx)?),
-                Err(_) => Ok(eval_query(query, &self.catalog)?),
+            || match calculus_to_algebra(query, cat) {
+                Ok(expr) => Ok(self.exec.execute_with_ctx(&expr, cat, &ctx)?),
+                Err(_) => Ok(eval_query(query, cat)?),
             },
         )
         .map(|(rel, _)| rel)
     }
 
-    /// EXPLAIN a SQL-ish query: run it and render the physical plan tree
-    /// annotated with per-operator rows, batches, and wall time.
+    /// EXPLAIN a SQL-ish query: run it, governed by the session limits
+    /// like [`Db::sql`], and render the physical plan tree annotated with
+    /// per-operator rows, batches, and wall time.
     pub fn explain_sql(&self, text: &str) -> Result<String> {
-        let expr = sqlish::parse(text)?;
-        let (_, stats) = self.with_catalog_for(&expr, |cat| {
-            let optimized = optimize(&expr, cat)?;
-            Ok(self.exec.execute_with_stats(&optimized, cat)?)
-        })?;
+        let (_, stats, _) = self.sql_governed(text, &self.govern(), &self.exec)?;
         Ok(format!("mode: {}\n{}", self.exec.mode(), stats.render()))
     }
 
@@ -976,27 +869,13 @@ impl Db {
         } else {
             ctx
         };
-        let exec = Executor::new(mode);
-        let ((rel, stats), elapsed_us) = self.run_governed("sql", text, ctx, || {
-            let expr = sqlish::parse(text)?;
-            self.with_catalog_for(&expr, |cat| {
-                let optimized = optimize(&expr, cat)?;
-                Ok(exec.execute_with_stats_ctx(&optimized, cat, ctx)?)
-            })
-        })?;
-        self.note_slow(ctx, text, elapsed_us, rel.len() as u64, &stats);
+        let (rel, stats, elapsed_us) = self.sql_governed(text, ctx, &Executor::new(mode))?;
         Ok(format!(
             "mode: {mode}\nquery: {}\nelapsed: {elapsed_us}us\nrows: {}\n{}",
             ctx.query_id().unwrap_or(0),
             rel.len(),
             stats.render()
         ))
-    }
-
-    /// Execute an algebra expression and return both the result and the
-    /// per-operator [`ExecStats`] tree.
-    pub fn explain(&self, expr: &Expr) -> Result<(Relation, ExecStats)> {
-        self.with_catalog_for(expr, |cat| Ok(self.exec.execute_with_stats(expr, cat)?))
     }
 
     /// Run a Datalog program against the tables (tables are the EDB) and
@@ -1025,9 +904,10 @@ impl Db {
             bq_datalog::stratify(&program)?;
             let mut edb = FactStore::new();
             let mut charger = Charger::new(ctx);
-            for name in self.catalog.names() {
+            let catalog = self.tables.relations();
+            for name in catalog.names() {
                 ctx.check().map_err(bq_datalog::DlError::from)?;
-                let rel = self.catalog.get(name)?;
+                let rel = catalog.get(name)?;
                 for t in rel.iter() {
                     if charger.is_enabled() {
                         charger
@@ -1046,7 +926,7 @@ impl Db {
 
     /// Borrow the logical catalog (for the algebra/calculus builders).
     pub fn catalog(&self) -> &Database {
-        &self.catalog
+        self.tables.relations()
     }
 
     // ------------------------------------------------------------------
@@ -1122,101 +1002,32 @@ impl Db {
     /// Run a SQL-ish query under a profile session: returns the result and
     /// a [`bq_obs::QueryProfile`] with wall time, the rendered physical
     /// plan, metric deltas, and the span flame captured during execution.
-    pub fn profile_sql(&self, text: &str) -> Result<(Relation, bq_obs::QueryProfile)> {
-        self.profile_sql_with_ctx_mode(text, &self.govern(), self.exec.mode())
-    }
-
-    /// [`Db::profile_sql`] under an explicit context and mode: governed
-    /// statements profile identically to plain [`Db::sql`] — same
+    /// The statement is governed exactly as [`Db::sql`] governs it — same
     /// admission, trace-id stamping, `bq.queries` entry, and slow-log
     /// record — and the profile is tagged with the trace/query id.
-    pub fn profile_sql_with_ctx_mode(
-        &self,
-        text: &str,
-        ctx: &QueryContext,
-        mode: ExecMode,
-    ) -> Result<(Relation, bq_obs::QueryProfile)> {
-        let exec = Executor::new(mode);
-        let ((rel, stats, profile), elapsed_us) = self.run_governed("sql", text, ctx, || {
-            let session =
-                bq_obs::ProfileSession::start_with_query(text, ctx.query_id().unwrap_or(0));
-            let outcome = (|| -> Result<(Relation, ExecStats)> {
-                let expr = sqlish::parse(text)?;
-                self.with_catalog_for(&expr, |cat| {
-                    let optimized = optimize(&expr, cat)?;
-                    Ok(exec.execute_with_stats_ctx(&optimized, cat, ctx)?)
-                })
-            })();
-            match outcome {
-                Ok((rel, stats)) => {
-                    let profile = session.finish(stats.render());
-                    Ok((rel, stats, profile))
-                }
-                Err(e) => {
-                    session.finish(String::new());
-                    Err(e)
-                }
-            }
-        })?;
-        self.note_slow(ctx, text, elapsed_us, rel.len() as u64, &stats);
-        Ok((rel, profile))
-    }
-
-    /// Profile an already-prepared plan under an explicit context and
-    /// mode, exactly as [`Db::profile_sql_with_ctx_mode`] does for text
-    /// statements; the profile and slow-log entry are filed under `text`.
-    pub fn profile_prepared(
-        &self,
-        text: &str,
-        expr: &Expr,
-        ctx: &QueryContext,
-        mode: ExecMode,
-    ) -> Result<(Relation, bq_obs::QueryProfile)> {
-        let exec = Executor::new(mode);
-        let ((rel, stats, profile), elapsed_us) = self.run_governed("sql", text, ctx, || {
-            let session =
-                bq_obs::ProfileSession::start_with_query(text, ctx.query_id().unwrap_or(0));
-            let outcome =
-                self.with_catalog_for(expr, |cat| Ok(exec.execute_with_stats_ctx(expr, cat, ctx)?));
-            match outcome {
-                Ok((rel, stats)) => {
-                    let profile = session.finish(stats.render());
-                    Ok((rel, stats, profile))
-                }
-                Err(e) => {
-                    session.finish(String::new());
-                    Err(e)
-                }
-            }
-        })?;
-        self.note_slow(ctx, text, elapsed_us, rel.len() as u64, &stats);
-        Ok((rel, profile))
+    pub fn profile_sql(&self, text: &str) -> Result<(Relation, bq_obs::QueryProfile)> {
+        let ctx = self.govern();
+        let session = bq_obs::ProfileSession::start(text);
+        let outcome = self.sql_governed(text, &ctx, &self.exec);
+        // Finished on failure too: that is what restores the tracing flag.
+        let plan = outcome.as_ref().map(|(_, stats, _)| stats.render());
+        let mut profile = session.finish(plan.unwrap_or_default());
+        profile.query = ctx.query_id().unwrap_or(0);
+        Ok((outcome?.0, profile))
     }
 
     // ------------------------------------------------------------------
     // Crash / recovery demonstration
     // ------------------------------------------------------------------
 
-    /// Simulate a crash: drop the logical layer and every open
-    /// transaction, then rebuild the catalog from the heap files, undoing
-    /// loser transactions via the WAL (records of transactions with no
-    /// COMMIT are removed again). Returns the ids of rolled-back
-    /// transactions.
+    /// Simulate a crash: drop the relations, the indexes and every open
+    /// transaction, then rebuild them from the heap files, undoing loser
+    /// transactions via the WAL (records of transactions with no COMMIT
+    /// are removed again). Returns the ids of rolled-back transactions.
     pub fn simulate_crash_and_recover(&mut self) -> Result<Vec<u64>> {
-        // The crash: logical state and volatile txn state vanish.
+        // The crash: volatile txn state vanishes.
         self.open.clear();
         self.locks = LockTable::new();
-        let schemas: Vec<(String, Schema)> = self
-            .catalog
-            .names()
-            .iter()
-            .map(|n| {
-                self.catalog
-                    .get(n)
-                    .map(|r| (n.to_string(), r.schema().clone()))
-            })
-            .collect::<std::result::Result<_, _>>()?;
-        self.catalog = Database::new();
 
         // Analysis over the WAL: who committed?
         let records = self.wal.iter()?;
@@ -1249,23 +1060,12 @@ impl Db {
             .collect();
         let lost: HashSet<u64> = losers.iter().copied().collect();
 
-        // Rebuild: scan heaps; keep records owned by winners (or pre-WAL),
-        // physically delete loser records.
-        for (name, schema) in schemas {
-            let mut rel = Relation::new(schema);
-            let heap = self.heaps.get_mut(&name).expect("heap exists");
-            let entries = heap.scan(&mut self.store)?;
-            for (rid, bytes) in entries {
-                let who = owner.get(&(rid.page.0, rid.slot)).copied();
-                if who.is_some_and(|t| lost.contains(&t)) {
-                    heap.delete(&mut self.store, rid)?;
-                    continue;
-                }
-                rel.insert(codec::decode(&bytes)?)?;
-            }
-            self.catalog.add(&name, rel);
-        }
-        self.rebuild_indexes()?;
+        // Rebuild: keep records owned by winners (or pre-WAL), physically
+        // delete loser records.
+        self.tables.recover(|rid| {
+            let who = owner.get(&(rid.page.0, rid.slot));
+            who.is_some_and(|t| lost.contains(t))
+        })?;
         Ok(losers)
     }
 
@@ -1316,35 +1116,21 @@ impl Db {
         chunk[..chunk.len().min(max)].to_vec()
     }
 
-    /// Per-table pending (uncommitted) tuples of every open transaction,
-    /// in insertion order: the rows a bootstrap must ship as in-flight
-    /// rather than committed.
-    fn pending_by_table(&self) -> BTreeMap<&str, Vec<&Tuple>> {
-        let mut pending: BTreeMap<&str, Vec<&Tuple>> = BTreeMap::new();
-        for txn in self.open.values() {
-            for (table, _, tuple) in &txn.undo {
-                pending.entry(table.as_str()).or_default().push(tuple);
-            }
-        }
-        pending
-    }
-
-    /// Encoded committed rows of `table`: the catalog multiset minus one
-    /// occurrence per pending open-transaction tuple.
+    /// Encoded committed rows of `table`: the relation minus the rows
+    /// open transactions have pending.
     fn committed_rows(&self, table: &str) -> Result<Vec<Vec<u8>>> {
-        let rel = self
-            .catalog
-            .get(table)
-            .map_err(|_| CoreError::NoSuchTable(table.to_string()))?;
-        let mut rows: Vec<&Tuple> = rel.iter().collect();
-        if let Some(pending) = self.pending_by_table().get(table) {
-            for p in pending {
-                if let Some(i) = rows.iter().position(|t| t == p) {
-                    rows.swap_remove(i);
-                }
-            }
-        }
-        Ok(rows.into_iter().map(codec::encode).collect())
+        let pending: BTreeSet<&Tuple> = self
+            .open
+            .values()
+            .flatten()
+            .filter(|placed| placed.table == table)
+            .map(|placed| &placed.tuple)
+            .collect();
+        let rows = self.tables.relation(table)?.iter();
+        Ok(rows
+            .filter(|t| !pending.contains(t))
+            .map(codec::encode)
+            .collect())
     }
 
     /// Serialize the full engine state for replica bootstrap: schemas,
@@ -1360,21 +1146,17 @@ impl Db {
         buf.push(SNAPSHOT_VERSION);
         snap_u64(&mut buf, self.next_txn);
 
-        let tables: Vec<&String> = self.heaps.keys().collect();
+        let tables = self.tables();
         snap_u32(&mut buf, tables.len() as u32);
         for name in tables {
             snap_str(&mut buf, name);
-            let schema = self
-                .catalog
-                .get(name)
-                .map(|r| r.schema().clone())
-                .unwrap_or_default();
+            let schema = self.table(name)?.schema();
             snap_u32(&mut buf, schema.arity() as u32);
             for attr in schema.attrs() {
                 snap_str(&mut buf, &attr.name);
                 buf.push(type_to_byte(attr.ty));
             }
-            let rows = self.committed_rows(name).unwrap_or_default();
+            let rows = self.committed_rows(name)?;
             snap_u32(&mut buf, rows.len() as u32);
             for row in rows {
                 snap_bytes(&mut buf, &row);
@@ -1382,17 +1164,18 @@ impl Db {
         }
 
         snap_u32(&mut buf, self.open.len() as u32);
-        for (txn, state) in &self.open {
+        for (txn, undo) in &self.open {
             snap_u64(&mut buf, *txn);
-            snap_u32(&mut buf, state.undo.len() as u32);
-            for (table, _, tuple) in &state.undo {
-                snap_str(&mut buf, table);
-                snap_bytes(&mut buf, &codec::encode(tuple));
+            snap_u32(&mut buf, undo.len() as u32);
+            for placed in undo {
+                snap_str(&mut buf, &placed.table);
+                snap_bytes(&mut buf, &codec::encode(&placed.tuple));
             }
         }
 
-        snap_u32(&mut buf, self.indexes.len() as u32);
-        for (table, column) in self.indexes.keys() {
+        let index_defs: Vec<(&str, &str)> = self.tables.index_defs().collect();
+        snap_u32(&mut buf, index_defs.len() as u32);
+        for (table, column) in index_defs {
             snap_str(&mut buf, table);
             snap_str(&mut buf, column);
         }
@@ -1483,11 +1266,7 @@ impl Db {
         let wal_offset = r.u64()?;
 
         // Decode succeeded: swap the storage state in.
-        self.catalog = Database::new();
-        self.store = PageStore::new();
-        self.heaps = BTreeMap::new();
-        self.table_ids = BTreeMap::new();
-        self.indexes = BTreeMap::new();
+        self.tables = Tables::default();
         self.locks = LockTable::new();
         self.wal = Wal::new();
         // A fresh WAL: the horizon moves back to zero.
@@ -1499,32 +1278,18 @@ impl Db {
 
         for (name, cols, rows) in tables {
             let attrs: Vec<(&str, Type)> = cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-            let schema = Schema::new(&attrs)?;
-            self.catalog.add(&name, Relation::new(schema));
-            self.heaps.insert(name.clone(), HeapFile::new());
-            let id = self.table_ids.len();
-            self.table_ids.insert(name.clone(), id);
+            self.tables.create(&name, Schema::new(&attrs)?)?;
             for bytes in rows {
-                let tuple = codec::decode(&bytes)?;
-                let heap = self.heaps.get_mut(&name).expect("just inserted");
-                heap.insert(&mut self.store, &bytes)?;
-                self.catalog.get_mut(&name)?.insert(tuple)?;
+                self.tables.put(&name, codec::decode(&bytes)?, &bytes)?;
             }
         }
 
         for (txn, pending) in open {
             let mut undo = Vec::with_capacity(pending.len());
             for (table, bytes) in pending {
-                let tuple = codec::decode(&bytes)?;
-                let heap = self
-                    .heaps
-                    .get_mut(&table)
-                    .ok_or_else(|| CoreError::NoSuchTable(table.clone()))?;
-                let rid = heap.insert(&mut self.store, &bytes)?;
-                self.catalog.get_mut(&table)?.insert(tuple.clone())?;
-                undo.push((table, rid, tuple));
+                undo.extend(self.tables.put(&table, codec::decode(&bytes)?, &bytes)?);
             }
-            self.open.insert(txn, OpenTxn { undo });
+            self.open.insert(txn, undo);
         }
 
         for (table, column) in index_defs {
@@ -1553,51 +1318,36 @@ impl Db {
         match rec {
             LogRecord::Begin(t) => {
                 self.next_txn = self.next_txn.max(t + 1);
-                self.open.insert(*t, OpenTxn { undo: Vec::new() });
+                self.open.insert(*t, Vec::new());
                 self.wal.append(rec)?;
             }
-            LogRecord::Commit(t) => {
-                self.open.remove(t);
-                self.wal.append(rec)?;
-                self.sync_wal()?;
-            }
-            LogRecord::TaggedCommit {
-                txn,
-                client,
-                request,
-            } => {
+            LogRecord::Commit(txn) | LogRecord::TaggedCommit { txn, .. } => {
                 self.open.remove(txn);
                 self.wal.append(rec)?;
                 self.sync_wal()?;
-                let client = client.clone();
-                self.note_request(&client, *request);
+                if let LogRecord::TaggedCommit {
+                    client, request, ..
+                } = rec
+                {
+                    self.note_request(client, *request);
+                }
             }
             LogRecord::Abort(t) => {
-                if let Some(state) = self.open.remove(t) {
-                    for (table, rid, tuple) in state.undo.into_iter().rev() {
-                        if let Some(heap) = self.heaps.get_mut(&table) {
-                            heap.delete(&mut self.store, rid)?;
-                        }
-                        self.catalog.get_mut(&table)?.remove(&tuple);
-                        self.index_remove(&table, &tuple);
-                    }
+                if let Some(undo) = self.open.remove(t) {
+                    self.take_back(undo)?;
                 }
                 self.wal.append(rec)?;
             }
             LogRecord::CreateTable { name, cols } => {
                 // Idempotent: a resent segment may replay DDL we hold.
-                if !self.heaps.contains_key(name) {
+                if !self.tables.contains(name) {
                     let typed: Vec<(String, Type)> = cols
                         .iter()
                         .map(|(n, t)| Ok((n.clone(), type_from_byte(*t)?)))
                         .collect::<Result<_>>()?;
                     let attrs: Vec<(&str, Type)> =
                         typed.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-                    let schema = Schema::new(&attrs)?;
-                    self.catalog.add(name, Relation::new(schema));
-                    self.heaps.insert(name.clone(), HeapFile::new());
-                    let id = self.table_ids.len();
-                    self.table_ids.insert(name.clone(), id);
+                    self.tables.create(name, Schema::new(&attrs)?)?;
                     self.wal.append(rec)?;
                     self.sync_wal()?;
                 }
@@ -1605,28 +1355,10 @@ impl Db {
             LogRecord::RowInsert {
                 txn, table, bytes, ..
             } => {
-                let tuple = codec::decode(bytes)?;
-                let heap = self
-                    .heaps
-                    .get_mut(table)
-                    .ok_or_else(|| CoreError::NoSuchTable(table.clone()))?;
-                // The replica's heap chooses its own location; re-log
-                // with it so local crash recovery stays consistent.
-                let rid = heap.insert(&mut self.store, bytes)?;
-                self.wal.append(&LogRecord::RowInsert {
-                    txn: *txn,
-                    page: rid.page,
-                    slot: rid.slot,
-                    table: table.clone(),
-                    bytes: bytes.clone(),
-                })?;
-                self.catalog.get_mut(table)?.insert(tuple.clone())?;
-                self.index_insert(table, &tuple);
-                self.open
-                    .entry(*txn)
-                    .or_insert_with(|| OpenTxn { undo: Vec::new() })
-                    .undo
-                    .push((table.clone(), rid, tuple));
+                // The replica's heap chooses its own location; the row
+                // is re-logged with it so local crash recovery stays
+                // consistent.
+                self.put_logged(*txn, table, codec::decode(bytes)?, bytes.clone())?;
             }
             LogRecord::Update { .. } | LogRecord::Checkpoint(_) => {
                 // Physical records do not participate in logical
@@ -1655,8 +1387,8 @@ impl Db {
     }
 
     /// Order-insensitive FNV-1a fingerprint of the committed logical
-    /// contents: table names, schemas, and the sorted multiset of
-    /// committed row encodings. Primary and replica converge to the
+    /// contents: table names, schemas, and the sorted set of committed
+    /// row encodings. Primary and replica converge to the
     /// same fingerprint even though their heap locations differ.
     pub fn content_fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1668,10 +1400,9 @@ impl Db {
                 h = h.wrapping_mul(FNV_PRIME);
             }
         };
-        let names: Vec<&String> = self.heaps.keys().collect();
-        for name in names {
+        for name in self.tables() {
             mix(name.as_bytes());
-            if let Ok(rel) = self.catalog.get(name) {
+            if let Ok(rel) = self.table(name) {
                 for attr in rel.schema().attrs() {
                     mix(attr.name.as_bytes());
                     mix(&[type_to_byte(attr.ty)]);
@@ -1692,30 +1423,25 @@ impl Db {
     // ------------------------------------------------------------------
 
     /// Walk every heap page verifying its checksum; if any page is
-    /// corrupt, rebuild the whole physical layer (pages + heaps) from the
-    /// intact logical layer — the same replay discipline
-    /// [`bq_storage::wal::Wal::recover`]'s `pages_restored` machinery
-    /// applies to physical logs, lifted to this engine's logical WAL:
-    /// committed rows re-enter their heaps and pending rows of open
-    /// transactions are re-placed with their undo entries re-pointed.
+    /// corrupt, rewrite every page from the intact relations — the same
+    /// replay discipline [`bq_storage::wal::Wal::recover`]'s
+    /// `pages_restored` machinery applies to physical logs, lifted to
+    /// this engine's logical WAL. Every row re-enters a fresh heap, the
+    /// undo entries of open transactions are re-pointed, and the indexes
+    /// are rebuilt over the new record ids. Heap placements may differ
+    /// from the originals — like a replica's — which
+    /// [`Db::content_fingerprint`] is insensitive to by design.
     /// Returns `(pages_checked, pages_restored)`.
     pub fn scrub_pages(&mut self) -> Result<(usize, usize)> {
-        let n = self.store.len();
-        let mut corrupt = 0usize;
-        for i in 0..n {
-            match self.store.read(PageId(i as u32)) {
-                Ok(_) => {}
-                Err(StorageError::Corruption { .. }) => corrupt += 1,
-                Err(e) => return Err(e.into()),
-            }
-        }
+        let (n, corrupt) = self.tables.verify_pages()?;
         bq_obs::counter!(
             "bq_scrub_pages_checked_total",
             "heap pages checksum-verified by scrub"
         )
         .add(n as u64);
         if corrupt > 0 {
-            self.rebuild_storage()?;
+            let pending = self.open.values_mut().flatten();
+            self.tables.rebuild_pages(pending)?;
             bq_obs::counter!(
                 "bq_scrub_pages_restored_total",
                 "corrupt heap pages rebuilt by scrub from the logical layer"
@@ -1725,47 +1451,15 @@ impl Db {
         Ok((n, corrupt))
     }
 
-    /// Rebuild pages and heaps from the logical layer: committed rows
-    /// per table, then the pending rows of every open transaction (whose
-    /// undo entries are re-pointed at the fresh locations). Heap
-    /// placements may differ from the originals — like a replica's —
-    /// which [`Db::content_fingerprint`] is insensitive to by design.
-    fn rebuild_storage(&mut self) -> Result<()> {
-        let tables: Vec<String> = self.heaps.keys().cloned().collect();
-        let mut store = PageStore::new();
-        let mut heaps: BTreeMap<String, HeapFile> = BTreeMap::new();
-        for name in &tables {
-            let mut heap = HeapFile::new();
-            for bytes in self.committed_rows(name)? {
-                heap.insert(&mut store, &bytes)?;
-            }
-            heaps.insert(name.clone(), heap);
-        }
-        let mut open = std::mem::take(&mut self.open);
-        for state in open.values_mut() {
-            for (table, rid, tuple) in state.undo.iter_mut() {
-                let heap = heaps
-                    .get_mut(table)
-                    .ok_or_else(|| CoreError::NoSuchTable(table.clone()))?;
-                *rid = heap.insert(&mut store, &codec::encode(tuple))?;
-            }
-        }
-        self.open = open;
-        self.store = store;
-        self.heaps = heaps;
-        Ok(())
-    }
-
     /// Number of pages in the backing store.
     pub fn page_count(&self) -> usize {
-        self.store.len()
+        self.tables.page_count()
     }
 
     /// Chaos hook: flip a byte of a stored page so its checksum fails —
     /// the damage [`Db::scrub_pages`] exists to find and repair.
     pub fn corrupt_page(&mut self, page: u32) -> Result<()> {
-        self.store.corrupt(PageId(page), 0)?;
-        Ok(())
+        self.tables.corrupt_page(page)
     }
 }
 
@@ -1901,6 +1595,33 @@ mod tests {
         assert_eq!(db.row_count("emp").unwrap(), 4);
         db.abort(h).unwrap();
         assert_eq!(db.row_count("emp").unwrap(), 3);
+    }
+
+    #[test]
+    fn aborted_duplicate_insert_keeps_the_committed_row() {
+        let mut db = Db::new();
+        db.create_table("t", &[("a", Type::Int), ("b", Type::Int)])
+            .unwrap();
+        db.create_index("t", "b").unwrap();
+        db.insert("t", vec![Value::Int(1), Value::Int(2)]).unwrap();
+        let before = db.content_fingerprint();
+
+        let h = db.begin().unwrap();
+        db.insert_in(h, "t", vec![Value::Int(1), Value::Int(2)])
+            .unwrap();
+        db.abort(h).unwrap();
+
+        assert_eq!(db.row_count("t").unwrap(), 1);
+        assert_eq!(db.sql("select x.a from t x").unwrap().len(), 1);
+        assert_eq!(db.lookup("t", "b", &Value::Int(2)).unwrap().len(), 1);
+        assert_eq!(db.content_fingerprint(), before);
+        // The duplicate was not logged.
+        let records = db.wal.iter().unwrap();
+        let is_insert = |r: &&LogRecord| matches!(r, LogRecord::RowInsert { .. });
+        assert_eq!(records.iter().filter(is_insert).count(), 1);
+        db.simulate_crash_and_recover().unwrap();
+        assert_eq!(db.content_fingerprint(), before, "no write, no change");
+        assert_eq!(db.lookup("t", "b", &Value::Int(2)).unwrap().len(), 1);
     }
 
     #[test]

@@ -14,6 +14,7 @@ pub mod codec;
 pub mod db;
 pub mod error;
 pub mod slowlog;
+mod table;
 pub mod vtab;
 pub mod watch;
 

@@ -33,16 +33,6 @@ pub enum ExecMode {
     Parallel(usize),
 }
 
-impl ExecMode {
-    /// Effective worker count for this mode.
-    pub fn workers(self) -> usize {
-        match self {
-            ExecMode::Sequential => 1,
-            ExecMode::Parallel(n) => n.max(1),
-        }
-    }
-}
-
 impl std::fmt::Display for ExecMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
@@ -145,7 +135,7 @@ impl Executor {
         db: &Database,
         ctx: &QueryContext,
     ) -> Result<Relation> {
-        self.execute_plan_with_ctx(&lower(expr, db)?, db, ctx)
+        Ok(self.execute_with_stats_ctx(expr, db, ctx)?.0)
     }
 
     /// [`execute_with_ctx`](Executor::execute_with_ctx) plus statistics.
@@ -156,30 +146,6 @@ impl Executor {
         ctx: &QueryContext,
     ) -> Result<(Relation, ExecStats)> {
         self.execute_plan_with_stats_ctx(&lower(expr, db)?, db, ctx)
-    }
-
-    /// Execute an already-lowered plan.
-    pub fn execute_plan(&self, plan: &PhysPlan, db: &Database) -> Result<Relation> {
-        Ok(self.execute_plan_with_stats(plan, db)?.0)
-    }
-
-    /// Execute an already-lowered plan under a governor context.
-    pub fn execute_plan_with_ctx(
-        &self,
-        plan: &PhysPlan,
-        db: &Database,
-        ctx: &QueryContext,
-    ) -> Result<Relation> {
-        Ok(self.execute_plan_with_stats_ctx(plan, db, ctx)?.0)
-    }
-
-    /// Execute an already-lowered plan and report statistics.
-    pub fn execute_plan_with_stats(
-        &self,
-        plan: &PhysPlan,
-        db: &Database,
-    ) -> Result<(Relation, ExecStats)> {
-        self.execute_plan_with_stats_ctx(plan, db, &QueryContext::unlimited())
     }
 
     /// Execute an already-lowered plan under a governor context, with

@@ -707,19 +707,9 @@ fn run_tagged(
         if db.seen_request(client, request) {
             Applied::Duplicate
         } else {
-            let out = db.begin().and_then(|h| {
-                db.insert_in(h, &table, row)
-                    .and_then(|()| db.commit_tagged(h, client, request))
-                    .inspect_err(|_| {
-                        let _ = db.abort(h);
-                    })
-            });
-            match out {
+            match db.insert_tagged(&table, row, client, request) {
                 Ok(()) => Applied::Committed(db.wal_durable_len()),
-                Err(e) => Applied::Failed(crate::driver::DriverError::new(
-                    ErrorCode::from_core(&e),
-                    e.to_string(),
-                )),
+                Err(e) => Applied::Failed(crate::driver::DriverError::from_core(e)),
             }
         }
     };

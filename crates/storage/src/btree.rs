@@ -205,6 +205,15 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         }
     }
 
+    /// Look up a key for in-place update of its value.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        let leaf = self.find_leaf(key);
+        match &mut self.nodes[leaf] {
+            Node::Leaf { keys, vals, .. } => keys.binary_search(key).ok().map(|pos| &mut vals[pos]),
+            Node::Internal { .. } => None,
+        }
+    }
+
     /// Does the tree contain `key`?
     pub fn contains(&self, key: &K) -> bool {
         self.get(key).is_some()
@@ -312,6 +321,9 @@ mod tests {
         assert_eq!(t.insert(1, "b"), Err(StorageError::DuplicateKey));
         assert_eq!(t.upsert(1, "c"), Some("a"));
         assert_eq!(t.get(&1), Some(&"c"));
+        *t.get_mut(&1).unwrap() = "d";
+        assert_eq!(t.get(&1), Some(&"d"));
+        assert_eq!(t.get_mut(&2), None);
         assert_eq!(t.len(), 1);
     }
 

@@ -79,7 +79,7 @@ impl HeapFile {
     }
 
     /// Fetch a record by id.
-    pub fn get(&self, store: &mut PageStore, rid: RecordId) -> Result<Option<Vec<u8>>> {
+    pub fn get(&self, store: &PageStore, rid: RecordId) -> Result<Option<Vec<u8>>> {
         if !self.pages.contains(&rid.page) {
             return Ok(None);
         }
@@ -106,7 +106,7 @@ impl HeapFile {
     }
 
     /// Full scan: collect every `(RecordId, bytes)` pair in page order.
-    pub fn scan(&self, store: &mut PageStore) -> Result<Vec<(RecordId, Vec<u8>)>> {
+    pub fn scan(&self, store: &PageStore) -> Result<Vec<(RecordId, Vec<u8>)>> {
         let mut out = Vec::with_capacity(self.record_count);
         for &pid in &self.pages {
             let mut page = store.read(pid)?;
@@ -141,10 +141,7 @@ mod tests {
         let mut store = PageStore::new();
         let mut heap = HeapFile::new();
         let rid = heap.insert(&mut store, b"record one").unwrap();
-        assert_eq!(
-            heap.get(&mut store, rid).unwrap(),
-            Some(b"record one".to_vec())
-        );
+        assert_eq!(heap.get(&store, rid).unwrap(), Some(b"record one".to_vec()));
         assert_eq!(heap.len(), 1);
     }
 
@@ -157,10 +154,10 @@ mod tests {
             page: PageId(99),
             slot: 0,
         };
-        assert_eq!(heap.get(&mut store, bogus).unwrap(), None);
+        assert_eq!(heap.get(&store, bogus).unwrap(), None);
         assert_eq!(
             heap.get(
-                &mut store,
+                &store,
                 RecordId {
                     page: rid.page,
                     slot: 42
@@ -181,7 +178,7 @@ mod tests {
         }
         assert!(heap.page_count() > 1, "1000B x20 cannot fit on one page");
         assert_eq!(heap.len(), 20);
-        assert_eq!(heap.scan(&mut store).unwrap().len(), 20);
+        assert_eq!(heap.scan(&store).unwrap().len(), 20);
     }
 
     #[test]
@@ -192,7 +189,7 @@ mod tests {
         let b = heap.insert(&mut store, b"b").unwrap();
         assert!(heap.delete(&mut store, a).unwrap());
         assert!(!heap.delete(&mut store, a).unwrap());
-        let scan = heap.scan(&mut store).unwrap();
+        let scan = heap.scan(&store).unwrap();
         assert_eq!(scan, vec![(b, b"b".to_vec())]);
         assert_eq!(heap.len(), 1);
     }
@@ -218,9 +215,9 @@ mod tests {
 
     #[test]
     fn empty_heap_behaves() {
-        let mut store = PageStore::new();
+        let store = PageStore::new();
         let heap = HeapFile::new();
         assert!(heap.is_empty());
-        assert_eq!(heap.scan(&mut store).unwrap(), vec![]);
+        assert_eq!(heap.scan(&store).unwrap(), vec![]);
     }
 }

@@ -7,6 +7,7 @@
 
 use crate::error::StorageError;
 use crate::Result;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Size of every page in bytes.
@@ -126,7 +127,8 @@ pub fn fnv1a(bytes: &[u8]) -> u32 {
 #[derive(Debug, Default)]
 pub struct PageStore {
     pages: Vec<Page>,
-    reads: u64,
+    /// Atomic so a read needs only `&self`: readers share the store.
+    reads: AtomicU64,
     writes: u64,
 }
 
@@ -156,8 +158,9 @@ impl PageStore {
     }
 
     /// Read a page, verifying its checksum.
-    pub fn read(&mut self, id: PageId) -> Result<Page> {
-        self.reads += 1;
+    pub fn read(&self, id: PageId) -> Result<Page> {
+        // relaxed: statistic, publishes no other data.
+        self.reads.fetch_add(1, Ordering::Relaxed);
         bq_obs::counter!("bq_storage_page_reads_total", "page store device reads").inc();
         let page = self
             .pages
@@ -204,7 +207,8 @@ impl PageStore {
 
     /// Number of device reads performed (for buffer-pool hit-rate tests).
     pub fn read_count(&self) -> u64 {
-        self.reads
+        // relaxed: statistic, see `read`.
+        self.reads.load(Ordering::Relaxed)
     }
 
     /// Number of device writes performed.
@@ -273,7 +277,7 @@ mod tests {
 
     #[test]
     fn read_missing_page_errors() {
-        let mut s = PageStore::new();
+        let s = PageStore::new();
         assert_eq!(s.read(PageId(3)), Err(StorageError::PageNotFound(3)));
     }
 

@@ -595,7 +595,7 @@ fn disarmed_failpoints_change_nothing() {
         let w = gen_workload(seed);
         let records = w.wal.iter().unwrap();
         let mut rng = SplitMix64::seed_from_u64(seed);
-        let (_, mut store, report) = crash_recover(&w.wal, w.wal.byte_len(), &mut rng);
+        let (_, store, report) = crash_recover(&w.wal, w.wal.byte_len(), &mut rng);
         let pages: Vec<Vec<u8>> = (0..N_PAGES)
             .map(|p| store.read(PageId(p as u32)).unwrap().payload().to_vec())
             .collect();

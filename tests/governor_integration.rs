@@ -136,6 +136,36 @@ fn one_megabyte_budget_stops_a_cross_product_in_bounded_time() {
 }
 
 #[test]
+fn session_limits_govern_every_direct_sql_surface() {
+    let mut db = numbers_db(300);
+    db.set_limits(SessionLimits {
+        memory_bytes: Some(256),
+        ..SessionLimits::default()
+    });
+    let product = "select e.a, f.b from t e, t f";
+    let refused = |out: Result<String, CoreError>, surface: &str| {
+        assert!(
+            matches!(
+                out,
+                Err(CoreError::Governor(GovernorError::MemoryExceeded { .. }))
+            ),
+            "{surface}: {out:?}"
+        );
+    };
+    refused(db.sql(product).map(|rel| rel.len().to_string()), "sql");
+    refused(db.explain_analyze(product), "explain_analyze");
+    refused(db.explain_sql(product), "explain_sql");
+    // Like the others, `.explain` is a statement: it is admitted and
+    // enters the slow log under the same trace id.
+    db.set_limits(SessionLimits::default());
+    let logged = db.slow_log().entries().len();
+    let plan = db.explain_sql("select e.a from t e where e.a = 7").unwrap();
+    assert!(plan.contains("SeqScan [t]"), "{plan}");
+    assert_eq!(db.slow_log().entries().len(), logged + 1);
+    assert_eq!(db.admission_stats().admitted, 4);
+}
+
+#[test]
 fn deadline_interrupts_a_long_query_promptly() {
     let mut db = numbers_db(400);
     db.set_exec_mode(ExecMode::Parallel(4));

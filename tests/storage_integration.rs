@@ -22,7 +22,7 @@ fn heap_plus_btree_index_stay_consistent() {
     // Point lookups go through the index to the heap.
     for key in [0u64, 123, 499] {
         let rid = *index.get(&key).unwrap();
-        let bytes = heap.get(&mut store, rid).unwrap().unwrap();
+        let bytes = heap.get(&store, rid).unwrap().unwrap();
         assert_eq!(bytes, format!("record-{key}").into_bytes());
     }
     // Delete every third record via the index; both structures agree.
@@ -33,7 +33,7 @@ fn heap_plus_btree_index_stay_consistent() {
     assert_eq!(heap.len(), index.len());
     // Range scan of the survivors resolves correctly.
     for (key, rid) in index.range(&100, &110) {
-        let bytes = heap.get(&mut store, rid).unwrap().unwrap();
+        let bytes = heap.get(&store, rid).unwrap().unwrap();
         assert_eq!(bytes, format!("record-{key}").into_bytes());
     }
 }
