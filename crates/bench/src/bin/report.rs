@@ -671,9 +671,10 @@ fn e13_optimizer() {
         "Query optimization: pushdown vs unoptimized intermediates",
     );
     println!(
-        "{:>8} {:>16} {:>16} {:>9}",
-        "emps", "naive intermed.", "optimized", "ratio"
+        "{:>8} {:>16} {:>16} {:>9} {:>14}",
+        "emps", "naive intermed.", "optimized", "ratio", "bq-exec rows"
     );
+    use bq_exec::{ExecMode, Executor};
     use bq_relational::algebra::expr::{Expr, Predicate};
     for n in [100i64, 400, 1000] {
         let db = emp_db(n);
@@ -688,11 +689,18 @@ fn e13_optimizer() {
         let opt = optimize(&q, &db).expect("optimize");
         let (r2, optimized) = eval_with_stats(&opt, &db).expect("optimized eval");
         assert_eq!(r1, r2);
+        // The same optimized expression through the physical engine: rows
+        // its operators produce below the root.
+        let (r3, stats) = Executor::new(ExecMode::Sequential)
+            .execute_with_stats(&opt, &db)
+            .expect("bq-exec");
+        assert_eq!(r1, r3);
         println!(
-            "{n:>8} {:>16} {:>16} {:>9.1}",
+            "{n:>8} {:>16} {:>16} {:>9.1} {:>14}",
             naive.intermediate_tuples,
             optimized.intermediate_tuples,
-            naive.intermediate_tuples as f64 / optimized.intermediate_tuples as f64
+            naive.intermediate_tuples as f64 / optimized.intermediate_tuples as f64,
+            stats.total_rows() - stats.rows_out_root()
         );
     }
 }

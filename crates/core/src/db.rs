@@ -1029,43 +1029,52 @@ impl Db {
         self.open.clear();
         self.locks = LockTable::new();
 
-        // Analysis over the WAL: who committed?
+        // Analysis over the WAL: who began and never committed? A commit
+        // closes one of the latest begins, so it is looked for from the
+        // end of the still-open list.
         let records = self.wal.iter()?;
-        let mut committed: HashSet<u64> = HashSet::new();
-        let mut started: Vec<u64> = Vec::new();
-        let mut owner: BTreeMap<(u32, u16), u64> = BTreeMap::new();
+        let mut losers: Vec<u64> = Vec::new();
         for rec in &records {
             match rec {
-                LogRecord::Begin(t) => started.push(*t),
+                LogRecord::Begin(t) => losers.push(*t),
                 LogRecord::Commit(t) | LogRecord::TaggedCommit { txn: t, .. } => {
-                    committed.insert(*t);
-                }
-                LogRecord::RowInsert {
-                    txn, page, slot, ..
-                } => {
-                    owner.insert((page.0, *slot), *txn);
-                }
-                LogRecord::Update {
-                    txn, page, offset, ..
-                } => {
-                    owner.insert((page.0, *offset as u16), *txn);
+                    if let Some(i) = losers.iter().rposition(|open| open == t) {
+                        losers.remove(i);
+                    }
                 }
                 _ => {}
             }
         }
-        let losers: Vec<u64> = started
-            .iter()
-            .copied()
-            .filter(|t| !committed.contains(t))
-            .collect();
-        let lost: HashSet<u64> = losers.iter().copied().collect();
 
-        // Rebuild: keep records owned by winners (or pre-WAL), physically
-        // delete loser records.
-        self.tables.recover(|rid| {
-            let who = owner.get(&(rid.page.0, rid.slot));
-            who.is_some_and(|t| lost.contains(t))
-        })?;
+        // A slot can be written again once a rollback has freed it, so the
+        // last transaction to write a slot decides whether the record in it
+        // is lost. Only the slots that end with a loser are kept — none at
+        // all, and no second pass, when every transaction committed.
+        let mut lost_slots: HashSet<(u32, u16)> = HashSet::new();
+        if !losers.is_empty() {
+            let lost: HashSet<u64> = losers.iter().copied().collect();
+            for rec in &records {
+                let (txn, slot) = match rec {
+                    LogRecord::RowInsert {
+                        txn, page, slot, ..
+                    } => (txn, (page.0, *slot)),
+                    LogRecord::Update {
+                        txn, page, offset, ..
+                    } => (txn, (page.0, *offset as u16)),
+                    _ => continue,
+                };
+                if lost.contains(txn) {
+                    lost_slots.insert(slot);
+                } else {
+                    lost_slots.remove(&slot);
+                }
+            }
+        }
+
+        // Rebuild: physically delete the lost records, keep the others
+        // (a winner wrote them, or they predate the WAL).
+        self.tables
+            .recover(|rid| lost_slots.contains(&(rid.page.0, rid.slot)))?;
         Ok(losers)
     }
 
@@ -1679,6 +1688,50 @@ mod tests {
             .sql("select e.name from emp e")
             .unwrap()
             .contains(&tup!["ann"]));
+    }
+
+    #[test]
+    fn recovery_lets_the_last_writer_of_a_slot_decide() {
+        let mut db = emp_db();
+        db.create_index("emp", "dept").unwrap();
+        let row = |name: &str| vec![Value::str(name), Value::str("cs"), Value::Int(50)];
+        // A rolled-back transaction logs slot 3 of page 0 …
+        let aborted = db.begin().unwrap();
+        db.insert_in(aborted, "emp", row("zoe")).unwrap();
+        db.abort(aborted).unwrap();
+        // … scrub repacks the three committed rows into fresh pages, and
+        // the next row — committed — lands on that very slot.
+        db.corrupt_page(0).unwrap();
+        assert_eq!(db.scrub_pages().unwrap(), (1, 1));
+        db.insert("emp", row("yan")).unwrap();
+        let log = db.wal.iter().unwrap();
+        let slots = log.iter().filter_map(|r| match r {
+            LogRecord::RowInsert { page, slot, .. } => Some((page.0, *slot)),
+            _ => None,
+        });
+        let slots: Vec<(u32, u16)> = slots.collect();
+        assert_eq!(slots.len(), 5);
+        assert_eq!(slots[3], slots[4], "the loser's slot was written again");
+        // A transaction still open at the crash loses exactly its rows.
+        let open = db.begin().unwrap();
+        db.insert_in(open, "emp", row("wes")).unwrap();
+        db.insert_in(open, "emp", row("vic")).unwrap();
+
+        let losers = db.simulate_crash_and_recover().unwrap();
+        assert_eq!(losers, vec![aborted.0, open.0]);
+        let names = db.sql("select e.name from emp e").unwrap();
+        let want = ["ann", "bob", "eve", "yan"].map(|n| tup![n]);
+        assert_eq!(names.tuples(), want, "yan's slot ends with a winner");
+        // The rebuilt index agrees with the rebuilt relation.
+        let cs = db.lookup("emp", "dept", &Value::str("cs")).unwrap();
+        assert_eq!(cs.len(), 3);
+        assert_eq!(
+            db.lookup("emp", "dept", &Value::str("ee")).unwrap().len(),
+            1
+        );
+        // And recovery changes nothing the second time.
+        assert_eq!(db.simulate_crash_and_recover().unwrap(), losers);
+        assert_eq!(db.row_count("emp").unwrap(), 4);
     }
 
     #[test]

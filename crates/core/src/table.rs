@@ -16,7 +16,7 @@ use crate::codec;
 use crate::error::CoreError;
 use crate::Result;
 use bq_relational::{Database, Relation, Schema, Tuple, Value};
-use bq_storage::btree::BPlusTree;
+use bq_storage::btree::{BPlusTree, DEFAULT_ORDER};
 use bq_storage::heap::{HeapFile, RecordId};
 use bq_storage::page::{PageId, PageStore};
 use bq_storage::StorageError;
@@ -40,6 +40,25 @@ struct Index {
 }
 
 impl Index {
+    /// Build the index on column `col` from the rows of one heap pass.
+    /// The rows are sorted by key and the tree is laid out bottom-up; the
+    /// sort is stable, so a key's record ids keep the order of the pass,
+    /// as adding them one by one would leave them.
+    fn build(col: usize, rows: &[(RecordId, Tuple)]) -> Index {
+        let mut entries: Vec<(&Value, RecordId)> =
+            rows.iter().map(|(rid, t)| (t.get(col), *rid)).collect();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        let mut grouped: Vec<(Value, Vec<RecordId>)> = Vec::new();
+        for (key, rid) in entries {
+            match grouped.last_mut() {
+                Some((last, rids)) if last == key => rids.push(rid),
+                _ => grouped.push((key.clone(), vec![rid])),
+            }
+        }
+        let tree = BPlusTree::from_sorted(DEFAULT_ORDER, grouped);
+        Index { col, tree }
+    }
+
     fn add(&mut self, tuple: &Tuple, rid: RecordId) {
         let key = tuple.get(self.col);
         match self.tree.get_mut(key) {
@@ -186,11 +205,11 @@ impl Tables {
             .physical
             .get_mut(table)
             .ok_or_else(|| no_such_table(table))?;
-        let tree = BPlusTree::default();
-        let mut index = Index { col, tree };
-        for (rid, bytes) in physical.heap.scan(&self.store)? {
-            index.add(&codec::decode(&bytes)?, rid);
-        }
+        let rows = physical.heap.scan(&self.store)?.into_iter();
+        let rows: Vec<(RecordId, Tuple)> = rows
+            .map(|(rid, bytes)| Ok((rid, codec::decode(&bytes)?)))
+            .collect::<Result<_>>()?;
+        let index = Index::build(col, &rows);
         physical.indexes.insert(column.to_string(), index);
         Ok(())
     }
@@ -239,26 +258,25 @@ impl Tables {
     }
 
     /// Crash recovery: forget every relation and index, then rebuild both
-    /// in one pass over the heaps, deleting the records `lost` names
-    /// (those a transaction without a COMMIT wrote).
+    /// from one pass over the heaps, deleting the records `lost` names
+    /// (those a transaction without a COMMIT wrote). Each relation and
+    /// each index is built in one piece from the surviving rows.
     pub(crate) fn recover(&mut self, lost: impl Fn(RecordId) -> bool) -> Result<()> {
         for (name, physical) in &mut self.physical {
-            let relation = self.relations.get_mut(name)?;
-            *relation = Relation::new(relation.schema().clone());
-            for index in physical.indexes.values_mut() {
-                index.tree = BPlusTree::default();
-            }
+            let mut rows = Vec::with_capacity(physical.heap.len());
             for (rid, bytes) in physical.heap.scan(&self.store)? {
                 if lost(rid) {
                     physical.heap.delete(&mut self.store, rid)?;
-                    continue;
+                } else {
+                    rows.push((rid, codec::decode(&bytes)?));
                 }
-                let tuple = codec::decode(&bytes)?;
-                for index in physical.indexes.values_mut() {
-                    index.add(&tuple, rid);
-                }
-                relation.insert(tuple)?;
             }
+            for index in physical.indexes.values_mut() {
+                *index = Index::build(index.col, &rows);
+            }
+            let relation = self.relations.get_mut(name)?;
+            let tuples = rows.into_iter().map(|(_, tuple)| tuple);
+            *relation = Relation::from_tuples(relation.schema().clone(), tuples)?;
         }
         Ok(())
     }
@@ -352,6 +370,8 @@ mod tests {
     #[test]
     fn a_refused_put_leaves_nothing_behind() {
         let mut tables = tables();
+        put(&mut tables, "zed", 0, "fits");
+        let pages = tables.page_count();
         let big = "x".repeat(5000);
         let huge = Tuple::new(vec![Value::Int(1), Value::str(&big)]);
         let err = tables.put("zed", huge.clone(), &codec::encode(&huge));
@@ -359,7 +379,8 @@ mod tests {
             err,
             Err(CoreError::Storage(StorageError::RecordTooLarge { .. }))
         ));
-        assert!(tables.relation("zed").unwrap().is_empty());
+        assert_eq!(tables.page_count(), pages, "no page allocated and leaked");
+        assert_eq!(tables.relation("zed").unwrap().len(), 1);
         assert!(lookup(&tables, "zed", &big).is_empty());
         // Schema violations stop before the heap too.
         let short = Tuple::new(vec![Value::Int(1)]);

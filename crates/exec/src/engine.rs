@@ -240,13 +240,12 @@ impl Executor {
                 let t0 = Instant::now();
                 let rows_in = child.rows();
                 let parts = partition_count(w, rows_in);
-                // Build side: the partition copy is charged inside
-                // par_partition.
+                // Build side: charged inside par_partition.
                 let (buckets, mem) = par_partition(w, parts, &child.batches, None, ctx)?;
                 let batches = par_index_map(w, parts, ctx, |p| {
                     let mut seen = HashSet::with_capacity(buckets[p].len());
                     let mut out = Vec::new();
-                    for t in &buckets[p] {
+                    for &t in &buckets[p] {
                         if seen.insert(t) {
                             out.push(t.clone());
                         }
@@ -274,43 +273,60 @@ impl Executor {
                 let t0 = Instant::now();
                 let rows_in = lrun.rows() + rrun.rows();
                 let parts = partition_count(w, lrun.rows().max(rrun.rows()));
+                // The hash tables go on the smaller input. Which side that
+                // is changes which tuples are hashed and which are looked
+                // up, never the output: a joined tuple is always left
+                // columns, then `r_rest` of the right.
+                let build_left = lrun.rows() < rrun.rows();
+                let (brun, b_key, prun, p_key) = if build_left {
+                    (&lrun, l_key, &rrun, r_key)
+                } else {
+                    (&rrun, r_key, &lrun, l_key)
+                };
 
-                // Build phase: partition the right input on its key and hash
-                // each partition. The build-side copy is charged against the
-                // memory budget inside par_partition.
+                // Build phase: partition the build input on its key and
+                // hash each partition. The build side is charged against
+                // the memory budget inside par_partition.
                 let tb = Instant::now();
-                let (rparts, build_mem) = par_partition(w, parts, &rrun.batches, Some(r_key), ctx)?;
-                let tables: Vec<HashMap<Vec<Value>, Vec<&Tuple>>> =
+                let (bparts, build_mem) = par_partition(w, parts, &brun.batches, Some(b_key), ctx)?;
+                let tables: Vec<HashMap<JoinKey<'_>, Vec<&Tuple>>> =
                     par_index_map(w, parts, ctx, |p| {
-                        let mut table: HashMap<Vec<Value>, Vec<&Tuple>> =
-                            HashMap::with_capacity(rparts[p].len());
-                        for t in &rparts[p] {
-                            let key: Vec<Value> = r_key.iter().map(|&i| t.get(i).clone()).collect();
-                            table.entry(key).or_default().push(t);
+                        let mut table: HashMap<JoinKey<'_>, Vec<&Tuple>> =
+                            HashMap::with_capacity(bparts[p].len());
+                        for &tuple in &bparts[p] {
+                            let key = JoinKey { tuple, cols: b_key };
+                            table.entry(key).or_default().push(tuple);
                         }
                         Ok(table)
                     })?;
                 let build = tb.elapsed();
 
-                // Probe phase: partition the left input the same way, then
+                // Probe phase: partition the other input the same way, then
                 // probe each partition against its table. Output can fan out
                 // on skewed keys, so it is charged too.
                 let tp = Instant::now();
-                let (lparts, probe_mem) = par_partition(w, parts, &lrun.batches, Some(l_key), ctx)?;
+                let (pparts, probe_mem) = par_partition(w, parts, &prun.batches, Some(p_key), ctx)?;
                 let out_mem = AtomicU64::new(0);
                 let batches = par_index_map(w, parts, ctx, |p| {
                     let mut charger = Charger::new(ctx);
                     let mut out = Vec::new();
-                    for lt in &lparts[p] {
-                        let key: Vec<Value> = l_key.iter().map(|&i| lt.get(i).clone()).collect();
-                        if let Some(matches) = tables[p].get(&key) {
-                            for rt in matches {
-                                let joined = lt.concat(&rt.project(r_rest));
-                                if charger.is_enabled() {
-                                    charger.charge(joined.approx_bytes())?;
-                                }
-                                out.push(joined);
+                    for &tuple in &pparts[p] {
+                        let Some(matches) = tables[p].get(&JoinKey { tuple, cols: p_key }) else {
+                            continue;
+                        };
+                        for &other in matches {
+                            let (lt, rt) = if build_left {
+                                (other, tuple)
+                            } else {
+                                (tuple, other)
+                            };
+                            let right_cols = r_rest.iter().map(|&i| rt.get(i));
+                            let joined =
+                                Tuple::new(lt.values().iter().chain(right_cols).cloned().collect());
+                            if charger.is_enabled() {
+                                charger.charge(joined.approx_bytes())?;
                             }
+                            out.push(joined);
                         }
                     }
                     charger.flush()?;
@@ -396,11 +412,11 @@ impl Executor {
                 let (rparts, rmem) = par_partition(w, parts, &rrun.batches, None, ctx)?;
                 let keep_present = *op == SetOpKind::Intersection;
                 let batches = par_index_map(w, parts, ctx, |p| {
-                    let members: HashSet<&Tuple> = rparts[p].iter().collect();
+                    let members: HashSet<&Tuple> = rparts[p].iter().copied().collect();
                     Ok(lparts[p]
                         .iter()
                         .filter(|t| members.contains(*t) == keep_present)
-                        .cloned()
+                        .map(|&t| t.clone())
                         .collect())
                 })?;
                 let run = Run {
@@ -653,31 +669,62 @@ where
     Ok(pairs.into_iter().map(|(_, v)| v).collect())
 }
 
-/// Hash-partition all tuples into `parts` buckets, in parallel over the
-/// input batches. `key` selects the hashed positions; `None` hashes the
-/// whole tuple (distinct / set ops). Equal keys always land in the same
-/// bucket, so each bucket can then be processed independently.
+/// The key columns of one tuple, hashed and compared in place: the join
+/// keys both sides of a hash join meet on, without a copy per tuple.
+/// Equality is [`Value`]'s, i.e. `CmpOp::Eq`'s: `total_cmp == Equal`.
+#[derive(Clone, Copy)]
+struct JoinKey<'a> {
+    tuple: &'a Tuple,
+    cols: &'a [usize],
+}
+
+impl<'a> JoinKey<'a> {
+    fn values(&self) -> impl Iterator<Item = &'a Value> {
+        let (tuple, cols) = (self.tuple, self.cols);
+        cols.iter().map(move |&i| tuple.get(i))
+    }
+}
+
+impl PartialEq for JoinKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.values().eq(other.values())
+    }
+}
+
+impl Eq for JoinKey<'_> {}
+
+impl Hash for JoinKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values().for_each(|v| v.hash(state));
+    }
+}
+
+/// Hash-partition all tuples into `parts` buckets of references, in
+/// parallel over the input batches. `key` selects the hashed positions;
+/// `None` hashes the whole tuple (distinct / set ops). Equal keys always
+/// land in the same bucket, so each bucket can then be processed
+/// independently.
 ///
-/// This is where build sides materialize a full copy of their input, so
-/// every cloned tuple is charged against `ctx`'s memory budget and the
-/// context is checked at every morsel boundary. Returns the buckets plus
-/// the bytes charged (zero without a budget), so operators can attribute
-/// the copy in their stats.
-fn par_partition(
+/// This is where an operator takes hold of a whole input at once — the
+/// buckets, and the hash tables built over them, pin every batch of it —
+/// so each tuple is charged against `ctx`'s memory budget at its full
+/// size, and the context is checked at every morsel boundary. Returns the
+/// buckets plus the bytes charged (zero without a budget), so operators
+/// can attribute them in their stats.
+fn par_partition<'a>(
     workers: usize,
     parts: usize,
-    batches: &[Vec<Tuple>],
+    batches: &'a [Vec<Tuple>],
     key: Option<&[usize]>,
     ctx: &QueryContext,
-) -> Result<(Vec<Vec<Tuple>>, u64)> {
+) -> Result<(Vec<Vec<&'a Tuple>>, u64)> {
     let bucket_of = |t: &Tuple| -> usize {
+        if parts == 1 {
+            return 0;
+        }
         let mut h = DefaultHasher::new();
         match key {
-            Some(idx) => {
-                for &i in idx {
-                    t.get(i).hash(&mut h);
-                }
-            }
+            Some(cols) => JoinKey { tuple: t, cols }.hash(&mut h),
             None => t.hash(&mut h),
         }
         (h.finish() % parts as u64) as usize
@@ -691,7 +738,7 @@ fn par_partition(
                 if charger.is_enabled() {
                     charger.charge(t.approx_bytes())?;
                 }
-                buckets[bucket_of(t)].push(t.clone());
+                buckets[bucket_of(t)].push(t);
             }
         }
         charger.flush()?;
@@ -700,7 +747,7 @@ fn par_partition(
     let charged = AtomicU64::new(0);
     let cursor = AtomicUsize::new(0);
     let first_err: Mutex<Option<RelError>> = Mutex::new(None);
-    let global: Mutex<Vec<Vec<Tuple>>> = Mutex::new(vec![Vec::new(); parts]);
+    let global: Mutex<Vec<Vec<&Tuple>>> = Mutex::new(vec![Vec::new(); parts]);
     std::thread::scope(|s| {
         for _ in 0..workers.min(batches.len()) {
             s.spawn(|| {
@@ -738,7 +785,7 @@ fn par_partition(
                                 break 'pull;
                             }
                         }
-                        local[bucket_of(t)].push(t.clone());
+                        local[bucket_of(t)].push(t);
                     }
                 }
                 if let Err(g) = charger.flush() {
@@ -890,6 +937,51 @@ mod tests {
                 .qualify("e")
                 .product(Expr::rel("dept").qualify("d")),
             &db,
+        );
+    }
+
+    #[test]
+    fn product_selections_join_on_exactly_what_the_equality_operator_accepts() {
+        let mut db = Database::new();
+        let mut l = Relation::with_schema(&[("a", Type::Int), ("b", Type::Str)]).unwrap();
+        for i in 0..9i64 {
+            l.insert(tup![i % 3, ["x", "y"][i as usize % 2]]).unwrap();
+        }
+        // Labelled nulls fit any column and equal themselves only.
+        l.insert(Tuple::new(vec![Value::Null(1), Value::Null(2)]))
+            .unwrap();
+        db.add("l", l);
+        let mut r = Relation::with_schema(&[("c", Type::Str), ("d", Type::Int)]).unwrap();
+        r.insert(tup!["x", 0i64]).unwrap();
+        r.insert(tup!["x", 1i64]).unwrap();
+        r.insert(Tuple::new(vec![Value::Null(1), Value::Int(2)]))
+            .unwrap();
+        r.insert(Tuple::new(vec![Value::Null(2), Value::Null(1)]))
+            .unwrap();
+        db.add("r", r);
+        let joined = |pred: Predicate, rows: usize| {
+            // Both ways round: the hash table goes on the smaller input,
+            // which is the right one here and the left one there.
+            for e in [
+                Expr::rel("l").product(Expr::rel("r")),
+                Expr::rel("r").product(Expr::rel("l")),
+            ] {
+                let e = e.select(pred.clone());
+                let plan = lower(&e, &db).unwrap().render();
+                assert!(plan.contains("PartitionedHashJoin"), "{plan}");
+                assert_eq!(eval(&e, &db).unwrap().len(), rows, "{e}");
+                check(&e, &db);
+            }
+        };
+        // Str keys, repeated on both sides: 3 × 'x' meet 2 × 'x', and the
+        // null labelled 2 meets itself.
+        joined(Predicate::eq_attrs("b", "c"), 7);
+        // An int column against a str column: only equal labels agree.
+        joined(Predicate::eq_attrs("a", "c"), 1);
+        // Two keys at once, one of them written right to left.
+        joined(
+            Predicate::eq_attrs("c", "b").and(Predicate::eq_attrs("a", "d")),
+            3,
         );
     }
 

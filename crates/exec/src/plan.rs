@@ -162,22 +162,28 @@ pub enum PhysPlan {
         input: Box<PhysPlan>,
     },
     /// Build/probe hash join, hash-partitioned on the join key across the
-    /// worker count. Degenerates to [`PhysPlan::Product`] at lowering when
-    /// there are no common attributes.
+    /// worker count; the hash tables are built on whichever input turns
+    /// out smaller. Lowered from a natural join (which degenerates to
+    /// [`PhysPlan::Product`] when there are no common attributes) and
+    /// from a selection over a product whose conjuncts equate a column of
+    /// one side with a column of the other.
     PartitionedHashJoin {
         /// Join-key positions in the left input.
         l_key: Vec<usize>,
         /// Join-key positions in the right input.
         r_key: Vec<usize>,
-        /// Right-side non-key positions appended to the output, in order.
+        /// Right-side positions appended to the output, in order: the
+        /// non-key columns for a natural join, every column for a
+        /// selection over a product.
         r_rest: Vec<usize>,
-        /// Names of the join attributes (for display).
+        /// The join condition (for display): the shared attribute names,
+        /// or `left = right` per key pair.
         on: Vec<String>,
         /// Output schema (left schema ++ right rest).
         schema: Schema,
-        /// Left (probe) input.
+        /// Left input.
         left: Box<PhysPlan>,
-        /// Right (build) input.
+        /// Right input.
         right: Box<PhysPlan>,
     },
     /// Cartesian product, parallel over left morsels.
@@ -444,7 +450,9 @@ pub fn lower(expr: &Expr, db: &Database) -> Result<PhysPlan> {
 }
 
 /// Place a selection over `input`: folded into the base scan when only
-/// relabellings (which move no column) lie between, a stand-alone
+/// relabellings (which move no column) lie between; over a product, the
+/// equality conjuncts that span its sides become the keys of a hash join
+/// and only the other conjuncts stay a filter above it; a stand-alone
 /// [`PhysPlan::Filter`] otherwise.
 fn select(pred: BoundPred, input: PhysPlan) -> PhysPlan {
     match input {
@@ -469,6 +477,43 @@ fn select(pred: BoundPred, input: PhysPlan) -> PhysPlan {
             schema,
             input: Box::new(select(pred, *input)),
         },
+        PhysPlan::Product {
+            schema,
+            left,
+            right,
+        } => {
+            let Some((keys, rest)) = pred.split_equi_keys(&schema, left.schema().arity()) else {
+                let input = Box::new(PhysPlan::Product {
+                    schema,
+                    left,
+                    right,
+                });
+                return PhysPlan::Filter { pred, input };
+            };
+            let (l_names, r_names) = (left.schema().names(), right.schema().names());
+            let join = PhysPlan::PartitionedHashJoin {
+                on: keys
+                    .iter()
+                    .map(|&(l, r)| format!("{} = {}", l_names[l], r_names[r]))
+                    .collect(),
+                l_key: keys.iter().map(|&(l, _)| l).collect(),
+                r_key: keys.iter().map(|&(_, r)| r).collect(),
+                // Every right column: the output is laid out as the
+                // product's, so the residue and everything above bind
+                // unchanged.
+                r_rest: (0..right.schema().arity()).collect(),
+                schema,
+                left,
+                right,
+            };
+            match rest {
+                Some(pred) => PhysPlan::Filter {
+                    pred,
+                    input: Box::new(join),
+                },
+                None => join,
+            }
+        }
         input => PhysPlan::Filter {
             pred,
             input: Box::new(input),
@@ -624,6 +669,81 @@ mod tests {
         let p = lower(&e, &db).unwrap();
         assert!(matches!(p, PhysPlan::Filter { .. }), "{}", p.render());
         assert!(p.render().contains("Filter [a = 1]"), "{}", p.render());
+    }
+
+    /// Lower `σ[pred](r × s)` over `r(r.a, r.b)`, `s(s.b, s.c)` — the shape
+    /// SQL's `from r, s where …` arrives in — and render it.
+    fn over_product(pred: Predicate) -> String {
+        let e = Expr::rel("r")
+            .qualify("r")
+            .product(Expr::rel("s").qualify("s"))
+            .select(pred);
+        let plan = lower(&e, &db()).unwrap();
+        assert_eq!(plan.schema().names(), vec!["r.a", "r.b", "s.b", "s.c"]);
+        plan.render()
+    }
+
+    #[test]
+    fn cross_side_equalities_become_the_keys_of_a_hash_join() {
+        let eq = Predicate::eq_attrs;
+        // The whole predicate is keys: no filter is left. The label's
+        // prefix is what the `exec.join_*` layer metrics key on.
+        let plan = over_product(eq("r.b", "s.b"));
+        assert!(
+            plan.starts_with("PartitionedHashJoin [r.b = s.b]\n"),
+            "{plan}"
+        );
+        assert!(!plan.contains("Product") && !plan.contains("Filter"));
+        // Written right-to-left, and twice over: still left = right pairs.
+        let plan = over_product(eq("s.c", "r.a").and(eq("r.b", "s.b")));
+        assert!(
+            plan.starts_with("PartitionedHashJoin [r.a = s.c, r.b = s.b]\n"),
+            "{plan}"
+        );
+        // Everything else stays behind as a filter on the joined tuples:
+        // a same-side equality, a comparison that is not `=`, a constant.
+        let residue = eq("s.b", "r.b")
+            .and(cmp("r.a", CmpOp::Gt, 0))
+            .and(eq("s.b", "s.b"))
+            .and(Predicate::cmp(
+                Operand::attr("r.a"),
+                CmpOp::Lt,
+                Operand::attr("s.c"),
+            ));
+        let plan = over_product(residue);
+        let lines: Vec<&str> = plan.lines().collect();
+        assert_eq!(
+            lines[0], "Filter [((r.a > 0 ∧ s.b = s.b) ∧ r.a < s.c)]",
+            "{plan}"
+        );
+        assert_eq!(lines[1], "  PartitionedHashJoin [r.b = s.b]", "{plan}");
+        assert!(!plan.contains("Product"), "{plan}");
+    }
+
+    #[test]
+    fn a_product_stays_when_no_conjunct_can_key_a_join() {
+        let eq = Predicate::eq_attrs;
+        let not = |p: Predicate| Predicate::Not(Box::new(p));
+        let or = |a: Predicate, b: Predicate| Predicate::Or(Box::new(a), Box::new(b));
+        for pred in [
+            // No equality across the sides at the top level.
+            cmp("r.a", CmpOp::Gt, 0),
+            eq("r.a", "r.a"),
+            Predicate::cmp(Operand::attr("r.a"), CmpOp::Le, Operand::attr("s.c")),
+            or(eq("r.b", "s.b"), eq("r.a", "s.c")),
+            not(eq("r.b", "s.b")),
+            Predicate::True,
+            // An unknown name makes evaluation fail for the tuples that
+            // reach it; a join would never form most of them.
+            eq("r.b", "s.b").and(Predicate::eq_const("ghost", 1i64)),
+            eq("r.b", "ghost"),
+        ] {
+            let plan = over_product(pred.clone());
+            let lines: Vec<&str> = plan.lines().collect();
+            assert_eq!(lines[0], format!("Filter [{pred}]"), "{plan}");
+            assert_eq!(lines[1], "  Product", "{plan}");
+            assert!(!plan.contains("PartitionedHashJoin"), "{plan}");
+        }
     }
 
     #[test]

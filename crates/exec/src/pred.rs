@@ -100,6 +100,9 @@ impl Node {
     }
 }
 
+/// Hash-join keys as `(left position, right position)` pairs.
+pub(crate) type JoinKeys = Vec<(usize, usize)>;
+
 /// A selection predicate with its attribute names resolved to column
 /// positions of one schema. Keeps the source predicate for display.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,6 +132,43 @@ impl BoundPred {
             source: self.source.and(outer.source),
             node: Node::And(Box::new(self.node), Box::new(outer.node)),
         }
+    }
+
+    /// Split a predicate over `schema` — the concatenation of two inputs,
+    /// the first `split` columns being the left input's — into hash-join
+    /// keys and a residue: every top-level conjunct `column = column` that
+    /// takes a column from each side becomes a key pair, and the other
+    /// conjuncts come back as the predicate still to run on the joined
+    /// tuples (`None` when the keys were all of it).
+    ///
+    /// `None` when no conjunct qualifies or when evaluating the predicate
+    /// can fail: a join never forms the pairs whose keys differ, so it
+    /// would skip the error the oracle reports for them. Infallible
+    /// conjuncts commute, which is what lets the keys be taken out of the
+    /// middle.
+    pub(crate) fn split_equi_keys(
+        &self,
+        schema: &Schema,
+        split: usize,
+    ) -> Option<(JoinKeys, Option<BoundPred>)> {
+        self.column_bounds()?;
+        let (mut keys, mut rest) = (JoinKeys::new(), Vec::new());
+        for conjunct in self.source.clone().conjuncts() {
+            match Node::bind(&conjunct, schema) {
+                Node::Cmp {
+                    l: Slot::Col(i),
+                    op: CmpOp::Eq,
+                    r: Slot::Col(j),
+                } if (i < split) != (j < split) => keys.push((i.min(j), i.max(j) - split)),
+                _ => rest.push(conjunct),
+            }
+        }
+        if keys.is_empty() {
+            return None;
+        }
+        let rest = Predicate::from_conjuncts(rest);
+        let rest = (rest != Predicate::True).then(|| BoundPred::bind(&rest, schema));
+        Some((keys, rest))
     }
 
     /// The `(column, op, constant)` comparisons every accepted tuple

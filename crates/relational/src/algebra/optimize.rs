@@ -12,13 +12,18 @@
 //!    natural joins);
 //! 4. **projection/rename transparency** — selections commute with renames
 //!    (with attribute substitution) and with projections that keep the
-//!    predicate's attributes.
+//!    predicate's attributes;
+//! 5. **product reordering** — under a projection, the factors of a
+//!    product chain are ordered greedily along the equality conjuncts
+//!    that connect them (smallest first), so that no two factors without
+//!    a shared conjunct are multiplied while a connected one is left.
 //!
 //! The optimizer is semantics-preserving by construction and its effect is
 //! measured in intermediate-tuple counts (see `bq-bench`).
 
 use crate::algebra::expr::{Expr, Operand, Predicate};
 use crate::catalog::Database;
+use crate::value::CmpOp;
 use crate::Result;
 use std::collections::BTreeSet;
 
@@ -51,11 +56,12 @@ fn estimate(expr: &Expr, db: &Database) -> f64 {
     }
 }
 
-/// Reorder product chains so the smallest estimated inputs multiply
-/// first. Column order matters to product output, so reordering happens
-/// only where an enclosing projection makes the order irrelevant — i.e.
-/// under a `Project`, through any chain of `Select`s (whose predicates
-/// are name-based and order-insensitive).
+/// Reorder product chains so that each factor joins what came before it
+/// on an equality conjunct, smallest estimated input first. Column order
+/// matters to product output, so reordering happens only where an
+/// enclosing projection makes the order irrelevant — i.e. under a
+/// `Project`, through any chain of `Select`s (whose predicates are
+/// name-based and order-insensitive).
 fn reorder_products(expr: Expr, db: &Database) -> Result<Expr> {
     match expr {
         Expr::Select { pred, input } => Ok(Expr::Select {
@@ -64,7 +70,7 @@ fn reorder_products(expr: Expr, db: &Database) -> Result<Expr> {
         }),
         Expr::Project { cols, input } => Ok(Expr::Project {
             cols,
-            input: Box::new(reorder_in_order_insensitive(*input, db)?),
+            input: Box::new(reorder_in_order_insensitive(*input, &mut Vec::new(), db)?),
         }),
         Expr::Rename { from, to, input } => Ok(Expr::Rename {
             from,
@@ -100,50 +106,140 @@ fn reorder_products(expr: Expr, db: &Database) -> Result<Expr> {
 }
 
 /// Inside a projection (through selects): product chains may be freely
-/// reordered, smallest first.
-fn reorder_in_order_insensitive(expr: Expr, db: &Database) -> Result<Expr> {
+/// reordered. `links` are the attribute pairs that the selections passed
+/// on the way down equate — the conjuncts the second pushdown pass will
+/// sink onto the products formed here.
+fn reorder_in_order_insensitive(
+    expr: Expr,
+    links: &mut Vec<(String, String)>,
+    db: &Database,
+) -> Result<Expr> {
     match expr {
-        Expr::Select { pred, input } => Ok(Expr::Select {
-            pred,
-            input: Box::new(reorder_in_order_insensitive(*input, db)?),
-        }),
+        Expr::Select { pred, input } => {
+            collect_links(&pred, links);
+            Ok(Expr::Select {
+                pred,
+                input: Box::new(reorder_in_order_insensitive(*input, links, db)?),
+            })
+        }
         Expr::Product(_, _) => {
-            let mut leaves = Vec::new();
-            flatten_products(expr, &mut leaves);
-            let mut leaves: Vec<Expr> = leaves
+            let (mut leaves, mut hoisted) = (Vec::new(), Vec::new());
+            flatten_products(expr, &mut leaves, &mut hoisted, db)?;
+            hoisted.iter().for_each(|c| collect_links(c, links));
+            let mut leaves: Vec<Leaf> = leaves
                 .into_iter()
-                .map(|l| reorder_products(l, db))
+                .map(|leaf| {
+                    let expr = reorder_products(leaf, db)?;
+                    Ok(Leaf {
+                        size: estimate(&expr, db),
+                        attrs: attr_names(&expr, db)?,
+                        expr,
+                    })
+                })
                 .collect::<Result<_>>()?;
-            let mut order: Vec<usize> = (0..leaves.len()).collect();
-            order.sort_by(|&a, &b| {
-                // A NaN estimate (impossible for products of finite
-                // cardinalities) degrades to "equal" rather than panicking.
-                estimate(&leaves[a], db)
-                    .partial_cmp(&estimate(&leaves[b], db))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let mut sorted = Vec::with_capacity(leaves.len());
-            for &i in &order {
-                sorted.push(std::mem::replace(&mut leaves[i], Expr::Rel(String::new())));
+            // Greedy by connection: start from the smallest leaf, then
+            // always take the smallest leaf that a link connects to what is
+            // already joined, so every product formed has a conjunct to
+            // become a join on. Size alone decides only when nothing is
+            // connected — ordering by size throughout can put two leaves
+            // that share no conjunct side by side and strand their whole
+            // cross product under the leaf that links them.
+            let mut product: Option<Expr> = None;
+            let mut seen = BTreeSet::new();
+            while !leaves.is_empty() {
+                // `min_by` returns the first of equals: ties keep the FROM
+                // order.
+                let by_size =
+                    |a: &(usize, &Leaf), b: &(usize, &Leaf)| a.1.size.total_cmp(&b.1.size);
+                let connected = leaves
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, leaf)| connects(links, &seen, &leaf.attrs));
+                let pick = connected
+                    .min_by(by_size)
+                    .or_else(|| leaves.iter().enumerate().min_by(by_size))
+                    .map_or(0, |(i, _)| i);
+                let leaf = leaves.remove(pick);
+                seen.extend(leaf.attrs);
+                product = Some(match product {
+                    None => leaf.expr,
+                    Some(acc) => acc.product(leaf.expr),
+                });
             }
-            Ok(sorted
-                .into_iter()
-                .reduce(|a, b| a.product(b))
-                // lint: allow(panic) the Product arm flattens to ≥ 2 leaves
-                .expect("at least one leaf"))
+            // lint: allow(panic) the Product arm flattens to ≥ 2 leaves
+            Ok(wrap_select(product.expect("at least one leaf"), hoisted))
         }
         other => reorder_products(other, db),
     }
 }
 
-fn flatten_products(expr: Expr, leaves: &mut Vec<Expr>) {
+/// One factor of a product chain, measured once.
+struct Leaf {
+    expr: Expr,
+    size: f64,
+    attrs: BTreeSet<String>,
+}
+
+fn attr_names(expr: &Expr, db: &Database) -> Result<BTreeSet<String>> {
+    let schema = expr.schema(db)?;
+    Ok(schema.names().iter().map(|s| s.to_string()).collect())
+}
+
+/// The attribute pairs `pred`'s top-level conjuncts equate.
+fn collect_links(pred: &Predicate, links: &mut Vec<(String, String)>) {
+    match pred {
+        Predicate::And(a, b) => {
+            collect_links(a, links);
+            collect_links(b, links);
+        }
+        Predicate::Cmp {
+            l: Operand::Attr(a),
+            op: CmpOp::Eq,
+            r: Operand::Attr(b),
+        } => links.push((a.clone(), b.clone())),
+        _ => {}
+    }
+}
+
+/// Does some link equate an attribute of `joined` with one of `leaf`?
+fn connects(
+    links: &[(String, String)],
+    joined: &BTreeSet<String>,
+    leaf: &BTreeSet<String>,
+) -> bool {
+    links.iter().any(|(a, b)| {
+        (joined.contains(a) && leaf.contains(b)) || (joined.contains(b) && leaf.contains(a))
+    })
+}
+
+/// Collect the factors of a product chain. The first pushdown pass leaves
+/// the conjuncts that span only some of the factors on the sub-product of
+/// exactly those; such a selection is lifted out again (`hoisted`) and the
+/// product under it flattened too, so that all factors are ordered
+/// together — `σ[p](A) × B = σ[p](A × B)` when `A` has every attribute `p`
+/// names, and the second pushdown pass sinks `p` to wherever its factors
+/// end up.
+fn flatten_products(
+    expr: Expr,
+    leaves: &mut Vec<Expr>,
+    hoisted: &mut Vec<Predicate>,
+    db: &Database,
+) -> Result<()> {
     match expr {
         Expr::Product(l, r) => {
-            flatten_products(*l, leaves);
-            flatten_products(*r, leaves);
+            flatten_products(*l, leaves, hoisted, db)?;
+            flatten_products(*r, leaves, hoisted, db)?;
+        }
+        Expr::Select { pred, input }
+            if matches!(*input, Expr::Product(..))
+                && pred.attrs().is_subset(&attr_names(&input, db)?) =>
+        {
+            hoisted.extend(pred.conjuncts());
+            flatten_products(*input, leaves, hoisted, db)?;
         }
         other => leaves.push(other),
     }
+    Ok(())
 }
 
 /// Recursively push selection conjuncts as close to base relations as
@@ -200,18 +296,8 @@ fn push_selections(expr: Expr, db: &Database) -> Result<Expr> {
 fn push_conjuncts(input: Expr, conjuncts: Vec<Predicate>, db: &Database) -> Result<Expr> {
     match input {
         Expr::Product(l, r) => {
-            let l_attrs: BTreeSet<String> = l
-                .schema(db)?
-                .names()
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            let r_attrs: BTreeSet<String> = r
-                .schema(db)?
-                .names()
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
+            let l_attrs = attr_names(&l, db)?;
+            let r_attrs = attr_names(&r, db)?;
             let mut left_preds = Vec::new();
             let mut right_preds = Vec::new();
             let mut here = Vec::new();
@@ -231,18 +317,8 @@ fn push_conjuncts(input: Expr, conjuncts: Vec<Predicate>, db: &Database) -> Resu
             Ok(wrap_select(prod, here))
         }
         Expr::NaturalJoin(l, r) => {
-            let l_attrs: BTreeSet<String> = l
-                .schema(db)?
-                .names()
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            let r_attrs: BTreeSet<String> = r
-                .schema(db)?
-                .names()
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
+            let l_attrs = attr_names(&l, db)?;
+            let r_attrs = attr_names(&r, db)?;
             let mut left_preds = Vec::new();
             let mut right_preds = Vec::new();
             let mut here = Vec::new();
@@ -522,6 +598,118 @@ mod tests {
             after.intermediate_tuples,
             before.intermediate_tuples
         );
+    }
+
+    /// Is every product directly under a selection that equates an
+    /// attribute of its left side with one of its right side — i.e. does
+    /// the executor get a join key for each of them?
+    fn every_product_is_linked(e: &Expr, db: &Database) -> bool {
+        let linked = |e: &Expr| every_product_is_linked(e, db);
+        match e {
+            Expr::Select { pred, input } => match &**input {
+                Expr::Product(l, r) => {
+                    let mut links = Vec::new();
+                    collect_links(pred, &mut links);
+                    let (la, ra) = (attr_names(l, db).unwrap(), attr_names(r, db).unwrap());
+                    connects(&links, &la, &ra) && linked(l) && linked(r)
+                }
+                other => linked(other),
+            },
+            Expr::Product(..) => false,
+            Expr::Rel(_) => true,
+            Expr::Project { input, .. }
+            | Expr::Rename { input, .. }
+            | Expr::Qualify { input, .. } => linked(input),
+            Expr::NaturalJoin(l, r)
+            | Expr::Union(l, r)
+            | Expr::Difference(l, r)
+            | Expr::Intersection(l, r)
+            | Expr::Division(l, r) => linked(l) && linked(r),
+        }
+    }
+
+    fn star_db() -> Database {
+        let mut db = Database::new();
+        let mut fact = Relation::with_schema(&[("fk", Type::Int), ("fv", Type::Int)]).unwrap();
+        for i in 0..60i64 {
+            fact.insert(crate::tup![i % 6, i % 4]).unwrap();
+        }
+        db.add("fact", fact);
+        for (name, n) in [("d", 6i64), ("e", 4), ("g", 5)] {
+            let (key, payload) = (format!("{name}k"), format!("{name}x"));
+            let mut dim =
+                Relation::with_schema(&[(&key as &str, Type::Int), (&payload, Type::Int)]).unwrap();
+            for i in 0..n {
+                dim.insert(crate::tup![i, i * 10]).unwrap();
+            }
+            db.add(name, dim);
+        }
+        db
+    }
+
+    #[test]
+    fn reordering_follows_the_join_conjuncts_before_size() {
+        let db = star_db();
+        // Two small dimensions that share no conjunct, listed first, and
+        // the fact table that links them: by size alone the order is
+        // e, d, fact — and e × d is a cross product nothing can key.
+        let e = Expr::rel("d")
+            .product(Expr::rel("e"))
+            .product(Expr::rel("fact"))
+            .select(Predicate::eq_attrs("fk", "dk").and(Predicate::eq_attrs("fv", "ek")))
+            .project(&["dx", "ex"]);
+        let opt = optimize(&e, &db).unwrap();
+        assert!(every_product_is_linked(&opt, &db), "{opt}");
+        assert_eq!(eval(&e, &db).unwrap(), eval(&opt, &db).unwrap());
+        let (_, before) = eval_with_stats(&e, &db).unwrap();
+        let (_, after) = eval_with_stats(&opt, &db).unwrap();
+        assert!(after.intermediate_tuples < before.intermediate_tuples);
+
+        // A conjunct the first pushdown sinks onto a sub-product (fk = dk
+        // lands on fact × g × d) must not fence g in there: its only link,
+        // gk = ek, is to a table outside.
+        let e = Expr::rel("fact")
+            .product(Expr::rel("g"))
+            .product(Expr::rel("d"))
+            .product(Expr::rel("e"))
+            .select(
+                Predicate::eq_attrs("fk", "dk")
+                    .and(Predicate::eq_attrs("gk", "ek"))
+                    .and(Predicate::eq_attrs("fv", "ek")),
+            )
+            .project(&["dx", "gx"]);
+        let opt = optimize(&e, &db).unwrap();
+        assert!(every_product_is_linked(&opt, &db), "{opt}");
+        assert_eq!(eval(&e, &db).unwrap(), eval(&opt, &db).unwrap());
+
+        // Nothing connects: size decides, as before.
+        let e = Expr::rel("fact")
+            .product(Expr::rel("d"))
+            .product(Expr::rel("e"))
+            .project(&["dx", "ex"]);
+        let opt = optimize(&e, &db).unwrap();
+        assert_eq!(
+            opt,
+            Expr::rel("e")
+                .product(Expr::rel("d"))
+                .product(Expr::rel("fact"))
+                .project(&["dx", "ex"])
+        );
+    }
+
+    #[test]
+    fn a_selection_naming_an_attribute_its_input_lacks_is_not_lifted() {
+        let db = star_db();
+        // σ[ek = 1](fact × d) fails on every tuple it sees: `ek` belongs
+        // to `e`, outside. Lifted over the outer product it would bind.
+        let e = Expr::rel("fact")
+            .product(Expr::rel("d"))
+            .select(Predicate::eq_const("ek", 1i64))
+            .product(Expr::rel("e"))
+            .project(&["dx"]);
+        let opt = optimize(&e, &db).unwrap();
+        assert!(eval(&e, &db).is_err());
+        assert!(eval(&opt, &db).is_err(), "{opt}");
     }
 
     #[test]

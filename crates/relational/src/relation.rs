@@ -48,15 +48,20 @@ impl Relation {
         self.tuples.is_empty()
     }
 
+    fn check(&self, tuple: &Tuple) -> Result<()> {
+        if tuple.conforms_to(&self.schema) {
+            return Ok(());
+        }
+        Err(RelError::SchemaMismatch(format!(
+            "tuple {tuple} does not conform to {}",
+            self.schema
+        )))
+    }
+
     /// Insert a tuple after checking conformance. Returns `true` when the
     /// tuple was new (set semantics silently absorb duplicates).
     pub fn insert(&mut self, tuple: Tuple) -> Result<bool> {
-        if !tuple.conforms_to(&self.schema) {
-            return Err(RelError::SchemaMismatch(format!(
-                "tuple {tuple} does not conform to {}",
-                self.schema
-            )));
-        }
+        self.check(&tuple)?;
         Ok(self.tuples.insert(tuple))
     }
 
@@ -118,15 +123,18 @@ impl Relation {
     }
 
     /// Build a relation from a schema and an iterator of tuples, validating
-    /// each tuple's conformance. Duplicates are absorbed (set semantics) —
-    /// the constructor the physical engine uses to reassemble operator
-    /// output.
+    /// each tuple's conformance. Duplicates are absorbed (set semantics).
+    /// The set is built in one piece from the sorted tuples instead of by
+    /// one descent per tuple — this is how the physical engine reassembles
+    /// every operator's output and how crash recovery reloads a table.
     pub fn from_tuples(
         schema: Schema,
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<Relation> {
         let mut rel = Relation::new(schema);
-        rel.extend(tuples)?;
+        let tuples: Vec<Tuple> = tuples.into_iter().collect();
+        tuples.iter().try_for_each(|t| rel.check(t))?;
+        rel.tuples = BTreeSet::from_iter(tuples);
         Ok(rel)
     }
 
@@ -226,6 +234,39 @@ mod tests {
         assert!(r2.contains(&tup![1i64, "codd"]));
         let bad = Schema::new(&[("x", Type::Int)]).unwrap();
         assert!(r.with_renamed_schema(bad).is_err());
+    }
+
+    #[test]
+    fn from_tuples_equals_inserting_one_at_a_time() {
+        let schema = sample().schema().clone();
+        // Unsorted, with a repeat and a labelled null (which fits any type).
+        let rows = [
+            tup![3i64, "papadimitriou"],
+            tup![1i64, "codd"],
+            Tuple::new(vec![Value::Null(7), Value::str("?")]),
+            tup![2i64, "fagin"],
+            tup![1i64, "codd"],
+        ];
+        let bulk = Relation::from_tuples(schema.clone(), rows.iter().cloned()).unwrap();
+        let mut one_by_one = Relation::new(schema.clone());
+        for t in &rows {
+            one_by_one.insert(t.clone()).unwrap();
+        }
+        assert_eq!(bulk, one_by_one);
+        assert_eq!(bulk.len(), 4, "the repeat is absorbed");
+        assert_eq!(bulk.tuples(), one_by_one.tuples(), "same canonical order");
+        assert_eq!(bulk.iter_from(&tup![2i64]).count(), 3, "seeks still work");
+        assert!(Relation::from_tuples(schema.clone(), [])
+            .unwrap()
+            .is_empty());
+        // One non-conforming tuple anywhere refuses the lot.
+        for bad in [tup!["oops", 1i64], tup![1i64]] {
+            let rows = rows.iter().cloned().chain([bad]);
+            assert!(matches!(
+                Relation::from_tuples(schema.clone(), rows),
+                Err(RelError::SchemaMismatch(_))
+            ));
+        }
     }
 
     #[test]

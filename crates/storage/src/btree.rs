@@ -62,6 +62,60 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         }
     }
 
+    /// Build a tree over `entries`, which must arrive in strictly
+    /// ascending key order, bottom-up: the leaves are filled left to
+    /// right and each level of separators is laid over the one below, so
+    /// loading costs one pass and no descents or splits. Nodes of a level
+    /// are filled evenly, none beyond `order` keys.
+    ///
+    /// # Panics
+    /// When a key is not greater than the one before it.
+    pub fn from_sorted(order: usize, entries: impl IntoIterator<Item = (K, V)>) -> Self {
+        let (keys, vals): (Vec<K>, Vec<V>) = entries.into_iter().unzip();
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "from_sorted needs strictly ascending keys"
+        );
+        let mut tree = BPlusTree::new(order);
+        if keys.is_empty() {
+            return tree;
+        }
+        tree.len = keys.len();
+        tree.nodes.clear();
+        // `(smallest key below, node)` for every node of the level just
+        // built, left to right.
+        let mut level: Vec<(K, usize)> = Vec::new();
+        let (mut keys, mut vals) = (keys.into_iter(), vals.into_iter());
+        for size in even_chunks(tree.len, order) {
+            let keys: Vec<K> = keys.by_ref().take(size).collect();
+            level.push((keys[0].clone(), tree.nodes.len()));
+            tree.nodes.push(Node::Leaf {
+                keys,
+                vals: vals.by_ref().take(size).collect(),
+                next: Some(tree.nodes.len() + 1),
+            });
+        }
+        if let Some(Node::Leaf { next, .. }) = tree.nodes.last_mut() {
+            *next = None;
+        }
+        while level.len() > 1 {
+            let mut below = level.into_iter();
+            level = Vec::new();
+            // An internal node with `order` keys has `order + 1` children.
+            for size in even_chunks(below.len(), order + 1) {
+                let (mut keys, children): (Vec<K>, Vec<usize>) = below.by_ref().take(size).unzip();
+                // The first child needs no separator; its smallest key is
+                // this node's, for the level above.
+                let smallest = keys.remove(0);
+                level.push((smallest, tree.nodes.len()));
+                tree.nodes.push(Node::Internal { keys, children });
+            }
+            tree.height += 1;
+        }
+        tree.root = level[0].1;
+        tree
+    }
+
     /// Number of live keys.
     pub fn len(&self) -> usize {
         self.len
@@ -288,6 +342,13 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     }
 }
 
+/// Sizes of the fewest chunks of at most `max` that `n` items fill, as
+/// even as possible (they differ by at most one).
+fn even_chunks(n: usize, max: usize) -> impl Iterator<Item = usize> {
+    let chunks = n.div_ceil(max);
+    (0..chunks).map(move |i| n / chunks + usize::from(i < n % chunks))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,6 +507,74 @@ mod tests {
                 assert_eq!(r, wr);
             }
         }
+    }
+
+    /// Bulk loading gives the tree that inserting one key at a time gives
+    /// — same entries, every key found through the separators — and the
+    /// result keeps working as a tree: later upserts split its full
+    /// nodes, removes empty them.
+    #[test]
+    fn from_sorted_equals_an_incrementally_built_tree() {
+        use bq_util::{Rng, SplitMix64};
+        let mut rng = SplitMix64::seed_from_u64(0x50_47ed);
+        for order in [3usize, 4, 5, 32] {
+            let sizes = [0, 1, order, order + 1, order * (order + 1), 1000];
+            for n in sizes.into_iter().chain([rng.gen_index(3000)]) {
+                // Random keys with gaps; each carries a bucket of values,
+                // as an index key carries the record ids of its rows.
+                let mut model: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+                while model.len() < n {
+                    let bucket = (0..1 + rng.gen_index(3)).map(|i| i as u32).collect();
+                    model.insert(rng.gen_range(1 << 20) as u32, bucket);
+                }
+                let mut tree = BPlusTree::from_sorted(order, model.clone());
+                let mut grown = BPlusTree::new(order);
+                for (k, v) in &model {
+                    grown.insert(*k, v.clone()).unwrap();
+                }
+                let at = format!("order {order}, {n} keys");
+                assert!(tree.check_invariants(), "{at}");
+                assert_eq!(tree.len(), n, "{at}");
+                assert_eq!(tree.iter_all(), grown.iter_all(), "{at}");
+                assert!(tree.height() <= grown.height(), "{at}");
+                for (k, v) in &model {
+                    assert_eq!(tree.get(k), Some(v), "{at}: key {k}");
+                    assert_eq!(tree.get(&(k + 1)), model.get(&(k + 1)), "{at}");
+                }
+                let (lo, hi) = (1 << 18, 1 << 19);
+                let want: Vec<(u32, Vec<u32>)> =
+                    model.range(lo..=hi).map(|(k, v)| (*k, v.clone())).collect();
+                assert_eq!(tree.range(&lo, &hi), want, "{at}");
+
+                for _ in 0..200 {
+                    let k = rng.gen_range(1 << 20) as u32;
+                    if rng.gen_bool() {
+                        assert_eq!(tree.upsert(k, vec![k]), model.insert(k, vec![k]), "{at}");
+                    } else {
+                        assert_eq!(tree.remove(&k), model.remove(&k), "{at}");
+                    }
+                }
+                if let Some(k) = model.keys().next().copied() {
+                    assert_eq!(tree.remove(&k), model.remove(&k), "{at}: smallest key");
+                    assert!(tree.get_mut(&k).is_none(), "{at}");
+                }
+                assert!(tree.check_invariants(), "{at}");
+                let want: Vec<(u32, Vec<u32>)> = model.into_iter().collect();
+                assert_eq!(tree.iter_all(), want, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn from_sorted_refuses_unsorted_keys() {
+        BPlusTree::from_sorted(4, [(2, ()), (1, ())]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn from_sorted_refuses_repeated_keys() {
+        BPlusTree::from_sorted(4, [(1, ()), (1, ())]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::page::{PageId, PageStore};
 use crate::slotted::SlottedPage;
-use crate::Result;
+use crate::{Result, StorageError};
 
 /// Stable address of a record inside a heap file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -54,6 +54,13 @@ impl HeapFile {
 
     /// Insert a record, allocating a new page if no existing page fits it.
     pub fn insert(&mut self, store: &mut PageStore, record: &[u8]) -> Result<RecordId> {
+        // A record no page can hold is refused here, before a page is
+        // allocated that would then belong to no file.
+        let max = SlottedPage::max_record_size();
+        if record.len() > max {
+            let size = record.len();
+            return Err(StorageError::RecordTooLarge { size, max });
+        }
         // First-fit over existing pages.
         for &pid in &self.pages {
             let mut page = store.read(pid)?;
@@ -166,6 +173,23 @@ mod tests {
             .unwrap(),
             None
         );
+    }
+
+    #[test]
+    fn oversized_record_allocates_no_page() {
+        let mut store = PageStore::new();
+        let mut heap = HeapFile::new();
+        let too_big = vec![0u8; SlottedPage::max_record_size() + 1];
+        for _ in 0..2 {
+            assert!(matches!(
+                heap.insert(&mut store, &too_big),
+                Err(StorageError::RecordTooLarge { .. })
+            ));
+            assert_eq!((store.len(), heap.page_count(), heap.len()), (0, 0, 0));
+        }
+        let fits = vec![0u8; SlottedPage::max_record_size()];
+        heap.insert(&mut store, &fits).unwrap();
+        assert_eq!((store.len(), heap.page_count()), (1, 1));
     }
 
     #[test]

@@ -17,6 +17,9 @@ cargo test -q -p bq-obs
 echo "==> crash-recovery torture (pinned seed)"
 BQ_TORTURE_SEED=20260805 cargo test -q --test crash_torture
 
+echo "==> executor differential: plans vs the recursive oracle (pinned seed)"
+BQ_EXEC_SEED=20260810 cargo test -q --test exec_equivalence
+
 echo "==> governor admission stress (pinned seed)"
 BQ_GOV_SEED=20260806 cargo test -q --test governor_integration
 

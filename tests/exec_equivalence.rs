@@ -3,15 +3,33 @@
 //! mode must agree with the recursive reference evaluator
 //! [`bq_relational::algebra::eval::eval`] — same sorted tuple set on
 //! success, and an error exactly when the oracle errors.
+//!
+//! Every generator is seeded; `BQ_EXEC_SEED=<n>` runs other cases than the
+//! default ones, and a failure prints the value to pin it with.
 
+use big_queries::bq_core::Db;
 use big_queries::bq_exec::{lower, ExecMode, Executor};
 use big_queries::bq_relational::algebra::eval::eval;
 use big_queries::bq_relational::algebra::expr::{Expr, Operand, Predicate};
+use big_queries::bq_relational::algebra::optimize::optimize;
 use big_queries::bq_relational::catalog::Database;
 use big_queries::bq_relational::error::RelError;
 use big_queries::bq_relational::value::CmpOp;
 use big_queries::bq_relational::{Relation, Schema, Tuple, Type, Value};
 use big_queries::bq_util::{Rng, SplitMix64};
+
+/// What every generator seed below is xor-ed with: unset (or 0) keeps the
+/// cases this suite has always run, any other value explores new ones.
+fn exec_seed() -> u64 {
+    std::env::var("BQ_EXEC_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0)
+}
+
+fn seeded(constant: u64) -> SplitMix64 {
+    SplitMix64::seed_from_u64(constant ^ exec_seed())
+}
 
 /// Attribute pool shared by all generated relations: a fixed type per name
 /// so natural joins and set operations line up by construction.
@@ -211,36 +229,21 @@ fn assert_engine_agrees(
 ) {
     for ex in executors {
         let got = ex.execute(expr, db);
+        let at = format!(
+            "BQ_EXEC_SEED={} case {case} mode {:?}",
+            exec_seed(),
+            ex.mode()
+        );
         match (expected, got) {
             (Ok(want), Ok(got)) => {
-                assert_eq!(
-                    got.schema(),
-                    want.schema(),
-                    "case {case} mode {:?}: schema drift on {expr}",
-                    ex.mode()
-                );
+                assert_eq!(got.schema(), want.schema(), "{at}: schema drift on {expr}");
                 let want_rows: Vec<&Tuple> = want.iter().collect();
                 let got_rows: Vec<&Tuple> = got.iter().collect();
-                assert_eq!(
-                    got_rows,
-                    want_rows,
-                    "case {case} mode {:?}: rows differ on {expr}",
-                    ex.mode()
-                );
+                assert_eq!(got_rows, want_rows, "{at}: rows differ on {expr}");
             }
             (Err(_), Err(_)) => {}
-            (Ok(_), Err(e)) => {
-                panic!(
-                    "case {case} mode {:?}: engine rejected {expr}: {e}",
-                    ex.mode()
-                )
-            }
-            (Err(e), Ok(_)) => {
-                panic!(
-                    "case {case} mode {:?}: engine accepted {expr}: oracle says {e}",
-                    ex.mode()
-                )
-            }
+            (Ok(_), Err(e)) => panic!("{at}: engine rejected {expr}: {e}"),
+            (Err(e), Ok(_)) => panic!("{at}: engine accepted {expr}: oracle says {e}"),
         }
     }
 }
@@ -249,10 +252,10 @@ fn assert_engine_agrees(
 /// each executed under sequential mode and worker counts 1/2/4/8.
 #[test]
 fn engine_agrees_with_oracle_on_random_expressions() {
-    let mut rng = SplitMix64::seed_from_u64(0xe8ec_2024);
+    let mut rng = seeded(0xe8ec_2024);
     let (mut ok_cases, mut err_cases, mut nonempty) = (0u32, 0u32, 0u32);
     for case in 0..240 {
-        let mut db = SplitMix64::seed_from_u64(0xd000 + case);
+        let mut db = seeded(0xd000 + case);
         let db = random_db(&mut db);
         let mut fresh = 0;
         let expr = random_expr(&mut rng, &db, 3, &mut fresh);
@@ -378,7 +381,7 @@ fn scan_pred(rng: &mut SplitMix64, cols: &[(String, Type)]) -> (Predicate, bool)
 /// worker count.
 #[test]
 fn selections_over_base_tables_agree_with_oracle() {
-    let mut rng = SplitMix64::seed_from_u64(0x5ee4_2026);
+    let mut rng = seeded(0x5ee4_2026);
     let (mut seeks, mut nonempty, mut partial, mut errors) = (0u32, 0u32, 0u32, 0u32);
     for case in 0..400u64 {
         // One table of up to 60 rows over a random prefix-closed choice of
@@ -458,12 +461,313 @@ fn selections_over_base_tables_agree_with_oracle() {
     );
 }
 
+/// One side of a generated product: table `t{i}` under the alias `q{i}`,
+/// with its qualified column names and their types. Column 0 is always an
+/// int — the column chains join on.
+struct Side {
+    expr: Expr,
+    cols: Vec<(String, Type)>,
+}
+
+/// A value for a product side: small domains, so keys repeat and joins
+/// fan out, with the odd labelled null (equal to itself under `=`, and
+/// the only thing two columns of different types can agree on).
+fn side_value(rng: &mut SplitMix64, ty: Type) -> Value {
+    if rng.gen_pct(5) {
+        return Value::Null(rng.gen_range(2) as u32);
+    }
+    match ty {
+        Type::Int => Value::Int(rng.gen_range(4) as i64),
+        _ => random_value(rng, ty),
+    }
+}
+
+/// Add `n` tables of 2–3 columns and 0–14 rows to a fresh database.
+fn product_sides(rng: &mut SplitMix64, n: usize) -> (Database, Vec<Side>) {
+    let mut db = Database::new();
+    let sides = (0..n)
+        .map(|i| {
+            let mut types = vec![Type::Int];
+            for _ in 0..1 + rng.gen_index(2) {
+                types.push([Type::Int, Type::Int, Type::Str, Type::Bool][rng.gen_index(4)]);
+            }
+            let names: Vec<String> = (0..types.len()).map(|c| format!("c{c}")).collect();
+            let attrs: Vec<(&str, Type)> = names.iter().map(String::as_str).zip(types).collect();
+            let mut rel = Relation::with_schema(&attrs).unwrap();
+            // One side in eight is empty.
+            let rows = if rng.gen_pct(12) {
+                0
+            } else {
+                1 + rng.gen_index(14)
+            };
+            for _ in 0..rows {
+                let row = attrs.iter().map(|&(_, ty)| side_value(rng, ty));
+                rel.insert(Tuple::new(row.collect())).unwrap();
+            }
+            db.add(&format!("t{i}"), rel);
+            Side {
+                expr: Expr::rel(format!("t{i}")).qualify(&format!("q{i}")),
+                cols: attrs
+                    .iter()
+                    .map(|&(name, ty)| (format!("q{i}.{name}"), ty))
+                    .collect(),
+            }
+        })
+        .collect();
+    (db, sides)
+}
+
+fn col_eq(l: &(String, Type), r: &(String, Type)) -> Predicate {
+    Predicate::eq_attrs(&l.0, &r.0)
+}
+
+fn pick<'a>(rng: &mut SplitMix64, side: &'a Side) -> &'a (String, Type) {
+    &side.cols[rng.gen_index(side.cols.len())]
+}
+
+/// A conjunct that is true of some joined tuples and no key for a join:
+/// an inequality across the sides or a comparison with a constant.
+fn residual(rng: &mut SplitMix64, l: &Side, r: &Side) -> Predicate {
+    if rng.gen_bool() {
+        let op = [CmpOp::Le, CmpOp::Ne, CmpOp::Gt][rng.gen_index(3)];
+        let (l, r) = (pick(rng, l), pick(rng, r));
+        Predicate::cmp(Operand::attr(&l.0), op, Operand::attr(&r.0))
+    } else {
+        let (name, ty) = pick(rng, r);
+        let constant = Operand::Const(side_value(rng, *ty));
+        Predicate::cmp(Operand::attr(name), CmpOp::Ne, constant)
+    }
+}
+
+/// What lowering is expected to make of a generated selection.
+#[derive(Debug, PartialEq)]
+enum Shape {
+    /// A hash join, no product left.
+    Join,
+    /// The selection stays a filter over the product.
+    Product,
+}
+
+/// `σ[pred](q0 × q1)` in the shapes that decide between a join and a
+/// product, with the expected decision.
+fn two_way(rng: &mut SplitMix64, sides: &[Side]) -> (Predicate, Shape) {
+    let (l, r) = (&sides[0], &sides[1]);
+    let and = |a: Predicate, b: Predicate| Predicate::And(Box::new(a), Box::new(b));
+    // Column pairs are drawn regardless of type: an int column set equal
+    // to a str column is a join too, one only labelled nulls survive.
+    let cross = |rng: &mut SplitMix64| {
+        let (a, b) = (pick(rng, l), pick(rng, r));
+        if rng.gen_bool() {
+            col_eq(a, b)
+        } else {
+            col_eq(b, a)
+        }
+    };
+    match rng.gen_index(5) {
+        // One to three cross-side equalities, maybe a residue among them.
+        0 | 1 => {
+            let mut conjuncts: Vec<Predicate> =
+                (0..1 + rng.gen_index(3)).map(|_| cross(rng)).collect();
+            if rng.gen_bool() {
+                let at = rng.gen_index(conjuncts.len() + 1);
+                conjuncts.insert(at, residual(rng, l, r));
+            }
+            if rng.gen_pct(20) {
+                // A same-side equality is residue, not a key.
+                conjuncts.push(col_eq(pick(rng, l), pick(rng, l)));
+            }
+            (conjuncts.into_iter().reduce(and).unwrap(), Shape::Join)
+        }
+        // The only cross-side equality sits under ∨ or ¬.
+        2 => {
+            let hidden = if rng.gen_bool() {
+                Predicate::Or(Box::new(cross(rng)), Box::new(residual(rng, l, r)))
+            } else {
+                Predicate::Not(Box::new(cross(rng)))
+            };
+            let p = if rng.gen_bool() {
+                and(hidden, residual(rng, l, r))
+            } else {
+                hidden
+            };
+            (p, Shape::Product)
+        }
+        // No equality at all.
+        3 => (residual(rng, l, r), Shape::Product),
+        // An unknown name that only the tuples passing `pin` reach: the
+        // oracle fails exactly when there is one, so no tuple may be
+        // skipped.
+        _ => {
+            let (name, ty) = pick(rng, l);
+            let pin = Predicate::cmp(
+                Operand::attr(name),
+                CmpOp::Eq,
+                Operand::Const(side_value(rng, *ty)),
+            );
+            let ghost = Predicate::eq_const("zz", 0i64);
+            let p = match rng.gen_index(3) {
+                0 => and(cross(rng), and(pin, ghost)),
+                1 => and(and(pin, ghost), cross(rng)),
+                _ => and(pin, and(cross(rng), ghost)),
+            };
+            (p, Shape::Product)
+        }
+    }
+}
+
+/// Selections over products — what SQL's `from a, b where …` parses to —
+/// must agree with the oracle whether lowering turns them into hash joins
+/// or leaves the product: on str, bool, labelled-null and mixed-type keys,
+/// repeated keys, empty sides, and predicates that fail for some tuples
+/// only; and a chain of three or four tables written in any `FROM` order
+/// must, once optimized, run as joins all the way down.
+#[test]
+fn selections_over_products_agree_with_oracle() {
+    let mut rng = seeded(0x70_1a5e);
+    let (mut joins, mut products, mut nonempty, mut errors, mut chains) = (0u32, 0u32, 0, 0, 0);
+    for case in 0..400u64 {
+        let at = format!("BQ_EXEC_SEED={} case {case}", exec_seed());
+        if rng.gen_pct(60) {
+            let (db, sides) = product_sides(&mut rng, 2);
+            let (pred, shape) = two_way(&mut rng, &sides);
+            let expr = sides[0]
+                .expr
+                .clone()
+                .product(sides[1].expr.clone())
+                .select(pred);
+            let plan = lower(&expr, &db).unwrap().render();
+            let planned = if plan.contains("PartitionedHashJoin") {
+                Shape::Join
+            } else {
+                Shape::Product
+            };
+            assert_eq!(planned, shape, "{at}: {expr}\n{plan}");
+            assert_eq!(
+                plan.contains("Product"),
+                shape == Shape::Product,
+                "{at}: {expr}\n{plan}"
+            );
+            joins += u32::from(shape == Shape::Join);
+            products += u32::from(shape == Shape::Product);
+            let expected = eval(&expr, &db);
+            match &expected {
+                Ok(out) => nonempty += u32::from(!out.is_empty()),
+                Err(_) => errors += 1,
+            }
+            assert_engine_agrees(case, &expr, &db, &expected, &executors(&mut rng));
+            continue;
+        }
+
+        // A chain t0 – t1 – … – tn, each link an equality between int
+        // columns of neighbours, listed in a shuffled FROM order so that
+        // consecutive FROM entries need not share a conjunct.
+        let n = 3 + rng.gen_index(2);
+        let (db, sides) = product_sides(&mut rng, n);
+        let mut links: Vec<Predicate> = (1..n)
+            .map(|i| {
+                let ints = |s: &Side| -> Vec<(String, Type)> {
+                    let ints = s.cols.iter().filter(|(_, ty)| *ty == Type::Int);
+                    ints.cloned().collect()
+                };
+                let (l, r) = (ints(&sides[i - 1]), ints(&sides[i]));
+                col_eq(&l[rng.gen_index(l.len())], &r[rng.gen_index(r.len())])
+            })
+            .collect();
+        rng.shuffle(&mut links);
+        if rng.gen_bool() {
+            links.push(residual(&mut rng, &sides[0], &sides[n - 1]));
+        }
+        let mut from: Vec<&Side> = sides.iter().collect();
+        rng.shuffle(&mut from);
+        let product = from
+            .iter()
+            .map(|s| s.expr.clone())
+            .reduce(Expr::product)
+            .unwrap();
+        let keep: Vec<&str> = from.iter().map(|s| s.cols[1].0.as_str()).collect();
+        let expr = product
+            .select(Predicate::from_conjuncts(links))
+            .project(&keep);
+
+        let expected = eval(&expr, &db);
+        nonempty += u32::from(expected.as_ref().is_ok_and(|out| !out.is_empty()));
+        let executors = executors(&mut rng);
+        assert_engine_agrees(case, &expr, &db, &expected, &executors);
+        // As SQL runs it: optimized first. Every product of the chain has
+        // a link to become a join on, whatever the FROM order was.
+        let optimized = optimize(&expr, &db).unwrap();
+        let plan = lower(&optimized, &db).unwrap().render();
+        assert!(
+            !plan.contains("Product"),
+            "{at}: {expr}\n{optimized}\n{plan}"
+        );
+        assert_eq!(
+            plan.matches("PartitionedHashJoin").count(),
+            n - 1,
+            "{at}: {optimized}\n{plan}"
+        );
+        joins += 1;
+        chains += 1;
+        assert_engine_agrees(case, &optimized, &db, &expected, &executors);
+    }
+    // Floors: the generator must keep reaching each decision.
+    assert!(joins >= 200, "only {joins}/400 cases planned a hash join");
+    assert!(chains >= 100, "only {chains}/400 cases were 3–4-way chains");
+    assert!(products >= 60, "only {products}/400 cases kept the product");
+    assert!(nonempty >= 120, "only {nonempty}/400 answers are non-empty");
+    assert!(
+        errors >= 8,
+        "only {errors}/400 cases reach the unknown name"
+    );
+}
+
+const STAR_SQL: &str = "select f.id, d.grp from fact f, dim d where f.k = d.k and f.v > 900";
+const THREEWAY_SQL: &str = "select f.id as a, g.id as b from fact f, dim d, fact g \
+     where f.k = d.k and g.k = d.k and f.v > 990 and g.v > 990";
+
+/// The two join statements of the `analytic-join` benchmark workload
+/// (`benchspine/src/gen.rs`), copied as literals: through `Db`, as a
+/// client runs them, neither builds a product, and both return what the
+/// oracle returns for the statement as parsed.
+#[test]
+fn the_benchmark_join_statements_run_as_hash_joins() {
+    let mut db = Db::new();
+    let int = |names: &[&'static str]| -> Vec<(&'static str, Type)> {
+        names.iter().map(|n| (*n, Type::Int)).collect()
+    };
+    db.create_table("fact", &int(&["id", "k", "v"])).unwrap();
+    db.create_table("dim", &int(&["k", "grp"])).unwrap();
+    let mut rng = seeded(0xbe_7c4);
+    // Small: the oracle below forms fact × dim × fact in full.
+    for id in 0..80i64 {
+        let (k, v) = (rng.gen_range(10) as i64, 880 + rng.gen_range(120) as i64);
+        db.insert("fact", vec![id.into(), k.into(), v.into()])
+            .unwrap();
+    }
+    for k in 0..10i64 {
+        db.insert("dim", vec![k.into(), (k % 13).into()]).unwrap();
+    }
+    let mut oracle = Database::new();
+    for table in ["fact", "dim"] {
+        oracle.add(table, db.table(table).unwrap().clone());
+    }
+    for (sql, joins) in [(STAR_SQL, 1), (THREEWAY_SQL, 2)] {
+        let plan = db.explain_sql(sql).unwrap();
+        assert!(!plan.contains("Product"), "{sql}\n{plan}");
+        assert_eq!(plan.matches("PartitionedHashJoin").count(), joins, "{plan}");
+        let parsed = big_queries::bq_relational::sqlish::parse(sql).unwrap();
+        let want = eval(&parsed, &oracle).unwrap();
+        assert!(!want.is_empty(), "{sql}");
+        assert_eq!(db.sql(sql).unwrap(), want, "{sql}");
+    }
+}
+
 /// A join-heavy plan big enough that every worker actually gets morsels.
 #[test]
 fn engine_agrees_on_a_large_join() {
     let mut db = Database::new();
     let mut fact = Relation::with_schema(&[("a", Type::Int), ("b", Type::Int)]).unwrap();
-    let mut rng = SplitMix64::seed_from_u64(0xb16_70b5);
+    let mut rng = seeded(0xb16_70b5);
     for _ in 0..5000 {
         fact.insert(Tuple::new(vec![
             Value::Int(rng.gen_range(200) as i64),
