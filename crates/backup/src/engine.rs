@@ -23,8 +23,8 @@ use crate::error::BackupError;
 use crate::manifest::{BackupKind, Manifest};
 use crate::Result;
 use bq_core::{BackupRegistry, BackupRow, Db};
-use bq_storage::page::fnv1a;
 use bq_storage::Wal;
+use bq_util::fnv1a32;
 use std::sync::{Arc, Mutex, RwLock};
 
 /// A manifest that failed to decode: its archive name and the typed
@@ -119,7 +119,7 @@ impl BackupEngine {
         }
         let seq = self.next_seq()?;
         let object = format!("{seq:08}.seg");
-        let object_fnv = fnv1a(&delta);
+        let object_fnv = fnv1a32(&delta);
         let mut stored = delta;
         if bq_faults::hit("backup.segment.bitflip").is_some() {
             // Media rot between checksum and platter: the archived copy
@@ -151,7 +151,7 @@ impl BackupEngine {
         };
         let seq = self.next_seq()?;
         let object = format!("{seq:08}.snap");
-        let object_fnv = fnv1a(&image);
+        let object_fnv = fnv1a32(&image);
         self.put_payload(seq, &object, &image)?;
         self.crash_point(seq, "backup.crash")?;
         let manifest = Manifest {

@@ -17,7 +17,7 @@
 
 use crate::error::BackupError;
 use crate::Result;
-use bq_storage::page::fnv1a;
+use bq_util::{fnv1a32, ByteReader, ByteWriter, DecodeError};
 
 /// Magic bytes leading every manifest.
 const MAGIC: &[u8; 4] = b"BQBK";
@@ -80,21 +80,20 @@ impl Manifest {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
-        buf.push(VERSION);
-        buf.extend_from_slice(&self.seq.to_le_bytes());
-        buf.push(match self.kind {
+        buf.put_u8(VERSION);
+        buf.put_u64(self.seq);
+        buf.put_u8(match self.kind {
             BackupKind::Full => 0,
             BackupKind::Incremental => 1,
         });
-        buf.extend_from_slice(&self.wal_start.to_le_bytes());
-        buf.extend_from_slice(&self.wal_end.to_le_bytes());
-        buf.extend_from_slice(&(self.object.len() as u32).to_le_bytes());
-        buf.extend_from_slice(self.object.as_bytes());
-        buf.extend_from_slice(&self.object_len.to_le_bytes());
-        buf.extend_from_slice(&self.object_fnv.to_le_bytes());
-        buf.extend_from_slice(&self.fingerprint.to_le_bytes());
-        let sum = fnv1a(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
+        buf.put_u64(self.wal_start);
+        buf.put_u64(self.wal_end);
+        buf.put_str(&self.object);
+        buf.put_u64(self.object_len);
+        buf.put_u32(self.object_fnv);
+        buf.put_u64(self.fingerprint);
+        let sum = fnv1a32(&buf);
+        buf.put_u32(sum);
         buf
     }
 
@@ -105,63 +104,60 @@ impl Manifest {
             name: name.to_string(),
             detail,
         };
-        if bytes.len() < 4 {
+        let Some((body, trailer)) = bytes.split_last_chunk::<4>() else {
             return Err(torn(format!("only {} bytes", bytes.len())));
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-        let computed = fnv1a(body);
+        };
+        let stored = u32::from_le_bytes(*trailer);
+        let computed = fnv1a32(body);
         if stored != computed {
             return Err(torn(format!(
                 "trailer checksum {stored:#010x} != computed {computed:#010x}"
             )));
         }
-        let mut r = Cursor {
-            buf: body,
-            pos: 0,
-            name,
-        };
-        let magic = r.take(4)?;
-        if magic != MAGIC {
-            return Err(torn("bad magic".to_string()));
+        Manifest::decode_body(body).map_err(|e| torn(e.to_string()))
+    }
+
+    fn decode_body(body: &[u8]) -> std::result::Result<Manifest, DecodeError> {
+        let mut r = ByteReader::new(body);
+        if r.take(4)? != MAGIC {
+            return Err(DecodeError::invalid(0, "bad magic"));
         }
         let version = r.u8()?;
         if version != VERSION {
-            return Err(torn(format!("unknown version {version}")));
+            return Err(DecodeError::invalid(
+                r.pos() - 1,
+                format!("unknown version {version}"),
+            ));
         }
         let seq = r.u64()?;
         let kind = match r.u8()? {
             0 => BackupKind::Full,
             1 => BackupKind::Incremental,
-            other => return Err(torn(format!("bad kind byte {other}"))),
+            other => {
+                return Err(DecodeError::invalid(
+                    r.pos() - 1,
+                    format!("bad kind byte {other}"),
+                ))
+            }
         };
-        let wal_start = r.u64()?;
-        let wal_end = r.u64()?;
-        let object_name_len = r.u32()? as usize;
-        let object_raw = r.take(object_name_len)?.to_vec();
-        let object = String::from_utf8(object_raw).map_err(|e| torn(e.to_string()))?;
-        let object_len = r.u64()?;
-        let object_fnv = r.u32()?;
-        let fingerprint = r.u64()?;
-        if r.pos != body.len() {
-            return Err(torn(format!("{} trailing bytes", body.len() - r.pos)));
-        }
-        Ok(Manifest {
+        let m = Manifest {
             seq,
             kind,
-            wal_start,
-            wal_end,
-            object,
-            object_len,
-            object_fnv,
-            fingerprint,
-        })
+            wal_start: r.u64()?,
+            wal_end: r.u64()?,
+            object: r.str()?.to_owned(),
+            object_len: r.u64()?,
+            object_fnv: r.u32()?,
+            fingerprint: r.u64()?,
+        };
+        r.finish()?;
+        Ok(m)
     }
 
     /// Verify `bytes` against this manifest's recorded length and
     /// checksum; a mismatch is a typed [`BackupError::ObjectCorrupt`].
     pub fn verify_object(&self, bytes: &[u8]) -> Result<()> {
-        let found = fnv1a(bytes);
+        let found = fnv1a32(bytes);
         if bytes.len() as u64 != self.object_len || found != self.object_fnv {
             return Err(BackupError::ObjectCorrupt {
                 name: self.object.clone(),
@@ -170,46 +166,6 @@ impl Manifest {
             });
         }
         Ok(())
-    }
-}
-
-/// Bounds-checked reader over a manifest body; failures become
-/// [`BackupError::TornManifest`].
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    name: &'a str,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).ok_or_else(|| self.torn_at())?;
-        let s = self.buf.get(self.pos..end).ok_or_else(|| self.torn_at())?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn torn_at(&self) -> BackupError {
-        BackupError::TornManifest {
-            name: self.name.to_string(),
-            detail: format!("truncated at {}", self.pos),
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        let s = self.take(4)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let s = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
-        ]))
     }
 }
 
@@ -269,7 +225,7 @@ mod tests {
         let payload = b"the archived bytes".to_vec();
         let mut m = sample();
         m.object_len = payload.len() as u64;
-        m.object_fnv = fnv1a(&payload);
+        m.object_fnv = fnv1a32(&payload);
         m.verify_object(&payload).unwrap();
         let mut flipped = payload.clone();
         flipped[4] ^= 0x01;

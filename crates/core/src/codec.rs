@@ -4,9 +4,9 @@
 //! the payload (little-endian i64, length-prefixed UTF-8, a boolean byte,
 //! or a null label).
 
-use crate::error::CoreError;
 use crate::Result;
 use bq_relational::{Tuple, Value};
+use bq_util::{ByteReader, ByteWriter, DecodeError};
 
 const TAG_INT: u8 = 1;
 const TAG_STR: u8 = 2;
@@ -16,72 +16,51 @@ const TAG_NULL: u8 = 4;
 /// Encode a tuple to bytes.
 pub fn encode(tuple: &Tuple) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 * tuple.arity());
-    out.extend_from_slice(&(tuple.arity() as u32).to_le_bytes());
-    for v in tuple.values() {
-        match v {
-            Value::Int(i) => {
-                out.push(TAG_INT);
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            Value::Str(s) => {
-                out.push(TAG_STR);
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
-            Value::Bool(b) => {
-                out.push(TAG_BOOL);
-                out.push(u8::from(*b));
-            }
-            Value::Null(n) => {
-                out.push(TAG_NULL);
-                out.extend_from_slice(&n.to_le_bytes());
-            }
-        }
-    }
+    encode_into(&mut out, tuple);
     out
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.pos + n;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| CoreError::Codec(format!("truncated at byte {}", self.pos)))?;
-        self.pos = end;
-        Ok(s)
+/// Append a tuple's encoding to `out`, so a caller assembling a larger
+/// buffer (a result frame) writes each tuple in place.
+pub fn encode_into(out: &mut Vec<u8>, tuple: &Tuple) {
+    out.put_u32(tuple.arity() as u32);
+    for v in tuple.values() {
+        match v {
+            Value::Int(i) => {
+                out.put_u8(TAG_INT);
+                out.put_u64(*i as u64);
+            }
+            Value::Str(s) => {
+                out.put_u8(TAG_STR);
+                out.put_str(s);
+            }
+            Value::Bool(b) => {
+                out.put_u8(TAG_BOOL);
+                out.put_u8(u8::from(*b));
+            }
+            Value::Null(n) => {
+                out.put_u8(TAG_NULL);
+                out.put_u32(*n);
+            }
+        }
     }
 }
 
 /// Decode bytes back into a tuple.
 pub fn decode(bytes: &[u8]) -> Result<Tuple> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    let arity = u32::from_le_bytes(r.take(4)?.try_into().expect("4 bytes")) as usize;
-    let mut values = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        let tag = r.take(1)?[0];
-        let v = match tag {
-            TAG_INT => Value::Int(i64::from_le_bytes(r.take(8)?.try_into().expect("8"))),
-            TAG_STR => {
-                let len = u32::from_le_bytes(r.take(4)?.try_into().expect("4")) as usize;
-                let s = std::str::from_utf8(r.take(len)?)
-                    .map_err(|e| CoreError::Codec(e.to_string()))?;
-                Value::Str(s.to_string())
-            }
-            TAG_BOOL => Value::Bool(r.take(1)?[0] != 0),
-            TAG_NULL => Value::Null(u32::from_le_bytes(r.take(4)?.try_into().expect("4"))),
-            other => return Err(CoreError::Codec(format!("bad tag {other}"))),
-        };
-        values.push(v);
-    }
-    if r.pos != bytes.len() {
-        return Err(CoreError::Codec("trailing bytes".into()));
-    }
+    let mut r = ByteReader::new(bytes);
+    // The smallest value is a boolean: a tag and one byte.
+    let values = r.list(2, |r| {
+        let at = r.pos();
+        Ok(match r.u8()? {
+            TAG_INT => Value::Int(r.u64()? as i64),
+            TAG_STR => Value::Str(r.str()?.to_owned()),
+            TAG_BOOL => Value::Bool(r.u8()? != 0),
+            TAG_NULL => Value::Null(r.u32()?),
+            other => return Err(DecodeError::invalid(at, format!("bad tag {other}"))),
+        })
+    })?;
+    r.finish()?;
     Ok(Tuple::new(values))
 }
 

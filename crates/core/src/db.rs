@@ -33,7 +33,9 @@ use bq_relational::{Database, Relation, Schema, Tuple, Type, Value};
 use bq_storage::wal::{LogRecord, Wal};
 use bq_txn::locks::{LockResult, LockTable, Mode};
 use bq_txn::ops::TxnId;
+use bq_util::{ByteReader, ByteWriter, DecodeError, Fnv1a64};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::hash::Hasher;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -1152,53 +1154,53 @@ impl Db {
     pub fn snapshot_bytes(&mut self) -> Result<Vec<u8>> {
         self.sync_wal()?;
         let mut buf = Vec::new();
-        buf.push(SNAPSHOT_VERSION);
-        snap_u64(&mut buf, self.next_txn);
+        buf.put_u8(SNAPSHOT_VERSION);
+        buf.put_u64(self.next_txn);
 
         let tables = self.tables();
-        snap_u32(&mut buf, tables.len() as u32);
+        buf.put_u32(tables.len() as u32);
         for name in tables {
-            snap_str(&mut buf, name);
+            buf.put_str(name);
             let schema = self.table(name)?.schema();
-            snap_u32(&mut buf, schema.arity() as u32);
+            buf.put_u32(schema.arity() as u32);
             for attr in schema.attrs() {
-                snap_str(&mut buf, &attr.name);
-                buf.push(type_to_byte(attr.ty));
+                buf.put_str(&attr.name);
+                buf.put_u8(type_to_byte(attr.ty));
             }
             let rows = self.committed_rows(name)?;
-            snap_u32(&mut buf, rows.len() as u32);
+            buf.put_u32(rows.len() as u32);
             for row in rows {
-                snap_bytes(&mut buf, &row);
+                buf.put_bytes(&row);
             }
         }
 
-        snap_u32(&mut buf, self.open.len() as u32);
+        buf.put_u32(self.open.len() as u32);
         for (txn, undo) in &self.open {
-            snap_u64(&mut buf, *txn);
-            snap_u32(&mut buf, undo.len() as u32);
+            buf.put_u64(*txn);
+            buf.put_u32(undo.len() as u32);
             for placed in undo {
-                snap_str(&mut buf, &placed.table);
-                snap_bytes(&mut buf, &codec::encode(&placed.tuple));
+                buf.put_str(&placed.table);
+                buf.put_bytes(&codec::encode(&placed.tuple));
             }
         }
 
         let index_defs: Vec<(&str, &str)> = self.tables.index_defs().collect();
-        snap_u32(&mut buf, index_defs.len() as u32);
+        buf.put_u32(index_defs.len() as u32);
         for (table, column) in index_defs {
-            snap_str(&mut buf, table);
-            snap_str(&mut buf, column);
+            buf.put_str(table);
+            buf.put_str(column);
         }
 
-        snap_u32(&mut buf, self.dedup.len() as u32);
+        buf.put_u32(self.dedup.len() as u32);
         for (client, reqs) in &self.dedup {
-            snap_str(&mut buf, client);
-            snap_u32(&mut buf, reqs.len() as u32);
+            buf.put_str(client);
+            buf.put_u32(reqs.len() as u32);
             for r in reqs {
-                snap_u64(&mut buf, *r);
+                buf.put_u64(*r);
             }
         }
 
-        snap_u64(&mut buf, self.wal.synced_len() as u64);
+        buf.put_u64(self.wal.synced_len() as u64);
         bq_obs::counter!("bq_core_snapshots_total", "bootstrap snapshots exported").inc();
         Ok(buf)
     }
@@ -1210,69 +1212,33 @@ impl Db {
     /// session, and cancel registries keep their identities so a serving
     /// front-end survives a re-bootstrap.
     pub fn apply_snapshot(&mut self, bytes: &[u8]) -> Result<u64> {
-        let mut r = SnapReader { buf: bytes, pos: 0 };
+        let mut r = ByteReader::new(bytes);
         if r.u8()? != SNAPSHOT_VERSION {
             return Err(CoreError::Codec("unknown snapshot version".to_string()));
         }
         let next_txn = r.u64()?;
-
-        // Decoded-but-not-yet-applied image pieces: a table is its name,
-        // columns, and encoded rows; an open transaction is its id plus
-        // pending (table, row-bytes) writes.
-        type SnapTable = (String, Vec<(String, Type)>, Vec<Vec<u8>>);
-        type SnapTxn = (u64, Vec<(String, Vec<u8>)>);
-
-        let ntables = r.u32()? as usize;
-        let mut tables: Vec<SnapTable> = Vec::new();
-        for _ in 0..ntables {
-            let name = r.string()?;
-            let ncols = r.u32()? as usize;
-            let mut cols = Vec::with_capacity(ncols);
-            for _ in 0..ncols {
-                let col = r.string()?;
-                cols.push((col, type_from_byte(r.u8()?)?));
-            }
-            let nrows = r.u32()? as usize;
-            let mut rows = Vec::with_capacity(nrows.min(1 << 20));
-            for _ in 0..nrows {
-                rows.push(r.bytes()?);
-            }
-            tables.push((name, cols, rows));
-        }
-
-        let nopen = r.u32()? as usize;
-        let mut open: Vec<SnapTxn> = Vec::new();
-        for _ in 0..nopen {
+        // Each count's minimum item size is the item's fixed-width fields
+        // and length prefixes. A table is its name, columns and encoded
+        // rows; an open transaction is its id plus pending (table, row)
+        // writes; strings and rows stay borrowed from `bytes`.
+        let tables = r.list(12, |r| {
+            let name = r.str()?;
+            let cols = r.list(5, |r| {
+                Ok::<_, CoreError>((r.str()?, type_from_byte(r.u8()?)?))
+            })?;
+            Ok::<_, CoreError>((name, cols, r.list(4, ByteReader::bytes)?))
+        })?;
+        let open = r.list(12, |r| {
             let txn = r.u64()?;
-            let npending = r.u32()? as usize;
-            let mut pending = Vec::with_capacity(npending.min(1 << 20));
-            for _ in 0..npending {
-                let table = r.string()?;
-                pending.push((table, r.bytes()?));
-            }
-            open.push((txn, pending));
-        }
-
-        let nindexes = r.u32()? as usize;
-        let mut index_defs = Vec::with_capacity(nindexes.min(1 << 16));
-        for _ in 0..nindexes {
-            let table = r.string()?;
-            index_defs.push((table, r.string()?));
-        }
-
-        let ndedup = r.u32()? as usize;
-        let mut dedup_entries: Vec<(String, Vec<u64>)> = Vec::new();
-        for _ in 0..ndedup {
-            let client = r.string()?;
-            let nreqs = r.u32()? as usize;
-            let mut reqs = Vec::with_capacity(nreqs.min(MAX_DEDUP_REQUESTS));
-            for _ in 0..nreqs {
-                reqs.push(r.u64()?);
-            }
-            dedup_entries.push((client, reqs));
-        }
-
+            Ok::<_, DecodeError>((txn, r.list(8, |r| Ok((r.str()?, r.bytes()?)))?))
+        })?;
+        let index_defs = r.list(8, |r| Ok::<_, DecodeError>((r.str()?, r.str()?)))?;
+        let dedup = r.list(8, |r| {
+            let client = r.str()?;
+            Ok::<_, DecodeError>((client, r.list(8, ByteReader::u64)?))
+        })?;
         let wal_offset = r.u64()?;
+        r.finish()?;
 
         // Decode succeeded: swap the storage state in.
         self.tables = Tables::default();
@@ -1286,28 +1252,27 @@ impl Db {
         self.dedup_order = VecDeque::new();
 
         for (name, cols, rows) in tables {
-            let attrs: Vec<(&str, Type)> = cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-            self.tables.create(&name, Schema::new(&attrs)?)?;
-            for bytes in rows {
-                self.tables.put(&name, codec::decode(&bytes)?, &bytes)?;
+            self.tables.create(name, Schema::new(&cols)?)?;
+            for row in rows {
+                self.tables.put(name, codec::decode(row)?, row)?;
             }
         }
 
         for (txn, pending) in open {
-            let mut undo = Vec::with_capacity(pending.len());
-            for (table, bytes) in pending {
-                undo.extend(self.tables.put(&table, codec::decode(&bytes)?, &bytes)?);
+            let mut undo = Vec::new();
+            for (table, row) in pending {
+                undo.extend(self.tables.put(table, codec::decode(row)?, row)?);
             }
             self.open.insert(txn, undo);
         }
 
         for (table, column) in index_defs {
-            self.create_index(&table, &column)?;
+            self.create_index(table, column)?;
         }
 
-        for (client, reqs) in dedup_entries {
+        for (client, reqs) in dedup {
             for r in reqs {
-                self.note_request(&client, r);
+                self.note_request(client, r);
             }
         }
 
@@ -1400,31 +1365,23 @@ impl Db {
     /// row encodings. Primary and replica converge to the
     /// same fingerprint even though their heap locations differ.
     pub fn content_fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut h = Fnv1a64::default();
         for name in self.tables() {
-            mix(name.as_bytes());
+            h.write(name.as_bytes());
             if let Ok(rel) = self.table(name) {
                 for attr in rel.schema().attrs() {
-                    mix(attr.name.as_bytes());
-                    mix(&[type_to_byte(attr.ty)]);
+                    h.write(attr.name.as_bytes());
+                    h.write(&[type_to_byte(attr.ty)]);
                 }
             }
             let mut rows = self.committed_rows(name).unwrap_or_default();
             rows.sort_unstable();
             for row in rows {
-                mix(&(row.len() as u32).to_le_bytes());
-                mix(&row);
+                h.write(&(row.len() as u32).to_le_bytes());
+                h.write(&row);
             }
         }
-        h
+        h.finish()
     }
 
     // ------------------------------------------------------------------
@@ -1469,70 +1426,6 @@ impl Db {
     /// the damage [`Db::scrub_pages`] exists to find and repair.
     pub fn corrupt_page(&mut self, page: u32) -> Result<()> {
         self.tables.corrupt_page(page)
-    }
-}
-
-fn snap_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn snap_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn snap_str(buf: &mut Vec<u8>, s: &str) {
-    snap_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn snap_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    snap_u32(buf, b.len() as u32);
-    buf.extend_from_slice(b);
-}
-
-/// Bounds-checked reader over a snapshot image; every failure is a
-/// typed [`CoreError::Codec`].
-struct SnapReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SnapReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| CoreError::Codec("snapshot length overflow".to_string()))?;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| CoreError::Codec(format!("snapshot truncated at {}", self.pos)))?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        // lint: allow(panic) slice is exactly 4 bytes by construction
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        // lint: allow(panic) slice is exactly 8 bytes by construction
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn string(&mut self) -> Result<String> {
-        let raw = self.bytes()?;
-        String::from_utf8(raw).map_err(|e| CoreError::Codec(e.to_string()))
     }
 }
 

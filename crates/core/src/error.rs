@@ -86,6 +86,12 @@ impl From<bq_storage::StorageError> for CoreError {
     }
 }
 
+impl From<bq_util::DecodeError> for CoreError {
+    fn from(e: bq_util::DecodeError) -> Self {
+        CoreError::Codec(e.to_string())
+    }
+}
+
 impl From<bq_governor::GovernorError> for CoreError {
     fn from(g: bq_governor::GovernorError) -> Self {
         CoreError::Governor(g)

@@ -11,7 +11,9 @@
 //! it in [`SlowLog::dropped`].
 
 use bq_exec::ExecStats;
+use bq_util::Fnv1a64;
 use std::collections::VecDeque;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -171,22 +173,17 @@ fn truncate_to(s: &mut String, max: usize) {
 /// FNV-1a, ignoring runtimes and cardinalities, so repeated executions of
 /// the same plan share a fingerprint in `bq.slow_log`.
 pub fn plan_fingerprint(stats: &ExecStats) -> u64 {
-    fn walk(node: &ExecStats, hash: &mut u64) {
-        for b in node.op.as_bytes() {
-            *hash ^= u64::from(*b);
-            *hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-        *hash ^= 0x28; // '(' — separates a node from its children
-        *hash = hash.wrapping_mul(0x100_0000_01b3);
+    fn walk(node: &ExecStats, hash: &mut Fnv1a64) {
+        hash.write(node.op.as_bytes());
+        hash.write(b"("); // separates a node from its children
         for c in &node.children {
             walk(c, hash);
         }
-        *hash ^= 0x29; // ')'
-        *hash = hash.wrapping_mul(0x100_0000_01b3);
+        hash.write(b")");
     }
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = Fnv1a64::default();
     walk(stats, &mut hash);
-    hash
+    hash.finish()
 }
 
 #[cfg(test)]

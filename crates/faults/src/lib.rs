@@ -28,6 +28,7 @@
 //! binary never see each other's faults; harnesses that drive worker
 //! pools (and the `bqsh` `.faults` command) use [`Scope::Global`].
 
+use bq_util::{fnv1a64, Rng, SplitMix64};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -284,8 +285,8 @@ struct SiteState {
     policy: Policy,
     /// Arming thread, checked when `policy.scope == CallerThread`.
     thread: ThreadId,
-    /// SplitMix64 state for the `Prob` trigger.
-    rng: u64,
+    /// Stream for the `Prob` trigger.
+    rng: SplitMix64,
     hits: u64,
     fires: u64,
     fired_counter: Arc<bq_obs::registry::Counter>,
@@ -307,32 +308,12 @@ fn registry() -> MutexGuard<'static, Inner> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
-/// 64-bit FNV-1a, used to derive independent per-site seeds.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// One SplitMix64 step (Steele, Lea & Flood, OOPSLA '14) — the same
-/// generator `bq-util` uses, inlined to keep this crate leaf-level.
-fn splitmix_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn site_rng(seed: u64, site: &str) -> u64 {
-    // Mix once so `seed ^ hash` collisions between (seed, site) pairs
+fn site_rng(seed: u64, site: &str) -> SplitMix64 {
+    // Step once so `seed ^ hash` collisions between (seed, site) pairs
     // don't produce identical streams.
-    let mut s = seed ^ fnv1a64(site.as_bytes());
-    splitmix_next(&mut s);
-    s
+    let mut rng = SplitMix64::seed_from_u64(seed ^ fnv1a64(site.as_bytes()));
+    rng.next_u64();
+    rng
 }
 
 fn fired_counter(site: &str) -> Arc<bq_obs::registry::Counter> {
@@ -423,7 +404,7 @@ pub fn hit(site: &str) -> Option<Action> {
     let fired = match state.policy.trigger {
         Trigger::Always => true,
         Trigger::Nth(n) => state.hits == n,
-        Trigger::Prob(pct) => splitmix_next(&mut state.rng) % 100 < u64::from(pct),
+        Trigger::Prob(pct) => state.rng.next_u64() % 100 < u64::from(pct),
     };
     if !fired {
         return None;

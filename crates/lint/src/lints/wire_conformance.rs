@@ -1,13 +1,14 @@
 //! Wire conformance: every protocol enum variant encoded and decoded
-//! exactly once, every wire-derived length capped before allocation.
+//! exactly once, every decoded length capped before allocation.
 //!
-//! The wire layer's contract is *totality*: any byte sequence either
-//! parses or returns a typed error. Two ways that contract silently
-//! rots: a new enum variant gets an encoder but no decoder (or is
-//! decoded twice under different opcodes), and a length field read off
-//! the wire reaches `Vec::with_capacity` / `vec![0u8; len]` without a
-//! cap — a one-frame denial of service. This pass checks both, over the
-//! enums and fns the item index found in the wire codec files.
+//! The codecs' contract is *totality*: any byte sequence either parses
+//! or returns a typed error. Two ways that contract silently rots: a new
+//! enum variant gets an encoder but no decoder (or is decoded twice
+//! under different opcodes), and a length or count read off the input
+//! reaches `Vec::with_capacity` / `vec![0u8; len]` without a cap — a
+//! one-frame denial of service. This pass checks the first over the wire
+//! codec files, and the second there and in every decoder built on the
+//! shared `ByteReader`.
 
 use crate::index::{Workspace, WorkspaceLint, WsFile};
 use crate::lexer::Kind;
@@ -19,6 +20,9 @@ pub struct WireConformance;
 /// scans for a cap comparison on the same identifier.
 const CAP_SCAN_TOKENS: usize = 96;
 
+/// The shared decoder type; a file that names it decodes untrusted bytes.
+const READER: &str = "ByteReader";
+
 impl WorkspaceLint for WireConformance {
     fn name(&self) -> &'static str {
         "wire-conformance"
@@ -29,36 +33,51 @@ impl WorkspaceLint for WireConformance {
     }
 
     fn explain(&self) -> &'static str {
-        "The wire protocol's decoders must stay total and allocation-safe as \
-         opcodes are added. For every enum defined in a wire codec file \
-         (`*/wire.rs`), each variant must appear exactly once across the \
-         file's `decode` fns (a missing arm silently drops an opcode; a \
-         duplicate means two opcodes alias one variant) and at least once \
-         across its `encode` fns; an enum carried as a raw byte (the \
-         `from_u8` pattern) must map every variant. Separately, any \
+        "The binary decoders must stay total and allocation-safe as formats \
+         grow. For every enum defined in a wire codec file (`*/wire.rs`), \
+         each variant must appear exactly once across the file's `decode` \
+         fns (a missing arm silently drops an opcode; a duplicate means two \
+         opcodes alias one variant) and at least once across its `encode` \
+         fns; an enum carried as a raw byte (the `from_u8` pattern) must map \
+         every variant. Separately, in wire codec files and in every fn \
+         that decodes with the shared `ByteReader`, any \
          `Vec::with_capacity(..)` or `vec![0u8; ..]` whose size involves an \
-         identifier — i.e. a length that came off the wire — must be capped: \
-         the expression carries `.min(..)` or a `MAX_*` constant, or the \
-         enclosing fn compares that identifier against a `MAX_*` constant \
-         first. An uncapped length is a one-frame denial of service: a \
-         16-byte frame claiming a 4 GiB body allocates before the first \
-         payload byte is read. Suppress a provably-bounded site with \
+         identifier — i.e. a length that came off the input — must be \
+         capped: the size is the reader's bounded `count(..)` (directly or \
+         through a `let` binding), or the expression carries `.min(..)` or \
+         a `MAX_*` constant, or the enclosing fn compares that identifier \
+         against a `MAX_*` constant first. An uncapped length is a \
+         one-frame denial of service: a 16-byte frame claiming a 4 GiB \
+         body allocates before the first payload byte is read. Suppress a \
+         provably-bounded site with \
          `// lint: allow(wire-conformance) <why the length is bounded>`."
     }
 
     fn check(&self, ws: &Workspace, rep: &mut Report) {
         for f in &ws.files {
-            if !is_wire_file(&f.src.path) {
-                continue;
+            if is_wire_file(&f.src.path) {
+                check_enums(self.name(), f, rep);
+                check_caps(self.name(), f, rep, false);
+            } else if names_reader(f, 0, f.src.len()) {
+                check_caps(self.name(), f, rep, true);
             }
-            check_enums(self.name(), f, rep);
-            check_caps(self.name(), f, rep);
         }
     }
 }
 
 fn is_wire_file(path: &str) -> bool {
     path.ends_with("/wire.rs") || path == "wire.rs"
+}
+
+/// Does production code in tokens `lo..hi` name the shared reader?
+fn names_reader(f: &WsFile, lo: usize, hi: usize) -> bool {
+    (lo..hi).any(|i| f.src.is_ident(i, READER) && !f.src.in_test(i))
+}
+
+/// `count(` with an argument at `k`: the reader's bounded count, not
+/// `Iterator::count()`.
+fn is_bounded_count(s: &crate::source::SourceFile, k: usize) -> bool {
+    s.is_ident(k, "count") && s.is_punct(k + 1, "(") && !s.is_punct(k + 2, ")")
 }
 
 /// Rule 1: enum/codec agreement.
@@ -154,8 +173,10 @@ fn count_in_fns(
     counts
 }
 
-/// Rule 2: wire-derived lengths are capped before allocation.
-fn check_caps(lint: &'static str, f: &WsFile, rep: &mut Report) {
+/// Rule 2: decoded lengths are capped before allocation. With
+/// `reader_fns_only`, only allocations inside fns that name the shared
+/// reader are checked.
+fn check_caps(lint: &'static str, f: &WsFile, rep: &mut Report, reader_fns_only: bool) {
     let s = &f.src;
     let n = s.len();
     for i in 0..n {
@@ -181,35 +202,47 @@ fn check_caps(lint: &'static str, f: &WsFile, rep: &mut Report) {
             continue;
         };
         let ident = s.tok(ident_at).text.clone();
-        // Evidence inside the expression itself: `.min(..)` or a MAX_*
-        // constant.
+        // Evidence inside the expression itself: the bounded count,
+        // `.min(..)` or a MAX_* constant.
         let capped_inline = (lo..hi).any(|j| {
-            (s.is_ident(j, "min") && s.is_punct(j + 1, "("))
+            is_bounded_count(s, j)
+                || (s.is_ident(j, "min") && s.is_punct(j + 1, "("))
                 || (s.tok(j).kind == Kind::Ident && s.tok(j).text.contains("MAX"))
         });
         if capped_inline {
             continue;
         }
-        // Evidence earlier in the fn: `ident … MAX_*` within a few
-        // tokens (a `if len > MAX_FRAME { return … }` guard) or
-        // `ident.min(`.
-        let fn_start = f
+        let enclosing = f
             .idx
             .fns
             .iter()
             .filter(|fun| fun.body_start <= i && i <= fun.body_end)
-            .map(|fun| fun.body_start)
-            .max()
-            .unwrap_or(0);
+            .max_by_key(|fun| fun.body_start);
+        if reader_fns_only {
+            // Only fns whose signature or body name the reader decode;
+            // the signature starts at the `fn` keyword.
+            let Some(fun) = enclosing else { continue };
+            let header = (0..fun.body_start).rev().find(|&j| s.is_ident(j, "fn"));
+            if !names_reader(f, header.unwrap_or(fun.body_start), fun.body_end) {
+                continue;
+            }
+        }
+        let fn_start = enclosing.map_or(0, |fun| fun.body_start);
+        // Evidence earlier in the fn: `ident … MAX_*` within a few
+        // tokens (a `if len > MAX_FRAME { return … }` guard),
+        // `ident.min(`, or `ident = r.count(..)`.
         let scan_from = fn_start.max(i.saturating_sub(CAP_SCAN_TOKENS));
         let capped_before = (scan_from..i).any(|j| {
             if !s.is_ident(j, &ident) {
                 return false;
             }
-            (j + 1..(j + 7).min(n)).any(|k| {
-                (s.tok(k).kind == Kind::Ident && s.tok(k).text.contains("MAX"))
-                    || (s.is_punct(k, ".") && s.is_ident(k + 1, "min"))
-            })
+            let bound_from_count =
+                s.is_punct(j + 1, "=") && (j + 2..(j + 7).min(n)).any(|k| is_bounded_count(s, k));
+            bound_from_count
+                || (j + 1..(j + 7).min(n)).any(|k| {
+                    (s.tok(k).kind == Kind::Ident && s.tok(k).text.contains("MAX"))
+                        || (s.is_punct(k, ".") && s.is_ident(k + 1, "min"))
+                })
         });
         if !capped_before {
             s.emit(
@@ -218,7 +251,8 @@ fn check_caps(lint: &'static str, f: &WsFile, rep: &mut Report) {
                 s.tok(i).line,
                 format!(
                     "wire-derived length `{ident}` reaches an allocation without a \
-                     cap; compare against MAX_FRAME (or .min(..)) before allocating"
+                     cap; read it with the reader's bounded `count(..)` (or compare \
+                     it against a MAX_* constant) before allocating"
                 ),
             );
         }

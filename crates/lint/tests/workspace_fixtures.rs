@@ -6,7 +6,8 @@
 //! The `ws_bad_graph_{alpha,beta}.rs` pair seeds a genuine two-crate
 //! deadlock cycle (alpha/alock -> beta/block -> alpha/alock through
 //! call edges); the wire fixture plants an uncapped
-//! `with_capacity(frame_len)`.
+//! `with_capacity(frame_len)`, and the reader fixture a count read off
+//! the input that bypasses the reader's bounded `count(..)`.
 
 use bq_lint::source::Report;
 
@@ -209,12 +210,48 @@ fn wire_conformance_accepts_total_codecs_and_capped_lengths() {
 
 #[test]
 fn wire_conformance_only_looks_at_wire_files() {
-    // The same drifted codec in a non-wire file is out of scope.
+    // The same drifted codec in a file that is neither a wire codec nor
+    // a `ByteReader` decoder is out of scope.
     let rep = run(
         "wire-conformance",
         &[(
             "crates/demo/src/codec.rs",
             include_str!("fixtures/ws_bad_wire.rs"),
+        )],
+    );
+    assert_eq!(rep.diags.len(), 0, "{:#?}", rep.diags);
+}
+
+#[test]
+fn wire_conformance_flags_uncapped_counts_in_reader_decoders() {
+    let rep = run(
+        "wire-conformance",
+        &[(
+            "crates/demo/src/snapshot.rs",
+            include_str!("fixtures/ws_bad_reader.rs"),
+        )],
+    );
+    assert_eq!(rep.diags.len(), 2, "{:#?}", rep.diags);
+    assert_eq!(
+        rep.diags.iter().map(|d| d.line).collect::<Vec<_>>(),
+        vec![8, 18]
+    );
+    assert!(rep.diags[0].message.contains("`r`"), "{}", rep.diags[0]);
+    assert!(rep.diags[1].message.contains("`n`"), "{}", rep.diags[1]);
+    assert!(
+        rep.diags[1].message.contains("bounded `count(..)`"),
+        "{}",
+        rep.diags[1]
+    );
+}
+
+#[test]
+fn wire_conformance_accepts_bounded_counts_in_reader_decoders() {
+    let rep = run(
+        "wire-conformance",
+        &[(
+            "crates/demo/src/snapshot.rs",
+            include_str!("fixtures/ws_ok_reader.rs"),
         )],
     );
     assert_eq!(rep.diags.len(), 0, "{:#?}", rep.diags);

@@ -23,6 +23,7 @@ use crate::error::RelError;
 use crate::schema::Schema;
 use crate::value::{CmpOp, Value};
 use crate::Result;
+use bq_util::{Rng, SplitMix64};
 use std::collections::{BTreeSet, HashMap};
 
 // ---------------------------------------------------------------------------
@@ -637,32 +638,24 @@ fn predicate_to_formula(pred: &Predicate, var: &str) -> Formula {
 /// schema, used to test the Codd equivalence at scale.
 #[derive(Debug)]
 pub struct QueryGen {
-    state: u64,
+    rng: SplitMix64,
 }
 
 impl QueryGen {
     /// Create a generator from a seed.
     pub fn new(seed: u64) -> QueryGen {
-        QueryGen {
-            state: seed.wrapping_add(0x9e3779b97f4a7c15),
-        }
-    }
-
-    fn next(&mut self) -> u64 {
-        // SplitMix64.
-        self.state = self.state.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
+        // One discarded step keeps the streams E7 was recorded with.
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        rng.next_u64();
+        QueryGen { rng }
     }
 
     fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
+        (self.rng.next_u64() % n as u64) as usize
     }
 
     fn chance(&mut self, percent: u64) -> bool {
-        self.next() % 100 < percent
+        self.rng.next_u64() % 100 < percent
     }
 
     /// Generate a random safe query against `db`. Constants are drawn from

@@ -19,6 +19,7 @@ use bq_core::{CoreError, SessionLimits};
 use bq_exec::ExecMode;
 use bq_governor::GovernorError;
 use bq_relational::{Schema, Tuple, Type};
+use bq_util::{ByteReader, ByteWriter, DecodeError};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -43,6 +44,12 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> WireError {
+        WireError(e.to_string())
+    }
+}
 
 // ---------------------------------------------------------------------
 // Frame transport
@@ -76,85 +83,11 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
 // Body primitives
 // ---------------------------------------------------------------------
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| WireError("length overflow".into()))?;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| WireError(format!("truncated at byte {}", self.pos)))?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        if len > MAX_FRAME {
-            return Err(WireError(format!("string length {len} exceeds frame cap")));
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| WireError(e.to_string()))
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, WireError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            other => Err(WireError(format!("bad option tag {other}"))),
-        }
-    }
-
-    fn done(&self) -> Result<(), WireError> {
-        if self.pos != self.buf.len() {
-            return Err(WireError(format!(
-                "{} trailing bytes after message",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => out.push(0),
-        Some(n) => {
-            out.push(1);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
+fn opt_u64(r: &mut ByteReader<'_>) -> Result<Option<u64>, WireError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(r.u64()?)),
+        other => Err(WireError(format!("bad option tag {other}"))),
     }
 }
 
@@ -176,21 +109,17 @@ fn type_from_byte(b: u8) -> Result<Type, WireError> {
 }
 
 fn put_mode(out: &mut Vec<u8>, mode: ExecMode) {
-    match mode {
-        ExecMode::Sequential => {
-            out.push(0);
-            out.extend_from_slice(&0u32.to_le_bytes());
-        }
-        ExecMode::Parallel(n) => {
-            out.push(1);
-            out.extend_from_slice(&(n as u32).to_le_bytes());
-        }
-    }
+    let (kind, workers) = match mode {
+        ExecMode::Sequential => (0, 0),
+        ExecMode::Parallel(n) => (1, n as u32),
+    };
+    out.put_u8(kind);
+    out.put_u32(workers);
 }
 
-fn mode_from(c: &mut Cursor<'_>) -> Result<ExecMode, WireError> {
-    let kind = c.u8()?;
-    let workers = c.u32()? as usize;
+fn mode_from(r: &mut ByteReader<'_>) -> Result<ExecMode, WireError> {
+    let kind = r.u8()?;
+    let workers = r.u32()? as usize;
     match kind {
         0 => Ok(ExecMode::Sequential),
         1 => Ok(ExecMode::Parallel(workers.max(1))),
@@ -297,51 +226,59 @@ impl Request {
         let mut out = Vec::with_capacity(32);
         match self {
             Request::Hello { version, client } => {
-                out.push(OP_HELLO);
+                out.put_u8(OP_HELLO);
                 out.extend_from_slice(&MAGIC);
-                out.extend_from_slice(&version.to_le_bytes());
-                put_string(&mut out, client);
+                out.put_u32(*version);
+                out.put_str(client);
             }
             Request::Query { sql } => {
-                out.push(OP_QUERY);
-                put_string(&mut out, sql);
+                out.put_u8(OP_QUERY);
+                out.put_str(sql);
             }
             Request::Prepare { sql } => {
-                out.push(OP_PREPARE);
-                put_string(&mut out, sql);
+                out.put_u8(OP_PREPARE);
+                out.put_str(sql);
             }
             Request::Execute { stmt } => {
-                out.push(OP_EXECUTE);
-                out.extend_from_slice(&stmt.to_le_bytes());
+                out.put_u8(OP_EXECUTE);
+                out.put_u64(*stmt);
             }
             Request::Kill { query } => {
-                out.push(OP_KILL);
-                out.extend_from_slice(&query.to_le_bytes());
+                out.put_u8(OP_KILL);
+                out.put_u64(*query);
             }
             Request::SetLimits { limits } => {
-                out.push(OP_SET_LIMITS);
-                put_opt_u64(&mut out, limits.memory_bytes);
-                put_opt_u64(&mut out, limits.deadline_ms);
-                put_opt_u64(&mut out, limits.max_iterations);
+                out.put_u8(OP_SET_LIMITS);
+                // Each limit is a presence byte, then the value if present.
+                for limit in [
+                    limits.memory_bytes,
+                    limits.deadline_ms,
+                    limits.max_iterations,
+                ] {
+                    out.put_u8(u8::from(limit.is_some()));
+                    if let Some(v) = limit {
+                        out.put_u64(v);
+                    }
+                }
             }
             Request::SetMode { mode } => {
-                out.push(OP_SET_MODE);
+                out.put_u8(OP_SET_MODE);
                 put_mode(&mut out, *mode);
             }
-            Request::ListQueries => out.push(OP_LIST_QUERIES),
-            Request::Close => out.push(OP_CLOSE),
+            Request::ListQueries => out.put_u8(OP_LIST_QUERIES),
+            Request::Close => out.put_u8(OP_CLOSE),
             Request::QueryTagged { sql, request } => {
-                out.push(OP_QUERY_TAGGED);
-                put_string(&mut out, sql);
-                out.extend_from_slice(&request.to_le_bytes());
+                out.put_u8(OP_QUERY_TAGGED);
+                out.put_str(sql);
+                out.put_u64(*request);
             }
             Request::Subscribe { start } => {
-                out.push(OP_SUBSCRIBE);
-                out.extend_from_slice(&start.to_le_bytes());
+                out.put_u8(OP_SUBSCRIBE);
+                out.put_u64(*start);
             }
             Request::ReplAck { through } => {
-                out.push(OP_REPL_ACK);
-                out.extend_from_slice(&through.to_le_bytes());
+                out.put_u8(OP_REPL_ACK);
+                out.put_u64(*through);
             }
         }
         out
@@ -349,43 +286,46 @@ impl Request {
 
     /// Decode a frame body.
     pub fn decode(body: &[u8]) -> Result<Request, WireError> {
-        let mut c = Cursor::new(body);
-        let req = match c.u8()? {
+        let mut r = ByteReader::new(body);
+        let req = match r.u8()? {
             OP_HELLO => {
-                let magic = c.take(4)?;
-                if magic != MAGIC {
+                if r.take(4)? != MAGIC {
                     return Err(WireError("bad handshake magic".into()));
                 }
                 Request::Hello {
-                    version: c.u32()?,
-                    client: c.string()?,
+                    version: r.u32()?,
+                    client: r.str()?.to_owned(),
                 }
             }
-            OP_QUERY => Request::Query { sql: c.string()? },
-            OP_PREPARE => Request::Prepare { sql: c.string()? },
-            OP_EXECUTE => Request::Execute { stmt: c.u64()? },
-            OP_KILL => Request::Kill { query: c.u64()? },
+            OP_QUERY => Request::Query {
+                sql: r.str()?.to_owned(),
+            },
+            OP_PREPARE => Request::Prepare {
+                sql: r.str()?.to_owned(),
+            },
+            OP_EXECUTE => Request::Execute { stmt: r.u64()? },
+            OP_KILL => Request::Kill { query: r.u64()? },
             OP_SET_LIMITS => Request::SetLimits {
                 limits: SessionLimits {
-                    memory_bytes: c.opt_u64()?,
-                    deadline_ms: c.opt_u64()?,
-                    max_iterations: c.opt_u64()?,
+                    memory_bytes: opt_u64(&mut r)?,
+                    deadline_ms: opt_u64(&mut r)?,
+                    max_iterations: opt_u64(&mut r)?,
                 },
             },
             OP_SET_MODE => Request::SetMode {
-                mode: mode_from(&mut c)?,
+                mode: mode_from(&mut r)?,
             },
             OP_LIST_QUERIES => Request::ListQueries,
             OP_CLOSE => Request::Close,
             OP_QUERY_TAGGED => Request::QueryTagged {
-                sql: c.string()?,
-                request: c.u64()?,
+                sql: r.str()?.to_owned(),
+                request: r.u64()?,
             },
-            OP_SUBSCRIBE => Request::Subscribe { start: c.u64()? },
-            OP_REPL_ACK => Request::ReplAck { through: c.u64()? },
+            OP_SUBSCRIBE => Request::Subscribe { start: r.u64()? },
+            OP_REPL_ACK => Request::ReplAck { through: r.u64()? },
             other => return Err(WireError(format!("bad request opcode {other:#04x}"))),
         };
-        c.done()?;
+        r.finish()?;
         Ok(req)
     }
 }
@@ -503,25 +443,29 @@ impl Response {
         let mut out = Vec::with_capacity(32);
         match self {
             Response::HelloOk { version, session } => {
-                out.push(OP_HELLO_OK);
-                out.extend_from_slice(&version.to_le_bytes());
-                out.extend_from_slice(&session.to_le_bytes());
+                out.put_u8(OP_HELLO_OK);
+                out.put_u32(*version);
+                out.put_u64(*session);
             }
             Response::RowSchema { cols } => {
-                out.push(OP_ROW_SCHEMA);
-                out.extend_from_slice(&(cols.len() as u32).to_le_bytes());
+                out.put_u8(OP_ROW_SCHEMA);
+                out.put_u32(cols.len() as u32);
                 for (name, ty) in cols {
-                    put_string(&mut out, name);
-                    out.push(type_byte(*ty));
+                    out.put_str(name);
+                    out.put_u8(type_byte(*ty));
                 }
             }
             Response::Rows { tuples } => {
-                out.push(OP_ROWS);
-                out.extend_from_slice(&(tuples.len() as u32).to_le_bytes());
+                out.put_u8(OP_ROWS);
+                out.put_u32(tuples.len() as u32);
                 for t in tuples {
-                    let bytes = bq_core::codec::encode(t);
-                    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                    out.extend_from_slice(&bytes);
+                    // Each tuple is encoded in place behind a length
+                    // placeholder, patched once its size is known.
+                    let at = out.len();
+                    out.put_u32(0);
+                    bq_core::codec::encode_into(&mut out, t);
+                    let len = (out.len() - at - 4) as u32;
+                    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
                 }
             }
             Response::Done {
@@ -529,51 +473,49 @@ impl Response {
                 query,
                 message,
             } => {
-                out.push(OP_DONE);
-                out.extend_from_slice(&rows.to_le_bytes());
-                out.extend_from_slice(&query.to_le_bytes());
-                put_string(&mut out, message);
+                out.put_u8(OP_DONE);
+                out.put_u64(*rows);
+                out.put_u64(*query);
+                out.put_str(message);
             }
             Response::Prepared { stmt } => {
-                out.push(OP_PREPARED);
-                out.extend_from_slice(&stmt.to_le_bytes());
+                out.put_u8(OP_PREPARED);
+                out.put_u64(*stmt);
             }
             Response::Killed { found } => {
-                out.push(OP_KILLED);
-                out.push(u8::from(*found));
+                out.put_u8(OP_KILLED);
+                out.put_u8(u8::from(*found));
             }
             Response::Queries { entries } => {
-                out.push(OP_QUERIES);
-                out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+                out.put_u8(OP_QUERIES);
+                out.put_u32(entries.len() as u32);
                 for e in entries {
-                    out.extend_from_slice(&e.query.to_le_bytes());
-                    out.extend_from_slice(&e.session.to_le_bytes());
-                    put_string(&mut out, &e.sql);
+                    out.put_u64(e.query);
+                    out.put_u64(e.session);
+                    out.put_str(&e.sql);
                 }
             }
             Response::Ok { message } => {
-                out.push(OP_OK);
-                put_string(&mut out, message);
+                out.put_u8(OP_OK);
+                out.put_str(message);
             }
             Response::Error { code, message } => {
-                out.push(OP_ERROR);
-                out.push(code.as_u8());
-                put_string(&mut out, message);
+                out.put_u8(OP_ERROR);
+                out.put_u8(code.as_u8());
+                out.put_str(message);
             }
             Response::Snapshot { bytes } => {
-                out.push(OP_SNAPSHOT);
-                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                out.extend_from_slice(bytes);
+                out.put_u8(OP_SNAPSHOT);
+                out.put_bytes(bytes);
             }
             Response::WalSegment { start, bytes } => {
-                out.push(OP_WAL_SEGMENT);
-                out.extend_from_slice(&start.to_le_bytes());
-                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                out.extend_from_slice(bytes);
+                out.put_u8(OP_WAL_SEGMENT);
+                out.put_u64(*start);
+                out.put_bytes(bytes);
             }
             Response::GoingAway { message } => {
-                out.push(OP_GOING_AWAY);
-                put_string(&mut out, message);
+                out.put_u8(OP_GOING_AWAY);
+                out.put_str(message);
             }
         }
         out
@@ -581,90 +523,65 @@ impl Response {
 
     /// Decode a frame body.
     pub fn decode(body: &[u8]) -> Result<Response, WireError> {
-        let mut c = Cursor::new(body);
-        let resp = match c.u8()? {
+        let mut r = ByteReader::new(body);
+        let resp = match r.u8()? {
             OP_HELLO_OK => Response::HelloOk {
-                version: c.u32()?,
-                session: c.u64()?,
+                version: r.u32()?,
+                session: r.u64()?,
             },
-            OP_ROW_SCHEMA => {
-                let n = c.u32()? as usize;
-                let mut cols = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let name = c.string()?;
-                    let ty = type_from_byte(c.u8()?)?;
-                    cols.push((name, ty));
-                }
-                Response::RowSchema { cols }
-            }
-            OP_ROWS => {
-                let n = c.u32()? as usize;
-                let mut tuples = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    let len = c.u32()? as usize;
-                    let bytes = c.take(len)?;
-                    let t = bq_core::codec::decode(bytes)
-                        .map_err(|e| WireError(format!("row codec: {e}")))?;
-                    tuples.push(t);
-                }
-                Response::Rows { tuples }
-            }
+            // A column is at least a string length and a type byte.
+            OP_ROW_SCHEMA => Response::RowSchema {
+                cols: r.list(5, |r| {
+                    let name = r.str()?.to_owned();
+                    Ok::<_, WireError>((name, type_from_byte(r.u8()?)?))
+                })?,
+            },
+            // A row is at least its length prefix.
+            OP_ROWS => Response::Rows {
+                tuples: r.list(4, |r| {
+                    bq_core::codec::decode(r.bytes()?)
+                        .map_err(|e| WireError(format!("row codec: {e}")))
+                })?,
+            },
             OP_DONE => Response::Done {
-                rows: c.u64()?,
-                query: c.u64()?,
-                message: c.string()?,
+                rows: r.u64()?,
+                query: r.u64()?,
+                message: r.str()?.to_owned(),
             },
-            OP_PREPARED => Response::Prepared { stmt: c.u64()? },
+            OP_PREPARED => Response::Prepared { stmt: r.u64()? },
             OP_KILLED => Response::Killed {
-                found: c.u8()? != 0,
+                found: r.u8()? != 0,
             },
-            OP_QUERIES => {
-                let n = c.u32()? as usize;
-                let mut entries = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    entries.push(QueryInfo {
-                        query: c.u64()?,
-                        session: c.u64()?,
-                        sql: c.string()?,
-                    });
-                }
-                Response::Queries { entries }
-            }
+            // An entry is at least two ids and a string length.
+            OP_QUERIES => Response::Queries {
+                entries: r.list(20, |r| {
+                    Ok::<_, WireError>(QueryInfo {
+                        query: r.u64()?,
+                        session: r.u64()?,
+                        sql: r.str()?.to_owned(),
+                    })
+                })?,
+            },
             OP_OK => Response::Ok {
-                message: c.string()?,
+                message: r.str()?.to_owned(),
             },
             OP_ERROR => Response::Error {
-                code: ErrorCode::from_u8(c.u8()?),
-                message: c.string()?,
+                code: ErrorCode::from_u8(r.u8()?),
+                message: r.str()?.to_owned(),
             },
-            OP_SNAPSHOT => {
-                let len = c.u32()? as usize;
-                if len > MAX_FRAME {
-                    return Err(WireError(format!(
-                        "snapshot length {len} exceeds frame cap"
-                    )));
-                }
-                Response::Snapshot {
-                    bytes: c.take(len)?.to_vec(),
-                }
-            }
-            OP_WAL_SEGMENT => {
-                let start = c.u64()?;
-                let len = c.u32()? as usize;
-                if len > MAX_FRAME {
-                    return Err(WireError(format!("segment length {len} exceeds frame cap")));
-                }
-                Response::WalSegment {
-                    start,
-                    bytes: c.take(len)?.to_vec(),
-                }
-            }
+            OP_SNAPSHOT => Response::Snapshot {
+                bytes: r.bytes()?.to_vec(),
+            },
+            OP_WAL_SEGMENT => Response::WalSegment {
+                start: r.u64()?,
+                bytes: r.bytes()?.to_vec(),
+            },
             OP_GOING_AWAY => Response::GoingAway {
-                message: c.string()?,
+                message: r.str()?.to_owned(),
             },
             other => return Err(WireError(format!("bad response opcode {other:#04x}"))),
         };
-        c.done()?;
+        r.finish()?;
         Ok(resp)
     }
 }

@@ -7,6 +7,7 @@
 
 use crate::error::StorageError;
 use crate::Result;
+use bq_util::fnv1a32;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -79,7 +80,7 @@ impl Page {
 
     /// Compute the FNV-1a checksum of everything except the checksum field.
     fn compute_checksum(&self) -> u32 {
-        fnv1a(&self.data[4..])
+        fnv1a32(&self.data[4..])
     }
 
     /// Stamp the stored checksum so that [`Page::verify`] succeeds.
@@ -106,17 +107,6 @@ impl Page {
     pub fn freeze(self) -> Arc<[u8]> {
         self.data.into()
     }
-}
-
-/// 32-bit FNV-1a over a byte slice. Cheap and adequate for simulated
-/// corruption detection; not cryptographic.
-pub fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
 }
 
 /// An in-memory vector of pages standing in for a disk file.
@@ -324,10 +314,12 @@ mod tests {
 
     #[test]
     fn fnv1a_known_values() {
-        // FNV-1a of the empty string is the offset basis.
-        assert_eq!(fnv1a(b""), 0x811c_9dc5);
-        // Differing inputs hash differently.
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
+        // The checksum is 32-bit FNV-1a over everything after its field.
+        let mut p = Page::new();
+        p.payload_mut()[0] = b'a';
+        p.seal();
+        assert_eq!(p.checksums().0, fnv1a32(&p.raw()[4..]));
+        assert_ne!(p.checksums().0, fnv1a32(&Page::new().raw()[4..]));
     }
 
     #[test]

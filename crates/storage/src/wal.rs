@@ -13,6 +13,7 @@
 use crate::error::StorageError;
 use crate::page::{Page, PageId, PageStore};
 use crate::Result;
+use bq_util::{ByteReader, ByteWriter, DecodeError};
 
 /// A log sequence number: byte offset of the record in the log.
 pub type Lsn = u64;
@@ -91,86 +92,22 @@ pub enum LogRecord {
     },
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// Why a record failed to decode: the buffer ran out (a torn trailing
-/// record from a crash mid-append — benign at the tail) versus an invalid
-/// tag (real corruption — always an error).
-enum DecodeErr {
-    Truncated,
-    BadTag(usize),
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn u8(&mut self) -> std::result::Result<u8, DecodeErr> {
-        let b = *self.buf.get(self.pos).ok_or(DecodeErr::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u32(&mut self) -> std::result::Result<u32, DecodeErr> {
-        let end = self.pos.checked_add(4).ok_or(DecodeErr::Truncated)?;
-        let slice = self.buf.get(self.pos..end).ok_or(DecodeErr::Truncated)?;
-        self.pos = end;
-        // lint: allow(panic) slice is exactly end-pos = 4 bytes by construction
-        Ok(u32::from_le_bytes(slice.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> std::result::Result<u64, DecodeErr> {
-        let end = self.pos.checked_add(8).ok_or(DecodeErr::Truncated)?;
-        let slice = self.buf.get(self.pos..end).ok_or(DecodeErr::Truncated)?;
-        self.pos = end;
-        // lint: allow(panic) slice is exactly end-pos = 8 bytes by construction
-        Ok(u64::from_le_bytes(slice.try_into().expect("8 bytes")))
-    }
-
-    fn bytes(&mut self, n: usize) -> std::result::Result<Vec<u8>, DecodeErr> {
-        let end = self.pos.checked_add(n).ok_or(DecodeErr::Truncated)?;
-        let slice = self.buf.get(self.pos..end).ok_or(DecodeErr::Truncated)?;
-        self.pos = end;
-        Ok(slice.to_vec())
-    }
-
-    fn string(&mut self) -> std::result::Result<String, DecodeErr> {
-        let pos = self.pos;
-        let n = self.u32()? as usize;
-        let raw = self.bytes(n)?;
-        String::from_utf8(raw).map_err(|_| DecodeErr::BadTag(pos))
-    }
-}
-
 impl LogRecord {
     /// Serialize to self-delimiting bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         match self {
             LogRecord::Begin(t) => {
-                buf.push(TAG_BEGIN);
-                put_u64(&mut buf, *t);
+                buf.put_u8(TAG_BEGIN);
+                buf.put_u64(*t);
             }
             LogRecord::Commit(t) => {
-                buf.push(TAG_COMMIT);
-                put_u64(&mut buf, *t);
+                buf.put_u8(TAG_COMMIT);
+                buf.put_u64(*t);
             }
             LogRecord::Abort(t) => {
-                buf.push(TAG_ABORT);
-                put_u64(&mut buf, *t);
+                buf.put_u8(TAG_ABORT);
+                buf.put_u64(*t);
             }
             LogRecord::Update {
                 txn,
@@ -179,29 +116,29 @@ impl LogRecord {
                 before,
                 after,
             } => {
-                buf.push(TAG_UPDATE);
-                put_u64(&mut buf, *txn);
-                put_u32(&mut buf, page.0);
-                put_u32(&mut buf, *offset);
-                put_u32(&mut buf, before.len() as u32);
-                put_u32(&mut buf, after.len() as u32);
+                buf.put_u8(TAG_UPDATE);
+                buf.put_u64(*txn);
+                buf.put_u32(page.0);
+                buf.put_u32(*offset);
+                buf.put_u32(before.len() as u32);
+                buf.put_u32(after.len() as u32);
                 buf.extend_from_slice(before);
                 buf.extend_from_slice(after);
             }
             LogRecord::Checkpoint(active) => {
-                buf.push(TAG_CHECKPOINT);
-                put_u32(&mut buf, active.len() as u32);
+                buf.put_u8(TAG_CHECKPOINT);
+                buf.put_u32(active.len() as u32);
                 for t in active {
-                    put_u64(&mut buf, *t);
+                    buf.put_u64(*t);
                 }
             }
             LogRecord::CreateTable { name, cols } => {
-                buf.push(TAG_CREATE_TABLE);
-                put_str(&mut buf, name);
-                put_u32(&mut buf, cols.len() as u32);
+                buf.put_u8(TAG_CREATE_TABLE);
+                buf.put_str(name);
+                buf.put_u32(cols.len() as u32);
                 for (col, ty) in cols {
-                    put_str(&mut buf, col);
-                    buf.push(*ty);
+                    buf.put_str(col);
+                    buf.put_u8(*ty);
                 }
             }
             LogRecord::RowInsert {
@@ -211,96 +148,87 @@ impl LogRecord {
                 table,
                 bytes,
             } => {
-                buf.push(TAG_ROW_INSERT);
-                put_u64(&mut buf, *txn);
-                put_u32(&mut buf, page.0);
-                put_u32(&mut buf, *slot as u32);
-                put_str(&mut buf, table);
-                put_u32(&mut buf, bytes.len() as u32);
-                buf.extend_from_slice(bytes);
+                buf.put_u8(TAG_ROW_INSERT);
+                buf.put_u64(*txn);
+                buf.put_u32(page.0);
+                buf.put_u32(u32::from(*slot));
+                buf.put_str(table);
+                buf.put_bytes(bytes);
             }
             LogRecord::TaggedCommit {
                 txn,
                 client,
                 request,
             } => {
-                buf.push(TAG_TAGGED_COMMIT);
-                put_u64(&mut buf, *txn);
-                put_str(&mut buf, client);
-                put_u64(&mut buf, *request);
+                buf.put_u8(TAG_TAGGED_COMMIT);
+                buf.put_u64(*txn);
+                buf.put_str(client);
+                buf.put_u64(*request);
             }
         }
         buf
     }
 
-    fn decode(reader: &mut Reader<'_>) -> std::result::Result<LogRecord, DecodeErr> {
-        let tag = reader.u8()?;
-        match tag {
-            TAG_BEGIN => Ok(LogRecord::Begin(reader.u64()?)),
-            TAG_COMMIT => Ok(LogRecord::Commit(reader.u64()?)),
-            TAG_ABORT => Ok(LogRecord::Abort(reader.u64()?)),
+    /// Decode one record. A record cut short is
+    /// [`DecodeError::Truncated`] (a torn tail, benign at the end of the
+    /// log); an unknown tag or a bad string is [`DecodeError::Invalid`].
+    fn decode(r: &mut ByteReader<'_>) -> std::result::Result<LogRecord, DecodeError> {
+        let at = r.pos();
+        Ok(match r.u8()? {
+            TAG_BEGIN => LogRecord::Begin(r.u64()?),
+            TAG_COMMIT => LogRecord::Commit(r.u64()?),
+            TAG_ABORT => LogRecord::Abort(r.u64()?),
             TAG_UPDATE => {
-                let txn = reader.u64()?;
-                let page = PageId(reader.u32()?);
-                let offset = reader.u32()?;
-                let before_len = reader.u32()? as usize;
-                let after_len = reader.u32()? as usize;
-                let before = reader.bytes(before_len)?;
-                let after = reader.bytes(after_len)?;
-                Ok(LogRecord::Update {
+                let txn = r.u64()?;
+                let page = PageId(r.u32()?);
+                let offset = r.u32()?;
+                let before_len = r.u32()? as usize;
+                let after_len = r.u32()? as usize;
+                LogRecord::Update {
                     txn,
                     page,
                     offset,
-                    before,
-                    after,
-                })
-            }
-            TAG_CHECKPOINT => {
-                let n = reader.u32()? as usize;
-                let mut active = Vec::with_capacity(n);
-                for _ in 0..n {
-                    active.push(reader.u64()?);
+                    before: r.take(before_len)?.to_vec(),
+                    after: r.take(after_len)?.to_vec(),
                 }
-                Ok(LogRecord::Checkpoint(active))
             }
-            TAG_CREATE_TABLE => {
-                let name = reader.string()?;
-                let n = reader.u32()? as usize;
-                let mut cols = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let col = reader.string()?;
-                    let ty = reader.u8()?;
-                    cols.push((col, ty));
-                }
-                Ok(LogRecord::CreateTable { name, cols })
+            TAG_CHECKPOINT => LogRecord::Checkpoint(r.list(8, ByteReader::u64)?),
+            TAG_CREATE_TABLE => LogRecord::CreateTable {
+                name: r.str()?.to_owned(),
+                // A column is at least a name length and a type byte.
+                cols: r.list(5, |r| Ok::<_, DecodeError>((r.str()?.to_owned(), r.u8()?)))?,
+            },
+            TAG_ROW_INSERT => LogRecord::RowInsert {
+                txn: r.u64()?,
+                page: PageId(r.u32()?),
+                slot: r.u32()? as u16,
+                table: r.str()?.to_owned(),
+                bytes: r.bytes()?.to_vec(),
+            },
+            TAG_TAGGED_COMMIT => LogRecord::TaggedCommit {
+                txn: r.u64()?,
+                client: r.str()?.to_owned(),
+                request: r.u64()?,
+            },
+            other => return Err(DecodeError::invalid(at, format!("bad log tag {other}"))),
+        })
+    }
+
+    /// Decode whole records from the front of `buf` into `out`, returning
+    /// the end of the last one. Decoding stops at the first truncated
+    /// record; only an invalid record is an error,
+    /// [`StorageError::CorruptLog`] at its offset.
+    fn decode_prefix(buf: &[u8], out: &mut Vec<LogRecord>) -> Result<usize> {
+        let mut r = ByteReader::new(buf);
+        while !r.is_empty() {
+            let start = r.pos();
+            match LogRecord::decode(&mut r) {
+                Ok(rec) => out.push(rec),
+                Err(DecodeError::Truncated { .. }) => return Ok(start),
+                Err(DecodeError::Invalid { at, .. }) => return Err(StorageError::CorruptLog(at)),
             }
-            TAG_ROW_INSERT => {
-                let txn = reader.u64()?;
-                let page = PageId(reader.u32()?);
-                let slot = reader.u32()? as u16;
-                let table = reader.string()?;
-                let len = reader.u32()? as usize;
-                let bytes = reader.bytes(len)?;
-                Ok(LogRecord::RowInsert {
-                    txn,
-                    page,
-                    slot,
-                    table,
-                    bytes,
-                })
-            }
-            TAG_TAGGED_COMMIT => {
-                let txn = reader.u64()?;
-                let client = reader.string()?;
-                let request = reader.u64()?;
-                Ok(LogRecord::TaggedCommit {
-                    txn,
-                    client,
-                    request,
-                })
-            }
-            _ => Err(DecodeErr::BadTag(reader.pos - 1)),
         }
+        Ok(buf.len())
     }
 }
 
@@ -469,19 +397,8 @@ impl Wal {
     /// complement of [`Wal::durable_bytes_from`]: shipped segments can
     /// split records at arbitrary byte boundaries.
     pub fn decode_stream(buf: &[u8]) -> Result<(Vec<LogRecord>, usize)> {
-        let mut reader = Reader { buf, pos: 0 };
         let mut out = Vec::new();
-        let mut consumed = 0;
-        while reader.pos < buf.len() {
-            match LogRecord::decode(&mut reader) {
-                Ok(rec) => {
-                    out.push(rec);
-                    consumed = reader.pos;
-                }
-                Err(DecodeErr::Truncated) => break,
-                Err(DecodeErr::BadTag(pos)) => return Err(StorageError::CorruptLog(pos)),
-            }
-        }
+        let consumed = LogRecord::decode_prefix(buf, &mut out)?;
         Ok((out, consumed))
     }
 
@@ -497,27 +414,17 @@ impl Wal {
     /// Decode every complete record, and the LSN of a torn trailing
     /// record if the log ends mid-record.
     pub fn iter_with_tail(&self) -> Result<(Vec<LogRecord>, Option<Lsn>)> {
-        let mut reader = Reader {
-            buf: &self.buf,
-            pos: 0,
-        };
         let mut out = Vec::with_capacity(self.records);
-        while reader.pos < self.buf.len() {
-            let start = reader.pos;
-            match LogRecord::decode(&mut reader) {
-                Ok(rec) => out.push(rec),
-                Err(DecodeErr::Truncated) => {
-                    bq_obs::counter!(
-                        "bq_storage_wal_torn_tails_total",
-                        "torn trailing WAL records discarded at recovery"
-                    )
-                    .inc();
-                    return Ok((out, Some(start as Lsn)));
-                }
-                Err(DecodeErr::BadTag(pos)) => return Err(StorageError::CorruptLog(pos)),
-            }
+        let end = LogRecord::decode_prefix(&self.buf, &mut out)?;
+        if end == self.buf.len() {
+            return Ok((out, None));
         }
-        Ok((out, None))
+        bq_obs::counter!(
+            "bq_storage_wal_torn_tails_total",
+            "torn trailing WAL records discarded at recovery"
+        )
+        .inc();
+        Ok((out, Some(end as Lsn)))
     }
 
     /// Truncate the log to `len` bytes — simulates a crash mid-append.
