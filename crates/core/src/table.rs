@@ -205,10 +205,11 @@ impl Tables {
             .physical
             .get_mut(table)
             .ok_or_else(|| no_such_table(table))?;
-        let rows = physical.heap.scan(&self.store)?.into_iter();
-        let rows: Vec<(RecordId, Tuple)> = rows
-            .map(|(rid, bytes)| Ok((rid, codec::decode(&bytes)?)))
-            .collect::<Result<_>>()?;
+        let mut rows = Vec::with_capacity(physical.heap.len());
+        physical.heap.for_each_record(&self.store, |rid, bytes| {
+            rows.push((rid, codec::decode(bytes)?));
+            Ok::<_, CoreError>(())
+        })?;
         let index = Index::build(col, &rows);
         physical.indexes.insert(column.to_string(), index);
         Ok(())
@@ -264,12 +265,19 @@ impl Tables {
     pub(crate) fn recover(&mut self, lost: impl Fn(RecordId) -> bool) -> Result<()> {
         for (name, physical) in &mut self.physical {
             let mut rows = Vec::with_capacity(physical.heap.len());
-            for (rid, bytes) in physical.heap.scan(&self.store)? {
+            let mut dead = Vec::new();
+            // Records are decoded where their pages lie; the lost ones are
+            // deleted after the pass.
+            physical.heap.for_each_record(&self.store, |rid, bytes| {
                 if lost(rid) {
-                    physical.heap.delete(&mut self.store, rid)?;
+                    dead.push(rid);
                 } else {
-                    rows.push((rid, codec::decode(&bytes)?));
+                    rows.push((rid, codec::decode(bytes)?));
                 }
+                Ok::<_, CoreError>(())
+            })?;
+            for rid in dead {
+                physical.heap.delete(&mut self.store, rid)?;
             }
             for index in physical.indexes.values_mut() {
                 *index = Index::build(index.col, &rows);

@@ -21,7 +21,7 @@
 
 use crate::backoff::Backoff;
 use bq_core::Db;
-use bq_server::wire::{self, Request, Response, PROTOCOL_VERSION, SUBSCRIBE_BOOTSTRAP};
+use bq_server::wire::{Framed, Request, Response, PROTOCOL_VERSION, SUBSCRIBE_BOOTSTRAP};
 use bq_storage::Wal;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -216,9 +216,15 @@ fn bad_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-fn read_resp(stream: &mut TcpStream) -> io::Result<Response> {
-    let body = wire::read_frame(stream)?;
+fn read_resp(stream: &mut Framed<TcpStream>) -> io::Result<Response> {
+    let body = stream.read_frame()?;
     Response::decode(&body).map_err(|e| bad_data(e.to_string()))
+}
+
+/// Send one request in one write.
+fn send(stream: &mut Framed<TcpStream>, req: &Request) -> io::Result<()> {
+    stream.write_frame(&req.encode())?;
+    stream.flush()
 }
 
 fn dial(primary: &str, timeout: Duration) -> io::Result<TcpStream> {
@@ -247,18 +253,18 @@ fn run_stream(
     base: &mut Option<u64>,
     backoff: &mut Backoff,
 ) -> io::Result<StreamEnd> {
-    let mut stream = dial(&config.primary, config.connect_timeout)?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(config.connect_timeout));
+    let socket = dial(&config.primary, config.connect_timeout)?;
+    let _ = socket.set_nodelay(true);
+    let _ = socket.set_write_timeout(Some(config.connect_timeout));
     // The connect deadline also bounds handshake and bootstrap reads.
-    let _ = stream.set_read_timeout(Some(config.connect_timeout));
-    wire::write_frame(
+    let _ = socket.set_read_timeout(Some(config.connect_timeout));
+    let mut stream = Framed::new(socket);
+    send(
         &mut stream,
         &Request::Hello {
             version: PROTOCOL_VERSION,
             client: "bq-repl".to_string(),
-        }
-        .encode(),
+        },
     )?;
     match read_resp(&mut stream)? {
         Response::HelloOk { .. } => {}
@@ -268,7 +274,7 @@ fn run_stream(
         other => return Err(bad_data(format!("expected HelloOk, got {other:?}"))),
     }
     let start = base.unwrap_or(SUBSCRIBE_BOOTSTRAP);
-    wire::write_frame(&mut stream, &Request::Subscribe { start }.encode())?;
+    send(&mut stream, &Request::Subscribe { start })?;
     if base.is_none() {
         set_state(state, "bootstrapping");
         match read_resp(&mut stream)? {
@@ -297,7 +303,7 @@ fn run_stream(
     set_state(state, "streaming");
     // Streaming reads poll briefly so stop requests are noticed even
     // when the primary is idle.
-    let _ = stream.set_read_timeout(Some(config.read_poll));
+    let _ = stream.get_ref().set_read_timeout(Some(config.read_poll));
     // Contiguously-received stream pointer; bytes past the last applied
     // record boundary wait in `pending` for their record to complete.
     let mut recv_through = base.unwrap_or(0);
@@ -367,12 +373,11 @@ fn run_stream(
                     }
                     thread::sleep(Duration::from_millis(100));
                 }
-                wire::write_frame(
+                send(
                     &mut stream,
                     &Request::ReplAck {
                         through: recv_through,
-                    }
-                    .encode(),
+                    },
                 )?;
             }
             Response::GoingAway { .. } => return Ok(StreamEnd::GoingAway),

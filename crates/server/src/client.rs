@@ -6,7 +6,7 @@
 //! changing a line above the trait.
 
 use crate::driver::{Driver, DriverError, Outcome, RunningQuery};
-use crate::wire::{self, schema_from_cols, ErrorCode, Request, Response, PROTOCOL_VERSION};
+use crate::wire::{schema_from_cols, ErrorCode, Framed, Request, Response, PROTOCOL_VERSION};
 use bq_core::SessionLimits;
 use bq_exec::ExecMode;
 use bq_relational::Relation;
@@ -45,7 +45,8 @@ impl Default for ConnectOptions {
 
 /// A live session with a `bq-server`.
 pub struct Connection {
-    stream: TcpStream,
+    /// Each request leaves in one write; replies are read through a buffer.
+    io: Framed<TcpStream>,
     session: u64,
     limits: SessionLimits,
     mode: Option<ExecMode>,
@@ -85,7 +86,7 @@ pub fn connect_with(
     let _ = stream.set_read_timeout(handshake_read);
     let _ = stream.set_write_timeout(options.write_timeout);
     let mut conn = Connection {
-        stream,
+        io: Framed::new(stream),
         session: 0,
         limits: SessionLimits::default(),
         mode: None,
@@ -105,7 +106,7 @@ pub fn connect_with(
             return Err(recv_err);
         }
     };
-    let _ = conn.stream.set_read_timeout(options.read_timeout);
+    let _ = conn.io.get_ref().set_read_timeout(options.read_timeout);
     match first {
         Response::HelloOk { session, .. } => {
             conn.session = session;
@@ -152,11 +153,12 @@ impl Connection {
     }
 
     fn send(&mut self, req: &Request) -> Result<(), DriverError> {
-        wire::write_frame(&mut self.stream, &req.encode()).map_err(io_err)
+        self.io.write_frame(&req.encode()).map_err(io_err)?;
+        self.io.flush().map_err(io_err)
     }
 
     fn recv(&mut self) -> Result<Response, DriverError> {
-        let body = wire::read_frame(&mut self.stream).map_err(io_err)?;
+        let body = self.io.read_frame().map_err(io_err)?;
         let resp = Response::decode(&body)
             .map_err(|e| DriverError::new(ErrorCode::Protocol, e.to_string()))?;
         // A drain announcement means this endpoint is done serving;

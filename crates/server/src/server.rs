@@ -17,10 +17,11 @@
 //! map, which is what `ListQueries` reports and `Kill` targets.
 
 use crate::stmt::{parse_statement, SessionCore, Statement};
-use crate::wire::{self, ErrorCode, QueryInfo, Request, Response, PROTOCOL_VERSION};
+use crate::wire::{self, ErrorCode, Framed, QueryInfo, Request, Response, PROTOCOL_VERSION};
 use bq_core::{
     Db, ReplicaRegistry, ReplicaRow, SessionLimits, SessionRegistry, SessionRow, WalWatch,
 };
+use bq_exec::ExecMode;
 use bq_governor::{AdmissionController, AdmissionPermit, CancelRegistry, QueryContext};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -307,7 +308,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-fn handle_accept(shared: &Arc<Shared>, mut stream: TcpStream) {
+fn handle_accept(shared: &Arc<Shared>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     match shared.admission.admit(&QueryContext::unlimited()) {
         Ok(permit) => spawn_session(shared, stream, permit),
@@ -322,12 +323,14 @@ fn handle_accept(shared: &Arc<Shared>, mut stream: TcpStream) {
                 code: ErrorCode::from_governor(&e),
                 message: e.to_string(),
             };
-            let _ = wire::write_frame(&mut stream, &resp.encode());
-            // Drain the client's Hello (briefly) so close() sends FIN, not
-            // RST — an RST would destroy the refusal frame in flight and
-            // the client would see a bare broken pipe instead.
+            // After the refusal, drain the client's Hello (briefly) so
+            // close() sends FIN, not RST — an RST would destroy the refusal
+            // frame in flight and the client would see a bare broken pipe.
             let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-            let _ = wire::read_frame(&mut stream);
+            let mut conn = Framed::new(Socket(stream));
+            let _ = conn.write_frame(&resp.encode());
+            let _ = conn.flush();
+            let _ = conn.read_frame();
         }
     }
 }
@@ -362,7 +365,36 @@ fn spawn_session(shared: &Arc<Shared>, stream: TcpStream, permit: AdmissionPermi
 // Session path
 // ---------------------------------------------------------------------
 
-fn run_conn(shared: &Shared, mut stream: TcpStream, conn_id: u64) {
+/// The server's end of a connection: a socket whose every `write` counts
+/// in `bq_server_socket_writes_total`, which is how an operator sees the
+/// writes a reply costs.
+struct Socket(TcpStream);
+
+impl Read for Socket {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.0.read(buf)
+    }
+}
+
+impl Write for Socket {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        bq_obs::counter!(
+            "bq_server_socket_writes_total",
+            "writes the server handed to its sockets"
+        )
+        .inc();
+        self.0.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.0.flush()
+    }
+}
+
+/// A session's framed connection: see [`Framed`] for when bytes leave.
+type Conn = Framed<Socket>;
+
+fn run_conn(shared: &Shared, stream: TcpStream, conn_id: u64) {
     let open = bq_obs::gauge!("bq_server_connections", "open TCP connections");
     open.add(1);
     bq_obs::counter!("bq_server_connections_total", "connections accepted").inc();
@@ -376,7 +408,11 @@ fn run_conn(shared: &Shared, mut stream: TcpStream, conn_id: u64) {
     let peer = stream
         .peer_addr()
         .map_or_else(|_| "unknown".to_string(), |a| a.to_string());
-    let _ = session_loop(shared, &mut stream, &mut session, conn_id, &sessions, &peer);
+    let mut conn = Framed::new(Socket(stream));
+    let _ = session_loop(shared, &mut conn, &mut session, conn_id, &sessions, &peer);
+    // Whatever the session queued last (a refusal, a `GoingAway`) leaves
+    // before the socket closes.
+    let _ = conn.flush();
     // A dropped connection must never leave locks held or ghosts in the
     // connection table (or in `bq.sessions` / `bq.replicas`).
     sessions.remove(conn_id);
@@ -391,7 +427,7 @@ fn run_conn(shared: &Shared, mut stream: TcpStream, conn_id: u64) {
 
 fn session_loop(
     shared: &Shared,
-    stream: &mut TcpStream,
+    conn: &mut Conn,
     session: &mut SessionCore,
     conn_id: u64,
     registry: &SessionRegistry,
@@ -400,11 +436,11 @@ fn session_loop(
     // Handshake: the first frame must be a version-matching Hello. The
     // client identity it carries is the dedup namespace for tagged
     // writes, so a reconnecting client keeps its idempotency history.
-    let body = read_frame_srv(stream)?;
+    let body = read_frame_srv(conn)?;
     let client = match Request::decode(&body) {
         Ok(Request::Hello { version, client }) if version == PROTOCOL_VERSION => {
             write_frame_srv(
-                stream,
+                conn,
                 &Response::HelloOk {
                     version: PROTOCOL_VERSION,
                     session: conn_id,
@@ -414,35 +450,40 @@ fn session_loop(
         }
         Ok(Request::Hello { version, .. }) => {
             return refuse(
-                stream,
+                conn,
                 ErrorCode::Protocol,
                 format!(
                     "unsupported protocol version {version} (server speaks {PROTOCOL_VERSION})"
                 ),
             );
         }
-        Ok(_) => return refuse(stream, ErrorCode::Protocol, "expected Hello".to_string()),
-        Err(e) => return refuse(stream, ErrorCode::Protocol, e.to_string()),
+        Ok(_) => return refuse(conn, ErrorCode::Protocol, "expected Hello".to_string()),
+        Err(e) => return refuse(conn, ErrorCode::Protocol, e.to_string()),
     };
     let sessions = bq_obs::gauge!("bq_server_sessions", "sessions past handshake");
     sessions.add(1);
-    publish_session(registry, conn_id, peer, session);
-    let out = frame_loop(shared, stream, session, conn_id, registry, peer, &client);
+    let out = frame_loop(shared, conn, session, conn_id, registry, peer, &client);
     sessions.add(-1);
     out
 }
 
-/// Mirror a session's current state (mode, limits, open txn) into the
-/// engine's `bq.sessions` registry.
-fn publish_session(registry: &SessionRegistry, conn_id: u64, peer: &str, session: &SessionCore) {
+/// What a session's `bq.sessions` row shows besides its fixed columns:
+/// exec mode, limits, and whether a transaction is open.
+type SessionState = (Option<ExecMode>, SessionLimits, bool);
+
+fn session_state(session: &SessionCore) -> SessionState {
+    (session.mode, session.limits, session.in_txn())
+}
+
+/// Mirror a session's state into the engine's `bq.sessions` registry.
+fn publish_session(registry: &SessionRegistry, conn_id: u64, peer: &str, state: SessionState) {
+    let (mode, limits, txn) = state;
     registry.upsert(SessionRow {
         session: conn_id,
         peer: peer.to_string(),
-        mode: session
-            .mode
-            .map_or_else(|| "engine".to_string(), |m| m.to_string()),
-        limits: render_limits(&session.limits),
-        txn: session.in_txn(),
+        mode: mode.map_or_else(|| "engine".to_string(), |m| m.to_string()),
+        limits: render_limits(&limits),
+        txn,
     });
 }
 
@@ -466,28 +507,30 @@ fn render_limits(limits: &SessionLimits) -> String {
 
 fn frame_loop(
     shared: &Shared,
-    stream: &mut TcpStream,
+    conn: &mut Conn,
     session: &mut SessionCore,
     conn_id: u64,
     registry: &SessionRegistry,
     peer: &str,
     client: &str,
 ) -> io::Result<()> {
+    let mut published = session_state(session);
+    publish_session(registry, conn_id, peer, published);
     loop {
         // relaxed: advisory stop flag, re-polled every frame.
         if shared.stop.load(Ordering::Relaxed) {
             return refuse(
-                stream,
+                conn,
                 ErrorCode::Shutdown,
                 "server is shutting down".to_string(),
             );
         }
-        let body = match read_frame_srv(stream) {
+        let body = match read_frame_srv(conn) {
             Ok(b) => b,
             // A malformed length prefix gets a typed refusal; EOF and
             // transport errors just end the session.
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                return refuse(stream, ErrorCode::Protocol, e.to_string());
+                return refuse(conn, ErrorCode::Protocol, e.to_string());
             }
             Err(_) => {
                 // Drain half-closes reads first; the write half is still
@@ -497,7 +540,7 @@ fn frame_loop(
                 // relaxed: advisory stop flag, see above.
                 if shared.stop.load(Ordering::Relaxed) {
                     let _ = write_frame_srv(
-                        stream,
+                        conn,
                         &Response::GoingAway {
                             message: "server is draining".to_string(),
                         },
@@ -516,18 +559,24 @@ fn frame_loop(
             Ok(r) => r,
             // A frame that parses as no request is a protocol error; the
             // connection is not trustworthy past this point.
-            Err(e) => return refuse(stream, ErrorCode::Protocol, e.to_string()),
+            Err(e) => return refuse(conn, ErrorCode::Protocol, e.to_string()),
         };
         // A Subscribe repurposes the whole connection: the session stops
         // being request/response and becomes a replication stream.
         if let Request::Subscribe { start } = req {
-            return subscriber_loop(shared, stream, conn_id, peer, start);
+            return subscriber_loop(shared, conn, conn_id, peer, start);
         }
         let closing = matches!(req, Request::Close);
-        dispatch(shared, stream, session, conn_id, client, req)?;
-        // Re-publish after each frame: mode, limits, and txn state are
-        // exactly the things a frame can change.
-        publish_session(registry, conn_id, peer, session);
+        dispatch(shared, conn, session, conn_id, client, req)?;
+        // The whole reply leaves in one write.
+        conn.flush()?;
+        // Only SetMode, SetLimits and transaction boundaries change the
+        // row; every other frame leaves it as it was.
+        let state = session_state(session);
+        if state != published {
+            publish_session(registry, conn_id, peer, state);
+            published = state;
+        }
         if closing {
             return Ok(());
         }
@@ -536,7 +585,7 @@ fn frame_loop(
 
 fn dispatch(
     shared: &Shared,
-    stream: &mut TcpStream,
+    conn: &mut Conn,
     session: &mut SessionCore,
     conn_id: u64,
     client: &str,
@@ -544,29 +593,29 @@ fn dispatch(
 ) -> io::Result<()> {
     match req {
         Request::Query { sql } => match parse_statement(&sql) {
-            Err(e) => write_err(stream, &e),
+            Err(e) => write_err(conn, &e),
             Ok(stmt) => {
                 if let Some(e) = refuse_mutation(shared, &stmt) {
-                    return write_err(stream, &e);
+                    return write_err(conn, &e);
                 }
                 let ctx = session.context();
                 let (qid, reg) = register_query(shared, conn_id, &sql, &ctx);
                 let out = session.run(&shared.db, &stmt, &ctx);
                 finish_query(shared, qid);
                 drop(reg);
-                send_outcome(shared, stream, out, qid)
+                send_outcome(conn, shared.batch_rows, out, qid)
             }
         },
         Request::QueryTagged { sql, request } => {
-            run_tagged(shared, stream, session, client, &sql, request)
+            run_tagged(shared, conn, session, client, &sql, request)
         }
         Request::Prepare { sql } => match session.prepare(&shared.db, &sql) {
-            Ok(stmt) => write_frame_srv(stream, &Response::Prepared { stmt }),
-            Err(e) => write_err(stream, &e),
+            Ok(stmt) => write_frame_srv(conn, &Response::Prepared { stmt }),
+            Err(e) => write_err(conn, &e),
         },
         Request::Execute { stmt } => match session.prepared_sql(stmt).map(str::to_string) {
             None => write_err(
-                stream,
+                conn,
                 &crate::driver::DriverError::new(
                     ErrorCode::NoSuchStatement,
                     format!("no prepared statement {stmt}"),
@@ -578,7 +627,7 @@ fn dispatch(
                 let out = session.execute_prepared(&shared.db, stmt, &ctx);
                 finish_query(shared, qid);
                 drop(reg);
-                send_outcome(shared, stream, out, qid)
+                send_outcome(conn, shared.batch_rows, out, qid)
             }
         },
         Request::Kill { query } => {
@@ -590,12 +639,12 @@ fn dispatch(
                 )
                 .inc();
             }
-            write_frame_srv(stream, &Response::Killed { found })
+            write_frame_srv(conn, &Response::Killed { found })
         }
         Request::SetLimits { limits } => {
             session.limits = limits;
             write_frame_srv(
-                stream,
+                conn,
                 &Response::Ok {
                     message: "limits set".to_string(),
                 },
@@ -604,37 +653,37 @@ fn dispatch(
         Request::SetMode { mode } => {
             session.mode = Some(mode);
             write_frame_srv(
-                stream,
+                conn,
                 &Response::Ok {
                     message: format!("mode: {mode}"),
                 },
             )
         }
         Request::ListQueries => write_frame_srv(
-            stream,
+            conn,
             &Response::Queries {
                 entries: snapshot_running(shared),
             },
         ),
         Request::Close => write_frame_srv(
-            stream,
+            conn,
             &Response::Ok {
                 message: "bye".to_string(),
             },
         ),
         Request::Hello { .. } => write_err(
-            stream,
+            conn,
             &crate::driver::DriverError::new(ErrorCode::Protocol, "duplicate Hello"),
         ),
         // Subscribe is intercepted in the frame loop; reaching here means
         // the dispatcher was called out of order, which is a server bug,
         // but answer with a typed error rather than trusting that.
         Request::Subscribe { .. } => write_err(
-            stream,
+            conn,
             &crate::driver::DriverError::new(ErrorCode::Protocol, "Subscribe mid-session"),
         ),
         Request::ReplAck { .. } => write_err(
-            stream,
+            conn,
             &crate::driver::DriverError::new(
                 ErrorCode::Protocol,
                 "ReplAck outside a replication stream",
@@ -663,7 +712,7 @@ fn refuse_mutation(shared: &Shared, stmt: &Statement) -> Option<crate::driver::D
 /// or the wait ceiling passes.
 fn run_tagged(
     shared: &Shared,
-    stream: &mut TcpStream,
+    conn: &mut Conn,
     session: &mut SessionCore,
     client: &str,
     sql: &str,
@@ -671,14 +720,14 @@ fn run_tagged(
 ) -> io::Result<()> {
     let stmt = match parse_statement(sql) {
         Ok(s) => s,
-        Err(e) => return write_err(stream, &e),
+        Err(e) => return write_err(conn, &e),
     };
     if let Some(e) = refuse_mutation(shared, &stmt) {
-        return write_err(stream, &e);
+        return write_err(conn, &e);
     }
     let Statement::Insert { table, row } = stmt else {
         return write_err(
-            stream,
+            conn,
             &crate::driver::DriverError::new(
                 ErrorCode::Unsupported,
                 "only inserts may carry a request tag",
@@ -687,7 +736,7 @@ fn run_tagged(
     };
     if session.in_txn() {
         return write_err(
-            stream,
+            conn,
             &crate::driver::DriverError::new(
                 ErrorCode::TxnState,
                 "tagged writes are autocommit-only",
@@ -714,7 +763,7 @@ fn run_tagged(
         }
     };
     match applied {
-        Applied::Failed(e) => write_err(stream, &e),
+        Applied::Failed(e) => write_err(conn, &e),
         Applied::Duplicate => {
             bq_obs::counter!(
                 "bq_repl_dedup_hits_total",
@@ -722,7 +771,7 @@ fn run_tagged(
             )
             .inc();
             write_frame_srv(
-                stream,
+                conn,
                 &Response::Done {
                     rows: 0,
                     query: 0,
@@ -733,7 +782,7 @@ fn run_tagged(
         Applied::Committed(offset) => {
             wait_for_replica_acks(shared, offset);
             write_frame_srv(
-                stream,
+                conn,
                 &Response::Done {
                     rows: 0,
                     query: 0,
@@ -820,9 +869,12 @@ fn snapshot_running(shared: &Shared) -> Vec<QueryInfo> {
     entries
 }
 
+/// Queue a statement's reply: `RowSchema`, `Rows` batches of
+/// `batch_rows` encoded straight from the relation's tuples, and `Done`;
+/// or a lone `Done`; or an `Error`.
 fn send_outcome(
-    shared: &Shared,
-    stream: &mut TcpStream,
+    conn: &mut Conn,
+    batch_rows: usize,
     out: Result<crate::driver::Outcome, crate::driver::DriverError>,
     qid: u64,
 ) -> io::Result<()> {
@@ -834,42 +886,40 @@ fn send_outcome(
                 .iter()
                 .map(|a| (a.name.clone(), a.ty))
                 .collect();
-            write_frame_srv(stream, &Response::RowSchema { cols })?;
-            let tuples = rel.tuples();
-            let rows = tuples.len() as u64;
-            bq_obs::counter!("bq_server_rows_streamed_total", "result rows streamed").add(rows);
-            for chunk in tuples.chunks(shared.batch_rows) {
-                write_frame_srv(
-                    stream,
-                    &Response::Rows {
-                        tuples: chunk.to_vec(),
-                    },
-                )?;
+            write_frame_srv(conn, &Response::RowSchema { cols })?;
+            let rows = rel.len();
+            bq_obs::counter!("bq_server_rows_streamed_total", "result rows streamed")
+                .add(rows as u64);
+            let mut tuples = rel.iter();
+            for _ in (0..rows).step_by(batch_rows) {
+                push_frame_srv(conn, |out| {
+                    wire::encode_rows(out, tuples.by_ref().take(batch_rows));
+                })?;
             }
             write_frame_srv(
-                stream,
+                conn,
                 &Response::Done {
-                    rows,
+                    rows: rows as u64,
                     query: qid,
                     message: String::new(),
                 },
             )
         }
         Ok(crate::driver::Outcome::Message(message)) => write_frame_srv(
-            stream,
+            conn,
             &Response::Done {
                 rows: 0,
                 query: qid,
                 message,
             },
         ),
-        Err(e) => write_err(stream, &e),
+        Err(e) => write_err(conn, &e),
     }
 }
 
-fn write_err(stream: &mut TcpStream, e: &crate::driver::DriverError) -> io::Result<()> {
+fn write_err(conn: &mut Conn, e: &crate::driver::DriverError) -> io::Result<()> {
     write_frame_srv(
-        stream,
+        conn,
         &Response::Error {
             code: e.code,
             message: e.message.clone(),
@@ -877,10 +927,10 @@ fn write_err(stream: &mut TcpStream, e: &crate::driver::DriverError) -> io::Resu
     )
 }
 
-/// Send a typed error, then end the session by returning `Ok(())` up the
-/// loop (the caller closes the socket).
-fn refuse(stream: &mut TcpStream, code: ErrorCode, message: String) -> io::Result<()> {
-    let _ = write_frame_srv(stream, &Response::Error { code, message });
+/// Queue a typed error, then end the session by returning `Ok(())` up the
+/// loop (`run_conn` flushes it and closes the socket).
+fn refuse(conn: &mut Conn, code: ErrorCode, message: String) -> io::Result<()> {
+    let _ = write_frame_srv(conn, &Response::Error { code, message });
     Ok(())
 }
 
@@ -918,7 +968,7 @@ fn ship_plan() -> ShipPlan {
 /// retransmit queues on top of the WAL's own byte offsets.
 fn subscriber_loop(
     shared: &Shared,
-    stream: &mut TcpStream,
+    conn: &mut Conn,
     conn_id: u64,
     peer: &str,
     start: u64,
@@ -946,7 +996,7 @@ fn subscriber_loop(
                 Ok(bytes) => bytes,
                 Err(e) => {
                     drop(db);
-                    return refuse(stream, ErrorCode::Storage, e.to_string());
+                    return refuse(conn, ErrorCode::Storage, e.to_string());
                 }
             };
             let horizon = db.wal_durable_len();
@@ -954,12 +1004,14 @@ fn subscriber_loop(
         };
         if snap.len() >= wire::MAX_FRAME {
             return refuse(
-                stream,
+                conn,
                 ErrorCode::Storage,
                 format!("snapshot of {} bytes exceeds the frame cap", snap.len()),
             );
         }
-        write_frame_srv(stream, &Response::Snapshot { bytes: snap })?;
+        write_frame_srv(conn, &Response::Snapshot { bytes: snap })?;
+        // The loop below may sleep on the WAL watch next.
+        conn.flush()?;
         pos = horizon;
     }
     publish_replica(
@@ -975,7 +1027,7 @@ fn subscriber_loop(
         // relaxed: advisory stop flag, re-polled every round.
         if shared.stop.load(Ordering::Relaxed) {
             let _ = write_frame_srv(
-                stream,
+                conn,
                 &Response::GoingAway {
                     message: "server is draining".to_string(),
                 },
@@ -1005,24 +1057,24 @@ fn subscriber_loop(
                 pos += chunk.len() as u64;
             }
             ShipPlan::Duplicate => {
-                let _ = ship_segment(shared, stream, conn_id, pos, chunk.clone())?;
-                pos = ship_segment(shared, stream, conn_id, pos, chunk)?;
+                let _ = ship_segment(shared, conn, conn_id, pos, chunk.clone())?;
+                pos = ship_segment(shared, conn, conn_id, pos, chunk)?;
             }
             ShipPlan::Reorder => {
                 let mid = chunk.len() / 2;
                 if mid == 0 {
-                    pos = ship_segment(shared, stream, conn_id, pos, chunk)?;
+                    pos = ship_segment(shared, conn, conn_id, pos, chunk)?;
                 } else {
                     // Second half first: the replica refuses the gap and
                     // acks its horizon; the first half then applies.
                     let second = chunk[mid..].to_vec();
                     let first = chunk[..mid].to_vec();
-                    let _ = ship_segment(shared, stream, conn_id, pos + mid as u64, second)?;
-                    pos = ship_segment(shared, stream, conn_id, pos, first)?;
+                    let _ = ship_segment(shared, conn, conn_id, pos + mid as u64, second)?;
+                    pos = ship_segment(shared, conn, conn_id, pos, first)?;
                 }
             }
             ShipPlan::Normal => {
-                pos = ship_segment(shared, stream, conn_id, pos, chunk)?;
+                pos = ship_segment(shared, conn, conn_id, pos, chunk)?;
             }
         }
     }
@@ -1032,13 +1084,13 @@ fn subscriber_loop(
 /// new authoritative shipping position.
 fn ship_segment(
     shared: &Shared,
-    stream: &mut TcpStream,
+    conn: &mut Conn,
     conn_id: u64,
     start: u64,
     bytes: Vec<u8>,
 ) -> io::Result<u64> {
     let len = bytes.len() as u64;
-    write_frame_srv(stream, &Response::WalSegment { start, bytes })?;
+    write_frame_srv(conn, &Response::WalSegment { start, bytes })?;
     bq_obs::counter!(
         "bq_repl_segments_shipped_total",
         "WAL segments shipped to replicas"
@@ -1049,7 +1101,7 @@ fn ship_segment(
         "WAL bytes shipped to replicas"
     )
     .add(len);
-    let ack = read_ack(stream)?;
+    let ack = read_ack(conn)?;
     bq_obs::counter!("bq_repl_acks_total", "replica acknowledgements received").inc();
     let shipped = start + len;
     bq_obs::gauge!(
@@ -1066,13 +1118,13 @@ fn ship_segment(
 /// Read the subscriber's next frame, which must be a `ReplAck`. Anything
 /// else gets a typed error frame and ends the stream — arbitrary bytes on
 /// a replication stream decode-or-refuse, never panic.
-fn read_ack(stream: &mut TcpStream) -> io::Result<u64> {
-    let body = read_frame_srv(stream)?;
+fn read_ack(conn: &mut Conn) -> io::Result<u64> {
+    let body = read_frame_srv(conn)?;
     match Request::decode(&body) {
         Ok(Request::ReplAck { through }) => Ok(through),
         Ok(other) => {
             let _ = write_frame_srv(
-                stream,
+                conn,
                 &Response::Error {
                     code: ErrorCode::Protocol,
                     message: format!("expected ReplAck, got {other:?}"),
@@ -1085,7 +1137,7 @@ fn read_ack(stream: &mut TcpStream) -> io::Result<u64> {
         }
         Err(e) => {
             let _ = write_frame_srv(
-                stream,
+                conn,
                 &Response::Error {
                     code: ErrorCode::Protocol,
                     message: e.to_string(),
@@ -1122,7 +1174,10 @@ fn publish_replica(
 // in-process client half never trips them)
 // ---------------------------------------------------------------------
 
-fn read_frame_srv(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
+/// Read the peer's next frame, first flushing whatever is queued: the
+/// peer may be waiting for it before it sends anything.
+fn read_frame_srv(conn: &mut Conn) -> io::Result<Vec<u8>> {
+    conn.flush()?;
     bq_faults::fail_point!("server.conn.drop", |_| Err(io::Error::new(
         io::ErrorKind::ConnectionAborted,
         "injected connection drop",
@@ -1131,32 +1186,130 @@ fn read_frame_srv(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
         // Consume the length prefix, then abandon the body mid-read:
         // exactly what a peer dying between header and payload looks like.
         let mut len = [0u8; 4];
-        let _ = stream.read_exact(&mut len);
+        let _ = conn.read_exact(&mut len);
         Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "injected partial read",
         ))
     });
-    let body = wire::read_frame(stream)?;
+    let body = conn.read_frame()?;
     bq_obs::counter!("bq_server_bytes_in_total", "request bytes read").add(body.len() as u64 + 4);
     Ok(body)
 }
 
-fn write_frame_srv(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
-    let body = resp.encode();
+fn write_frame_srv(conn: &mut Conn, resp: &Response) -> io::Result<()> {
+    push_frame_srv(conn, |out| out.extend_from_slice(&resp.encode()))
+}
+
+/// Queue one frame whose body `encode` writes straight into the
+/// connection's outgoing buffer.
+fn push_frame_srv(conn: &mut Conn, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
     bq_faults::fail_point!("server.write.partial", |_| {
-        // Flush the length prefix and half the body, then fail: the
-        // client sees a truncated frame, never a silent success.
-        let _ = stream.write_all(&(body.len() as u32).to_le_bytes());
-        let _ = stream.write_all(&body[..body.len() / 2]);
-        let _ = stream.flush();
+        // Send what is queued, the length prefix and half the body, then
+        // fail: the client sees a truncated frame, never a silent success.
+        let mut body = Vec::new();
+        encode(&mut body);
+        let _ = conn.flush();
+        let _ = conn.get_mut().write_all(&(body.len() as u32).to_le_bytes());
+        let _ = conn.get_mut().write_all(&body[..body.len() / 2]);
         Err(io::Error::new(
             io::ErrorKind::WriteZero,
             "injected partial write",
         ))
     });
-    wire::write_frame(stream, &body)?;
-    bq_obs::counter!("bq_server_bytes_out_total", "response bytes written")
-        .add(body.len() as u64 + 4);
+    let len = conn.push(encode)?;
+    bq_obs::counter!("bq_server_bytes_out_total", "response bytes written").add(len as u64 + 4);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::{DriverError, Outcome};
+    use bq_relational::{Relation, Schema, Tuple, Type, Value};
+    use std::net::TcpListener;
+
+    fn socket_writes() -> u64 {
+        bq_obs::global()
+            .snapshot()
+            .get("bq_server_socket_writes_total") as u64
+    }
+
+    /// Queue `out` as a reply on a real loopback socket, flush it, and
+    /// return the bytes the peer received and the socket writes it took.
+    fn reply_bytes(
+        batch_rows: usize,
+        out: Result<Outcome, DriverError>,
+        qid: u64,
+    ) -> (Vec<u8>, u64) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut conn = Framed::new(Socket(listener.accept().unwrap().0));
+        let before = socket_writes();
+        send_outcome(&mut conn, batch_rows, out, qid).unwrap();
+        conn.flush().unwrap();
+        let writes = socket_writes() - before;
+        drop(conn);
+        let mut got = Vec::new();
+        peer.read_to_end(&mut got).unwrap();
+        (got, writes)
+    }
+
+    /// The same reply the way it used to be sent: one owned `Response`
+    /// per frame, `Rows` batches cloned from `Relation::tuples`.
+    fn frame_by_frame(frames: &[Response]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for frame in frames {
+            wire::write_frame(&mut bytes, &frame.encode()).unwrap();
+        }
+        bytes
+    }
+
+    fn numbers(n: i64) -> Relation {
+        let schema = Schema::new(&[("a", Type::Int), ("s", Type::Str)]).unwrap();
+        let tuples =
+            (0..n).map(|i| Tuple::new(vec![Value::Int(i), Value::str("x".repeat(i as usize % 5))]));
+        Relation::from_tuples(schema, tuples).unwrap()
+    }
+
+    #[test]
+    fn every_reply_is_the_frame_by_frame_bytes_in_one_write() {
+        let batch = ServerConfig::default().batch_rows;
+        for n in [0, 1, batch, batch + 1, 3 * batch + 7] {
+            let rel = numbers(n as i64);
+            let mut frames = vec![Response::RowSchema {
+                cols: vec![("a".into(), Type::Int), ("s".into(), Type::Str)],
+            }];
+            for chunk in rel.tuples().chunks(batch) {
+                frames.push(Response::Rows {
+                    tuples: chunk.to_vec(),
+                });
+            }
+            frames.push(Response::Done {
+                rows: n as u64,
+                query: 9,
+                message: String::new(),
+            });
+            let (got, writes) = reply_bytes(batch, Ok(Outcome::Rows(rel)), 9);
+            assert_eq!(got, frame_by_frame(&frames), "{n} rows");
+            assert_eq!(writes, 1, "{n} rows");
+        }
+
+        let done = Ok(Outcome::Message("created table t".into()));
+        let (got, writes) = reply_bytes(batch, done, 4);
+        let expected = frame_by_frame(&[Response::Done {
+            rows: 0,
+            query: 4,
+            message: "created table t".into(),
+        }]);
+        assert_eq!((got, writes), (expected, 1));
+
+        let err = Err(DriverError::new(ErrorCode::NoSuchTable, "no table t"));
+        let (got, writes) = reply_bytes(batch, err, 4);
+        let expected = frame_by_frame(&[Response::Error {
+            code: ErrorCode::NoSuchTable,
+            message: "no table t".into(),
+        }]);
+        assert_eq!((got, writes), (expected, 1));
+    }
 }

@@ -21,7 +21,7 @@ use bq_governor::GovernorError;
 use bq_relational::{Schema, Tuple, Type};
 use bq_util::{ByteReader, ByteWriter, DecodeError};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 
 /// Protocol version spoken by this build.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -55,15 +55,21 @@ impl From<DecodeError> for WireError {
 // Frame transport
 // ---------------------------------------------------------------------
 
+/// The fill at which a [`Framed`] socket's queued frames go to the
+/// socket without waiting for [`Framed::flush`], and the most
+/// [`read_frame`] reserves for a body before its bytes arrive.
+pub const FRAME_BUF: usize = 64 << 10;
+
 /// Write one `len | body` frame.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)?;
-    w.flush()
+    w.write_all(body)
 }
 
-/// Read one frame body, rejecting empty and oversized frames before any
-/// allocation happens.
+/// Read one frame body, rejecting empty and oversized frames. The body
+/// buffer grows as bytes arrive, so a header claiming 16 MiB followed by
+/// EOF costs at most one [`FRAME_BUF`], and a short body is
+/// `UnexpectedEof`.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -74,9 +80,90 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
             format!("frame length {len} outside 1..={MAX_FRAME}"),
         ));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::with_capacity(len.min(FRAME_BUF));
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() != len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame body ended after {} of {len} bytes", body.len()),
+        ));
+    }
     Ok(body)
+}
+
+/// One end of a framed connection. Reads go through a buffer (std's
+/// default size; a body larger than it is read straight into place), so
+/// a frame's header and body usually arrive in one `recv`. Frames are
+/// queued in an outgoing buffer, encoded straight into it, and reach the
+/// socket in one `write` per [`Framed::flush`] — the server flushes once
+/// per reply — or as soon as the queue passes [`FRAME_BUF`], so a large
+/// reply streams in buffer-sized writes. Nothing queued is sent until
+/// then: flush before blocking on the peer.
+pub struct Framed<S: Read + Write> {
+    io: BufReader<S>,
+    out: Vec<u8>,
+}
+
+impl<S: Read + Write> Framed<S> {
+    /// Wrap a connected stream.
+    pub fn new(stream: S) -> Framed<S> {
+        Framed {
+            io: BufReader::new(stream),
+            out: Vec::new(),
+        }
+    }
+
+    /// The underlying stream, e.g. to set its deadlines.
+    pub fn get_ref(&self) -> &S {
+        self.io.get_ref()
+    }
+
+    /// The underlying stream, for bytes that must bypass the queue.
+    pub fn get_mut(&mut self) -> &mut S {
+        self.io.get_mut()
+    }
+
+    /// Read one frame body (see [`read_frame`]).
+    pub fn read_frame(&mut self) -> io::Result<Vec<u8>> {
+        read_frame(&mut self.io)
+    }
+
+    /// Queue one frame whose body `encode` appends in place, and return
+    /// the body's length.
+    pub fn push(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<usize> {
+        let at = self.out.len();
+        self.out.put_u32(0);
+        encode(&mut self.out);
+        let len = self.out.len() - at - 4;
+        self.out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        if self.out.len() >= FRAME_BUF {
+            self.flush()?;
+        }
+        Ok(len)
+    }
+
+    /// Queue one encoded frame body.
+    pub fn write_frame(&mut self, body: &[u8]) -> io::Result<()> {
+        self.push(|out| out.extend_from_slice(body)).map(drop)
+    }
+
+    /// Hand everything queued to the socket in one `write_all`.
+    pub fn flush(&mut self) -> io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let sent = self.io.get_mut().write_all(&self.out);
+        self.out.clear();
+        // A snapshot frame may have grown the queue far past its usual size.
+        self.out.shrink_to(FRAME_BUF);
+        sent
+    }
+}
+
+impl<S: Read + Write> Read for Framed<S> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.io.read(buf)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -455,19 +542,7 @@ impl Response {
                     out.put_u8(type_byte(*ty));
                 }
             }
-            Response::Rows { tuples } => {
-                out.put_u8(OP_ROWS);
-                out.put_u32(tuples.len() as u32);
-                for t in tuples {
-                    // Each tuple is encoded in place behind a length
-                    // placeholder, patched once its size is known.
-                    let at = out.len();
-                    out.put_u32(0);
-                    bq_core::codec::encode_into(&mut out, t);
-                    let len = (out.len() - at - 4) as u32;
-                    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
-                }
-            }
+            Response::Rows { tuples } => encode_rows(&mut out, tuples),
             Response::Done {
                 rows,
                 query,
@@ -584,6 +659,26 @@ impl Response {
         r.finish()?;
         Ok(resp)
     }
+}
+
+/// Append a [`Response::Rows`] body to `out` from borrowed tuples: the
+/// bytes `Response::Rows { tuples }.encode()` gives, with no owned batch.
+pub fn encode_rows<'a>(out: &mut Vec<u8>, tuples: impl IntoIterator<Item = &'a Tuple>) {
+    out.put_u8(OP_ROWS);
+    // The count and each tuple's length are placeholders, patched once
+    // known, so every tuple is encoded in place.
+    let count_at = out.len();
+    out.put_u32(0);
+    let mut count = 0u32;
+    for t in tuples {
+        let at = out.len();
+        out.put_u32(0);
+        bq_core::codec::encode_into(out, t);
+        let len = (out.len() - at - 4) as u32;
+        out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        count += 1;
+    }
+    out[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
 }
 
 /// Build the wire [`Schema`] carried by [`Response::RowSchema`].
@@ -952,6 +1047,117 @@ mod tests {
         let huge = ((MAX_FRAME + 1) as u32).to_le_bytes();
         assert!(read_frame(&mut huge.as_slice()).is_err());
         let truncated = [5u8, 0, 0, 0, b'x'];
-        assert!(read_frame(&mut truncated.as_slice()).is_err());
+        let err = read_frame(&mut truncated.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A stream that records each `write` it is handed and reads from a
+    /// fixed input in `chunk`-byte `read`s.
+    struct Pipe {
+        input: Vec<u8>,
+        at: usize,
+        chunk: usize,
+        reads: usize,
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Pipe {
+        fn new(input: Vec<u8>, chunk: usize) -> Pipe {
+            let writes = Vec::new();
+            Pipe {
+                input,
+                at: 0,
+                chunk,
+                reads: 0,
+                writes,
+            }
+        }
+    }
+
+    impl Read for Pipe {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let n = buf.len().min(self.chunk).min(self.input.len() - self.at);
+            buf[..n].copy_from_slice(&self.input[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    impl Write for Pipe {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn framed_sends_one_write_per_flush_and_spills_at_the_buffer() {
+        let mut conn = Framed::new(Pipe::new(Vec::new(), usize::MAX));
+        let frames = [b"one".to_vec(), b"two".to_vec(), vec![7; 300]];
+        let mut expected = Vec::new();
+        for f in &frames {
+            conn.write_frame(f).unwrap();
+            write_frame(&mut expected, f).unwrap();
+        }
+        assert!(
+            conn.get_ref().writes.is_empty(),
+            "nothing leaves before a flush"
+        );
+        conn.flush().unwrap();
+        conn.flush().unwrap();
+        assert_eq!(conn.get_ref().writes, vec![expected]);
+
+        // Past the buffer, queued frames go out without waiting for a
+        // flush, each write at least a buffer's worth.
+        let body = vec![1u8; 1000];
+        let total = 200 * (body.len() + 4);
+        for _ in 0..200 {
+            conn.write_frame(&body).unwrap();
+        }
+        conn.flush().unwrap();
+        let writes = &conn.get_ref().writes[1..];
+        assert_eq!(writes.iter().map(Vec::len).sum::<usize>(), total);
+        assert!(writes.len() <= total / FRAME_BUF + 1, "{}", writes.len());
+        assert!(writes[..writes.len() - 1]
+            .iter()
+            .all(|w| w.len() >= FRAME_BUF));
+    }
+
+    #[test]
+    fn framed_reads_header_and_body_in_one_read() {
+        let mut input = Vec::new();
+        for body in [&b"first"[..], b"second", b"third"] {
+            write_frame(&mut input, body).unwrap();
+        }
+        let mut conn = Framed::new(Pipe::new(input, usize::MAX));
+        assert_eq!(conn.read_frame().unwrap(), b"first");
+        assert_eq!(conn.read_frame().unwrap(), b"second");
+        assert_eq!(conn.read_frame().unwrap(), b"third");
+        assert_eq!(conn.get_ref().reads, 1);
+        // A peer that dribbles bytes is reassembled the same way.
+        let mut input = Vec::new();
+        write_frame(&mut input, b"dribbled").unwrap();
+        let mut conn = Framed::new(Pipe::new(input, 3));
+        assert_eq!(conn.read_frame().unwrap(), b"dribbled");
+    }
+
+    #[test]
+    fn rows_encode_in_place_from_borrowed_tuples() {
+        let tuples: Vec<Tuple> = (0..5)
+            .map(|i| Tuple::new(vec![Value::Int(i), Value::str("ab"), Value::Null(2)]))
+            .collect();
+        for n in [0, 1, 5] {
+            let mut out = vec![0xEE];
+            encode_rows(&mut out, &tuples[..n]);
+            let owned = Response::Rows {
+                tuples: tuples[..n].to_vec(),
+            };
+            assert_eq!(out[1..], owned.encode()[..], "{n} rows");
+        }
     }
 }

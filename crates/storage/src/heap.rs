@@ -6,7 +6,7 @@
 //! [`RecordId`] = (page, slot), which stays stable across deletions.
 
 use crate::page::{PageId, PageStore};
-use crate::slotted::SlottedPage;
+use crate::slotted::{self, SlottedPage};
 use crate::{Result, StorageError};
 
 /// Stable address of a record inside a heap file.
@@ -90,9 +90,8 @@ impl HeapFile {
         if !self.pages.contains(&rid.page) {
             return Ok(None);
         }
-        let mut page = store.read(rid.page)?;
-        let sp = SlottedPage::new(&mut page);
-        Ok(sp.get(rid.slot).map(<[u8]>::to_vec))
+        let page = store.read_ref(rid.page)?;
+        Ok(slotted::record(page, rid.slot).map(<[u8]>::to_vec))
     }
 
     /// Delete a record. Returns true if a live record was removed.
@@ -115,14 +114,27 @@ impl HeapFile {
     /// Full scan: collect every `(RecordId, bytes)` pair in page order.
     pub fn scan(&self, store: &PageStore) -> Result<Vec<(RecordId, Vec<u8>)>> {
         let mut out = Vec::with_capacity(self.record_count);
+        self.for_each_record(store, |rid, rec| {
+            out.push((rid, rec.to_vec()));
+            Ok::<_, StorageError>(())
+        })?;
+        Ok(out)
+    }
+
+    /// Visit every record in page order, borrowed from its page where
+    /// the store keeps it: each page is checksum-verified and nothing is
+    /// copied. Stops at the first error, `f`'s or a page's.
+    pub fn for_each_record<E: From<StorageError>>(
+        &self,
+        store: &PageStore,
+        mut f: impl FnMut(RecordId, &[u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
         for &pid in &self.pages {
-            let mut page = store.read(pid)?;
-            let sp = SlottedPage::new(&mut page);
-            for (slot, rec) in sp.iter() {
-                out.push((RecordId { page: pid, slot }, rec.to_vec()));
+            for (slot, rec) in slotted::records(store.read_ref(pid)?) {
+                f(RecordId { page: pid, slot }, rec)?;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Compact every page, reclaiming space freed by deletions.
@@ -216,6 +228,40 @@ mod tests {
         let scan = heap.scan(&store).unwrap();
         assert_eq!(scan, vec![(b, b"b".to_vec())]);
         assert_eq!(heap.len(), 1);
+    }
+
+    #[test]
+    fn records_are_visited_in_place_from_verified_pages() {
+        let mut store = PageStore::new();
+        let mut heap = HeapFile::new();
+        let rec = vec![3u8; 1000];
+        let rids: Vec<RecordId> = (0..9)
+            .map(|_| heap.insert(&mut store, &rec).unwrap())
+            .collect();
+        heap.delete(&mut store, rids[4]).unwrap();
+        let mut seen = Vec::new();
+        heap.for_each_record(&store, |rid, bytes| {
+            assert_eq!(bytes, &rec[..]);
+            seen.push(rid);
+            Ok::<_, StorageError>(())
+        })
+        .unwrap();
+        let live: Vec<RecordId> = heap
+            .scan(&store)
+            .unwrap()
+            .into_iter()
+            .map(|(r, _)| r)
+            .collect();
+        assert_eq!(seen, live);
+        assert_eq!(seen.len(), 8);
+
+        // A corrupt page stops the pass with a typed error.
+        store.corrupt(rids[8].page, 0).unwrap();
+        let err = heap.for_each_record(&store, |_, _| Ok::<_, StorageError>(()));
+        assert!(
+            matches!(err, Err(StorageError::Corruption { page, .. }) if page == rids[8].page.0),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -149,6 +149,12 @@ impl PageStore {
 
     /// Read a page, verifying its checksum.
     pub fn read(&self, id: PageId) -> Result<Page> {
+        self.read_ref(id).cloned()
+    }
+
+    /// Read a page in place, verifying its checksum: [`PageStore::read`]
+    /// for a reader that only looks.
+    pub fn read_ref(&self, id: PageId) -> Result<&Page> {
         // relaxed: statistic, publishes no other data.
         self.reads.fetch_add(1, Ordering::Relaxed);
         bq_obs::counter!("bq_storage_page_reads_total", "page store device reads").inc();
@@ -169,7 +175,7 @@ impl PageStore {
                 found,
             });
         }
-        Ok(page.clone())
+        Ok(page)
     }
 
     /// Write a page back, sealing its checksum.

@@ -44,7 +44,7 @@ impl<'a> SlottedPage<'a> {
     }
 
     fn u16_at(&self, off: usize) -> u16 {
-        u16::from_le_bytes([self.payload[off], self.payload[off + 1]])
+        u16_in(self.payload, off)
     }
 
     fn set_u16_at(&mut self, off: usize, v: u16) {
@@ -129,14 +129,7 @@ impl<'a> SlottedPage<'a> {
 
     /// Read the record stored in `slot`.
     pub fn get(&self, slot: u16) -> Option<&[u8]> {
-        if slot >= self.slot_count() {
-            return None;
-        }
-        let (off, len) = self.slot(slot);
-        if off == DEAD {
-            return None;
-        }
-        Some(&self.payload[off as usize..(off + len) as usize])
+        record_in(self.payload, slot)
     }
 
     /// Delete the record in `slot`, keeping the slot entry so other record
@@ -177,6 +170,36 @@ impl<'a> SlottedPage<'a> {
         }
         self.set_free_end(end as u16);
     }
+}
+
+fn u16_in(payload: &[u8], off: usize) -> u16 {
+    u16::from_le_bytes([payload[off], payload[off + 1]])
+}
+
+/// The record in `slot` of a slotted payload, borrowed in place.
+fn record_in(payload: &[u8], slot: u16) -> Option<&[u8]> {
+    if slot >= u16_in(payload, 0) {
+        return None;
+    }
+    let dir = SlottedPage::slot_dir_offset(slot);
+    let (off, len) = (u16_in(payload, dir), u16_in(payload, dir + 2));
+    if off == DEAD {
+        return None;
+    }
+    Some(&payload[off as usize..off as usize + len as usize])
+}
+
+/// The record in `slot` of `page`, read without a `&mut Page`.
+pub fn record(page: &Page, slot: u16) -> Option<&[u8]> {
+    record_in(page.payload(), slot)
+}
+
+/// Iterate `(slot, record)` pairs for the live records of `page` in slot
+/// order: [`SlottedPage::iter`] without a `&mut Page`, so a page can be
+/// read where it is stored.
+pub fn records(page: &Page) -> impl Iterator<Item = (u16, &[u8])> + '_ {
+    let payload = page.payload();
+    (0..u16_in(payload, 0)).filter_map(move |s| record_in(payload, s).map(|r| (s, r)))
 }
 
 #[cfg(test)]
@@ -275,6 +298,14 @@ mod tests {
         sp.delete(s1);
         let got: Vec<(u16, Vec<u8>)> = sp.iter().map(|(s, r)| (s, r.to_vec())).collect();
         assert_eq!(got, vec![(0, b"a".to_vec()), (2, b"c".to_vec())]);
+        // The read-only view agrees, and sees nothing on a fresh page.
+        let view: Vec<(u16, Vec<u8>)> = records(&page).map(|(s, r)| (s, r.to_vec())).collect();
+        assert_eq!(view, got);
+        assert_eq!(
+            (record(&page, 2), record(&page, 1)),
+            (Some(&b"c"[..]), None)
+        );
+        assert_eq!(records(&fresh()).count(), 0);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! ```
 //!
 //! This is also the CI smoke test for queryable introspection over the
-//! wire: `bq.metrics` answers a plain select, `EXPLAIN ANALYZE` renders
+//! wire: `bq.metrics` answers a plain select (and shows a point select's
+//! reply costing exactly one socket write), `EXPLAIN ANALYZE` renders
 //! per-operator runtime stats, and the query id from the client's last
 //! `Done` frame joins `bq.slow_log` — one SQL query from a remote
 //! client to the server-side operator timings.
@@ -43,6 +44,27 @@ fn main() {
         }
         other => panic!("expected rows from bq.metrics, got {other:?}"),
     }
+
+    // The server counts the writes it hands its sockets, so writes per
+    // reply is one query away. Each reply is one write, the reply that
+    // carries the first reading included: between two readings the
+    // counter moves by one for that reply and one for the point select.
+    let socket_writes = |conn: &mut Connection| -> i64 {
+        let sql = "select m.value from bq.metrics m where m.name = 'bq_server_socket_writes_total'";
+        match conn.execute(sql) {
+            Ok(Outcome::Rows(rel)) => match rel.iter().next().map(|t| t.get(0)) {
+                Some(Value::Int(v)) => *v,
+                other => panic!("expected the socket-write counter, got {other:?}"),
+            },
+            other => panic!("expected rows from bq.metrics, got {other:?}"),
+        }
+    };
+    let before = socket_writes(&mut conn);
+    conn.execute("select e.sal from emp e where e.name = 'bob'")
+        .expect("point select");
+    let point_select = socket_writes(&mut conn) - before - 1;
+    println!("socket writes for one point select: {point_select}");
+    assert_eq!(point_select, 1, "a point select's reply must be one write");
 
     // EXPLAIN ANALYZE runs the plan and annotates every operator with
     // rows, wall time, and memory charged against the governor budget.

@@ -16,7 +16,7 @@ use std::cell::Cell;
 use big_queries::bq_backup::{BackupError, BackupKind, Manifest};
 use big_queries::bq_core::codec;
 use big_queries::bq_relational::Tuple;
-use big_queries::bq_server::wire::SUBSCRIBE_BOOTSTRAP;
+use big_queries::bq_server::wire::{self, MAX_FRAME, SUBSCRIBE_BOOTSTRAP};
 use big_queries::bq_server::{ErrorCode, QueryInfo, Request, Response};
 use big_queries::bq_storage::{LogRecord, PageId, Wal};
 use big_queries::bq_util::{Rng, SplitMix64};
@@ -120,6 +120,28 @@ fn forged_counts_return_typed_errors_instead_of_aborting() {
         db.apply_snapshot(&snap),
         Err(big_queries::bq_core::CoreError::Codec(_))
     ));
+}
+
+#[test]
+fn a_frame_header_alone_does_not_size_the_body_buffer() {
+    // A header claiming the largest legal body, then EOF: the reader
+    // reports a short body without first asking for 16 MiB.
+    let header = (MAX_FRAME as u32).to_le_bytes();
+    let (err, peak) = peak_of(|| wire::read_frame(&mut &header[..]).unwrap_err());
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    assert!(
+        peak <= budget(header.len()),
+        "{peak} bytes for a 4-byte header"
+    );
+
+    // Every truncation of a real frame is refused the same way, in budget.
+    let mut frame = Vec::new();
+    wire::write_frame(&mut frame, &[0x42; 300]).unwrap();
+    sweep("frame", &[frame], |b| {
+        if let Ok(body) = wire::read_frame(&mut &b[..]) {
+            assert!(body.len() < b.len());
+        }
+    });
 }
 
 // ------------------------------------------------------------------

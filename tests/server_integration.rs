@@ -403,6 +403,49 @@ fn trace_ids_join_frames_catalog_and_kill() {
     server.shutdown(Duration::from_secs(2));
 }
 
+/// `bq.sessions` is re-published only when a frame changed the row, so
+/// every change a frame can make must show: mode, limits, and both
+/// transaction boundaries.
+#[test]
+fn bq_sessions_follows_mode_limits_and_transactions() {
+    let _g = unarmed();
+    let (server, addr) = serve_numbers(3, 1, ServerConfig::default());
+    let mut conn = connect(&addr).unwrap();
+    let sql = format!(
+        "select s.mode, s.limits, s.txn from bq.sessions s where s.session = {}",
+        conn.session()
+    );
+    let row = |conn: &mut Connection| -> (Value, Value, Value) {
+        let rel = rows(conn.execute(&sql).unwrap());
+        let t = rel.iter().next().expect("session missing from bq.sessions");
+        (t.get(0).clone(), t.get(1).clone(), t.get(2).clone())
+    };
+    assert_eq!(
+        row(&mut conn),
+        (Value::str("engine"), Value::str("none"), Value::Bool(false))
+    );
+    conn.set_mode(ExecMode::Sequential).unwrap();
+    conn.set_limits(SessionLimits {
+        deadline_ms: Some(5_000),
+        ..SessionLimits::default()
+    })
+    .unwrap();
+    conn.execute("begin").unwrap();
+    assert_eq!(
+        row(&mut conn),
+        (
+            Value::str(ExecMode::Sequential.to_string()),
+            Value::str("deadline=5000ms"),
+            Value::Bool(true)
+        )
+    );
+    conn.execute("rollback").unwrap();
+    assert_eq!(row(&mut conn).2, Value::Bool(false));
+
+    conn.close();
+    server.shutdown(Duration::from_secs(2));
+}
+
 #[test]
 fn admission_sheds_a_connection_storm_with_typed_overloaded() {
     let _g = unarmed();
@@ -732,6 +775,39 @@ fn embedded_and_remote_drivers_agree() {
     server.shutdown(Duration::from_secs(2));
 
     assert_eq!(local, wired, "embedded and remote drivers disagree");
+}
+
+/// A reply leaves the server in one socket write, however many frames it
+/// holds; a large one streams in writes of at least a buffer each.
+/// (Exclusive: the socket-write counter is process-global.)
+#[test]
+fn a_reply_is_one_socket_write() {
+    let _g = serial();
+    let (server, addr) = serve_numbers(5_000, 1, ServerConfig::default());
+    let mut conn = connect(&addr).unwrap();
+    let metric = |name: &str| bq_obs::global().snapshot().get(name);
+
+    let writes = metric("bq_server_socket_writes_total");
+    let point = rows(conn.execute("select e.b from t e where e.a = 7").unwrap());
+    assert_eq!(point.len(), 1);
+    assert_eq!(metric("bq_server_socket_writes_total") - writes, 1);
+
+    let (writes, bytes) = (
+        metric("bq_server_socket_writes_total"),
+        metric("bq_server_bytes_out_total"),
+    );
+    let export = rows(conn.execute("select e.a, e.b from t e").unwrap());
+    assert_eq!(export.len(), 5_000);
+    let writes = metric("bq_server_socket_writes_total") - writes;
+    let bytes = metric("bq_server_bytes_out_total") - bytes;
+    assert!(bytes as usize > wire::FRAME_BUF, "{bytes} bytes");
+    assert!(
+        writes as usize <= bytes as usize / wire::FRAME_BUF + 1,
+        "{writes} writes for {bytes} bytes"
+    );
+
+    conn.close();
+    server.shutdown(Duration::from_secs(2));
 }
 
 #[test]
