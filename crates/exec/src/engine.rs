@@ -1,10 +1,16 @@
 //! The morsel-driven executor.
 //!
 //! Every operator consumes and produces a [`Run`]: a schema plus a list of
-//! tuple batches ("morsels"). Parallel operators spawn a scoped worker pool
+//! row batches ("morsels"). Parallel operators spawn a scoped worker pool
 //! (`std::thread::scope`) that pulls batch indices off a shared atomic
 //! cursor — workers never block each other except to merge results, so a
 //! slow morsel only delays its own worker.
+//!
+//! A row in flight is a [`Row`]: borrowed from the base relation until an
+//! operator (a projection, a join, a product) builds a new one. Operators
+//! that only choose rows pass them on as they are, and the root set build
+//! — the one place duplicates are guaranteed to leave — is the one place a
+//! borrowed row is copied, after the duplicates are gone.
 
 use crate::plan::{lower, PhysPlan, SetOpKind};
 use crate::pred::BoundPred;
@@ -14,11 +20,12 @@ use bq_relational::algebra::expr::Expr;
 use bq_relational::catalog::Database;
 use bq_relational::error::RelError;
 use bq_relational::{Relation, Result, Schema, Tuple, Value};
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Default number of tuples per morsel.
@@ -43,12 +50,17 @@ impl std::fmt::Display for ExecMode {
 }
 
 /// A sensible worker count for this machine: the available hardware
-/// parallelism, capped so the scoped pools stay cheap to spin up.
+/// parallelism, capped so the scoped pools stay cheap to spin up. Worked
+/// out once per process: `available_parallelism` reads cgroup files on
+/// every call, and every operator of a parallel plan asks.
 pub fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
+    static PARALLELISM: OnceLock<usize> = OnceLock::new();
+    *PARALLELISM.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(8)
+    })
 }
 
 /// The batch-at-a-time physical executor.
@@ -64,15 +76,59 @@ impl Default for Executor {
     }
 }
 
+/// A row in flight: borrowed from a base relation of the `'db` catalog
+/// until an operator builds a new one.
+type Row<'db> = Cow<'db, Tuple>;
+
+/// What a scan charges the memory budget per match: the row's slot in a
+/// batch, not a copy of the row.
+const ROW_SLOT_BYTES: u64 = std::mem::size_of::<Row<'static>>() as u64;
+
+/// The label of the root [`ExecStats`] node: the set build every plan
+/// ends in.
+pub const SET_BUILD: &str = "SetBuild";
+
 /// Intermediate result flowing between operators: a schema and its morsels.
-struct Run {
+struct Run<'db> {
     schema: Schema,
-    batches: Vec<Vec<Tuple>>,
+    batches: Vec<Vec<Row<'db>>>,
 }
 
-impl Run {
+impl Run<'_> {
     fn rows(&self) -> u64 {
         self.batches.iter().map(|b| b.len() as u64).sum()
+    }
+}
+
+/// One batch of rows an operator builds, each charged to the memory
+/// budget as it is pushed.
+struct Built<'c, 'db> {
+    charger: Charger<'c>,
+    rows: Vec<Row<'db>>,
+}
+
+impl<'c, 'db> Built<'c, 'db> {
+    fn new(ctx: &'c QueryContext, capacity: usize) -> Self {
+        Built {
+            charger: Charger::new(ctx),
+            rows: Vec::with_capacity(capacity),
+        }
+    }
+
+    fn push(&mut self, row: Tuple) -> Result<()> {
+        if self.charger.is_enabled() {
+            self.charger.charge(row.approx_bytes())?;
+        }
+        self.rows.push(Cow::Owned(row));
+        Ok(())
+    }
+
+    /// Flush the charges and add them to `mem`, the operator's tally.
+    fn finish(mut self, mem: &AtomicU64) -> Result<Vec<Row<'db>>> {
+        self.charger.flush()?;
+        // relaxed: per-batch byte tally for stats only.
+        mem.fetch_add(self.charger.total(), Ordering::Relaxed);
+        Ok(self.rows)
     }
 }
 
@@ -149,7 +205,8 @@ impl Executor {
     }
 
     /// Execute an already-lowered plan under a governor context, with
-    /// statistics.
+    /// statistics. The root of the statistics is the [`SET_BUILD`] node
+    /// that turns the plan's rows into the result set.
     pub fn execute_plan_with_stats_ctx(
         &self,
         plan: &PhysPlan,
@@ -158,11 +215,30 @@ impl Executor {
     ) -> Result<(Relation, ExecStats)> {
         let _span = bq_obs::span!("exec.plan", mode = self.mode, root = plan.label());
         let (run, stats) = self.exec(plan, db, ctx)?;
-        let rel = Relation::from_tuples(run.schema, run.batches.into_iter().flatten())?;
+        let t0 = Instant::now();
+        let rows_in = run.rows();
+        let (rel, mem_bytes) = build_set(run, ctx)?;
+        let rows_out = rel.len() as u64;
+        let stats = record(ExecStats {
+            op: SET_BUILD.to_string(),
+            rows_in,
+            rows_out,
+            batches_out: u64::from(rows_out > 0),
+            elapsed: t0.elapsed(),
+            build: None,
+            probe: None,
+            mem_bytes,
+            children: vec![stats],
+        });
         Ok((rel, stats))
     }
 
-    fn exec(&self, plan: &PhysPlan, db: &Database, ctx: &QueryContext) -> Result<(Run, ExecStats)> {
+    fn exec<'db>(
+        &self,
+        plan: &PhysPlan,
+        db: &'db Database,
+        ctx: &QueryContext,
+    ) -> Result<(Run<'db>, ExecStats)> {
         ctx.check()?;
         let w = self.workers();
         match plan {
@@ -191,20 +267,15 @@ impl Executor {
             PhysPlan::Filter { pred, input } => {
                 let (child, cstats) = self.exec(input, db, ctx)?;
                 let t0 = Instant::now();
-                let batches = par_map(w, &child.batches, ctx, |batch| {
-                    let mut out = Vec::new();
-                    for t in batch {
-                        if pred.eval(t)? {
-                            out.push(t.clone());
-                        }
-                    }
-                    Ok(out)
+                let rows_in = child.rows();
+                let keep = par_index_map(w, child.batches.len(), ctx, |i| {
+                    child.batches[i].iter().map(|t| pred.eval(t)).collect()
                 })?;
                 let run = Run {
-                    schema: child.schema.clone(),
-                    batches: drop_empty(batches),
+                    schema: child.schema,
+                    batches: retain(child.batches, keep),
                 };
-                let stats = self.stats_for(plan, child.rows(), &run, t0, 0, vec![cstats]);
+                let stats = self.stats_for(plan, rows_in, &run, t0, 0, vec![cstats]);
                 Ok((run, stats))
             }
             PhysPlan::Project {
@@ -215,14 +286,21 @@ impl Executor {
             } => {
                 let (child, cstats) = self.exec(input, db, ctx)?;
                 let t0 = Instant::now();
-                let batches = par_map(w, &child.batches, ctx, |batch| {
-                    Ok(batch.iter().map(|t| t.project(indices)).collect())
+                let out_mem = AtomicU64::new(0);
+                let batches = par_index_map(w, child.batches.len(), ctx, |i| {
+                    let batch = &child.batches[i];
+                    let mut out = Built::new(ctx, batch.len());
+                    for t in batch {
+                        out.push(t.project(indices))?;
+                    }
+                    out.finish(&out_mem)
                 })?;
                 let run = Run {
                     schema: schema.clone(),
                     batches,
                 };
-                let stats = self.stats_for(plan, child.rows(), &run, t0, 0, vec![cstats]);
+                let mem = out_mem.into_inner();
+                let stats = self.stats_for(plan, child.rows(), &run, t0, mem, vec![cstats]);
                 Ok((run, stats))
             }
             PhysPlan::Reschema { schema, input } => {
@@ -243,11 +321,13 @@ impl Executor {
                 // Build side: charged inside par_partition.
                 let (buckets, mem) = par_partition(w, parts, &child.batches, None, ctx)?;
                 let batches = par_index_map(w, parts, ctx, |p| {
-                    let mut seen = HashSet::with_capacity(buckets[p].len());
+                    let mut seen: HashSet<&Tuple> = HashSet::with_capacity(buckets[p].len());
                     let mut out = Vec::new();
-                    for &t in &buckets[p] {
-                        if seen.insert(t) {
-                            out.push(t.clone());
+                    for &row in &buckets[p] {
+                        if seen.insert(row) {
+                            // A borrowed row stays borrowed: the clone
+                            // copies the reference.
+                            out.push(row.clone());
                         }
                     }
                     Ok(out)
@@ -293,7 +373,8 @@ impl Executor {
                     par_index_map(w, parts, ctx, |p| {
                         let mut table: HashMap<JoinKey<'_>, Vec<&Tuple>> =
                             HashMap::with_capacity(bparts[p].len());
-                        for &tuple in &bparts[p] {
+                        for &row in &bparts[p] {
+                            let tuple: &Tuple = row;
                             let key = JoinKey { tuple, cols: b_key };
                             table.entry(key).or_default().push(tuple);
                         }
@@ -308,9 +389,9 @@ impl Executor {
                 let (pparts, probe_mem) = par_partition(w, parts, &prun.batches, Some(p_key), ctx)?;
                 let out_mem = AtomicU64::new(0);
                 let batches = par_index_map(w, parts, ctx, |p| {
-                    let mut charger = Charger::new(ctx);
-                    let mut out = Vec::new();
-                    for &tuple in &pparts[p] {
+                    let mut out = Built::new(ctx, 0);
+                    for &row in &pparts[p] {
+                        let tuple: &Tuple = row;
                         let Some(matches) = tables[p].get(&JoinKey { tuple, cols: p_key }) else {
                             continue;
                         };
@@ -321,18 +402,12 @@ impl Executor {
                                 (tuple, other)
                             };
                             let right_cols = r_rest.iter().map(|&i| rt.get(i));
-                            let joined =
-                                Tuple::new(lt.values().iter().chain(right_cols).cloned().collect());
-                            if charger.is_enabled() {
-                                charger.charge(joined.approx_bytes())?;
-                            }
-                            out.push(joined);
+                            out.push(Tuple::new(
+                                lt.values().iter().chain(right_cols).cloned().collect(),
+                            ))?;
                         }
                     }
-                    charger.flush()?;
-                    // relaxed: per-partition byte tally for stats only.
-                    out_mem.fetch_add(charger.total(), Ordering::Relaxed);
-                    Ok(out)
+                    out.finish(&out_mem)
                 })?;
                 let probe = tp.elapsed();
 
@@ -355,28 +430,21 @@ impl Executor {
                 let (rrun, rstats) = self.exec(right, db, ctx)?;
                 let t0 = Instant::now();
                 let rows_in = lrun.rows() + rrun.rows();
-                let rall: Vec<&Tuple> = rrun.batches.iter().flatten().collect();
+                let rall: Vec<&Tuple> = rrun.batches.iter().flatten().map(|r| &**r).collect();
                 // Quadratic output: every produced tuple is charged so a
                 // runaway cross product dies at the budget, not the
                 // allocator.
                 let out_mem = AtomicU64::new(0);
-                let batches = par_map(w, &lrun.batches, ctx, |batch| {
-                    let mut charger = Charger::new(ctx);
-                    let mut out = Vec::with_capacity(batch.len() * rall.len());
+                let batches = par_index_map(w, lrun.batches.len(), ctx, |i| {
+                    let batch = &lrun.batches[i];
+                    let mut out = Built::new(ctx, batch.len() * rall.len());
                     for lt in batch {
                         ctx.check()?;
                         for rt in &rall {
-                            let t = lt.concat(rt);
-                            if charger.is_enabled() {
-                                charger.charge(t.approx_bytes())?;
-                            }
-                            out.push(t);
+                            out.push(lt.concat(rt))?;
                         }
                     }
-                    charger.flush()?;
-                    // relaxed: per-batch byte tally for stats only.
-                    out_mem.fetch_add(charger.total(), Ordering::Relaxed);
-                    Ok(out)
+                    out.finish(&out_mem)
                 })?;
                 let run = Run {
                     schema: schema.clone(),
@@ -407,40 +475,42 @@ impl Executor {
                 let (rrun, rstats) = self.exec(right, db, ctx)?;
                 let t0 = Instant::now();
                 let rows_in = lrun.rows() + rrun.rows();
-                let parts = partition_count(w, lrun.rows().max(rrun.rows()));
-                let (lparts, lmem) = par_partition(w, parts, &lrun.batches, None, ctx)?;
-                let (rparts, rmem) = par_partition(w, parts, &rrun.batches, None, ctx)?;
+                // Only the right input is held, as one membership set per
+                // partition; each left row is looked up where it lies and
+                // kept or dropped in place.
+                let parts = partition_count(w, rrun.rows());
+                let (rparts, mem) = par_partition(w, parts, &rrun.batches, None, ctx)?;
+                let members: Vec<HashSet<&Tuple>> = par_index_map(w, parts, ctx, |p| {
+                    Ok(rparts[p].iter().map(|&r| &**r).collect())
+                })?;
                 let keep_present = *op == SetOpKind::Intersection;
-                let batches = par_index_map(w, parts, ctx, |p| {
-                    let members: HashSet<&Tuple> = rparts[p].iter().copied().collect();
-                    Ok(lparts[p]
-                        .iter()
-                        .filter(|t| members.contains(*t) == keep_present)
-                        .map(|&t| t.clone())
+                let keep = par_index_map(w, lrun.batches.len(), ctx, |i| {
+                    let batch = lrun.batches[i].iter();
+                    Ok(batch
+                        .map(|t| members[bucket(t, None, parts)].contains(&**t) == keep_present)
                         .collect())
                 })?;
                 let run = Run {
                     schema: lrun.schema,
-                    batches: drop_empty(batches),
+                    batches: retain(lrun.batches, keep),
                 };
-                let stats =
-                    self.stats_for(plan, rows_in, &run, t0, lmem + rmem, vec![lstats, rstats]);
+                let stats = self.stats_for(plan, rows_in, &run, t0, mem, vec![lstats, rstats]);
                 Ok((run, stats))
             }
         }
     }
 
-    /// The scan's single pass: walk `tuples` by reference, clone the ones
-    /// `pred` accepts into morsel-sized batches, and return the batches,
-    /// the number of tuples examined and the bytes charged. The context
-    /// is checked once per morsel examined, and only the copies that
-    /// exist — the matches — are charged to the memory budget.
-    fn scan<'a>(
+    /// The scan's single pass: walk `tuples` by reference, gather the ones
+    /// `pred` accepts into morsel-sized batches of borrowed rows, and
+    /// return the batches, the number of tuples examined and the bytes
+    /// charged. The context is checked once per morsel examined, and the
+    /// memory budget is charged one row slot per match: nothing is copied.
+    fn scan<'db>(
         &self,
-        tuples: impl Iterator<Item = &'a Tuple>,
+        tuples: impl Iterator<Item = &'db Tuple>,
         pred: Option<&BoundPred>,
         ctx: &QueryContext,
-    ) -> Result<(Vec<Vec<Tuple>>, u64, u64)> {
+    ) -> Result<(Vec<Vec<Row<'db>>>, u64, u64)> {
         let mut charger = Charger::new(ctx);
         let mut batches = Vec::new();
         let mut batch = Vec::new();
@@ -455,10 +525,8 @@ impl Executor {
                     continue;
                 }
             }
-            if charger.is_enabled() {
-                charger.charge(t.approx_bytes())?;
-            }
-            batch.push(t.clone());
+            charger.charge(ROW_SLOT_BYTES)?;
+            batch.push(Cow::Borrowed(t));
             if batch.len() == self.morsel_size {
                 batches.push(std::mem::take(&mut batch));
             }
@@ -474,20 +542,12 @@ impl Executor {
         &self,
         plan: &PhysPlan,
         rows_in: u64,
-        run: &Run,
+        run: &Run<'_>,
         started: Instant,
         mem_bytes: u64,
         children: Vec<ExecStats>,
     ) -> ExecStats {
-        bq_obs::counter!("bq_exec_operators_total", "physical operators executed").inc();
-        bq_obs::counter!("bq_exec_rows_total", "rows produced by physical operators")
-            .add(run.rows());
-        bq_obs::counter!(
-            "bq_exec_batches_total",
-            "batches produced by physical operators"
-        )
-        .add(run.batches.len() as u64);
-        ExecStats {
+        record(ExecStats {
             op: plan.label(),
             rows_in,
             rows_out: run.rows(),
@@ -497,12 +557,59 @@ impl Executor {
             probe: None,
             mem_bytes,
             children,
-        }
+        })
     }
 }
 
-fn drop_empty(batches: Vec<Vec<Tuple>>) -> Vec<Vec<Tuple>> {
+/// Count an operator's output in the global registry.
+fn record(stats: ExecStats) -> ExecStats {
+    bq_obs::counter!("bq_exec_operators_total", "physical operators executed").inc();
+    bq_obs::counter!("bq_exec_rows_total", "rows produced by physical operators")
+        .add(stats.rows_out);
+    bq_obs::counter!(
+        "bq_exec_batches_total",
+        "batches produced by physical operators"
+    )
+    .add(stats.batches_out);
+    stats
+}
+
+/// The root set build: the one place a plan's duplicates are guaranteed
+/// to leave and the one place a borrowed row is copied. The rows are
+/// sorted and deduplicated by reference first, so only distinct borrowed
+/// rows are cloned, and the budget is charged for those copies before
+/// they are made. Returns the relation and the bytes charged.
+fn build_set(run: Run<'_>, ctx: &QueryContext) -> Result<(Relation, u64)> {
+    let mut rows: Vec<Row<'_>> = run.batches.into_iter().flatten().collect();
+    // Stable: a run of rows already in order (a scan's, or each side of a
+    // union) is merged, not re-sorted.
+    rows.sort();
+    rows.dedup();
+    let mut charger = Charger::new(ctx);
+    if charger.is_enabled() {
+        for row in &rows {
+            if let Cow::Borrowed(t) = row {
+                charger.charge(t.approx_bytes())?;
+            }
+        }
+        charger.flush()?;
+    }
+    let tuples = rows.into_iter().map(Cow::into_owned);
+    Ok((Relation::from_tuples(run.schema, tuples)?, charger.total()))
+}
+
+fn drop_empty<'db>(batches: Vec<Vec<Row<'db>>>) -> Vec<Vec<Row<'db>>> {
     batches.into_iter().filter(|b| !b.is_empty()).collect()
+}
+
+/// Keep each row whose `keep` flag is set, moving it: nothing is copied.
+fn retain<'db>(batches: Vec<Vec<Row<'db>>>, keep: Vec<Vec<bool>>) -> Vec<Vec<Row<'db>>> {
+    let kept = batches.into_iter().zip(keep).map(|(mut batch, keep)| {
+        let mut keep = keep.into_iter();
+        batch.retain(|_| keep.next() == Some(true));
+        batch
+    });
+    drop_empty(kept.collect())
 }
 
 /// How many hash partitions to use: one per worker, but never more than the
@@ -511,29 +618,19 @@ fn partition_count(workers: usize, rows: u64) -> usize {
     workers.clamp(1, (rows.max(1)) as usize)
 }
 
-/// Map `f` over every batch, morsel-driven: workers pull batch indices off a
-/// shared cursor. Output order matches input order; the first error wins.
-/// The governor context is checked once per morsel on both paths.
-fn par_map<F>(
-    workers: usize,
-    batches: &[Vec<Tuple>],
-    ctx: &QueryContext,
-    f: F,
-) -> Result<Vec<Vec<Tuple>>>
-where
-    F: Fn(&[Tuple]) -> Result<Vec<Tuple>> + Sync,
-{
-    if workers <= 1 || batches.len() <= 1 {
-        return batches
-            .iter()
-            .map(|b| {
-                ctx.check()?;
-                f(b)
-            })
-            .collect();
+/// The partition of `parts` that `t` falls in: by the hash of its `key`
+/// columns, or of the whole tuple when there is no key (distinct, set
+/// operations). Equal keys always land in the same partition.
+fn bucket(t: &Tuple, key: Option<&[usize]>, parts: usize) -> usize {
+    if parts == 1 {
+        return 0;
     }
-    let pairs = par_pull(workers, batches.len(), ctx, |i| f(&batches[i]))?;
-    Ok(pairs)
+    let mut h = DefaultHasher::new();
+    match key {
+        Some(cols) => JoinKey { tuple: t, cols }.hash(&mut h),
+        None => t.hash(&mut h),
+    }
+    (h.finish() % parts as u64) as usize
 }
 
 /// Compute `f(0..n)` with a worker pool pulling indices off a shared atomic
@@ -699,11 +796,10 @@ impl Hash for JoinKey<'_> {
     }
 }
 
-/// Hash-partition all tuples into `parts` buckets of references, in
-/// parallel over the input batches. `key` selects the hashed positions;
-/// `None` hashes the whole tuple (distinct / set ops). Equal keys always
-/// land in the same bucket, so each bucket can then be processed
-/// independently.
+/// Hash-partition all rows into `parts` buckets of references, in
+/// parallel over the input batches, by [`bucket`]: `key` selects the
+/// hashed positions, `None` hashes the whole tuple (distinct / set ops),
+/// so each bucket can then be processed independently.
 ///
 /// This is where an operator takes hold of a whole input at once — the
 /// buckets, and the hash tables built over them, pin every batch of it —
@@ -711,24 +807,13 @@ impl Hash for JoinKey<'_> {
 /// size, and the context is checked at every morsel boundary. Returns the
 /// buckets plus the bytes charged (zero without a budget), so operators
 /// can attribute them in their stats.
-fn par_partition<'a>(
+fn par_partition<'a, 'db>(
     workers: usize,
     parts: usize,
-    batches: &'a [Vec<Tuple>],
+    batches: &'a [Vec<Row<'db>>],
     key: Option<&[usize]>,
     ctx: &QueryContext,
-) -> Result<(Vec<Vec<&'a Tuple>>, u64)> {
-    let bucket_of = |t: &Tuple| -> usize {
-        if parts == 1 {
-            return 0;
-        }
-        let mut h = DefaultHasher::new();
-        match key {
-            Some(cols) => JoinKey { tuple: t, cols }.hash(&mut h),
-            None => t.hash(&mut h),
-        }
-        (h.finish() % parts as u64) as usize
-    };
+) -> Result<(Vec<Vec<&'a Row<'db>>>, u64)> {
     if workers <= 1 || batches.len() <= 1 {
         let mut charger = Charger::new(ctx);
         let mut buckets = vec![Vec::new(); parts];
@@ -738,7 +823,7 @@ fn par_partition<'a>(
                 if charger.is_enabled() {
                     charger.charge(t.approx_bytes())?;
                 }
-                buckets[bucket_of(t)].push(t);
+                buckets[bucket(t, key, parts)].push(t);
             }
         }
         charger.flush()?;
@@ -747,7 +832,7 @@ fn par_partition<'a>(
     let charged = AtomicU64::new(0);
     let cursor = AtomicUsize::new(0);
     let first_err: Mutex<Option<RelError>> = Mutex::new(None);
-    let global: Mutex<Vec<Vec<&Tuple>>> = Mutex::new(vec![Vec::new(); parts]);
+    let global: Mutex<Vec<Vec<&Row<'db>>>> = Mutex::new(vec![Vec::new(); parts]);
     std::thread::scope(|s| {
         for _ in 0..workers.min(batches.len()) {
             s.spawn(|| {
@@ -785,7 +870,7 @@ fn par_partition<'a>(
                                 break 'pull;
                             }
                         }
-                        local[bucket_of(t)].push(t);
+                        local[bucket(t, key, parts)].push(t);
                     }
                 }
                 if let Err(g) = charger.flush() {
@@ -897,9 +982,12 @@ mod tests {
                 let expr = Expr::rel("emp").select(Predicate::eq_const(attr, 7i64));
                 let (rel, stats) = ex.execute_with_stats(&expr, &db).unwrap();
                 assert_eq!(rel, eval(&expr, &db).unwrap());
-                assert!(stats.op.starts_with("SeqScan [emp] where"), "{}", stats.op);
-                assert_eq!(stats.op.contains(" seek "), attr == "id", "{}", stats.op);
-                assert_eq!((stats.rows_in, stats.rows_out), (examined, matches));
+                assert_eq!(stats.op, SET_BUILD);
+                assert_eq!((stats.rows_in, stats.rows_out), (matches, matches));
+                let scan = &stats.children[0];
+                assert!(scan.op.starts_with("SeqScan [emp] where"), "{}", scan.op);
+                assert_eq!(scan.op.contains(" seek "), attr == "id", "{}", scan.op);
+                assert_eq!((scan.rows_in, scan.rows_out), (examined, matches));
             }
         }
     }
@@ -912,11 +1000,28 @@ mod tests {
         let ex = Executor::new(ExecMode::Sequential).with_morsel_size(7);
         let charged = |expr: &Expr| {
             let ctx = QueryContext::unlimited().with_memory_budget(1 << 20);
-            let (_, stats) = ex.execute_with_stats_ctx(expr, &db, &ctx).unwrap();
-            assert_eq!(stats.mem_bytes, ctx.budget().unwrap().used());
-            stats.mem_bytes
+            let (rel, stats) = ex.execute_with_stats_ctx(expr, &db, &ctx).unwrap();
+            assert_eq!(stats.total_mem_bytes(), ctx.budget().unwrap().used());
+            // The scan charges a row slot per match; the copies are the
+            // set build's, made once the duplicates are gone.
+            let scan = &stats.children[0];
+            assert_eq!(scan.mem_bytes, rel.len() as u64 * ROW_SLOT_BYTES);
+            let copies: u64 = rel.iter().map(Tuple::approx_bytes).sum();
+            assert_eq!((stats.op.as_str(), stats.mem_bytes), (SET_BUILD, copies));
+            stats.total_mem_bytes()
         };
         assert_eq!(charged(&some) * 10, charged(&all), "10 of 100 rows copied");
+        // A row reaching the set build twice is copied, and charged, once.
+        let ctx = QueryContext::unlimited().with_memory_budget(1 << 20);
+        let twice = all.clone().union(all.clone());
+        let (_, stats) = ex.execute_with_stats_ctx(&twice, &db, &ctx).unwrap();
+        assert_eq!((stats.rows_in, stats.rows_out), (200, 100));
+        assert_eq!(stats.total_mem_bytes(), ctx.budget().unwrap().used());
+        assert_eq!(
+            stats.total_mem_bytes(),
+            charged(&all) + 100 * ROW_SLOT_BYTES,
+            "200 slots, 100 copies"
+        );
         // A budget smaller than the matches stops the pass; one that only
         // the whole table would exceed does not.
         let tight = |bytes: u64| QueryContext::unlimited().with_memory_budget(bytes);
@@ -926,6 +1031,18 @@ mod tests {
         assert!(ex
             .execute_with_ctx(&some, &db, &tight(charged(&some)))
             .is_ok());
+        // The scan of `select *` fits a budget one byte short of its
+        // result, and the set build's copies do not.
+        let err = ex
+            .execute_with_ctx(&all, &db, &tight(charged(&all) - 1))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RelError::Governed(bq_governor::GovernorError::MemoryExceeded { .. })
+            ),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1046,20 +1163,34 @@ mod tests {
         let expr = Expr::rel("emp")
             .natural_join(Expr::rel("dept"))
             .select(Predicate::eq_const("bldg", 1i64))
-            .project(&["id"]);
+            .project(&["dept"]);
         let (rel, stats) = ex.execute_with_stats(&expr, &db).unwrap();
         assert_eq!(rel, eval(&expr, &db).unwrap());
-        // Root is the distinct over the projection.
-        assert_eq!(stats.op, "HashDistinct");
+        // Root is the set build, where the projection's duplicates leave:
+        // 30 employees in buildings 1 work in 3 departments.
+        assert_eq!(stats.op, SET_BUILD);
+        assert_eq!((stats.rows_in, stats.rows_out), (30, 3));
         assert_eq!(stats.rows_out, rel.len() as u64);
-        assert_eq!(stats.operators(), 6, "distinct+project+filter+join+2 scans");
-        let join = &stats.children[0].children[0].children[0];
+        assert_eq!(
+            stats.operators(),
+            6,
+            "set build+project+filter+join+2 scans"
+        );
+        let project = &stats.children[0];
+        assert_eq!(project.op, "Project [dept]");
+        assert_eq!((project.rows_in, project.rows_out), (30, 30));
+        let join = &project.children[0].children[0];
         assert!(join.op.starts_with("PartitionedHashJoin"), "{}", join.op);
         assert!(join.build.is_some() && join.probe.is_some());
         assert_eq!(join.rows_in, 110);
         assert_eq!(join.rows_out, 100);
         let rendered = stats.render();
+        assert!(
+            rendered.starts_with("SetBuild  (rows=3 in=30"),
+            "{rendered}"
+        );
         assert!(rendered.contains("SeqScan [emp]"), "{rendered}");
+        assert!(!rendered.contains("HashDistinct"), "{rendered}");
     }
 
     #[test]
@@ -1075,11 +1206,21 @@ mod tests {
 
             let ctx = QueryContext::unlimited().with_memory_budget(64 * 1024 * 1024);
             let (_, stats) = ex.execute_with_stats_ctx(&expr, &db, &ctx).unwrap();
-            let join = &stats.children[0].children[0];
+            // The projection built every result row, so the set build at
+            // the root has no borrowed row left to copy.
+            assert_eq!((stats.op.as_str(), stats.mem_bytes), (SET_BUILD, 0));
+            let project = &stats.children[0];
+            assert!(project.mem_bytes > 0, "the projection charges its new rows");
+            let join = &project.children[0];
             assert!(join.op.starts_with("PartitionedHashJoin"), "{}", join.op);
             assert!(join.mem_bytes > 0, "join charges build+probe copies");
             let scans = [&join.children[0], &join.children[1]];
-            assert!(scans.iter().all(|s| s.mem_bytes > 0), "scans charge clones");
+            assert!(
+                scans
+                    .iter()
+                    .all(|s| s.mem_bytes == s.rows_out * ROW_SLOT_BYTES),
+                "scans charge a slot per match"
+            );
             // Every charger in the executor reports into the stats tree, so
             // the tree total is exactly what the ledger saw reserved.
             assert_eq!(stats.total_mem_bytes(), ctx.budget().unwrap().used());

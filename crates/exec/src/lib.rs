@@ -17,18 +17,22 @@
 //!
 //! Selections over a base table are folded into the scan at lowering, with
 //! their attribute names bound to column positions ([`BoundPred`]): the
-//! scan is one pass by reference that copies only the matches, and when
-//! the conjuncts fix a leading-column prefix the pass starts from an
-//! ordered [`Seek`] into the relation's tuple set instead of its first
-//! tuple (DESIGN.md §16).
+//! scan is one pass that borrows the matches, and when the conjuncts fix a
+//! leading-column prefix the pass starts from an ordered [`Seek`] into the
+//! relation's tuple set instead of its first tuple (DESIGN.md §16).
 //!
 //! Joins are build/probe **partitioned hash joins**: both inputs are hash
 //! partitioned on the join key across the worker count, and each partition
 //! is then built and probed independently, in parallel.
 //!
+//! Set semantics are paid once (DESIGN.md §18): every plan ends in a set
+//! build that removes duplicates and copies the rows still borrowed from
+//! the base relations; a `HashDistinct` remains only on join and product
+//! inputs whose duplicates the join would multiply.
+//!
 //! Every operator records an [`ExecStats`] node (rows in/out, batches,
-//! wall time, build/probe split for joins), so `EXPLAIN`-style reporting
-//! falls out of every execution.
+//! wall time, build/probe split for joins), under a root node for the set
+//! build, so `EXPLAIN`-style reporting falls out of every execution.
 //!
 //! The original single-threaded recursive interpreter
 //! ([`bq_relational::algebra::eval`]) remains in place as the differential

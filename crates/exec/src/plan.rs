@@ -136,8 +136,11 @@ pub enum PhysPlan {
         /// Input plan.
         input: Box<PhysPlan>,
     },
-    /// Morsel-parallel projection. Produces a bag; lowering always places
-    /// a [`PhysPlan::HashDistinct`] above it to restore set semantics.
+    /// Morsel-parallel projection, building a new row per input row. One
+    /// that drops columns produces a bag: the executor's root set build
+    /// removes its duplicates, or a [`PhysPlan::HashDistinct`] on the join
+    /// or product input it feeds. One that keeps every column in order
+    /// lowers to a [`PhysPlan::Reschema`] instead.
     Project {
         /// Output column names, in order.
         cols: Vec<String>,
@@ -156,7 +159,11 @@ pub enum PhysPlan {
         /// Input plan.
         input: Box<PhysPlan>,
     },
-    /// Hash-partitioned duplicate elimination.
+    /// Hash-partitioned duplicate elimination. Lowering places one only on
+    /// a join or product input that [may carry
+    /// duplicates](PhysPlan::may_carry_duplicates), which the join would
+    /// multiply; everywhere else the executor's root set build removes
+    /// them.
     HashDistinct {
         /// Input plan.
         input: Box<PhysPlan>,
@@ -195,15 +202,17 @@ pub enum PhysPlan {
         /// Right input.
         right: Box<PhysPlan>,
     },
-    /// Bag union of union-compatible inputs (concatenation); lowering
-    /// always places a [`PhysPlan::HashDistinct`] above it.
+    /// Bag union of union-compatible inputs (concatenation). Duplicates
+    /// across the sides leave where a projection's do.
     Union {
         /// Left input.
         left: Box<PhysPlan>,
         /// Right input.
         right: Box<PhysPlan>,
     },
-    /// Hash-partitioned difference / intersection.
+    /// Difference / intersection by membership: the right input is hashed
+    /// into partitioned sets, and each left row is kept or dropped by
+    /// whether its partition's set holds it.
     HashSetOp {
         /// Which set operation.
         op: SetOpKind,
@@ -274,6 +283,28 @@ impl PhysPlan {
         }
     }
 
+    /// Can the output hold the same tuple twice? Only a projection that
+    /// drops columns and a union make duplicates. A selection, a
+    /// relabelling and the left side of a difference or intersection pass
+    /// them on; a scan, a distinct, and a join or product (whose inputs
+    /// lowering deduplicates when this says so) never have them.
+    pub fn may_carry_duplicates(&self) -> bool {
+        match self {
+            PhysPlan::SeqScan { .. }
+            | PhysPlan::HashDistinct { .. }
+            | PhysPlan::PartitionedHashJoin { .. }
+            | PhysPlan::Product { .. } => false,
+            PhysPlan::Union { .. } => true,
+            PhysPlan::Project { indices, input, .. } => {
+                indices.len() < input.schema().arity() || input.may_carry_duplicates()
+            }
+            PhysPlan::Filter { input, .. } | PhysPlan::Reschema { input, .. } => {
+                input.may_carry_duplicates()
+            }
+            PhysPlan::HashSetOp { left, .. } => left.may_carry_duplicates(),
+        }
+    }
+
     /// Number of operator nodes in the plan.
     pub fn size(&self) -> usize {
         1 + self.children().iter().map(|c| c.size()).sum::<usize>()
@@ -321,13 +352,15 @@ pub fn lower(expr: &Expr, db: &Database) -> Result<PhysPlan> {
                 .iter()
                 .map(|c| child.schema().require(c))
                 .collect::<Result<_>>()?;
-            Ok(PhysPlan::HashDistinct {
-                input: Box::new(PhysPlan::Project {
-                    cols: cols.clone(),
-                    indices,
-                    schema,
-                    input: Box::new(child),
-                }),
+            let input = Box::new(child);
+            if indices.iter().copied().eq(0..input.schema().arity()) {
+                return Ok(PhysPlan::Reschema { schema, input });
+            }
+            Ok(PhysPlan::Project {
+                cols: cols.clone(),
+                indices,
+                schema,
+                input,
             })
         }
         Expr::Rename { from, to, input } => {
@@ -347,18 +380,18 @@ pub fn lower(expr: &Expr, db: &Database) -> Result<PhysPlan> {
             })
         }
         Expr::Product(l, r) => {
-            let left = lower(l, db)?;
-            let right = lower(r, db)?;
+            let left = join_input(lower(l, db)?);
+            let right = join_input(lower(r, db)?);
             let schema = left.schema().product(right.schema())?;
             Ok(PhysPlan::Product {
                 schema,
-                left: Box::new(left),
-                right: Box::new(right),
+                left,
+                right,
             })
         }
         Expr::NaturalJoin(l, r) => {
-            let left = lower(l, db)?;
-            let right = lower(r, db)?;
+            let left = join_input(lower(l, db)?);
+            let right = join_input(lower(r, db)?);
             let common = left.schema().common_attrs(right.schema());
             if common.is_empty() {
                 // Classical semantics: join without shared attributes is
@@ -366,8 +399,8 @@ pub fn lower(expr: &Expr, db: &Database) -> Result<PhysPlan> {
                 let schema = left.schema().product(right.schema())?;
                 return Ok(PhysPlan::Product {
                     schema,
-                    left: Box::new(left),
-                    right: Box::new(right),
+                    left,
+                    right,
                 });
             }
             let l_key: Vec<usize> = common
@@ -392,19 +425,17 @@ pub fn lower(expr: &Expr, db: &Database) -> Result<PhysPlan> {
                 r_rest,
                 on: common,
                 schema,
-                left: Box::new(left),
-                right: Box::new(right),
+                left,
+                right,
             })
         }
         Expr::Union(l, r) => {
             let left = lower(l, db)?;
             let right = lower(r, db)?;
             check_compatible(&left, &right, "union")?;
-            Ok(PhysPlan::HashDistinct {
-                input: Box::new(PhysPlan::Union {
-                    left: Box::new(left),
-                    right: Box::new(right),
-                }),
+            Ok(PhysPlan::Union {
+                left: Box::new(left),
+                right: Box::new(right),
             })
         }
         Expr::Difference(l, r) => lower_setop(l, r, SetOpKind::Difference, "difference", db),
@@ -529,6 +560,21 @@ fn reaches_scan(plan: &PhysPlan) -> bool {
     }
 }
 
+/// A join or product input, deduplicated first when it may carry
+/// duplicates: a join would multiply them. This is the only place
+/// lowering places a [`PhysPlan::HashDistinct`]; every other duplicate
+/// leaves at the executor's root set build, because duplicate elimination
+/// commutes with σ, π, ∪ and the membership-based − and ∩.
+fn join_input(plan: PhysPlan) -> Box<PhysPlan> {
+    Box::new(if plan.may_carry_duplicates() {
+        PhysPlan::HashDistinct {
+            input: Box::new(plan),
+        }
+    } else {
+        plan
+    })
+}
+
 fn lower_setop(l: &Expr, r: &Expr, op: SetOpKind, name: &str, db: &Database) -> Result<PhysPlan> {
     let left = lower(l, db)?;
     let right = lower(r, db)?;
@@ -577,15 +623,69 @@ mod tests {
             .select(Predicate::eq_const("a", 1i64))
             .project(&["b"]);
         let p = lower(&e, &db()).unwrap();
-        assert!(matches!(p, PhysPlan::HashDistinct { .. }));
+        // No distinct: the executor's root set build drops duplicates.
+        assert!(matches!(p, PhysPlan::Project { .. }), "{}", p.render());
         assert_eq!(p.schema().names(), vec!["b"]);
-        assert_eq!(p.size(), 3, "distinct + project + scan: the filter folds");
+        assert_eq!(p.size(), 2, "project + scan: the filter folds");
+        assert!(p.may_carry_duplicates());
         let rendered = p.render();
         assert!(
             rendered.contains("SeqScan [r] where a = 1 seek a = 1"),
             "{rendered}"
         );
         assert!(!rendered.contains("Filter"), "{rendered}");
+
+        // Keeping every column in order moves none: a relabelling, and a
+        // selection above it still folds into the scan.
+        let all = Expr::rel("r")
+            .project(&["a", "b"])
+            .select(Predicate::eq_const("a", 1i64));
+        let p = lower(&all, &db()).unwrap();
+        assert!(matches!(p, PhysPlan::Reschema { .. }), "{}", p.render());
+        assert_eq!(p.size(), 2, "{}", p.render());
+        assert!(!p.may_carry_duplicates());
+        // Reordered, the columns move, but no tuple can collapse.
+        let p = lower(&Expr::rel("r").project(&["b", "a"]), &db()).unwrap();
+        assert!(matches!(p, PhysPlan::Project { .. }), "{}", p.render());
+        assert!(!p.may_carry_duplicates());
+    }
+
+    #[test]
+    fn only_join_and_product_inputs_that_may_carry_duplicates_are_deduplicated() {
+        let db = db();
+        let drop_a = Expr::rel("r").project(&["b"]);
+        // Above a union or a column-dropping projection: nothing.
+        for e in [
+            drop_a.clone(),
+            drop_a.clone().union(Expr::rel("s").project(&["b"])),
+            drop_a
+                .clone()
+                .difference(Expr::rel("s").project(&["b"]))
+                .select(Predicate::eq_const("b", "x")),
+        ] {
+            let plan = lower(&e, &db).unwrap();
+            assert!(!plan.render().contains("HashDistinct"), "{}", plan.render());
+        }
+        // Into a join: the side that may carry duplicates is deduplicated,
+        // the base table is not.
+        let plan = lower(&drop_a.clone().natural_join(Expr::rel("s")), &db).unwrap();
+        assert_eq!(
+            plan.render(),
+            "PartitionedHashJoin [b]\n  HashDistinct\n    Project [b]\n      SeqScan [r]\n  SeqScan [s]\n"
+        );
+        // A product of a union and a join's output: only the union.
+        let union = Expr::rel("s")
+            .project(&["c"])
+            .union(Expr::rel("s").project(&["c"]));
+        let joined = Expr::rel("r").natural_join(Expr::rel("s")).qualify("j");
+        let plan = lower(&union.product(joined), &db).unwrap();
+        let rendered = plan.render();
+        assert!(
+            rendered.starts_with("Product\n  HashDistinct\n    UnionAll\n"),
+            "{rendered}"
+        );
+        assert_eq!(rendered.matches("HashDistinct").count(), 1, "{rendered}");
+        assert!(!plan.may_carry_duplicates());
     }
 
     fn cmp(attr: &str, op: CmpOp, v: i64) -> Predicate {

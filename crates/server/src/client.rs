@@ -181,7 +181,9 @@ impl Connection {
     }
 
     /// Read a result stream: `RowSchema`, `Rows*`, `Done` — or a lone
-    /// `Done` for statements that return no rows.
+    /// `Done` for statements that return no rows. A server sends a set:
+    /// a stream whose rows do not add up to `Done.rows`, or that repeats
+    /// a row, is a protocol error rather than a result.
     fn read_result(&mut self) -> Result<Outcome, DriverError> {
         let first = match self.recv()? {
             Response::Error { code, message } => return Err(DriverError::new(code, message)),
@@ -211,12 +213,12 @@ impl Connection {
         let schema = schema_from_cols(&cols)
             .map_err(|e| DriverError::new(ErrorCode::Protocol, e.to_string()))?;
         let mut tuples = Vec::new();
-        loop {
+        let announced = loop {
             match self.recv()? {
                 Response::Rows { tuples: batch } => tuples.extend(batch),
-                Response::Done { query, .. } => {
+                Response::Done { rows, query, .. } => {
                     self.last_query = query;
-                    break;
+                    break rows;
                 }
                 Response::Error { code, message } => return Err(DriverError::new(code, message)),
                 other => {
@@ -226,9 +228,25 @@ impl Connection {
                     ));
                 }
             }
+        };
+        let received = tuples.len();
+        if received as u64 != announced {
+            return Err(DriverError::new(
+                ErrorCode::Protocol,
+                format!("received {received} rows, the Done frame announced {announced}"),
+            ));
         }
         let rel = Relation::from_tuples(schema, tuples)
             .map_err(|e| DriverError::new(ErrorCode::Protocol, e.to_string()))?;
+        if rel.len() < received {
+            return Err(DriverError::new(
+                ErrorCode::Protocol,
+                format!(
+                    "received {received} rows, of which only {} are distinct",
+                    rel.len()
+                ),
+            ));
+        }
         Ok(Outcome::Rows(rel))
     }
 
@@ -321,5 +339,76 @@ impl Driver for Connection {
 
     fn backend(&self) -> &'static str {
         "remote"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bq_relational::{tup, Tuple, Type};
+    use std::net::TcpListener;
+
+    /// A peer that answers the handshake, then each query with the next
+    /// hand-built frame stream in `replies`.
+    fn canned_server(replies: Vec<Vec<Response>>) -> (String, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut io = Framed::new(stream);
+            let mut answer = |frames: &[Response]| {
+                io.read_frame().expect("request");
+                for frame in frames {
+                    io.write_frame(&frame.encode()).expect("queue");
+                }
+                io.flush().expect("flush");
+            };
+            answer(&[Response::HelloOk {
+                version: PROTOCOL_VERSION,
+                session: 1,
+            }]);
+            for reply in replies {
+                answer(&reply);
+            }
+        });
+        (addr, peer)
+    }
+
+    fn stream(rows: Vec<Tuple>, announced: u64) -> Vec<Response> {
+        vec![
+            Response::RowSchema {
+                cols: vec![("a".to_string(), Type::Int)],
+            },
+            Response::Rows { tuples: rows },
+            Response::Done {
+                rows: announced,
+                query: 7,
+                message: String::new(),
+            },
+        ]
+    }
+
+    #[test]
+    fn a_result_stream_must_add_up_to_a_set() {
+        let (addr, peer) = canned_server(vec![
+            stream(vec![tup![1i64], tup![2i64]], 2),
+            stream(vec![tup![1i64], tup![2i64]], 3),
+            stream(vec![tup![1i64], tup![1i64]], 2),
+        ]);
+        let mut conn = connect(addr).expect("handshake");
+        match conn.execute("q") {
+            Ok(Outcome::Rows(rel)) => assert_eq!(rel.len(), 2),
+            other => panic!("a well-formed stream is a result: {other:?}"),
+        }
+        assert_eq!(conn.last_query_id(), 7);
+        for (what, detail) in [
+            ("a short stream", "announced 3"),
+            ("a repeated row", "only 1 are distinct"),
+        ] {
+            let err = conn.execute("q").expect_err(what);
+            assert_eq!(err.code, ErrorCode::Protocol, "{what}: {err}");
+            assert!(err.message.contains(detail), "{what}: {err}");
+        }
+        peer.join().expect("canned peer");
     }
 }

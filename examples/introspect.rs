@@ -8,7 +8,8 @@
 //! This is also the CI smoke test for queryable introspection over the
 //! wire: `bq.metrics` answers a plain select (and shows a point select's
 //! reply costing exactly one socket write), `EXPLAIN ANALYZE` renders
-//! per-operator runtime stats, and the query id from the client's last
+//! per-operator runtime stats (rooted at the set build where a
+//! projection's duplicates leave), and the query id from the client's last
 //! `Done` frame joins `bq.slow_log` — one SQL query from a remote
 //! client to the server-side operator timings.
 
@@ -76,6 +77,24 @@ fn main() {
     assert!(analyzed.contains("SeqScan [emp]"), "{analyzed}");
     assert!(analyzed.contains("time="), "{analyzed}");
     assert!(analyzed.contains("mem="), "{analyzed}");
+
+    // Set semantics are paid once: a projection's duplicates leave at the
+    // set build that roots every plan, never at a distinct of their own.
+    // emp's three rows hold two departments.
+    let analyzed = match conn.execute("explain analyze select e.dept from emp e") {
+        Ok(Outcome::Message(m)) => m,
+        other => panic!("expected an analyzed plan, got {other:?}"),
+    };
+    println!("{analyzed}");
+    let root = analyzed
+        .lines()
+        .find(|l| !l.starts_with(char::is_lowercase))
+        .expect("a plan under the header");
+    assert!(
+        root.starts_with("SetBuild  (rows=2 in=3 "),
+        "the root must be the set build, 3 rows in and 2 out:\n{analyzed}"
+    );
+    assert!(!analyzed.contains("HashDistinct"), "{analyzed}");
 
     // The `Done` frame carried the server's trace id for that statement;
     // join it back against the slow log with one more select.

@@ -8,7 +8,9 @@
 //! default ones, and a failure prints the value to pin it with.
 
 use big_queries::bq_core::Db;
-use big_queries::bq_exec::{lower, ExecMode, Executor};
+use big_queries::bq_exec::engine::SET_BUILD;
+use big_queries::bq_exec::{lower, ExecMode, Executor, PhysPlan};
+use big_queries::bq_governor::QueryContext;
 use big_queries::bq_relational::algebra::eval::eval;
 use big_queries::bq_relational::algebra::expr::{Expr, Operand, Predicate};
 use big_queries::bq_relational::algebra::optimize::optimize;
@@ -719,6 +721,204 @@ fn selections_over_products_agree_with_oracle() {
         errors >= 8,
         "only {errors}/400 cases reach the unknown name"
     );
+}
+
+/// The columns of every table the set-semantics generator draws from,
+/// with domains small enough that projections and unions collide.
+const BAG: [(&str, Type); 3] = [("a", Type::Int), ("b", Type::Int), ("c", Type::Str)];
+
+/// Three tables `t0`–`t2` over [`BAG`] with 1–12 rows each.
+fn bag_db(rng: &mut SplitMix64) -> Database {
+    let mut db = Database::new();
+    for t in 0..3 {
+        let mut rel = Relation::with_schema(&BAG).unwrap();
+        for _ in 0..1 + rng.gen_index(12) {
+            let row = BAG.iter().map(|&(_, ty)| match ty {
+                Type::Int => Value::Int(rng.gen_range(3) as i64),
+                _ => random_value(rng, ty),
+            });
+            rel.insert(Tuple::new(row.collect())).unwrap();
+        }
+        db.add(&format!("t{t}"), rel);
+    }
+    db
+}
+
+/// A non-empty subsequence of [`BAG`]'s column names.
+fn bag_cols(rng: &mut SplitMix64) -> Vec<&'static str> {
+    loop {
+        let cols: Vec<&str> = BAG
+            .iter()
+            .map(|&(n, _)| n)
+            .filter(|_| rng.gen_bool())
+            .collect();
+        if !cols.is_empty() {
+            return cols;
+        }
+    }
+}
+
+/// A comparison of one of `cols` with a constant from its domain.
+fn bag_pred(rng: &mut SplitMix64, cols: &[&str]) -> Predicate {
+    let col = cols[rng.gen_index(cols.len())];
+    let ty = BAG.iter().find(|&&(n, _)| n == col).unwrap().1;
+    let op = [CmpOp::Eq, CmpOp::Ne, CmpOp::Le, CmpOp::Gt][rng.gen_index(4)];
+    let constant = match ty {
+        Type::Int => Value::Int(rng.gen_range(3) as i64),
+        _ => random_value(rng, ty),
+    };
+    Predicate::cmp(Operand::attr(col), op, Operand::Const(constant))
+}
+
+/// An expression over the columns `cols` that may carry duplicates before
+/// the result set is built: column-dropping projections, unions,
+/// differences, intersections and selections, nested.
+fn bag_tree(rng: &mut SplitMix64, cols: &[&str], depth: usize) -> Expr {
+    if depth == 0 || rng.gen_pct(30) {
+        let mut leaf = Expr::rel(format!("t{}", rng.gen_index(3)));
+        if rng.gen_pct(40) {
+            leaf = leaf.select(bag_pred(rng, &["a", "b", "c"]));
+        }
+        return leaf.project(cols);
+    }
+    let side = |rng: &mut SplitMix64| bag_tree(rng, cols, depth - 1);
+    match rng.gen_index(5) {
+        0 => side(rng).union(side(rng)),
+        1 => side(rng).difference(side(rng)),
+        2 => side(rng).intersection(side(rng)),
+        3 => side(rng).select(bag_pred(rng, cols)),
+        _ => {
+            // A wider tree, narrowed.
+            let wider: Vec<&str> = BAG
+                .iter()
+                .map(|&(n, _)| n)
+                .filter(|n| cols.contains(n) || rng.gen_bool())
+                .collect();
+            bag_tree(rng, &wider, depth - 1).project(cols)
+        }
+    }
+}
+
+/// A set-semantics case: a [`bag_tree`] alone, or two as the inputs of a
+/// natural join, a product, or a selection over a product that lowers to
+/// a hash join; the last three sometimes projected again.
+fn bag_expr(rng: &mut SplitMix64, db: &Database) -> Expr {
+    let (l, r) = (bag_cols(rng), bag_cols(rng));
+    let (left, right) = (bag_tree(rng, &l, 2), bag_tree(rng, &r, 2));
+    if rng.gen_pct(35) {
+        return left;
+    }
+    let joined = match rng.gen_index(3) {
+        0 => left.natural_join(right),
+        1 => left.qualify("l").product(right.qualify("r")),
+        _ => {
+            let key = |cols: &[&str], side: &str, rng: &mut SplitMix64| {
+                let ints: Vec<&str> = cols.iter().copied().filter(|&c| c != "c").collect();
+                let col = if ints.is_empty() {
+                    "c"
+                } else {
+                    ints[rng.gen_index(ints.len())]
+                };
+                format!("{side}.{col}")
+            };
+            let on = Predicate::eq_attrs(&key(&l, "l", rng), &key(&r, "r", rng));
+            left.qualify("l").product(right.qualify("r")).select(on)
+        }
+    };
+    if rng.gen_pct(30) {
+        return joined;
+    }
+    let schema = joined.schema(db).unwrap();
+    let mut keep: Vec<&str> = Vec::new();
+    while keep.is_empty() {
+        keep = schema
+            .names()
+            .into_iter()
+            .filter(|_| rng.gen_bool())
+            .collect();
+    }
+    joined.project(&keep)
+}
+
+/// Check where `plan` deduplicates, returning how many join or product
+/// inputs it deduplicates. A `HashDistinct` sits only directly on a join
+/// or product input, and on exactly those that may carry duplicates; an
+/// input that is said not to carry any really produces none.
+fn check_dedup_shape(plan: &PhysPlan, under_join: bool, db: &Database, at: &str) -> u32 {
+    let joins = matches!(
+        plan,
+        PhysPlan::PartitionedHashJoin { .. } | PhysPlan::Product { .. }
+    );
+    let here = match plan {
+        PhysPlan::HashDistinct { input } => {
+            assert!(under_join, "{at}: a distinct above the joins");
+            assert!(input.may_carry_duplicates(), "{at}: a needless distinct");
+            1
+        }
+        input if under_join => {
+            assert!(
+                !input.may_carry_duplicates(),
+                "{at}: duplicates reach a join"
+            );
+            let ctx = QueryContext::unlimited();
+            let (_, stats) = Executor::new(ExecMode::Sequential)
+                .execute_plan_with_stats_ctx(input, db, &ctx)
+                .unwrap();
+            assert_eq!(stats.rows_in, stats.rows_out, "{at}: {}", input.render());
+            0
+        }
+        _ => 0,
+    };
+    here + plan
+        .children()
+        .into_iter()
+        .map(|c| check_dedup_shape(c, joins, db, at))
+        .sum::<u32>()
+}
+
+/// Set semantics are paid once: projections and unions lower without a
+/// distinct, their duplicates leave at the root set build, and only a join
+/// or product input that may carry duplicates is deduplicated before the
+/// join multiplies them. Every case must agree with the oracle.
+#[test]
+fn duplicates_leave_at_the_set_build_or_before_a_join() {
+    let mut rng = seeded(0x5e7_b11d);
+    let (mut dropped, mut deduplicated, mut joins, mut nonempty) = (0u32, 0u32, 0u32, 0u32);
+    for case in 0..400u64 {
+        let at = format!("BQ_EXEC_SEED={} case {case}", exec_seed());
+        let db = bag_db(&mut rng);
+        let expr = bag_expr(&mut rng, &db);
+        let plan = lower(&expr, &db).unwrap();
+        let inputs = check_dedup_shape(&plan, false, &db, &format!("{at}: {expr}"));
+        deduplicated += u32::from(inputs > 0);
+        let rendered = plan.render();
+        joins += u32::from(rendered.contains("Join") || rendered.contains("Product"));
+
+        let ctx = QueryContext::unlimited();
+        let (rel, stats) = Executor::new(ExecMode::Sequential)
+            .execute_plan_with_stats_ctx(&plan, &db, &ctx)
+            .unwrap();
+        assert_eq!(stats.op, SET_BUILD, "{at}");
+        assert_eq!(stats.rows_out, rel.len() as u64, "{at}");
+        if !plan.may_carry_duplicates() {
+            assert_eq!(stats.rows_in, stats.rows_out, "{at}: {expr}\n{rendered}");
+        }
+        dropped += u32::from(stats.rows_in > stats.rows_out);
+        nonempty += u32::from(!rel.is_empty());
+
+        let expected = eval(&expr, &db);
+        assert_engine_agrees(case, &expr, &db, &expected, &executors(&mut rng));
+    }
+    assert!(
+        dropped >= 70,
+        "only {dropped}/400 set builds dropped a duplicate"
+    );
+    assert!(
+        deduplicated >= 180,
+        "only {deduplicated}/400 plans deduplicate a join input"
+    );
+    assert!(joins >= 180, "only {joins}/400 cases join");
+    assert!(nonempty >= 180, "only {nonempty}/400 answers are non-empty");
 }
 
 const STAR_SQL: &str = "select f.id, d.grp from fact f, dim d where f.k = d.k and f.v > 900";
