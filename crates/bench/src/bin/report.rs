@@ -614,7 +614,8 @@ fn e12_nulls() {
 }
 
 fn e14_exec() {
-    use bq_exec::{ExecMode, Executor};
+    use bq_exec::{lower, ExecMode, Executor};
+    use bq_governor::QueryContext;
     header(
         "E14",
         "Morsel-driven execution: bq-exec vs the recursive oracle",
@@ -659,7 +660,10 @@ fn e14_exec() {
     let db = star_db(10_000);
     let ex = Executor::new(ExecMode::Parallel(4));
     let before = bq_obs::global().snapshot();
-    let (_, stats) = ex.execute_with_stats(&expr, &db).expect("stats");
+    let plan = lower(&expr, &db).expect("lower");
+    let (_, stats) = ex
+        .execute_plan_with_stats_ctx(&plan, &db, &QueryContext::unlimited())
+        .expect("stats");
     println!("\nphysical plan at 10k rows, parallel(4):\n{stats}");
     println!("registry deltas for that single run:");
     registry_deltas(&before);
@@ -674,7 +678,8 @@ fn e13_optimizer() {
         "{:>8} {:>16} {:>16} {:>9} {:>14}",
         "emps", "naive intermed.", "optimized", "ratio", "bq-exec rows"
     );
-    use bq_exec::{ExecMode, Executor};
+    use bq_exec::{lower, ExecMode, Executor};
+    use bq_governor::QueryContext;
     use bq_relational::algebra::expr::{Expr, Predicate};
     for n in [100i64, 400, 1000] {
         let db = emp_db(n);
@@ -691,8 +696,9 @@ fn e13_optimizer() {
         assert_eq!(r1, r2);
         // The same optimized expression through the physical engine: rows
         // its operators produce below the root.
+        let plan = lower(&opt, &db).expect("lower");
         let (r3, stats) = Executor::new(ExecMode::Sequential)
-            .execute_with_stats(&opt, &db)
+            .execute_plan_with_stats_ctx(&plan, &db, &QueryContext::unlimited())
             .expect("bq-exec");
         assert_eq!(r1, r3);
         println!(

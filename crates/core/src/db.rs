@@ -23,7 +23,8 @@ use crate::watch::WalWatch;
 use crate::Result;
 use bq_datalog::parser::{parse_atom, parse_program};
 use bq_datalog::{FactStore, SemiNaive};
-use bq_exec::{ExecMode, ExecStats, Executor};
+use bq_exec::engine::default_parallelism;
+use bq_exec::{lower, ExecMode, ExecStats, Executor};
 use bq_governor::{AdmissionController, AdmissionStats, CancelRegistry, Charger, QueryContext};
 use bq_relational::algebra::{optimize, Expr};
 use bq_relational::calculus::{eval_query, Query as CalcQuery};
@@ -102,6 +103,42 @@ impl SessionLimits {
     }
 }
 
+/// One relational statement, in any of the languages Codd's Theorem
+/// makes equivalent; [`Db::run`] runs them all.
+#[derive(Debug, Clone, Copy)]
+pub enum Query<'a> {
+    /// SQL-ish text: parsed and optimized on every run.
+    Sql(&'a str),
+    /// A plan from [`Db::prepare_sql`], run as given; `text` is what
+    /// `bq.queries` and the slow log show.
+    Prepared {
+        /// The statement text the plan was prepared from.
+        text: &'a str,
+        /// The parsed and optimized plan.
+        plan: &'a Expr,
+    },
+    /// A relational-algebra expression, run as given.
+    Algebra(&'a Expr),
+    /// A tuple-calculus query.
+    Calculus(&'a CalcQuery),
+}
+
+/// What [`Db::run`] returns: the result set, the per-operator statistics
+/// of the plan that built it, and the statement's wall time.
+#[derive(Debug, Clone)]
+pub struct Answer {
+    /// The result relation.
+    pub rel: Relation,
+    /// Per-operator statistics, rooted at the set build.
+    pub stats: ExecStats,
+    /// Wall time from admission to result, in microseconds.
+    pub elapsed_us: u64,
+}
+
+/// The [`ExecStats`] label of a calculus query the translation to algebra
+/// rejects, answered by the active-domain interpreter instead.
+const CALCULUS_EVAL: &str = "CalculusEval";
+
 /// The database engine facade.
 #[derive(Debug)]
 pub struct Db {
@@ -116,8 +153,8 @@ pub struct Db {
     /// what an abort takes back.
     open: BTreeMap<u64, Vec<Placed>>,
     next_txn: u64,
-    /// The physical execution engine behind every query surface.
-    exec: Executor,
+    /// Execution mode of statements that do not bring their own.
+    mode: ExecMode,
     /// Session-level resource defaults for statements without an explicit
     /// [`QueryContext`].
     limits: SessionLimits,
@@ -185,7 +222,7 @@ impl Db {
             watch: WalWatch::default(),
             open: BTreeMap::new(),
             next_txn: 1,
-            exec: Executor::default(),
+            mode: ExecMode::Parallel(default_parallelism()),
             limits: SessionLimits::default(),
             // Effectively unbounded by default: admission only sheds after
             // `set_admission` narrows the slot pool.
@@ -202,15 +239,15 @@ impl Db {
         }
     }
 
-    /// Current execution mode of the physical engine.
+    /// Execution mode of statements that do not bring their own.
     pub fn exec_mode(&self) -> ExecMode {
-        self.exec.mode()
+        self.mode
     }
 
-    /// Switch the physical engine between sequential and morsel-parallel
-    /// execution for all query surfaces.
+    /// Switch statements that do not bring their own mode between
+    /// sequential and morsel-parallel execution.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec.set_mode(mode);
+        self.mode = mode;
     }
 
     // ------------------------------------------------------------------
@@ -726,135 +763,111 @@ impl Db {
     // Query surfaces
     // ------------------------------------------------------------------
 
-    /// Run a SQL-ish query: parsed, optimized, then executed by the
-    /// morsel-driven physical engine (`bq-exec`). Governed by the session
-    /// limits; see [`Db::sql_with_ctx`] for per-statement control.
+    /// The one body every relational statement runs through, whatever
+    /// language it is written in: admission, cancel registration and the
+    /// `bq.queries` entry ([`Db::run_governed`]), the catalog it should
+    /// see ([`Db::with_catalog_for`]), execution with per-operator stats
+    /// under `ctx` and `mode`, and the slow-log record. SQL text is parsed
+    /// and optimized here; a prepared plan and an algebra expression run
+    /// as given, never re-optimized. A calculus query is translated to
+    /// algebra by Codd's Theorem, or — when the constructive translation
+    /// rejects it — answered by the active-domain interpreter.
+    pub fn run(&self, query: Query<'_>, ctx: &QueryContext, mode: ExecMode) -> Result<Answer> {
+        let exec = Executor::new(mode);
+        let execute = |expr: &Expr, cat: &Database| -> Result<(Relation, ExecStats)> {
+            Ok(exec.execute_plan_with_stats_ctx(&lower(expr, cat)?, cat, ctx)?)
+        };
+        let (kind, text) = match query {
+            Query::Sql(text) | Query::Prepared { text, .. } => ("sql", text),
+            Query::Algebra(_) => ("algebra", "(algebra)"),
+            Query::Calculus(_) => ("calculus", "(calculus)"),
+        };
+        let ((rel, stats), elapsed_us) = self.run_governed(kind, text, ctx, || match query {
+            Query::Sql(text) => {
+                let expr = sqlish::parse(text)?;
+                self.with_catalog_for(&expr, |cat| execute(&optimize(&expr, cat)?, cat))
+            }
+            Query::Prepared { plan, .. } | Query::Algebra(plan) => {
+                self.with_catalog_for(plan, |cat| execute(plan, cat))
+            }
+            Query::Calculus(query) => {
+                let cat = self.tables.relations();
+                match calculus_to_algebra(query, cat) {
+                    Ok(expr) => execute(&expr, cat),
+                    Err(_) => {
+                        let start_us = bq_obs::now_us();
+                        let rel = eval_query(query, cat)?;
+                        let stats = ExecStats {
+                            op: CALCULUS_EVAL.to_string(),
+                            rows_out: rel.len() as u64,
+                            elapsed: Duration::from_micros(
+                                bq_obs::now_us().saturating_sub(start_us),
+                            ),
+                            ..ExecStats::default()
+                        };
+                        Ok((rel, stats))
+                    }
+                }
+            }
+        })?;
+        self.note_slow(ctx, text, elapsed_us, rel.len() as u64, &stats);
+        Ok(Answer {
+            rel,
+            stats,
+            elapsed_us,
+        })
+    }
+
+    /// Run a SQL-ish query under the session limits and the engine's
+    /// execution mode; see [`Db::run`].
     pub fn sql(&self, text: &str) -> Result<Relation> {
-        self.sql_with_ctx(text, &self.govern())
+        self.sql_with_ctx_mode(text, &self.govern(), self.mode)
     }
 
-    /// Run a SQL-ish query under an explicit [`QueryContext`]: the deadline,
-    /// cancel token, and memory budget it carries are honoured at every
-    /// morsel boundary and allocation site inside the engine.
-    pub fn sql_with_ctx(&self, text: &str, ctx: &QueryContext) -> Result<Relation> {
-        Ok(self.sql_governed(text, ctx, &self.exec)?.0)
-    }
-
-    /// Run a SQL-ish query under an explicit [`QueryContext`] *and* an
-    /// explicit [`ExecMode`], independent of the engine-wide mode. This is
-    /// the entry point for multi-session frontends (bq-server), where each
-    /// session carries its own mode but shares one `Db`.
+    /// Run a SQL-ish query under an explicit [`QueryContext`] and
+    /// [`ExecMode`]; see [`Db::run`].
     pub fn sql_with_ctx_mode(
         &self,
         text: &str,
         ctx: &QueryContext,
         mode: ExecMode,
     ) -> Result<Relation> {
-        Ok(self.sql_governed(text, ctx, &Executor::new(mode))?.0)
+        Ok(self.run(Query::Sql(text), ctx, mode)?.rel)
     }
 
-    /// Shared body of the SQL surfaces: parse, resolve (virtual-table
-    /// overlay or real catalog), execute with per-operator stats, and
-    /// feed the slow log. Returns the result, its operator statistics
-    /// and the statement's wall time in microseconds.
-    fn sql_governed(
-        &self,
-        text: &str,
-        ctx: &QueryContext,
-        exec: &Executor,
-    ) -> Result<(Relation, ExecStats, u64)> {
-        let ((rel, stats), elapsed_us) = self.run_governed("sql", text, ctx, || {
-            let expr = sqlish::parse(text)?;
-            self.with_catalog_for(&expr, |cat| {
-                let optimized = optimize(&expr, cat)?;
-                Ok(exec.execute_with_stats_ctx(&optimized, cat, ctx)?)
-            })
-        })?;
-        self.note_slow(ctx, text, elapsed_us, rel.len() as u64, &stats);
-        Ok((rel, stats, elapsed_us))
-    }
-
-    /// Execute an already-parsed-and-optimized plan (a prepared statement)
-    /// under an explicit context and mode. Prepared plans skip parse and
-    /// optimize on every execution; governance — and the slow-log entry,
-    /// filed under `text` — is identical to [`Db::sql_with_ctx_mode`].
-    pub fn run_prepared(
-        &self,
-        text: &str,
-        expr: &Expr,
-        ctx: &QueryContext,
-        mode: ExecMode,
-    ) -> Result<Relation> {
-        let exec = Executor::new(mode);
-        let ((rel, stats), elapsed_us) = self.run_governed("sql", text, ctx, || {
-            self.with_catalog_for(expr, |cat| Ok(exec.execute_with_stats_ctx(expr, cat, ctx)?))
-        })?;
-        self.note_slow(ctx, text, elapsed_us, rel.len() as u64, &stats);
-        Ok(rel)
-    }
-
-    /// Parse and optimize a SQL-ish query into a plan suitable for
-    /// [`Db::run_prepared`], without executing it. Statements over
-    /// `bq.*` tables optimize against a snapshot overlay; each later
-    /// execution still snapshots fresh state.
+    /// Parse and optimize a SQL-ish query into a plan for
+    /// [`Query::Prepared`], without executing it. Statements over `bq.*`
+    /// tables optimize against a snapshot overlay; each later execution
+    /// still snapshots fresh state.
     pub fn prepare_sql(&self, text: &str) -> Result<Expr> {
         let expr = sqlish::parse(text)?;
         self.with_catalog_for(&expr, |cat| Ok(optimize(&expr, cat)?))
     }
 
-    /// Evaluate a relational-algebra expression through the physical
-    /// engine. (The original recursive interpreter survives as
-    /// [`bq_relational::algebra::eval`], the differential-testing oracle.)
+    /// Evaluate a relational-algebra expression under the session limits
+    /// and the engine's mode; see [`Db::run`]. (The original recursive
+    /// interpreter survives as [`bq_relational::algebra::eval`], the
+    /// differential-testing oracle.)
     pub fn algebra(&self, expr: &Expr) -> Result<Relation> {
-        let ctx = self.govern();
-        self.run_governed("algebra", "(algebra)", &ctx, || {
-            self.with_catalog_for(expr, |cat| {
-                Ok(self.exec.execute_with_ctx(expr, cat, &ctx)?)
-            })
-        })
-        .map(|(rel, _)| rel)
+        Ok(self
+            .run(Query::Algebra(expr), &self.govern(), self.mode)?
+            .rel)
     }
 
-    /// Evaluate a tuple-calculus query: translated to algebra via Codd's
-    /// Theorem and executed physically. Queries the constructive
-    /// translation cannot handle fall back to the direct active-domain
-    /// interpreter.
+    /// Evaluate a tuple-calculus query under the session limits and the
+    /// engine's mode; see [`Db::run`].
     pub fn calculus(&self, query: &CalcQuery) -> Result<Relation> {
-        let ctx = self.govern();
-        let cat = self.tables.relations();
-        self.run_governed(
-            "calculus",
-            "(calculus)",
-            &ctx,
-            || match calculus_to_algebra(query, cat) {
-                Ok(expr) => Ok(self.exec.execute_with_ctx(&expr, cat, &ctx)?),
-                Err(_) => Ok(eval_query(query, cat)?),
-            },
-        )
-        .map(|(rel, _)| rel)
+        Ok(self
+            .run(Query::Calculus(query), &self.govern(), self.mode)?
+            .rel)
     }
 
-    /// EXPLAIN a SQL-ish query: run it, governed by the session limits
-    /// like [`Db::sql`], and render the physical plan tree annotated with
-    /// per-operator rows, batches, and wall time.
-    pub fn explain_sql(&self, text: &str) -> Result<String> {
-        let (_, stats, _) = self.sql_governed(text, &self.govern(), &self.exec)?;
-        Ok(format!("mode: {}\n{}", self.exec.mode(), stats.render()))
-    }
-
-    /// `EXPLAIN ANALYZE`: run the statement fully governed (admission,
-    /// trace id, `bq.queries`, slow log) and render the physical plan
-    /// annotated with per-operator rows, batches, wall time, and memory
-    /// charged against the governor budget.
-    pub fn explain_analyze(&self, text: &str) -> Result<String> {
-        self.explain_analyze_with_ctx_mode(text, &self.govern(), self.exec.mode())
-    }
-
-    /// [`Db::explain_analyze`] under an explicit context and mode — the
-    /// entry point for server sessions. When the context brings no
-    /// memory budget, an effectively-unlimited one is attached so the
+    /// `EXPLAIN ANALYZE`: run the statement through [`Db::run`] and render
+    /// the physical plan annotated with per-operator rows, batches, wall
+    /// time, and memory charged against the governor budget. When `ctx`
+    /// brings no memory budget, one that never binds is attached so the
     /// engine estimates allocation sizes and `mem=` is populated.
-    pub fn explain_analyze_with_ctx_mode(
+    pub fn explain_analyze(
         &self,
         text: &str,
         ctx: &QueryContext,
@@ -871,12 +884,13 @@ impl Db {
         } else {
             ctx
         };
-        let (rel, stats, elapsed_us) = self.sql_governed(text, ctx, &Executor::new(mode))?;
+        let answer = self.run(Query::Sql(text), ctx, mode)?;
         Ok(format!(
-            "mode: {mode}\nquery: {}\nelapsed: {elapsed_us}us\nrows: {}\n{}",
+            "mode: {mode}\nquery: {}\nelapsed: {}us\nrows: {}\n{}",
             ctx.query_id().unwrap_or(0),
-            rel.len(),
-            stats.render()
+            answer.elapsed_us,
+            answer.rel.len(),
+            answer.stats.render()
         ))
     }
 
@@ -1001,21 +1015,23 @@ impl Db {
         bq_obs::enabled()
     }
 
-    /// Run a SQL-ish query under a profile session: returns the result and
-    /// a [`bq_obs::QueryProfile`] with wall time, the rendered physical
-    /// plan, metric deltas, and the span flame captured during execution.
-    /// The statement is governed exactly as [`Db::sql`] governs it — same
-    /// admission, trace-id stamping, `bq.queries` entry, and slow-log
-    /// record — and the profile is tagged with the trace/query id.
-    pub fn profile_sql(&self, text: &str) -> Result<(Relation, bq_obs::QueryProfile)> {
-        let ctx = self.govern();
+    /// Run a SQL-ish query through [`Db::run`] under a profile session:
+    /// returns the result and a [`bq_obs::QueryProfile`] with wall time,
+    /// the rendered physical plan, metric deltas, and the span flame
+    /// captured during execution, tagged with the trace/query id.
+    pub fn profile_sql(
+        &self,
+        text: &str,
+        ctx: &QueryContext,
+        mode: ExecMode,
+    ) -> Result<(Relation, bq_obs::QueryProfile)> {
         let session = bq_obs::ProfileSession::start(text);
-        let outcome = self.sql_governed(text, &ctx, &self.exec);
+        let outcome = self.run(Query::Sql(text), ctx, mode);
         // Finished on failure too: that is what restores the tracing flag.
-        let plan = outcome.as_ref().map(|(_, stats, _)| stats.render());
+        let plan = outcome.as_ref().map(|answer| answer.stats.render());
         let mut profile = session.finish(plan.unwrap_or_default());
         profile.query = ctx.query_id().unwrap_or(0);
-        Ok((outcome?.0, profile))
+        Ok((outcome?.rel, profile))
     }
 
     // ------------------------------------------------------------------
@@ -1781,18 +1797,15 @@ mod tests {
     #[test]
     fn explain_renders_the_physical_plan() {
         let db = emp_db();
-        let out = db
-            .explain_sql("select e.name from emp e where e.sal > 75")
-            .unwrap();
+        let explain = |text| db.explain_analyze(text, &db.govern(), db.exec_mode());
+        let out = explain("select e.name from emp e where e.sal > 75").unwrap();
         // The selection is pushed into the scan: no stand-alone filter, and
         // no seek either, since `sal` does not lead emp's column order.
         assert!(out.contains("SeqScan [emp] where e.sal > 75  ("), "{out}");
         assert!(!out.contains("Filter"), "{out}");
         assert!(out.contains("rows=2 in=3"), "{out}");
         assert!(out.starts_with("mode:"), "{out}");
-        let out = db
-            .explain_sql("select e.sal from emp e where e.name = 'bob'")
-            .unwrap();
+        let out = explain("select e.sal from emp e where e.name = 'bob'").unwrap();
         assert!(
             out.contains("SeqScan [emp] where e.name = 'bob' seek name = 'bob'  (rows=1 in=1"),
             "{out}"
@@ -1803,7 +1816,11 @@ mod tests {
     fn explain_analyze_reports_runtime_and_memory() {
         let db = emp_db();
         let out = db
-            .explain_analyze("select e.name from emp e where e.sal > 75")
+            .explain_analyze(
+                "select e.name from emp e where e.sal > 75",
+                &db.govern(),
+                db.exec_mode(),
+            )
             .unwrap();
         assert!(out.starts_with("mode:"), "{out}");
         assert!(out.contains("query: "), "{out}");
@@ -1902,24 +1919,16 @@ mod tests {
     #[test]
     fn prepared_statements_resolve_virtual_tables() {
         let db = emp_db();
-        let plan = db
-            .prepare_sql("select q.query, q.state from bq.queries q")
-            .unwrap();
-        let ctx = db.govern();
-        let out = db
-            .run_prepared(
-                "select q.query, q.state from bq.queries q",
-                &plan,
-                &ctx,
-                db.exec_mode(),
-            )
-            .unwrap();
-        assert_eq!(out.len(), 1, "the prepared execution sees itself");
+        let text = "select q.query, q.state from bq.queries q";
+        let plan = db.prepare_sql(text).unwrap();
+        let prepared = Query::Prepared { text, plan: &plan };
+        let out = db.run(prepared, &db.govern(), db.exec_mode()).unwrap();
+        assert_eq!(out.rel.len(), 1, "the prepared execution sees itself");
     }
 
     #[test]
     fn calculus_surface_runs_through_the_engine() {
-        use bq_relational::calculus::ast::{Formula, Query, Term};
+        use bq_relational::calculus::ast::{Formula, Query, Range, Term};
         use bq_relational::value::CmpOp;
         let db = emp_db();
         let q = Query::new(
@@ -1934,6 +1943,36 @@ mod tests {
         let via_engine = db.calculus(&q).unwrap();
         let direct = eval_query(&q, db.catalog()).unwrap();
         assert_eq!(via_engine.tuples(), direct.tuples());
+
+        // A quantifier over the active domain is beyond the constructive
+        // translation: the active-domain interpreter answers it, inside
+        // the same governed body.
+        let rejected = Query::new(
+            &[("e", "emp")],
+            &[("e", "name", "name")],
+            Formula::Exists {
+                var: "d".to_string(),
+                range: Range::Domain(Schema::new(&[("sal", Type::Int)]).unwrap()),
+                body: Box::new(Formula::cmp(
+                    Term::attr("d", "sal"),
+                    CmpOp::Gt,
+                    Term::attr("e", "sal"),
+                )),
+            },
+        );
+        assert!(calculus_to_algebra(&rejected, db.catalog()).is_err());
+        let logged = db.slow_log().entries().len();
+        let answer = db
+            .run(
+                crate::Query::Calculus(&rejected),
+                &db.govern(),
+                db.exec_mode(),
+            )
+            .unwrap();
+        let direct = eval_query(&rejected, db.catalog()).unwrap();
+        assert_eq!(answer.rel.tuples(), direct.tuples());
+        assert_eq!(answer.stats.op, CALCULUS_EVAL);
+        assert_eq!(db.slow_log().entries().len(), logged + 1);
     }
 
     #[test]
@@ -1947,9 +1986,8 @@ mod tests {
         assert!(text.contains("bq_core_stmt_latency_us_sql"), "{text}");
         assert!(db.metrics_json().starts_with('{'));
 
-        let (rel, profile) = db
-            .profile_sql("select e.name from emp e where e.sal > 75")
-            .unwrap();
+        let profile_sql = |text| db.profile_sql(text, &db.govern(), db.exec_mode());
+        let (rel, profile) = profile_sql("select e.name from emp e where e.sal > 75").unwrap();
         assert_eq!(rel.len(), 2);
         assert!(profile.plan.contains("SeqScan [emp]"), "{}", profile.plan);
         assert!(!profile.deltas.is_empty(), "query must move counters");
@@ -1958,7 +1996,7 @@ mod tests {
             "profile captures the executor span"
         );
         // Errors restore state and still surface.
-        assert!(db.profile_sql("select nonsense").is_err());
+        assert!(profile_sql("select nonsense").is_err());
     }
 
     #[test]

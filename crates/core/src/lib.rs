@@ -19,7 +19,7 @@ pub mod vtab;
 pub mod watch;
 
 pub use advisor::{advise, DesignReport};
-pub use db::{Db, SessionLimits, TxnHandle};
+pub use db::{Answer, Db, Query, SessionLimits, TxnHandle};
 pub use error::CoreError;
 pub use slowlog::{SlowEntry, SlowLog};
 pub use vtab::{

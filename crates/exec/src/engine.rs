@@ -70,12 +70,6 @@ pub struct Executor {
     morsel_size: usize,
 }
 
-impl Default for Executor {
-    fn default() -> Self {
-        Executor::new(ExecMode::Parallel(default_parallelism()))
-    }
-}
-
 /// A row in flight: borrowed from a base relation of the `'db` catalog
 /// until an operator builds a new one.
 type Row<'db> = Cow<'db, Tuple>;
@@ -154,11 +148,6 @@ impl Executor {
         self.mode
     }
 
-    /// Switch execution mode in place.
-    pub fn set_mode(&mut self, mode: ExecMode) {
-        self.mode = mode;
-    }
-
     /// Effective pool size: the requested worker count, capped near the
     /// hardware parallelism — oversubscribing a CPU-bound pool only adds
     /// scheduling overhead. The floor of 2 keeps the concurrent path (and
@@ -173,40 +162,18 @@ impl Executor {
     /// Lower `expr` and execute it against `db` (ungoverned: an unlimited
     /// context whose checks cost one relaxed atomic load).
     pub fn execute(&self, expr: &Expr, db: &Database) -> Result<Relation> {
-        self.execute_with_ctx(expr, db, &QueryContext::unlimited())
-    }
-
-    /// Lower, execute, and report per-operator statistics.
-    pub fn execute_with_stats(&self, expr: &Expr, db: &Database) -> Result<(Relation, ExecStats)> {
-        self.execute_with_stats_ctx(expr, db, &QueryContext::unlimited())
-    }
-
-    /// Lower `expr` and execute it under a governor context: deadline and
-    /// cancellation are checked at every operator and every morsel
-    /// boundary, and materializing operators charge the context's memory
-    /// budget before they grow.
-    pub fn execute_with_ctx(
-        &self,
-        expr: &Expr,
-        db: &Database,
-        ctx: &QueryContext,
-    ) -> Result<Relation> {
-        Ok(self.execute_with_stats_ctx(expr, db, ctx)?.0)
-    }
-
-    /// [`execute_with_ctx`](Executor::execute_with_ctx) plus statistics.
-    pub fn execute_with_stats_ctx(
-        &self,
-        expr: &Expr,
-        db: &Database,
-        ctx: &QueryContext,
-    ) -> Result<(Relation, ExecStats)> {
-        self.execute_plan_with_stats_ctx(&lower(expr, db)?, db, ctx)
+        let plan = lower(expr, db)?;
+        Ok(self
+            .execute_plan_with_stats_ctx(&plan, db, &QueryContext::unlimited())?
+            .0)
     }
 
     /// Execute an already-lowered plan under a governor context, with
-    /// statistics. The root of the statistics is the [`SET_BUILD`] node
-    /// that turns the plan's rows into the result set.
+    /// statistics: deadline and cancellation are checked at every operator
+    /// and every morsel boundary, and materializing operators charge the
+    /// context's memory budget before they grow. The root of the
+    /// statistics is the [`SET_BUILD`] node that turns the plan's rows
+    /// into the result set.
     pub fn execute_plan_with_stats_ctx(
         &self,
         plan: &PhysPlan,
@@ -930,6 +897,16 @@ mod tests {
         ]
     }
 
+    /// Lower and execute with statistics, as `Db::run` does.
+    fn run(
+        ex: &Executor,
+        expr: &Expr,
+        db: &Database,
+        ctx: &QueryContext,
+    ) -> Result<(Relation, ExecStats)> {
+        ex.execute_plan_with_stats_ctx(&lower(expr, db)?, db, ctx)
+    }
+
     fn check(expr: &Expr, db: &Database) {
         let expected = eval(expr, db).unwrap();
         for ex in modes() {
@@ -980,7 +957,7 @@ mod tests {
         for ex in modes() {
             for (attr, examined, matches) in [("id", 1, 1), ("dept", 5000, 500)] {
                 let expr = Expr::rel("emp").select(Predicate::eq_const(attr, 7i64));
-                let (rel, stats) = ex.execute_with_stats(&expr, &db).unwrap();
+                let (rel, stats) = run(&ex, &expr, &db, &QueryContext::unlimited()).unwrap();
                 assert_eq!(rel, eval(&expr, &db).unwrap());
                 assert_eq!(stats.op, SET_BUILD);
                 assert_eq!((stats.rows_in, stats.rows_out), (matches, matches));
@@ -1000,7 +977,7 @@ mod tests {
         let ex = Executor::new(ExecMode::Sequential).with_morsel_size(7);
         let charged = |expr: &Expr| {
             let ctx = QueryContext::unlimited().with_memory_budget(1 << 20);
-            let (rel, stats) = ex.execute_with_stats_ctx(expr, &db, &ctx).unwrap();
+            let (rel, stats) = run(&ex, expr, &db, &ctx).unwrap();
             assert_eq!(stats.total_mem_bytes(), ctx.budget().unwrap().used());
             // The scan charges a row slot per match; the copies are the
             // set build's, made once the duplicates are gone.
@@ -1014,7 +991,7 @@ mod tests {
         // A row reaching the set build twice is copied, and charged, once.
         let ctx = QueryContext::unlimited().with_memory_budget(1 << 20);
         let twice = all.clone().union(all.clone());
-        let (_, stats) = ex.execute_with_stats_ctx(&twice, &db, &ctx).unwrap();
+        let (_, stats) = run(&ex, &twice, &db, &ctx).unwrap();
         assert_eq!((stats.rows_in, stats.rows_out), (200, 100));
         assert_eq!(stats.total_mem_bytes(), ctx.budget().unwrap().used());
         assert_eq!(
@@ -1025,17 +1002,11 @@ mod tests {
         // A budget smaller than the matches stops the pass; one that only
         // the whole table would exceed does not.
         let tight = |bytes: u64| QueryContext::unlimited().with_memory_budget(bytes);
-        assert!(ex
-            .execute_with_ctx(&all, &db, &tight(charged(&some)))
-            .is_err());
-        assert!(ex
-            .execute_with_ctx(&some, &db, &tight(charged(&some)))
-            .is_ok());
+        assert!(run(&ex, &all, &db, &tight(charged(&some))).is_err());
+        assert!(run(&ex, &some, &db, &tight(charged(&some))).is_ok());
         // The scan of `select *` fits a budget one byte short of its
         // result, and the set build's copies do not.
-        let err = ex
-            .execute_with_ctx(&all, &db, &tight(charged(&all) - 1))
-            .unwrap_err();
+        let err = run(&ex, &all, &db, &tight(charged(&all) - 1)).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1164,7 +1135,7 @@ mod tests {
             .natural_join(Expr::rel("dept"))
             .select(Predicate::eq_const("bldg", 1i64))
             .project(&["dept"]);
-        let (rel, stats) = ex.execute_with_stats(&expr, &db).unwrap();
+        let (rel, stats) = run(&ex, &expr, &db, &QueryContext::unlimited()).unwrap();
         assert_eq!(rel, eval(&expr, &db).unwrap());
         // Root is the set build, where the projection's duplicates leave:
         // 30 employees in buildings 1 work in 3 departments.
@@ -1201,11 +1172,11 @@ mod tests {
             .project(&["id"]);
         for ex in modes() {
             // No budget: sizes are never estimated, so mem stays zero.
-            let (_, stats) = ex.execute_with_stats(&expr, &db).unwrap();
+            let (_, stats) = run(&ex, &expr, &db, &QueryContext::unlimited()).unwrap();
             assert_eq!(stats.total_mem_bytes(), 0, "ungoverned run charges nothing");
 
             let ctx = QueryContext::unlimited().with_memory_budget(64 * 1024 * 1024);
-            let (_, stats) = ex.execute_with_stats_ctx(&expr, &db, &ctx).unwrap();
+            let (_, stats) = run(&ex, &expr, &db, &ctx).unwrap();
             // The projection built every result row, so the set build at
             // the root has no borrowed row left to copy.
             assert_eq!((stats.op.as_str(), stats.mem_bytes), (SET_BUILD, 0));

@@ -396,6 +396,10 @@ impl Driver for FailoverDriver {
         Ok(())
     }
 
+    fn mode(&self) -> Option<ExecMode> {
+        self.mode
+    }
+
     fn kill(&mut self, query: u64) -> Result<bool, DriverError> {
         self.run_read(|c| c.kill(query))
     }

@@ -310,6 +310,10 @@ impl Driver for Connection {
         Ok(())
     }
 
+    fn mode(&self) -> Option<ExecMode> {
+        self.mode
+    }
+
     fn kill(&mut self, query: u64) -> Result<bool, DriverError> {
         match self.roundtrip(&Request::Kill { query })? {
             Response::Killed { found } => Ok(found),

@@ -9,6 +9,7 @@ use crate::stmt::{parse_statement, SessionCore};
 use crate::wire::ErrorCode;
 use bq_core::{CoreError, Db, SessionLimits};
 use bq_exec::ExecMode;
+use bq_governor::QueryContext;
 use bq_relational::Relation;
 use std::fmt;
 use std::sync::{Arc, RwLock};
@@ -90,6 +91,10 @@ pub trait Driver {
     /// Set the session's execution mode.
     fn set_mode(&mut self, mode: ExecMode) -> Result<(), DriverError>;
 
+    /// The mode the session set, or `None` if it never set one (its
+    /// statements then run in the engine's default mode).
+    fn mode(&self) -> Option<ExecMode>;
+
     /// Cancel a running query by kill id; `Ok(false)` means no such
     /// query was running.
     fn kill(&mut self, query: u64) -> Result<bool, DriverError>;
@@ -137,11 +142,21 @@ impl EmbeddedDriver {
     }
 
     /// Run a closure against the engine's write half — the escape hatch
-    /// for engine-specific frontend commands (`.explain`, `.profile`,
-    /// `.datalog`) that have no wire equivalent.
+    /// for engine-wide frontend commands (`.tables`, `.stats`, `.limits
+    /// slots=`) that have no wire equivalent.
     pub fn with_db<R>(&self, f: impl FnOnce(&mut Db) -> R) -> R {
         let mut db = self.db.write().unwrap_or_else(|e| e.into_inner());
         f(&mut db)
+    }
+
+    /// Run a statement that has no wire equivalent (`.profile`,
+    /// `.datalog`) as this session: under its limits and in its mode.
+    pub fn with_session<T>(
+        &self,
+        f: impl FnOnce(&Db, &QueryContext, ExecMode) -> bq_core::Result<T>,
+    ) -> Result<T, DriverError> {
+        let ctx = self.core.context();
+        self.core.read(&self.db, |db, mode| f(db, &ctx, mode))
     }
 }
 
@@ -163,9 +178,6 @@ impl Driver for EmbeddedDriver {
 
     fn set_limits(&mut self, limits: SessionLimits) -> Result<(), DriverError> {
         self.core.limits = limits;
-        // Mirror into the engine so direct `Db` surfaces (`.explain`,
-        // `.datalog`) honour the same limits the driver applies.
-        self.with_db(|db| db.set_limits(limits));
         Ok(())
     }
 
@@ -175,8 +187,11 @@ impl Driver for EmbeddedDriver {
 
     fn set_mode(&mut self, mode: ExecMode) -> Result<(), DriverError> {
         self.core.mode = Some(mode);
-        self.with_db(|db| db.set_exec_mode(mode));
         Ok(())
+    }
+
+    fn mode(&self) -> Option<ExecMode> {
+        self.core.mode
     }
 
     fn kill(&mut self, _query: u64) -> Result<bool, DriverError> {
@@ -215,11 +230,13 @@ mod tests {
     }
 
     #[test]
-    fn embedded_limits_and_mode_mirror_into_the_engine() {
+    fn embedded_limits_and_mode_stay_in_the_session() {
         let mut d = EmbeddedDriver::default();
         d.execute("create table t (a int)").unwrap();
+        let engine_mode = d.with_db(|db| db.exec_mode());
         d.set_mode(ExecMode::Sequential).unwrap();
-        assert_eq!(d.with_db(|db| db.exec_mode()), ExecMode::Sequential);
+        assert_eq!(d.mode(), Some(ExecMode::Sequential));
+        assert_eq!(d.with_db(|db| db.exec_mode()), engine_mode);
 
         let limits = SessionLimits {
             memory_bytes: Some(16),
@@ -228,11 +245,31 @@ mod tests {
         };
         d.set_limits(limits).unwrap();
         assert_eq!(d.limits(), limits);
-        assert_eq!(d.with_db(|db| db.limits()), limits);
+        assert_eq!(d.with_db(|db| db.limits()), SessionLimits::default());
         for i in 0..64 {
             let _ = d.execute(&format!("insert into t values ({i})"));
         }
         let err = d.execute("select t.a from t").unwrap_err();
         assert_eq!(err.code, ErrorCode::MemoryExceeded, "{err}");
+    }
+
+    #[test]
+    fn one_sessions_mode_does_not_leak_into_another() {
+        let mut a = EmbeddedDriver::default();
+        let mut b = EmbeddedDriver::shared(a.db());
+        a.execute("create table t (a int)").unwrap();
+        a.execute("insert into t values (1)").unwrap();
+        let engine_mode = b.with_db(|db| db.exec_mode());
+        assert_ne!(engine_mode, ExecMode::Sequential);
+        a.set_mode(ExecMode::Sequential).unwrap();
+
+        let mode_line =
+            |d: &mut EmbeddedDriver| match d.execute("explain analyze select t.a from t") {
+                Ok(Outcome::Message(m)) => m.lines().next().unwrap_or_default().to_string(),
+                other => panic!("expected a plan, got {other:?}"),
+            };
+        assert_eq!(mode_line(&mut a), "mode: sequential");
+        assert_eq!(mode_line(&mut b), format!("mode: {engine_mode}"));
+        assert_eq!(b.mode(), None);
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::driver::{DriverError, Outcome};
 use crate::wire::ErrorCode;
-use bq_core::{Db, SessionLimits, TxnHandle};
+use bq_core::{Db, Query, SessionLimits, TxnHandle};
 use bq_exec::ExecMode;
 use bq_governor::QueryContext;
 use bq_relational::algebra::Expr;
@@ -235,6 +235,17 @@ impl SessionCore {
         self.limits.context()
     }
 
+    /// Run `f` on the engine's read half in this session's mode: the one
+    /// it set, or the engine's default when it never set one.
+    pub(crate) fn read<T>(
+        &self,
+        db: &RwLock<Db>,
+        f: impl FnOnce(&Db, ExecMode) -> bq_core::Result<T>,
+    ) -> Result<T, DriverError> {
+        let db = read_db(db);
+        f(&db, self.mode.unwrap_or_else(|| db.exec_mode())).map_err(DriverError::from_core)
+    }
+
     /// Is an interactive transaction open?
     pub fn in_txn(&self) -> bool {
         self.txn.is_some()
@@ -255,22 +266,12 @@ impl SessionCore {
         ctx: &QueryContext,
     ) -> Result<Outcome, DriverError> {
         match stmt {
-            Statement::Select(sql) => {
-                let db = read_db(db);
-                let mode = self.mode.unwrap_or_else(|| db.exec_mode());
-                let rel = db
-                    .sql_with_ctx_mode(sql, ctx, mode)
-                    .map_err(DriverError::from_core)?;
-                Ok(Outcome::Rows(rel))
-            }
-            Statement::ExplainAnalyze(sql) => {
-                let db = read_db(db);
-                let mode = self.mode.unwrap_or_else(|| db.exec_mode());
-                let text = db
-                    .explain_analyze_with_ctx_mode(sql, ctx, mode)
-                    .map_err(DriverError::from_core)?;
-                Ok(Outcome::Message(text))
-            }
+            Statement::Select(sql) => self
+                .read(db, |db, mode| db.run(Query::Sql(sql), ctx, mode))
+                .map(|answer| Outcome::Rows(answer.rel)),
+            Statement::ExplainAnalyze(sql) => self
+                .read(db, |db, mode| db.explain_analyze(sql, ctx, mode))
+                .map(Outcome::Message),
             Statement::CreateTable { name, cols } => {
                 let refs: Vec<(&str, Type)> = cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
                 write_db(db)
@@ -352,12 +353,12 @@ impl SessionCore {
                 format!("no prepared statement {stmt}"),
             )
         })?;
-        let db = read_db(db);
-        let mode = self.mode.unwrap_or_else(|| db.exec_mode());
-        let rel = db
-            .run_prepared(&plan.sql, &plan.expr, ctx, mode)
-            .map_err(DriverError::from_core)?;
-        Ok(Outcome::Rows(rel))
+        let query = Query::Prepared {
+            text: &plan.sql,
+            plan: &plan.expr,
+        };
+        self.read(db, |db, mode| db.run(query, ctx, mode))
+            .map(|answer| Outcome::Rows(answer.rel))
     }
 
     /// End the session: any open transaction is rolled back so a dropped

@@ -39,6 +39,9 @@ BQ_BACKUP_SEED=20260809 cargo test -q --test backup_torture
 echo "==> bq-spine: benchmark builds against this engine, smoke oracles agree"
 cargo test -q --manifest-path benchspine/Cargo.toml
 
+echo "==> reproduction: one question in SQL-ish, algebra, calculus and Datalog (quickstart)"
+cargo run -q --release --example quickstart
+
 echo "==> server smoke (ephemeral port, remote driver roundtrip, clean shutdown)"
 cargo run -q --release --example serve
 

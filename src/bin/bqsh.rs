@@ -13,7 +13,7 @@
 //! bq> .kill 7
 //! bq> .disconnect
 //! bq> .datalog tc(X,Y) :- edge(X,Y). tc(X,Z) :- edge(X,Y), tc(Y,Z). ? tc(1, X)
-//! bq> .explain select e.name from emp e where e.sal > 50
+//! bq> .analyze select e.name from emp e where e.sal > 50
 //! bq> .help
 //! bq> .quit
 //! ```
@@ -35,9 +35,6 @@ use std::sync::Arc;
 struct Shell {
     embedded: EmbeddedDriver,
     remote: Option<Connection>,
-    /// Last mode set through the shell (shown by `.mode` when remote,
-    /// where the engine-wide mode is not queryable over the wire).
-    mode: Option<ExecMode>,
     /// Backup engine attached by `.backup <dir>`, keyed by its directory
     /// so later `.backup`/`.scrub` calls reuse the chain.
     backup: Option<(String, Arc<BackupEngine>)>,
@@ -48,7 +45,6 @@ impl Shell {
         Shell {
             embedded: EmbeddedDriver::default(),
             remote: None,
-            mode: None,
             backup: None,
         }
     }
@@ -61,7 +57,7 @@ impl Shell {
         }
     }
 
-    /// Commands that reach into the engine (`.explain`, `.datalog`, …)
+    /// Commands that reach into the engine (`.profile`, `.datalog`, …)
     /// have no wire equivalent and refuse to run while connected.
     fn require_embedded(&self, cmd: &str) -> Result<(), String> {
         if self.remote.is_some() {
@@ -208,17 +204,6 @@ static COMMANDS: &[Command] = &[
         usage: ".datalog <rules> ? <query>",
         help: "run a Datalog program over the tables (embedded)",
         run: run_datalog,
-    },
-    Command {
-        name: ".explain",
-        usage: ".explain <sql>",
-        help: "run a query, print the physical plan with per-operator stats (embedded)",
-        run: |sh, rest| {
-            sh.require_embedded(".explain")?;
-            sh.embedded
-                .with_db(|db| db.explain_sql(rest))
-                .map_err(|e| e.to_string())
-        },
     },
     Command {
         name: ".profile",
@@ -372,16 +357,14 @@ fn run_connect(sh: &mut Shell, rest: &str) -> Result<String, String> {
 /// `.mode` | `.mode seq` | `.mode par [n]`
 fn run_mode(sh: &mut Shell, rest: &str) -> Result<String, String> {
     if rest.is_empty() {
-        if sh.remote.is_some() {
-            return Ok(match sh.mode {
-                Some(m) => format!("mode: {m} (session)"),
-                None => "mode: server default".to_string(),
-            });
-        }
-        return Ok(format!(
-            "mode: {}",
-            sh.embedded.with_db(|db| db.exec_mode())
-        ));
+        return Ok(match sh.driver().mode() {
+            Some(mode) => format!("mode: {mode}"),
+            None if sh.remote.is_some() => "mode: server default".to_string(),
+            None => format!(
+                "mode: {} (engine default)",
+                sh.embedded.with_db(|db| db.exec_mode())
+            ),
+        });
     }
     let mut it = rest.split_whitespace();
     let mode = match it.next() {
@@ -401,7 +384,6 @@ fn run_mode(sh: &mut Shell, rest: &str) -> Result<String, String> {
         _ => return Err("expected `.mode seq` or `.mode par [n]`".into()),
     };
     sh.driver().set_mode(mode).map_err(|e| e.to_string())?;
-    sh.mode = Some(mode);
     Ok(format!("mode: {mode}"))
 }
 
@@ -624,7 +606,7 @@ fn run_profile(sh: &mut Shell, rest: &str) -> Result<String, String> {
     }
     let (rel, profile) = sh
         .embedded
-        .with_db(|db| db.profile_sql(rest))
+        .with_session(|db, ctx, mode| db.profile_sql(rest, ctx, mode))
         .map_err(|e| e.to_string())?;
     Ok(format!("{}({} rows)", profile.render(), rel.len()))
 }
@@ -750,7 +732,7 @@ fn run_datalog(sh: &mut Shell, rest: &str) -> Result<String, String> {
         .ok_or("expected `.datalog <rules> ? <query>`")?;
     let answers = sh
         .embedded
-        .with_db(|db| db.datalog(program.trim(), query.trim()))
+        .with_session(|db, ctx, _| db.datalog_with_ctx(program.trim(), query.trim(), ctx))
         .map_err(|e| e.to_string())?;
     let mut s = String::new();
     for a in &answers {
@@ -842,7 +824,7 @@ mod tests {
         let mut sh = fresh();
         let out = execute(
             &mut sh,
-            ".explain select e.name from emp e where e.sal > 80",
+            ".analyze select e.name from emp e where e.sal > 80",
         )
         .unwrap();
         assert!(out.starts_with("mode:"), "{out}");
@@ -853,6 +835,11 @@ mod tests {
     #[test]
     fn mode_switching() {
         let mut sh = fresh();
+        let engine_mode = sh.embedded.with_db(|db| db.exec_mode());
+        assert_eq!(
+            execute(&mut sh, ".mode").unwrap(),
+            format!("mode: {engine_mode} (engine default)")
+        );
         assert_eq!(execute(&mut sh, ".mode seq").unwrap(), "mode: sequential");
         assert_eq!(execute(&mut sh, ".mode").unwrap(), "mode: sequential");
         assert_eq!(
@@ -862,9 +849,13 @@ mod tests {
         assert!(execute(&mut sh, ".mode par x").is_err());
         assert!(execute(&mut sh, ".mode par 0").is_err());
         assert!(execute(&mut sh, ".mode warp").is_err());
-        // Queries still answer after switching.
+        // Queries still answer after switching, in the session's mode; the
+        // engine's default is left as it was.
         let out = execute(&mut sh, "select e.name from emp e where e.sal > 80").unwrap();
         assert!(out.contains("ann"));
+        let out = execute(&mut sh, ".analyze select e.name from emp e").unwrap();
+        assert!(out.starts_with("mode: parallel(2)"), "{out}");
+        assert_eq!(sh.embedded.with_db(|db| db.exec_mode()), engine_mode);
     }
 
     #[test]
@@ -952,6 +943,12 @@ mod tests {
         // A starvation budget stops the same query with a typed message.
         execute(&mut sh, ".limits mem=16").unwrap();
         let err = execute(&mut sh, "select e.name from emp e").unwrap_err();
+        assert!(err.contains("memory budget exceeded"), "{err}");
+        // So do the commands that reach into the engine: they run as the
+        // shell's session, not under the engine's own limits.
+        let err = execute(&mut sh, ".profile select e.name from emp e").unwrap_err();
+        assert!(err.contains("memory budget exceeded"), "{err}");
+        let err = execute(&mut sh, ".datalog rich(X) :- emp(X, D, S). ? rich(X)").unwrap_err();
         assert!(err.contains("memory budget exceeded"), "{err}");
 
         let slots = execute(&mut sh, ".limits slots=2 queue=4").unwrap();
@@ -1120,7 +1117,12 @@ mod tests {
         assert!(execute(&mut sh, ".tables")
             .unwrap_err()
             .contains("embedded-only"));
-        assert!(execute(&mut sh, ".explain select t.a from t").is_err());
+        // EXPLAIN ANALYZE is a statement: it travels the wire like one.
+        let analyzed = execute(&mut sh, ".analyze select t.a from t").unwrap();
+        assert!(analyzed.contains("SeqScan [t]"), "{analyzed}");
+        assert!(execute(&mut sh, ".mode")
+            .unwrap()
+            .contains("server default"));
         assert!(execute(&mut sh, ".limits slots=2").is_err());
 
         execute(&mut sh, ".disconnect").unwrap();

@@ -952,7 +952,9 @@ fn the_benchmark_join_statements_run_as_hash_joins() {
         oracle.add(table, db.table(table).unwrap().clone());
     }
     for (sql, joins) in [(STAR_SQL, 1), (THREEWAY_SQL, 2)] {
-        let plan = db.explain_sql(sql).unwrap();
+        let plan = db
+            .explain_analyze(sql, &db.govern(), db.exec_mode())
+            .unwrap();
         assert!(!plan.contains("Product"), "{sql}\n{plan}");
         assert_eq!(plan.matches("PartitionedHashJoin").count(), joins, "{plan}");
         let parsed = big_queries::bq_relational::sqlish::parse(sql).unwrap();

@@ -79,7 +79,9 @@ fn governed_with_generous_limits_is_identical_to_ungoverned() {
         db.set_exec_mode(mode);
         for q in &queries {
             let plain = db.sql(q).unwrap();
-            let governed = db.sql_with_ctx(q, &generous()).unwrap();
+            let governed = db
+                .sql_with_ctx_mode(q, &generous(), db.exec_mode())
+                .unwrap();
             // Byte-identical: same schema, same tuples, same order.
             assert_eq!(plain, governed, "{mode} {q}");
             assert_eq!(
@@ -118,7 +120,11 @@ fn one_megabyte_budget_stops_a_cross_product_in_bounded_time() {
         // magnitude; the charger must refuse long before materialising.
         let ctx = QueryContext::unlimited().with_memory_budget(1 << 20);
         let err = db
-            .sql_with_ctx("select e.a, f.b, g.c from t e, t f, u g", &ctx)
+            .sql_with_ctx_mode(
+                "select e.a, f.b, g.c from t e, t f, u g",
+                &ctx,
+                db.exec_mode(),
+            )
             .unwrap_err();
         assert!(
             matches!(
@@ -153,16 +159,24 @@ fn session_limits_govern_every_direct_sql_surface() {
         );
     };
     refused(db.sql(product).map(|rel| rel.len().to_string()), "sql");
-    refused(db.explain_analyze(product), "explain_analyze");
-    refused(db.explain_sql(product), "explain_sql");
-    // Like the others, `.explain` is a statement: it is admitted and
+    refused(
+        db.explain_analyze(product, &db.govern(), db.exec_mode()),
+        "explain_analyze",
+    );
+    // Like the others, EXPLAIN ANALYZE is a statement: it is admitted and
     // enters the slow log under the same trace id.
     db.set_limits(SessionLimits::default());
     let logged = db.slow_log().entries().len();
-    let plan = db.explain_sql("select e.a from t e where e.a = 7").unwrap();
+    let plan = db
+        .explain_analyze(
+            "select e.a from t e where e.a = 7",
+            &db.govern(),
+            db.exec_mode(),
+        )
+        .unwrap();
     assert!(plan.contains("SeqScan [t]"), "{plan}");
     assert_eq!(db.slow_log().entries().len(), logged + 1);
-    assert_eq!(db.admission_stats().admitted, 4);
+    assert_eq!(db.admission_stats().admitted, 3);
 }
 
 #[test]
@@ -172,7 +186,11 @@ fn deadline_interrupts_a_long_query_promptly() {
     let ctx = QueryContext::unlimited().with_deadline(Duration::from_millis(20));
     let started = Instant::now();
     let err = db
-        .sql_with_ctx("select e.a, f.b, g.c from t e, t f, u g", &ctx)
+        .sql_with_ctx_mode(
+            "select e.a, f.b, g.c from t e, t f, u g",
+            &ctx,
+            db.exec_mode(),
+        )
         .unwrap_err();
     let elapsed = started.elapsed();
     assert!(
@@ -201,7 +219,11 @@ fn cancellation_from_another_thread_stops_a_parallel_query() {
     });
     let started = Instant::now();
     let err = db
-        .sql_with_ctx("select e.a, f.b, g.c from t e, t f, u g", &ctx)
+        .sql_with_ctx_mode(
+            "select e.a, f.b, g.c from t e, t f, u g",
+            &ctx,
+            db.exec_mode(),
+        )
         .unwrap_err();
     let elapsed = started.elapsed();
     canceller.join().unwrap();
@@ -271,7 +293,7 @@ fn admission_stress_sheds_plus_completed_equals_submitted() {
                 } else {
                     "select e.a from t e where e.b = 2"
                 };
-                match db.sql_with_ctx(q, &QueryContext::unlimited()) {
+                match db.sql_with_ctx_mode(q, &QueryContext::unlimited(), db.exec_mode()) {
                     Ok(_) => completed += 1,
                     Err(CoreError::Governor(GovernorError::Overloaded { .. })) => shed += 1,
                     Err(e) => panic!("unexpected error under stress: {e:?}"),
@@ -349,7 +371,7 @@ fn reserve_failpoint_makes_out_of_memory_deterministic() {
     let db = numbers_db(50);
     let ctx = QueryContext::unlimited().with_memory_budget(1 << 30);
     let err = db
-        .sql_with_ctx("select e.a, f.c from t e, u f", &ctx)
+        .sql_with_ctx_mode("select e.a, f.c from t e, u f", &ctx, db.exec_mode())
         .unwrap_err();
     faults::off("governor.reserve.fail");
     assert!(
@@ -361,7 +383,7 @@ fn reserve_failpoint_makes_out_of_memory_deterministic() {
     );
     // With the fault cleared the very same statement succeeds.
     assert_eq!(
-        db.sql_with_ctx("select e.a, f.c from t e, u f", &ctx)
+        db.sql_with_ctx_mode("select e.a, f.c from t e, u f", &ctx, db.exec_mode())
             .unwrap()
             .len(),
         500
@@ -372,7 +394,7 @@ fn reserve_failpoint_makes_out_of_memory_deterministic() {
 fn governor_metrics_land_in_the_registry() {
     let db = numbers_db(30);
     let ctx = QueryContext::unlimited().with_memory_budget(64);
-    let _ = db.sql_with_ctx("select e.a, f.b from t e, t f", &ctx);
+    let _ = db.sql_with_ctx_mode("select e.a, f.b from t e, t f", &ctx, db.exec_mode());
     let text = db.metrics_text();
     assert!(text.contains("bq_governor_admitted_total"), "{text}");
     assert!(text.contains("bq_governor_mem_exceeded_total"), "{text}");

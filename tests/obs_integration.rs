@@ -58,7 +58,9 @@ fn instrumented_and_uninstrumented_results_are_identical() {
 
     db.set_tracing(true);
     let traced = db.sql(JOIN_SQL).unwrap();
-    let (profiled, profile) = db.profile_sql(JOIN_SQL).unwrap();
+    let (profiled, profile) = db
+        .profile_sql(JOIN_SQL, &db.govern(), db.exec_mode())
+        .unwrap();
     db.set_tracing(false);
 
     assert_eq!(plain, traced, "tracing changed a SQL result");
@@ -208,4 +210,68 @@ fn reset_keeps_instrumentation_alive() {
         after.get("bq_exec_operators_total") > 0,
         "handles went stale after reset"
     );
+}
+
+/// Every relational query surface runs through one governed body: SQL
+/// text, a prepared plan, an algebra expression, a calculus query and
+/// EXPLAIN ANALYZE each take exactly one admission slot, leave exactly one
+/// slow-log row under their own query id, and count once under their
+/// kind's statement-latency histogram — the kind `bq.queries` shows.
+#[test]
+fn every_query_surface_is_governed_the_same_way() {
+    use big_queries::bq_core::Query;
+    use big_queries::bq_relational::algebra::Expr;
+    use big_queries::bq_relational::calculus::ast::{Formula, Query as CalcQuery, Term};
+    use big_queries::bq_relational::value::CmpOp;
+
+    let _guard = serial();
+    let db = library();
+    let mode = db.exec_mode();
+    let text = "select b.title from book b where b.bid > 2";
+    let plan = db.prepare_sql(text).unwrap();
+    let algebra = Expr::rel("book").project(&["title"]);
+    let calculus = CalcQuery::new(
+        &[("b", "book")],
+        &[("b", "title", "title")],
+        Formula::cmp(
+            Term::attr("b", "bid"),
+            CmpOp::Gt,
+            Term::Const(Value::Int(2)),
+        ),
+    );
+    // One statement through `run`, then: one admission, one slow-log row
+    // under its query id and text, one count under its kind.
+    let check = |kind: &str, logged_as: &str, run: &dyn Fn(&QueryContext)| {
+        let latency = format!("bq_core_stmt_latency_us_{kind}_count");
+        let before = bq_obs::global().snapshot();
+        let admitted = db.admission_stats().admitted;
+        let logged = db.slow_log().entries().len();
+        let ctx = QueryContext::unlimited();
+        run(&ctx);
+        let after = bq_obs::global().snapshot();
+        assert_eq!(db.admission_stats().admitted, admitted + 1, "{kind}");
+        let entries = db.slow_log().entries();
+        assert_eq!(entries.len(), logged + 1, "{kind}: one slow-log row");
+        let entry = entries.last().unwrap();
+        assert_eq!(Some(entry.query), ctx.query_id(), "{kind}");
+        assert_eq!(entry.sql, logged_as);
+        assert!(!entry.plan.is_empty(), "{kind}: the row carries its plan");
+        assert_eq!(after.get(&latency) - before.get(&latency), 1, "{kind}");
+    };
+    check("sql", text, &|ctx| {
+        db.run(Query::Sql(text), ctx, mode).unwrap();
+    });
+    check("sql", text, &|ctx| {
+        let prepared = Query::Prepared { text, plan: &plan };
+        db.run(prepared, ctx, mode).unwrap();
+    });
+    check("algebra", "(algebra)", &|ctx| {
+        db.run(Query::Algebra(&algebra), ctx, mode).unwrap();
+    });
+    check("calculus", "(calculus)", &|ctx| {
+        db.run(Query::Calculus(&calculus), ctx, mode).unwrap();
+    });
+    check("sql", text, &|ctx| {
+        db.explain_analyze(text, ctx, mode).unwrap();
+    });
 }
