@@ -792,7 +792,7 @@ mod tests {
         eng.backup_full(&db).unwrap();
         add_rows(&db, 2, 2);
         eng.backup_incremental(&db).unwrap();
-        let rows = registry.snapshot();
+        let rows = registry.rows();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].kind, "full");
         assert_eq!(rows[1].kind, "incremental");

@@ -15,8 +15,7 @@ use crate::error::CoreError;
 use crate::slowlog::{plan_fingerprint, SlowEntry, SlowLog};
 use crate::table::{Placed, Tables};
 use crate::vtab::{
-    BackupRegistry, BackupsTable, FailpointsTable, MetricsTable, QueriesTable, ReplicaRegistry,
-    ReplicasTable, RunningQueries, SessionRegistry, SessionsTable, SlowLogTable, VirtualTable,
+    BackupRegistry, FailpointsTable, MetricsTable, ReplicaRegistry, SessionRegistry, VirtualTable,
     VTAB_PREFIX,
 };
 use crate::watch::WalWatch;
@@ -52,21 +51,8 @@ const SNAPSHOT_VERSION: u8 = 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TxnHandle(pub u64);
 
-fn type_to_byte(t: Type) -> u8 {
-    match t {
-        Type::Int => 0,
-        Type::Str => 1,
-        Type::Bool => 2,
-    }
-}
-
 fn type_from_byte(b: u8) -> Result<Type> {
-    match b {
-        0 => Ok(Type::Int),
-        1 => Ok(Type::Str),
-        2 => Ok(Type::Bool),
-        other => Err(CoreError::Codec(format!("bad type byte {other}"))),
-    }
+    Type::from_byte(b).ok_or_else(|| CoreError::Codec(format!("bad type byte {b}")))
 }
 
 /// Session-level resource defaults, applied to every statement that does
@@ -161,15 +147,13 @@ pub struct Db {
     /// Process-facing admission control: every query statement takes a
     /// slot (or is queued, or shed) before touching the engine.
     admission: AdmissionController,
-    /// Cancel tokens of in-flight statements, so [`Db::cancel_handle`]
-    /// works from another thread.
+    /// In-flight statements keyed by trace/query id — `bq.queries`, and
+    /// what [`Db::cancel_handle`] cancels from another thread.
     cancels: CancelRegistry,
     /// Virtual system tables (`bq.*`), resolved through an ephemeral
     /// catalog overlay at query time. `bq.locks` is materialised directly
     /// (the lock table lives in `self`); everything else via a provider.
     vtabs: BTreeMap<String, Arc<dyn VirtualTable>>,
-    /// In-flight statements keyed by trace/query id — `bq.queries`.
-    queries: RunningQueries,
     /// Bounded ring of completed statements — `bq.slow_log`.
     slow: Arc<SlowLog>,
     /// Connected sessions, published by a front-end — `bq.sessions`.
@@ -197,7 +181,7 @@ impl Default for Db {
 impl Db {
     /// An empty engine.
     pub fn new() -> Db {
-        let queries = RunningQueries::new();
+        let cancels = CancelRegistry::new();
         let slow = Arc::new(SlowLog::new());
         let sessions = SessionRegistry::new();
         let replicas = ReplicaRegistry::new();
@@ -205,11 +189,11 @@ impl Db {
         let providers: Vec<Arc<dyn VirtualTable>> = vec![
             Arc::new(MetricsTable),
             Arc::new(FailpointsTable),
-            Arc::new(QueriesTable::new(queries.clone())),
-            Arc::new(SlowLogTable::new(Arc::clone(&slow))),
-            Arc::new(SessionsTable::new(sessions.clone())),
-            Arc::new(ReplicasTable::new(replicas.clone())),
-            Arc::new(BackupsTable::new(backups.clone())),
+            Arc::new(cancels.clone()),
+            slow.clone(),
+            Arc::new(sessions.clone()),
+            Arc::new(replicas.clone()),
+            Arc::new(backups.clone()),
         ];
         let vtabs = providers
             .into_iter()
@@ -227,9 +211,8 @@ impl Db {
             // Effectively unbounded by default: admission only sheds after
             // `set_admission` narrows the slot pool.
             admission: AdmissionController::new(usize::MAX, 0),
-            cancels: CancelRegistry::new(),
+            cancels,
             vtabs,
-            queries,
             slow,
             sessions,
             replicas,
@@ -267,7 +250,7 @@ impl Db {
             name: name.to_string(),
             cols: attrs
                 .iter()
-                .map(|(n, t)| (n.to_string(), type_to_byte(*t)))
+                .map(|(n, t)| (n.to_string(), t.to_byte()))
                 .collect(),
         })?;
         self.tables.create(name, schema)?;
@@ -608,9 +591,9 @@ impl Db {
         self.limits.context()
     }
 
-    /// Statement wrapper: admission slot, cancel registration, trace-id
-    /// stamping, the `bq.queries` running entry, latency timer, and the
-    /// once-per-statement governor metrics. Returns the result paired
+    /// Statement wrapper: admission slot, registration in the in-flight
+    /// registry (`bq.queries`, [`Db::cancel_handle`]), latency timer, and
+    /// the once-per-statement governor metrics. Returns the result paired
     /// with the statement's wall time in microseconds.
     fn run_governed<T>(
         &self,
@@ -620,17 +603,14 @@ impl Db {
         f: impl FnOnce() -> Result<T>,
     ) -> Result<(T, u64)> {
         let _permit = self.admission.admit(ctx)?;
-        let reg = self.cancels.register(ctx.cancel_token());
-        // Admission assigns the trace/query id unless a front-end (the
-        // server) stamped one already; either way the id stays KILL-able
-        // through the registry for exactly this statement's lifetime,
-        // because both registrations share the context's cancel token.
-        if ctx.query_id().is_none() {
-            ctx.set_query_id(reg.id());
-        }
-        let qid = ctx.query_id().unwrap_or(0);
-        let session = ctx.session_id().unwrap_or(0);
-        let _run = self.queries.track(qid, session, kind, stmt);
+        // A front-end (the server) registers its statements before they
+        // queue on the engine lock; a context that carries no id yet is
+        // an embedded or direct caller's, registered here. Either way the
+        // statement is listed and KILL-able exactly once.
+        let _reg = ctx
+            .query_id()
+            .is_none()
+            .then(|| self.cancels.register(ctx, 0, kind, stmt));
         let start_us = bq_obs::now_us();
         let _t = Self::stmt_timer(kind);
         let out = f();
@@ -653,7 +633,7 @@ impl Db {
         }
         self.slow.record(SlowEntry {
             query: ctx.query_id().unwrap_or(0),
-            session: ctx.session_id().unwrap_or(0),
+            session: ctx.session_id(),
             sql: text.to_string(),
             elapsed_us,
             rows,
@@ -672,12 +652,6 @@ impl Db {
         names.push("bq.locks".to_string());
         names.sort();
         names
-    }
-
-    /// Register (or replace) a virtual-table provider under its
-    /// [`VirtualTable::name`].
-    pub fn register_virtual(&mut self, vt: Arc<dyn VirtualTable>) {
-        self.vtabs.insert(vt.name().to_string(), vt);
     }
 
     /// The slow-query log, shared with the `bq.slow_log` virtual table.
@@ -764,10 +738,10 @@ impl Db {
     // ------------------------------------------------------------------
 
     /// The one body every relational statement runs through, whatever
-    /// language it is written in: admission, cancel registration and the
-    /// `bq.queries` entry ([`Db::run_governed`]), the catalog it should
-    /// see ([`Db::with_catalog_for`]), execution with per-operator stats
-    /// under `ctx` and `mode`, and the slow-log record. SQL text is parsed
+    /// language it is written in: admission and the in-flight registry
+    /// entry ([`Db::run_governed`]), the catalog it should see
+    /// ([`Db::with_catalog_for`]), execution with per-operator stats under
+    /// `ctx` and `mode`, and the slow-log record. SQL text is parsed
     /// and optimized here; a prepared plan and an algebra expression run
     /// as given, never re-optimized. A calculus query is translated to
     /// algebra by Codd's Theorem, or — when the constructive translation
@@ -1072,15 +1046,13 @@ impl Db {
         if !losers.is_empty() {
             let lost: HashSet<u64> = losers.iter().copied().collect();
             for rec in &records {
-                let (txn, slot) = match rec {
-                    LogRecord::RowInsert {
-                        txn, page, slot, ..
-                    } => (txn, (page.0, *slot)),
-                    LogRecord::Update {
-                        txn, page, offset, ..
-                    } => (txn, (page.0, *offset as u16)),
-                    _ => continue,
+                let LogRecord::RowInsert {
+                    txn, page, slot, ..
+                } = rec
+                else {
+                    continue;
                 };
+                let slot = (page.0, *slot);
                 if lost.contains(txn) {
                     lost_slots.insert(slot);
                 } else {
@@ -1181,7 +1153,7 @@ impl Db {
             buf.put_u32(schema.arity() as u32);
             for attr in schema.attrs() {
                 buf.put_str(&attr.name);
-                buf.put_u8(type_to_byte(attr.ty));
+                buf.put_u8(attr.ty.to_byte());
             }
             let rows = self.committed_rows(name)?;
             buf.put_u32(rows.len() as u32);
@@ -1387,7 +1359,7 @@ impl Db {
             if let Ok(rel) = self.table(name) {
                 for attr in rel.schema().attrs() {
                     h.write(attr.name.as_bytes());
-                    h.write(&[type_to_byte(attr.ty)]);
+                    h.write(&[attr.ty.to_byte()]);
                 }
             }
             let mut rows = self.committed_rows(name).unwrap_or_default();

@@ -8,13 +8,15 @@
 //! resolution. Snapshots are point-in-time: a query sees the state as of
 //! its own name-resolution step, not a live view.
 //!
-//! Built-in tables: `bq.metrics`, `bq.queries`, `bq.slow_log`,
-//! `bq.failpoints`, `bq.sessions` (populated by a server front-end via
-//! [`SessionRegistry`]), and `bq.locks` (materialised directly by `Db`,
-//! which owns the lock table).
+//! Built-in tables: `bq.metrics`, `bq.failpoints`, `bq.queries` (the
+//! engine's [`CancelRegistry`]), `bq.slow_log` ([`SlowLog`]),
+//! `bq.sessions` ([`SessionRegistry`], populated by a server front-end),
+//! `bq.replicas`, `bq.backups`, and `bq.locks` (materialised directly by
+//! `Db`, which owns the lock table). Each registry is its own provider.
 
 use crate::slowlog::SlowLog;
 use crate::Result;
+use bq_governor::CancelRegistry;
 use bq_relational::{Relation, Tuple, Type, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -23,10 +25,6 @@ use std::time::Duration;
 
 /// Name prefix that routes a relation to the virtual catalog.
 pub const VTAB_PREFIX: &str = "bq.";
-
-/// Cap on SQL text retained per `bq.queries` row, so the running-query
-/// registry stays allocation-bounded no matter what clients send.
-const MAX_TRACKED_SQL: usize = 512;
 
 /// A provider of one virtual table: snapshots engine state into a
 /// relation on demand.
@@ -122,100 +120,10 @@ impl VirtualTable for FailpointsTable {
 // bq.queries
 // ---------------------------------------------------------------------
 
-/// One in-flight statement, as tracked by [`RunningQueries`].
-#[derive(Debug, Clone)]
-pub struct RunningQuery {
-    /// Owning session id (0 when embedded/untagged).
-    pub session: u64,
-    /// Statement kind (`sql`, `datalog`, …).
-    pub kind: &'static str,
-    /// Statement text, truncated to a fixed cap.
-    pub sql: String,
-    /// Start time from [`bq_obs::now_us`].
-    pub start_us: u64,
-}
-
-/// Registry of statements currently in flight, keyed by trace/query id —
-/// the same id [`bq_governor::CancelRegistry`] hands out, so every row of
-/// `bq.queries` is KILL-able by construction. Cloning shares the map.
-#[derive(Debug, Clone, Default)]
-pub struct RunningQueries {
-    inner: Arc<Mutex<BTreeMap<u64, RunningQuery>>>,
-}
-
-impl RunningQueries {
-    /// An empty registry.
-    pub fn new() -> RunningQueries {
-        RunningQueries::default()
-    }
-
-    /// Track a statement for the lifetime of the returned guard.
-    pub fn track(&self, query: u64, session: u64, kind: &'static str, sql: &str) -> RunningGuard {
-        let mut text = String::with_capacity(sql.len().min(MAX_TRACKED_SQL));
-        for c in sql.chars() {
-            if text.len() + c.len_utf8() > MAX_TRACKED_SQL {
-                break;
-            }
-            text.push(c);
-        }
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).insert(
-            query,
-            RunningQuery {
-                session,
-                kind,
-                sql: text,
-                start_us: bq_obs::now_us(),
-            },
-        );
-        RunningGuard {
-            inner: Arc::clone(&self.inner),
-            query,
-        }
-    }
-
-    /// Snapshot of the in-flight statements, by query id.
-    pub fn snapshot(&self) -> Vec<(u64, RunningQuery)> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(&q, r)| (q, r.clone()))
-            .collect()
-    }
-}
-
-/// Removes its statement from [`RunningQueries`] on drop, so a finished
-/// statement can never linger in `bq.queries`.
-#[derive(Debug)]
-pub struct RunningGuard {
-    inner: Arc<Mutex<BTreeMap<u64, RunningQuery>>>,
-    query: u64,
-}
-
-impl Drop for RunningGuard {
-    fn drop(&mut self) {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&self.query);
-    }
-}
-
 /// `bq.queries(query, session, kind, sql, elapsed_ms, state)`: the
-/// KILL-able statement registry as a relation.
-#[derive(Debug)]
-pub struct QueriesTable {
-    queries: RunningQueries,
-}
-
-impl QueriesTable {
-    /// A view over `queries`.
-    pub fn new(queries: RunningQueries) -> QueriesTable {
-        QueriesTable { queries }
-    }
-}
-
-impl VirtualTable for QueriesTable {
+/// engine's registry of in-flight statements, every row KILL-able by its
+/// `query` id.
+impl VirtualTable for CancelRegistry {
     fn name(&self) -> &'static str {
         "bq.queries"
     }
@@ -230,9 +138,9 @@ impl VirtualTable for QueriesTable {
             ("elapsed_ms", Type::Int),
             ("state", Type::Str),
         ])?;
-        for (query, run) in self.queries.snapshot() {
+        for run in self.list() {
             rel.insert(Tuple::new(vec![
-                Value::Int(query as i64),
+                Value::Int(run.query as i64),
                 Value::Int(run.session as i64),
                 Value::str(run.kind),
                 Value::str(run.sql),
@@ -251,19 +159,7 @@ impl VirtualTable for QueriesTable {
 /// `bq.slow_log(query, session, sql, elapsed_us, rows, fingerprint,
 /// plan)`: the bounded ring of completed statements over the latency
 /// threshold, with the rendered per-operator stats tree per entry.
-#[derive(Debug)]
-pub struct SlowLogTable {
-    log: Arc<SlowLog>,
-}
-
-impl SlowLogTable {
-    /// A view over `log`.
-    pub fn new(log: Arc<SlowLog>) -> SlowLogTable {
-        SlowLogTable { log }
-    }
-}
-
-impl VirtualTable for SlowLogTable {
+impl VirtualTable for SlowLog {
     fn name(&self) -> &'static str {
         "bq.slow_log"
     }
@@ -278,7 +174,7 @@ impl VirtualTable for SlowLogTable {
             ("fingerprint", Type::Str),
             ("plan", Type::Str),
         ])?;
-        for e in self.log.entries() {
+        for e in self.entries() {
             rel.insert(Tuple::new(vec![
                 Value::Int(e.query as i64),
                 Value::Int(e.session as i64),
@@ -352,8 +248,8 @@ impl SessionRegistry {
         self.len() == 0
     }
 
-    /// Snapshot of the live sessions, by id.
-    pub fn snapshot(&self) -> Vec<SessionRow> {
+    /// The live sessions, by id.
+    pub fn rows(&self) -> Vec<SessionRow> {
         self.inner
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -363,21 +259,8 @@ impl SessionRegistry {
     }
 }
 
-/// `bq.sessions(session, peer, mode, limits, txn)` over a
-/// [`SessionRegistry`].
-#[derive(Debug)]
-pub struct SessionsTable {
-    registry: SessionRegistry,
-}
-
-impl SessionsTable {
-    /// A view over `registry`.
-    pub fn new(registry: SessionRegistry) -> SessionsTable {
-        SessionsTable { registry }
-    }
-}
-
-impl VirtualTable for SessionsTable {
+/// `bq.sessions(session, peer, mode, limits, txn)`.
+impl VirtualTable for SessionRegistry {
     fn name(&self) -> &'static str {
         "bq.sessions"
     }
@@ -390,7 +273,7 @@ impl VirtualTable for SessionsTable {
             ("limits", Type::Str),
             ("txn", Type::Bool),
         ])?;
-        for row in self.registry.snapshot() {
+        for row in self.rows() {
             rel.insert(Tuple::new(vec![
                 Value::Int(row.session as i64),
                 Value::str(row.peer),
@@ -448,20 +331,20 @@ impl ReplicaRegistry {
         ReplicaRegistry::default()
     }
 
-    fn rows(&self) -> MutexGuard<'_, BTreeMap<u64, ReplicaRow>> {
+    fn locked(&self) -> MutexGuard<'_, BTreeMap<u64, ReplicaRow>> {
         self.inner.rows.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Insert one replica's row, or replace it on a state change.
     pub fn upsert(&self, row: ReplicaRow) {
-        self.rows().insert(row.id, row);
+        self.locked().insert(row.id, row);
         self.inner.changed.notify_all();
     }
 
     /// Record one acknowledged segment on replica `id`'s row, in place.
     /// A replica that already departed is left departed.
     pub fn record_ack(&self, id: u64, acked: u64, shipped: u64, now_us: u64) {
-        if let Some(row) = self.rows().get_mut(&id) {
+        if let Some(row) = self.locked().get_mut(&id) {
             row.acked = acked;
             row.shipped = shipped;
             row.last_ack_us = now_us;
@@ -471,20 +354,20 @@ impl ReplicaRegistry {
 
     /// Remove a departed replica.
     pub fn remove(&self, id: u64) {
-        self.rows().remove(&id);
+        self.locked().remove(&id);
         self.inner.changed.notify_all();
     }
 
     /// Wake every waiter without changing a row, so a stopping server's
     /// semi-sync waits re-check their stop flag now.
     pub fn wake_all(&self) {
-        let _rows = self.rows();
+        let _rows = self.locked();
         self.inner.changed.notify_all();
     }
 
     /// Number of subscribed replicas.
     pub fn len(&self) -> usize {
-        self.rows().len()
+        self.locked().len()
     }
 
     /// Is the registry empty?
@@ -502,7 +385,7 @@ impl ReplicaRegistry {
     /// checks its own ceiling and stop flag and calls again.
     pub fn wait_all_acked(&self, offset: u64, slice: Duration) -> bool {
         let all_acked = |rows: &BTreeMap<u64, ReplicaRow>| rows.values().all(|r| r.acked >= offset);
-        let rows = self.rows();
+        let rows = self.locked();
         if all_acked(&rows) {
             return true;
         }
@@ -514,28 +397,16 @@ impl ReplicaRegistry {
         all_acked(&rows)
     }
 
-    /// Snapshot of the subscribed replicas, by id.
-    pub fn snapshot(&self) -> Vec<ReplicaRow> {
-        self.rows().values().cloned().collect()
+    /// The subscribed replicas, by id.
+    pub fn rows(&self) -> Vec<ReplicaRow> {
+        self.locked().values().cloned().collect()
     }
 }
 
-/// `bq.replicas(replica, endpoint, state, acked_lsn, lag_bytes, lag_ms)`
-/// over a [`ReplicaRegistry`]. Lag is computed at snapshot time: bytes
-/// shipped but unacknowledged, and wall time since the last ack.
-#[derive(Debug)]
-pub struct ReplicasTable {
-    registry: ReplicaRegistry,
-}
-
-impl ReplicasTable {
-    /// A view over `registry`.
-    pub fn new(registry: ReplicaRegistry) -> ReplicasTable {
-        ReplicasTable { registry }
-    }
-}
-
-impl VirtualTable for ReplicasTable {
+/// `bq.replicas(replica, endpoint, state, acked_lsn, lag_bytes, lag_ms)`.
+/// Lag is computed at snapshot time: bytes shipped but unacknowledged,
+/// and wall time since the last ack.
+impl VirtualTable for ReplicaRegistry {
     fn name(&self) -> &'static str {
         "bq.replicas"
     }
@@ -550,7 +421,7 @@ impl VirtualTable for ReplicasTable {
             ("lag_bytes", Type::Int),
             ("lag_ms", Type::Int),
         ])?;
-        for row in self.registry.snapshot() {
+        for row in self.rows() {
             let lag_ms = if row.last_ack_us == 0 {
                 0
             } else {
@@ -626,8 +497,8 @@ impl BackupRegistry {
         self.len() == 0
     }
 
-    /// Snapshot of the recorded backups, by sequence number.
-    pub fn snapshot(&self) -> Vec<BackupRow> {
+    /// The recorded backups, by sequence number.
+    pub fn rows(&self) -> Vec<BackupRow> {
         self.inner
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -638,21 +509,9 @@ impl BackupRegistry {
 }
 
 /// `bq.backups(backup, kind, wal_start, wal_end, bytes, state,
-/// fingerprint, age_ms)` over a [`BackupRegistry`]. The fingerprint is
-/// rendered in hex like `bq.slow_log` plan fingerprints.
-#[derive(Debug)]
-pub struct BackupsTable {
-    registry: BackupRegistry,
-}
-
-impl BackupsTable {
-    /// A view over `registry`.
-    pub fn new(registry: BackupRegistry) -> BackupsTable {
-        BackupsTable { registry }
-    }
-}
-
-impl VirtualTable for BackupsTable {
+/// fingerprint, age_ms)`. The fingerprint is rendered in hex like
+/// `bq.slow_log` plan fingerprints.
+impl VirtualTable for BackupRegistry {
     fn name(&self) -> &'static str {
         "bq.backups"
     }
@@ -669,7 +528,7 @@ impl VirtualTable for BackupsTable {
             ("fingerprint", Type::Str),
             ("age_ms", Type::Int),
         ])?;
-        for row in self.registry.snapshot() {
+        for row in self.rows() {
             let age_ms = (now.saturating_sub(row.created_us) / 1000) as i64;
             rel.insert(Tuple::new(vec![
                 Value::Int(row.seq as i64),
@@ -690,6 +549,7 @@ impl VirtualTable for BackupsTable {
 mod tests {
     use super::*;
     use crate::slowlog::SlowEntry;
+    use bq_governor::{QueryContext, MAX_TRACKED_SQL};
 
     #[test]
     fn metrics_snapshot_has_rows_and_schema() {
@@ -709,30 +569,33 @@ mod tests {
 
     #[test]
     fn running_queries_guard_removes_on_drop() {
-        let rq = RunningQueries::new();
-        let guard = rq.track(7, 3, "sql", "select x from r");
-        assert_eq!(rq.snapshot().len(), 1);
-        let rel = QueriesTable::new(rq.clone()).snapshot().unwrap();
+        let registry = CancelRegistry::new();
+        let guard = registry.register(&QueryContext::unlimited(), 3, "sql", "select x from r");
+        let rel = registry.snapshot().unwrap();
         assert_eq!(rel.len(), 1);
         let row = rel.iter().next().unwrap();
-        assert_eq!(row.get(0), &Value::Int(7));
+        assert_eq!(row.get(0), &Value::Int(guard.id() as i64));
+        assert_eq!(row.get(1), &Value::Int(3));
         assert_eq!(row.get(5), &Value::str("running"));
         drop(guard);
-        assert!(rq.snapshot().is_empty());
+        assert!(registry.snapshot().unwrap().is_empty());
     }
 
     #[test]
     fn tracked_sql_is_truncated() {
-        let rq = RunningQueries::new();
+        let registry = CancelRegistry::new();
         let long = "s".repeat(10_000);
-        let _g = rq.track(1, 0, "sql", &long);
-        let (_, run) = rq.snapshot().pop().unwrap();
-        assert!(run.sql.len() <= MAX_TRACKED_SQL);
+        let _g = registry.register(&QueryContext::unlimited(), 0, "sql", &long);
+        let rel = registry.snapshot().unwrap();
+        assert_eq!(
+            rel.iter().next().unwrap().get(3),
+            &Value::str(&long[..MAX_TRACKED_SQL])
+        );
     }
 
     #[test]
     fn slow_log_table_renders_entries() {
-        let log = Arc::new(SlowLog::new());
+        let log = SlowLog::new();
         log.record(SlowEntry {
             query: 42,
             session: 1,
@@ -742,7 +605,7 @@ mod tests {
             fingerprint: 0xdead_beef,
             plan: "SeqScan [r]  (rows=10)".to_string(),
         });
-        let rel = SlowLogTable::new(log).snapshot().unwrap();
+        let rel = log.snapshot().unwrap();
         assert_eq!(rel.len(), 1);
         let row = rel.iter().next().unwrap();
         assert_eq!(row.get(0), &Value::Int(42));
@@ -763,7 +626,7 @@ mod tests {
         });
         assert!(reg.wait_all_acked(100, Duration::ZERO));
         assert!(!reg.wait_all_acked(101, Duration::ZERO));
-        let rel = ReplicasTable::new(reg.clone()).snapshot().unwrap();
+        let rel = reg.snapshot().unwrap();
         assert_eq!(rel.len(), 1);
         let row = rel.iter().next().unwrap();
         assert_eq!(row.get(0), &Value::Int(3));
@@ -813,7 +676,7 @@ mod tests {
         reg.upsert(replica_row(3, 100));
         assert!(reg.wait_all_acked(100, LONG), "already acked: no wait");
         woken_by(&reg, 164, |r| r.record_ack(3, 164, 164, 2));
-        assert_eq!(reg.snapshot()[0], {
+        assert_eq!(reg.rows()[0], {
             let mut row = replica_row(3, 164);
             row.last_ack_us = 2;
             row
@@ -844,7 +707,7 @@ mod tests {
             limits: "none".to_string(),
             txn: false,
         });
-        let rel = SessionsTable::new(reg.clone()).snapshot().unwrap();
+        let rel = reg.snapshot().unwrap();
         assert_eq!(rel.len(), 1);
         reg.remove(1);
         assert!(reg.is_empty());

@@ -796,72 +796,29 @@ fn par_partition<'a, 'db>(
         charger.flush()?;
         return Ok((buckets, charger.total()));
     }
-    let charged = AtomicU64::new(0);
-    let cursor = AtomicUsize::new(0);
-    let first_err: Mutex<Option<RelError>> = Mutex::new(None);
-    let global: Mutex<Vec<Vec<&Row<'db>>>> = Mutex::new(vec![Vec::new(); parts]);
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(batches.len()) {
-            s.spawn(|| {
-                let mut local = vec![Vec::new(); parts];
-                let mut charger = Charger::new(ctx);
-                'pull: loop {
-                    if first_err
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .is_some()
-                    {
-                        break;
-                    }
-                    // Governance check per morsel, like par_pull.
-                    if let Err(g) = ctx.check() {
-                        first_err
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .get_or_insert(RelError::from(g));
-                        break;
-                    }
-                    // relaxed: unique-index hand-out, as in par_pull; the
-                    // global mutex is the publication point.
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= batches.len() {
-                        break;
-                    }
-                    for t in &batches[i] {
-                        if charger.is_enabled() {
-                            if let Err(g) = charger.charge(t.approx_bytes()) {
-                                first_err
-                                    .lock()
-                                    .unwrap_or_else(|e| e.into_inner())
-                                    .get_or_insert(RelError::from(g));
-                                break 'pull;
-                            }
-                        }
-                        local[bucket(t, key, parts)].push(t);
-                    }
-                }
-                if let Err(g) = charger.flush() {
-                    first_err
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .get_or_insert(RelError::from(g));
-                }
-                // relaxed: per-worker byte tally for stats only.
-                charged.fetch_add(charger.total(), Ordering::Relaxed);
-                let mut global = global.lock().unwrap_or_else(|e| e.into_inner());
-                for (bucket, tuples) in global.iter_mut().zip(local) {
-                    bucket.extend(tuples);
-                }
-            });
+    // Each batch partitions into its own buckets under its own charger;
+    // merging in batch order makes the buckets the sequential run's.
+    let per_batch = par_pull(workers, batches.len(), ctx, |i| {
+        let mut charger = Charger::new(ctx);
+        let mut local = vec![Vec::new(); parts];
+        for t in &batches[i] {
+            if charger.is_enabled() {
+                charger.charge(t.approx_bytes())?;
+            }
+            local[bucket(t, key, parts)].push(t);
         }
-    });
-    if let Some(e) = first_err.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Err(e);
+        charger.flush()?;
+        Ok((local, charger.total()))
+    })?;
+    let mut buckets = vec![Vec::new(); parts];
+    let mut charged = 0;
+    for (local, bytes) in per_batch {
+        charged += bytes;
+        for (bucket, tuples) in buckets.iter_mut().zip(local) {
+            bucket.extend(tuples);
+        }
     }
-    Ok((
-        global.into_inner().unwrap_or_else(|e| e.into_inner()),
-        charged.into_inner(),
-    ))
+    Ok((buckets, charged))
 }
 
 #[cfg(test)]

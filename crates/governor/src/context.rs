@@ -1,8 +1,9 @@
-//! Per-query governance state: cancel tokens, memory budgets, and the
+//! Per-query governance state: cancel tokens, memory budgets, the
 //! [`QueryContext`] capability that threads both (plus a deadline and an
-//! iteration cap) through the engine.
+//! iteration cap) through the engine, and the [`CancelRegistry`] of
+//! in-flight statements.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -157,12 +158,12 @@ pub struct QueryContext {
     deadline_ms: u64,
     budget: Option<MemoryBudget>,
     max_iterations: Option<u64>,
-    /// Trace identity, stamped after construction (admission assigns the
-    /// query id, the server stamps the session id). Shared by clones.
+    /// Trace identity, stamped by [`CancelRegistry::register`]. Shared
+    /// by clones.
     ids: Arc<TraceIds>,
 }
 
-/// Sentinel for a trace id that has not been stamped yet. Registry ids
+/// Sentinel for a query id that has not been stamped yet. Registry ids
 /// start at zero, so zero cannot mean "unassigned".
 const ID_UNASSIGNED: u64 = u64::MAX;
 
@@ -177,7 +178,7 @@ impl Default for TraceIds {
     fn default() -> TraceIds {
         TraceIds {
             query: AtomicU64::new(ID_UNASSIGNED),
-            session: AtomicU64::new(ID_UNASSIGNED),
+            session: AtomicU64::new(0),
         }
     }
 }
@@ -231,35 +232,21 @@ impl QueryContext {
         self.budget.as_ref()
     }
 
-    /// Stamp the statement's trace/query id (normally the cancel-registry
-    /// id assigned at admission). Visible through every clone.
-    pub fn set_query_id(&self, id: u64) {
-        // relaxed: identity cell; nothing is published under it.
-        self.ids.query.store(id, Ordering::Relaxed);
-    }
-
-    /// The stamped trace/query id, if admission assigned one yet.
+    /// The trace/query id [`CancelRegistry::register`] stamped, if the
+    /// statement was registered yet.
     pub fn query_id(&self) -> Option<u64> {
-        // relaxed: identity cell, see set_query_id.
+        // relaxed: identity cell; nothing is published under it.
         match self.ids.query.load(Ordering::Relaxed) {
             ID_UNASSIGNED => None,
             id => Some(id),
         }
     }
 
-    /// Stamp the owning session's id (servers stamp their connection id).
-    pub fn set_session_id(&self, id: u64) {
-        // relaxed: identity cell, see set_query_id.
-        self.ids.session.store(id, Ordering::Relaxed);
-    }
-
-    /// The stamped session id, if one was set.
-    pub fn session_id(&self) -> Option<u64> {
-        // relaxed: identity cell, see set_query_id.
-        match self.ids.session.load(Ordering::Relaxed) {
-            ID_UNASSIGNED => None,
-            id => Some(id),
-        }
+    /// The owning session's id (a server's connection id); 0 for an
+    /// embedded or unregistered statement.
+    pub fn session_id(&self) -> u64 {
+        // relaxed: identity cell, see query_id.
+        self.ids.session.load(Ordering::Relaxed)
     }
 
     /// The iteration cap, if one is set.
@@ -380,14 +367,39 @@ impl<'a> Charger<'a> {
     }
 }
 
-/// Tracks the cancel tokens of in-flight statements so `Db::cancel_handle`
-/// can stop work running on other threads without `Db` owning any
-/// per-statement state. Registration returns a [`RegisteredCancel`] guard
-/// that deregisters on drop, so a finished statement can never be
-/// "cancelled" into its next run.
+/// Cap on statement text kept per [`InFlight`] row, so the registry
+/// stays allocation-bounded no matter what clients send.
+pub const MAX_TRACKED_SQL: usize = 512;
+
+/// One in-flight statement as [`CancelRegistry::list`] reports it: a row
+/// of `bq.queries` and of a server's `ListQueries` reply.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InFlight {
+    /// Registry id: the trace/query id, and the `KILL` target.
+    pub query: u64,
+    /// Owning session id (0 when embedded).
+    pub session: u64,
+    /// Statement kind (`sql`, `datalog`, …).
+    pub kind: &'static str,
+    /// Statement text, cut to [`MAX_TRACKED_SQL`] bytes.
+    pub sql: String,
+    /// Start time from [`bq_obs::now_us`].
+    pub start_us: u64,
+}
+
+type Entries = Arc<Mutex<BTreeMap<u64, (CancelToken, InFlight)>>>;
+
+/// The one registry of in-flight statements: each entry holds the
+/// statement's cancel token and its [`InFlight`] row, keyed by the id
+/// registration hands out. `Db::cancel_handle`, `bq.queries`, a server's
+/// `ListQueries` and `Kill` all read this map, so every listed statement
+/// is cancellable by construction. Registration returns a
+/// [`RegisteredCancel`] guard that deregisters on drop, so a finished
+/// statement can never be "cancelled" into its next run. Cloning shares
+/// the map.
 #[derive(Debug, Clone, Default)]
 pub struct CancelRegistry {
-    inner: Arc<Mutex<HashMap<u64, CancelToken>>>,
+    inner: Entries,
     next_id: Arc<AtomicU64>,
 }
 
@@ -397,28 +409,51 @@ impl CancelRegistry {
         CancelRegistry::default()
     }
 
-    /// Track `token` for the duration of the returned guard.
-    pub fn register(&self, token: CancelToken) -> RegisteredCancel {
+    /// Track the statement `ctx` governs for the lifetime of the returned
+    /// guard. This is the only place ids are stamped: the context gets a
+    /// fresh query id and `session`, so the slow log, profiles and a
+    /// server's `Done` frame all carry the id `KILL` accepts.
+    pub fn register(
+        &self,
+        ctx: &QueryContext,
+        session: u64,
+        kind: &'static str,
+        sql: &str,
+    ) -> RegisteredCancel {
         // relaxed: unique-id hand-out; the mutex below publishes the entry.
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        // relaxed: identity cells, see QueryContext::query_id.
+        ctx.ids.query.store(id, Ordering::Relaxed);
+        ctx.ids.session.store(session, Ordering::Relaxed);
+        let mut end = sql.len().min(MAX_TRACKED_SQL);
+        while !sql.is_char_boundary(end) {
+            end -= 1;
+        }
+        let row = InFlight {
+            query: id,
+            session,
+            kind,
+            sql: sql[..end].to_string(),
+            start_us: bq_obs::now_us(),
+        };
         self.inner
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(id, token);
+            .insert(id, (ctx.cancel_token(), row));
         RegisteredCancel {
             inner: Arc::clone(&self.inner),
             id,
         }
     }
 
-    /// Cancel the single registered token with this id, if it is still in
-    /// flight. Returns whether a token was found — a finished statement
-    /// has already deregistered, so a stale id is a clean `false`, never a
-    /// cancel of unrelated work.
+    /// Cancel the single registered statement with this id, if it is
+    /// still in flight. Returns whether one was found — a finished
+    /// statement has already deregistered, so a stale id is a clean
+    /// `false`, never a cancel of unrelated work.
     pub fn cancel_id(&self, id: u64) -> bool {
         let map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         match map.get(&id) {
-            Some(token) => {
+            Some((token, _)) => {
                 token.cancel();
                 true
             }
@@ -426,10 +461,10 @@ impl CancelRegistry {
         }
     }
 
-    /// Cancel every currently registered token; returns how many.
+    /// Cancel every registered statement; returns how many.
     pub fn cancel_all(&self) -> usize {
         let map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        for token in map.values() {
+        for (token, _) in map.values() {
             token.cancel();
         }
         map.len()
@@ -439,19 +474,29 @@ impl CancelRegistry {
     pub fn in_flight(&self) -> usize {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
+
+    /// The statements currently in flight, by id.
+    pub fn list(&self) -> Vec<InFlight> {
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .values()
+            .map(|(_, row)| row.clone())
+            .collect()
+    }
 }
 
-/// Guard returned by [`CancelRegistry::register`]; deregisters the token
-/// when dropped.
+/// Guard returned by [`CancelRegistry::register`]; deregisters the
+/// statement when dropped.
 #[derive(Debug)]
 pub struct RegisteredCancel {
-    inner: Arc<Mutex<HashMap<u64, CancelToken>>>,
+    inner: Entries,
     id: u64,
 }
 
 impl RegisteredCancel {
-    /// The registry id under which this statement's token is tracked;
-    /// hand it to clients so they can [`CancelRegistry::cancel_id`] it.
+    /// The registry id under which this statement is tracked; hand it to
+    /// clients so they can [`CancelRegistry::cancel_id`] it.
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -601,33 +646,68 @@ mod tests {
     #[test]
     fn cancel_registry_hits_only_in_flight_tokens() {
         let registry = CancelRegistry::new();
-        let first = CancelToken::new();
-        let guard = registry.register(first.clone());
+        let first = QueryContext::unlimited();
+        let guard = registry.register(&first, 0, "sql", "select 1");
         assert_eq!(registry.in_flight(), 1);
         assert_eq!(registry.cancel_all(), 1);
-        assert!(first.is_cancelled());
+        assert!(first.check().is_err());
         drop(guard);
         assert_eq!(registry.in_flight(), 0);
 
-        let second = CancelToken::new();
-        let _guard = registry.register(second.clone());
+        let second = QueryContext::unlimited();
+        let _guard = registry.register(&second, 0, "sql", "select 2");
         // The earlier cancel_all must not leak into the new statement.
-        assert!(!second.is_cancelled());
+        assert!(second.check().is_ok());
     }
 
     #[test]
     fn cancel_id_targets_one_statement() {
         let registry = CancelRegistry::new();
-        let first = CancelToken::new();
-        let second = CancelToken::new();
-        let guard_a = registry.register(first.clone());
-        let _guard_b = registry.register(second.clone());
+        let first = QueryContext::unlimited();
+        let second = QueryContext::unlimited();
+        let guard_a = registry.register(&first, 1, "sql", "a");
+        let _guard_b = registry.register(&second, 2, "sql", "b");
         assert!(registry.cancel_id(guard_a.id()));
-        assert!(first.is_cancelled());
-        assert!(!second.is_cancelled(), "only the targeted token stops");
+        assert!(first.check().is_err());
+        assert!(second.check().is_ok(), "only the targeted token stops");
 
         let stale = guard_a.id();
         drop(guard_a);
         assert!(!registry.cancel_id(stale), "stale ids are a clean miss");
+    }
+
+    #[test]
+    fn registration_stamps_ids_and_lists_the_row() {
+        let registry = CancelRegistry::new();
+        let ctx = QueryContext::unlimited();
+        assert_eq!((ctx.query_id(), ctx.session_id()), (None, 0));
+        let guard = registry.register(&ctx.clone(), 7, "datalog", "p(X) :- q(X).");
+        assert_eq!(ctx.query_id(), Some(guard.id()), "clones share the cells");
+        assert_eq!(ctx.session_id(), 7);
+        let rows = registry.list();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(
+            (
+                rows[0].query,
+                rows[0].session,
+                rows[0].kind,
+                rows[0].sql.as_str()
+            ),
+            (guard.id(), 7, "datalog", "p(X) :- q(X).")
+        );
+        drop(guard);
+        assert!(registry.list().is_empty());
+        assert!(ctx.query_id().is_some(), "the id outlives the entry");
+    }
+
+    #[test]
+    fn registered_text_is_cut_at_a_char_boundary() {
+        let registry = CancelRegistry::new();
+        // 'é' is two bytes, so byte MAX_TRACKED_SQL falls inside one.
+        let long = format!("s{}", "é".repeat(MAX_TRACKED_SQL));
+        let _g = registry.register(&QueryContext::unlimited(), 0, "sql", &long);
+        let sql = registry.list().pop().unwrap().sql;
+        assert_eq!(sql.len(), MAX_TRACKED_SQL - 1);
+        assert!(long.starts_with(&sql));
     }
 }

@@ -14,8 +14,9 @@
 //! * [`AdmissionController`] — a process-wide bounded slot pool with a
 //!   bounded wait queue that **sheds** load ([`GovernorError::Overloaded`])
 //!   instead of queuing forever.
-//! * [`CancelRegistry`] — tracks in-flight cancel tokens so a handle
-//!   obtained on one thread can cancel statements running on another.
+//! * [`CancelRegistry`] — the one registry of in-flight statements: it
+//!   stamps each statement's trace id, lists it (`bq.queries`, a server's
+//!   `ListQueries`), and cancels it from another thread (`KILL`).
 //!
 //! Design rules, mirroring `bq-obs` and `bq-faults`:
 //!
@@ -39,8 +40,8 @@ pub mod context;
 
 pub use admission::{AdmissionController, AdmissionPermit, AdmissionStats};
 pub use context::{
-    CancelRegistry, CancelToken, Charger, MemoryBudget, QueryContext, RegisteredCancel,
-    CHARGE_QUANTUM,
+    CancelRegistry, CancelToken, Charger, InFlight, MemoryBudget, QueryContext, RegisteredCancel,
+    CHARGE_QUANTUM, MAX_TRACKED_SQL,
 };
 
 use std::fmt;

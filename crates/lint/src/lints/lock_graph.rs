@@ -59,18 +59,21 @@ impl WorkspaceLint for LockGraph {
          acquired while a was held — directly in one scope, or inside a fn \
          called under a (calls are resolved through the item index when the \
          callee is path-qualified, defined in the same crate, or globally \
-         unique). Three findings: (1) a strongly-connected component in the \
+         unique). Four findings: (1) a strongly-connected component in the \
          graph is a potential deadlock — two threads walking the cycle from \
          different entry points block forever; (2) an intra-crate edge whose \
          guards are not both in the crate's declared order (lints/lock_order.rs) \
          is an undeclared nesting — the declaration table must stay the \
          superset of reality, or the per-file pass is checking fiction; \
          (3) a crate with two or more distinct production guards and no \
-         declared order at all escapes the per-file pass entirely. Fix by \
-         breaking the cycle (narrow the guard scope, drop before calling), \
-         declaring the missing order, or — when a cycle is provably benign \
-         (e.g. the edges can never interleave) — suppressing the witness site \
-         with `// lint: allow(lock-graph) <reason>`."
+         declared order at all escapes the per-file pass entirely; (4) a \
+         declared name that no production guard in its crate acquires any \
+         more is stale (judged only when the crate's src/lib.rs is scanned). \
+         Fix by breaking the cycle (narrow the guard scope, drop before \
+         calling), declaring the missing order, removing the stale name, \
+         or — when a cycle is provably benign (e.g. the edges can never \
+         interleave) — suppressing the witness site with \
+         `// lint: allow(lock-graph) <reason>`."
     }
 
     fn check(&self, ws: &Workspace, rep: &mut Report) {
@@ -213,6 +216,37 @@ impl WorkspaceLint for LockGraph {
                     names.join(", "),
                 ),
             );
+        }
+
+        // (4) Stale declarations: a declared name that no production
+        // guard in its crate acquires any more checks nothing, and hides
+        // a rank a new lock could silently inherit. Only a crate scanned
+        // whole — its `src/lib.rs` is among the files — can be judged.
+        for (krate, order) in CRATE_ORDERS {
+            let root = format!("crates/{krate}/src/lib.rs");
+            let Some(fi) = ws.files.iter().position(|f| f.src.path == root) else {
+                continue;
+            };
+            let acquired = per_crate.get(krate);
+            let stale: Vec<String> = order
+                .iter()
+                .copied()
+                .filter(|name| !acquired.is_some_and(|g| g.contains_key(name)))
+                .map(|name| format!("`{name}`"))
+                .collect();
+            if !stale.is_empty() {
+                ws.files[fi].src.emit(
+                    rep,
+                    self.name(),
+                    1,
+                    format!(
+                        "crate `{krate}` declares lock order [{}] but no production guard \
+                         acquires {}; remove the stale name from lints/lock_order.rs",
+                        order.join(" < "),
+                        stale.join(", ")
+                    ),
+                );
+            }
         }
     }
 }

@@ -10,32 +10,29 @@ use crate::source::{Lint, Report, SourceFile};
 /// are the field/variable the guard is taken from (`self.inner.lock()`
 /// declares `inner`). Locks not listed here don't participate in the
 /// per-file pass, but the workspace `lock-graph` pass flags any nested
-/// acquisition of an undeclared name, and any crate with two or more
-/// distinct guards and no entry here at all — this table must stay the
-/// superset of reality. `pub` because the workspace pass diffs the
-/// inferred graph against it.
+/// acquisition of an undeclared name, any crate with two or more
+/// distinct guards and no entry here at all, and any listed name no
+/// production guard of its crate acquires — this table must stay
+/// exactly reality. `pub` because the workspace pass diffs the inferred
+/// graph against it.
 pub const CRATE_ORDERS: &[(&str, &[&str])] = &[
-    ("exec", &["first_err", "out", "global"]),
+    ("exec", &["first_err", "out"]),
     ("storage", &["inner"]),
     ("governor", &["state", "inner"]),
-    // `lock` is the tracer's process-wide span sink; it is a leaf and
-    // never nests with the registry locks.
-    ("obs", &["metrics", "ring", "lock"]),
-    ("txn", &["serial"]),
-    ("faults", &["registry"]),
-    ("server", &["conns", "running", "workers", "db"]),
+    ("obs", &["metrics"]),
+    ("server", &["conns", "workers", "db"]),
     ("repl", &["state", "db"]),
     // `objects` is the in-memory archive's store; MemArchive methods
     // are leaves called under `state` (and sometimes `db`).
     ("backup", &["state", "db", "objects"]),
-    // `inner` is the vtab registry, `ring` the slow-query ring; they
-    // guard disjoint subsystems and never nest today — the order makes
-    // any future nesting take the registry first. `rows` (the replica
-    // registry a semi-sync wait blocks on) and `horizon` (the WAL watch
-    // a shipping loop blocks on) are leaves: each is paired with a
-    // condvar, nothing is taken under either, and neither is ever held
-    // while taking the engine `RwLock<Db>` — `Db` publishes to
-    // `horizon` under the engine write guard, never the reverse.
+    // `inner` is the session and backup registries, `ring` the
+    // slow-query ring; they guard disjoint subsystems and never nest
+    // today — the order makes any future nesting take a registry first. `rows` (the replica registry a
+    // semi-sync wait blocks on) and `horizon` (the WAL watch a shipping
+    // loop blocks on) are leaves: each is paired with a condvar, nothing
+    // is taken under either, and neither is ever held while taking the
+    // engine `RwLock<Db>` — `Db` publishes to `horizon` under the engine
+    // write guard, never the reverse.
     ("core", &["inner", "ring", "rows", "horizon"]),
 ];
 

@@ -101,6 +101,44 @@ fn lock_graph_accepts_ordered_call_edges_and_ignores_non_self_receivers() {
     assert_eq!(rep.diags.len(), 0, "{:#?}", rep.diags);
 }
 
+#[test]
+fn lock_graph_flags_declared_names_no_production_guard_acquires() {
+    let rep = run(
+        "lock-graph",
+        &[(
+            "crates/exec/src/lib.rs",
+            include_str!("fixtures/ws_bad_graph_stale.rs"),
+        )],
+    );
+    assert_eq!(rep.diags.len(), 1, "{:#?}", rep.diags);
+    let d = &rep.diags[0];
+    assert_eq!((d.file.as_str(), d.line), ("crates/exec/src/lib.rs", 1));
+    assert!(
+        d.message.contains("no production guard acquires `out`;"),
+        "{d}"
+    );
+
+    // The same code outside a crate root is a partial view of the crate:
+    // nothing can be called stale from it.
+    let rep = run(
+        "lock-graph",
+        &[(
+            "crates/exec/src/engine.rs",
+            include_str!("fixtures/ws_bad_graph_stale.rs"),
+        )],
+    );
+    assert_eq!(rep.diags.len(), 0, "{:#?}", rep.diags);
+
+    let rep = run(
+        "lock-graph",
+        &[(
+            "crates/exec/src/lib.rs",
+            include_str!("fixtures/ws_ok_graph_exec.rs"),
+        )],
+    );
+    assert_eq!(rep.diags.len(), 0, "{:#?}", rep.diags);
+}
+
 // ------------------------------------------- blocking-while-locked
 
 #[test]

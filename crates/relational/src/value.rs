@@ -18,6 +18,28 @@ pub enum Type {
     Bool,
 }
 
+impl Type {
+    /// The one-byte tag every binary format (snapshot, WAL, wire schema)
+    /// stores a type as.
+    pub fn to_byte(self) -> u8 {
+        match self {
+            Type::Int => 0,
+            Type::Str => 1,
+            Type::Bool => 2,
+        }
+    }
+
+    /// The type a [`Type::to_byte`] tag names; `None` for an unknown tag.
+    pub fn from_byte(b: u8) -> Option<Type> {
+        match b {
+            0 => Some(Type::Int),
+            1 => Some(Type::Str),
+            2 => Some(Type::Bool),
+            _ => None,
+        }
+    }
+}
+
 impl fmt::Display for Type {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -27,9 +27,9 @@ use crate::backoff::Backoff;
 use bq_core::SessionLimits;
 use bq_exec::ExecMode;
 use bq_server::client::{connect_with, ConnectOptions, Connection};
-use bq_server::driver::{Driver, DriverError, Outcome, RunningQuery};
+use bq_server::driver::{Driver, DriverError, Outcome};
 use bq_server::stmt::parse_statement;
-use bq_server::wire::ErrorCode;
+use bq_server::wire::{ErrorCode, QueryInfo};
 use bq_util::{Rng, SplitMix64};
 use std::collections::HashMap;
 use std::thread;
@@ -404,7 +404,7 @@ impl Driver for FailoverDriver {
         self.run_read(|c| c.kill(query))
     }
 
-    fn running(&mut self) -> Result<Vec<RunningQuery>, DriverError> {
+    fn running(&mut self) -> Result<Vec<QueryInfo>, DriverError> {
         self.run_read(|c| c.running())
     }
 

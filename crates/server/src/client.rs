@@ -5,8 +5,10 @@
 //! so frontends swap between in-process and remote databases without
 //! changing a line above the trait.
 
-use crate::driver::{Driver, DriverError, Outcome, RunningQuery};
-use crate::wire::{schema_from_cols, ErrorCode, Framed, Request, Response, PROTOCOL_VERSION};
+use crate::driver::{Driver, DriverError, Outcome};
+use crate::wire::{
+    schema_from_cols, ErrorCode, Framed, QueryInfo, Request, Response, PROTOCOL_VERSION,
+};
 use bq_core::SessionLimits;
 use bq_exec::ExecMode;
 use bq_relational::Relation;
@@ -324,16 +326,9 @@ impl Driver for Connection {
         }
     }
 
-    fn running(&mut self) -> Result<Vec<RunningQuery>, DriverError> {
+    fn running(&mut self) -> Result<Vec<QueryInfo>, DriverError> {
         match self.roundtrip(&Request::ListQueries)? {
-            Response::Queries { entries } => Ok(entries
-                .into_iter()
-                .map(|e| RunningQuery {
-                    query: e.query,
-                    session: e.session,
-                    sql: e.sql,
-                })
-                .collect()),
+            Response::Queries { entries } => Ok(entries),
             other => Err(DriverError::new(
                 ErrorCode::Protocol,
                 format!("expected Queries, got {other:?}"),

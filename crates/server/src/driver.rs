@@ -6,7 +6,7 @@
 //! driver lives here; the remote one is [`crate::client::Connection`].
 
 use crate::stmt::{parse_statement, SessionCore};
-use crate::wire::ErrorCode;
+use crate::wire::{ErrorCode, QueryInfo};
 use bq_core::{CoreError, Db, SessionLimits};
 use bq_exec::ExecMode;
 use bq_governor::QueryContext;
@@ -21,17 +21,6 @@ pub enum Outcome {
     Rows(Relation),
     /// A confirmation message (DDL, DML, transaction verbs).
     Message(String),
-}
-
-/// A running query as reported by [`Driver::running`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunningQuery {
-    /// Kill id: pass to [`Driver::kill`].
-    pub query: u64,
-    /// Owning session.
-    pub session: u64,
-    /// Statement text.
-    pub sql: String,
 }
 
 /// A typed driver failure: the wire error taxonomy plus a message. The
@@ -101,7 +90,7 @@ pub trait Driver {
 
     /// Queries currently running (server-side registry; empty when
     /// embedded — in-process statements finish on the caller's thread).
-    fn running(&mut self) -> Result<Vec<RunningQuery>, DriverError>;
+    fn running(&mut self) -> Result<Vec<QueryInfo>, DriverError>;
 
     /// Where the statements run: `"embedded"` or `"remote"`.
     fn backend(&self) -> &'static str;
@@ -200,7 +189,7 @@ impl Driver for EmbeddedDriver {
         Ok(false)
     }
 
-    fn running(&mut self) -> Result<Vec<RunningQuery>, DriverError> {
+    fn running(&mut self) -> Result<Vec<QueryInfo>, DriverError> {
         Ok(Vec::new())
     }
 

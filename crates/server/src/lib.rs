@@ -26,7 +26,7 @@ pub mod stmt;
 pub mod wire;
 
 pub use client::{connect, connect_with, ConnectOptions, Connection};
-pub use driver::{Driver, DriverError, EmbeddedDriver, Outcome, RunningQuery};
+pub use driver::{Driver, DriverError, EmbeddedDriver, Outcome};
 pub use server::{serve, Server, ServerConfig};
 pub use stmt::{parse_statement, SessionCore, Statement};
 pub use wire::{ErrorCode, QueryInfo, Request, Response, WireError, PROTOCOL_VERSION};

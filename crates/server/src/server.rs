@@ -11,10 +11,10 @@
 //! `Arc<RwLock<Db>>`: selects under the read half (concurrent), mutations
 //! under the write half.
 //!
-//! Every statement registers its cancel token in the engine's
-//! [`CancelRegistry`] (the same registry `Db::cancel_handle` exposes) and
-//! publishes its registry id plus statement text in the running-query
-//! map, which is what `ListQueries` reports and `Kill` targets.
+//! Every statement registers once in the engine's [`CancelRegistry`] (the
+//! registry `Db::cancel_handle` exposes and `bq.queries` lists), before it
+//! queues on the engine lock: `ListQueries` reads that map, `Kill` cancels
+//! through it, and its id is the one the `Done` frame carries.
 
 use crate::stmt::{parse_statement, SessionCore, Statement};
 use crate::wire::{self, ErrorCode, Framed, QueryInfo, Request, Response, PROTOCOL_VERSION};
@@ -83,23 +83,14 @@ impl Default for ServerConfig {
     }
 }
 
-/// A running query's registry metadata.
-#[derive(Debug, Clone)]
-struct QueryMeta {
-    session: u64,
-    sql: String,
-}
-
 struct Shared {
     db: Arc<RwLock<Db>>,
     stop: AtomicBool,
     /// Connection slots; admission with an empty queue sheds instantly.
     admission: AdmissionController,
-    /// The engine's cancel registry (`Db::cancel_handle`): `KILL` ids are
-    /// registration ids in here.
+    /// The engine's in-flight registry (`Db::cancel_handle`): `KILL` ids
+    /// are registration ids in here.
     registry: CancelRegistry,
-    /// Registry id → metadata for queries currently on the wire.
-    running: Mutex<HashMap<u64, QueryMeta>>,
     /// Open connections, for half-close at shutdown.
     conns: Mutex<HashMap<u64, TcpStream>>,
     /// Per-connection handler threads.
@@ -141,7 +132,6 @@ pub fn serve(db: Arc<RwLock<Db>>, config: ServerConfig) -> io::Result<Server> {
         stop: AtomicBool::new(false),
         admission: AdmissionController::new(config.max_conns, 0),
         registry,
-        running: Mutex::new(HashMap::new()),
         conns: Mutex::new(HashMap::new()),
         workers: Mutex::new(Vec::new()),
         next_session: AtomicU64::new(1),
@@ -172,11 +162,6 @@ impl Server {
     /// The served engine.
     pub fn db(&self) -> Arc<RwLock<Db>> {
         Arc::clone(&self.shared.db)
-    }
-
-    /// Snapshot of the queries currently running on the wire.
-    pub fn running(&self) -> Vec<QueryInfo> {
-        snapshot_running(&self.shared)
     }
 
     /// Flip replica (read-only) mode. Promotion calls
@@ -599,9 +584,9 @@ fn dispatch(
                     return write_err(conn, &e);
                 }
                 let ctx = session.context();
-                let (qid, reg) = register_query(shared, conn_id, &sql, &ctx);
+                let reg = shared.registry.register(&ctx, conn_id, "sql", &sql);
                 let out = session.run(&shared.db, &stmt, &ctx);
-                finish_query(shared, qid);
+                let qid = reg.id();
                 drop(reg);
                 send_outcome(conn, shared.batch_rows, out, qid)
             }
@@ -623,9 +608,9 @@ fn dispatch(
             ),
             Some(sql) => {
                 let ctx = session.context();
-                let (qid, reg) = register_query(shared, conn_id, &sql, &ctx);
+                let reg = shared.registry.register(&ctx, conn_id, "sql", &sql);
                 let out = session.execute_prepared(&shared.db, stmt, &ctx);
-                finish_query(shared, qid);
+                let qid = reg.id();
                 drop(reg);
                 send_outcome(conn, shared.batch_rows, out, qid)
             }
@@ -662,7 +647,16 @@ fn dispatch(
         Request::ListQueries => write_frame_srv(
             conn,
             &Response::Queries {
-                entries: snapshot_running(shared),
+                entries: shared
+                    .registry
+                    .list()
+                    .into_iter()
+                    .map(|q| QueryInfo {
+                        query: q.query,
+                        session: q.session,
+                        sql: q.sql,
+                    })
+                    .collect(),
             },
         ),
         Request::Close => write_frame_srv(
@@ -821,52 +815,6 @@ fn wait_for_replica_acks(shared: &Shared, offset: u64) {
             return;
         }
     }
-}
-
-fn register_query(
-    shared: &Shared,
-    session: u64,
-    sql: &str,
-    ctx: &QueryContext,
-) -> (u64, bq_governor::RegisteredCancel) {
-    let reg = shared.registry.register(ctx.cancel_token());
-    let qid = reg.id();
-    // Stamp the trace id before the engine sees the statement: the same
-    // id flows through `bq.queries`, the slow log, profile sessions, and
-    // the client-visible `Done` frame, so a remote client can join its
-    // frame back to server-side timings with one SQL query.
-    ctx.set_query_id(qid);
-    ctx.set_session_id(session);
-    let mut running = shared.running.lock().unwrap_or_else(|e| e.into_inner());
-    running.insert(
-        qid,
-        QueryMeta {
-            session,
-            sql: sql.to_string(),
-        },
-    );
-    (qid, reg)
-}
-
-fn finish_query(shared: &Shared, qid: u64) {
-    let mut running = shared.running.lock().unwrap_or_else(|e| e.into_inner());
-    running.remove(&qid);
-}
-
-fn snapshot_running(shared: &Shared) -> Vec<QueryInfo> {
-    let mut entries: Vec<QueryInfo> = {
-        let running = shared.running.lock().unwrap_or_else(|e| e.into_inner());
-        running
-            .iter()
-            .map(|(qid, m)| QueryInfo {
-                query: *qid,
-                session: m.session,
-                sql: m.sql.clone(),
-            })
-            .collect()
-    };
-    entries.sort_by_key(|e| e.query);
-    entries
 }
 
 /// Queue a statement's reply: `RowSchema`, `Rows` batches of

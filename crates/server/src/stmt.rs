@@ -146,8 +146,13 @@ fn parse_insert(line: &str) -> Result<Statement, DriverError> {
     let mut row: Vec<Value> = Vec::new();
     for part in split_top_level(&line[open + 1..close]) {
         let part = part.trim();
-        let v = if let Some(stripped) = part.strip_prefix('\'') {
-            Value::Str(stripped.trim_end_matches('\'').to_string())
+        let v = if let Some(body) = part.strip_prefix('\'') {
+            // One closing quote, and no quote inside: `'abc` and `'a'b'`
+            // are refused rather than read as `abc` and `a'b`.
+            match body.strip_suffix('\'') {
+                Some(text) if !text.contains('\'') => Value::str(text),
+                _ => return Err(query_err(format!("bad string literal `{part}`"))),
+            }
         } else if part.eq_ignore_ascii_case("true") {
             Value::Bool(true)
         } else if part.eq_ignore_ascii_case("false") {
@@ -411,11 +416,24 @@ mod tests {
             parse_statement("create table t a int").unwrap_err().code,
             ErrorCode::Query
         );
+        for bad in [
+            "insert into t values (wat)",
+            "insert into t values ('abc)",
+            "insert into t values ('a'b')",
+            "insert into t values (1, ')",
+        ] {
+            assert_eq!(
+                parse_statement(bad).unwrap_err().code,
+                ErrorCode::Query,
+                "{bad}"
+            );
+        }
         assert_eq!(
-            parse_statement("insert into t values (wat)")
-                .unwrap_err()
-                .code,
-            ErrorCode::Query
+            parse_statement("insert into t values ('')").unwrap(),
+            Statement::Insert {
+                table: "t".into(),
+                row: vec![Value::str("")],
+            }
         );
     }
 

@@ -178,21 +178,8 @@ fn opt_u64(r: &mut ByteReader<'_>) -> Result<Option<u64>, WireError> {
     }
 }
 
-fn type_byte(ty: Type) -> u8 {
-    match ty {
-        Type::Int => 0,
-        Type::Str => 1,
-        Type::Bool => 2,
-    }
-}
-
 fn type_from_byte(b: u8) -> Result<Type, WireError> {
-    match b {
-        0 => Ok(Type::Int),
-        1 => Ok(Type::Str),
-        2 => Ok(Type::Bool),
-        other => Err(WireError(format!("bad type byte {other}"))),
-    }
+    Type::from_byte(b).ok_or_else(|| WireError(format!("bad type byte {b}")))
 }
 
 fn put_mode(out: &mut Vec<u8>, mode: ExecMode) {
@@ -539,7 +526,7 @@ impl Response {
                 out.put_u32(cols.len() as u32);
                 for (name, ty) in cols {
                     out.put_str(name);
-                    out.put_u8(type_byte(*ty));
+                    out.put_u8(ty.to_byte());
                 }
             }
             Response::Rows { tuples } => encode_rows(&mut out, tuples),

@@ -158,7 +158,7 @@ fn crash_mid_backup_is_invisible_to_restore() {
     assert_eq!(off, m1.wal_end);
     assert_eq!(restored.content_fingerprint(), fp1);
     assert!(registry
-        .snapshot()
+        .rows()
         .iter()
         .any(|r| r.state.starts_with("failed:")));
 
@@ -332,7 +332,7 @@ fn archive_enospc_fails_typed_and_chain_survives() {
     assert_eq!(off, m1.wal_end);
     assert_eq!(restored.content_fingerprint(), fp1);
     assert!(registry
-        .snapshot()
+        .rows()
         .iter()
         .any(|r| r.state.contains("archive full")));
     // Space back: the retry seals.

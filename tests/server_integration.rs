@@ -28,10 +28,11 @@ use std::thread;
 use std::time::Duration;
 
 use big_queries::bq_faults::{self as faults, Action, Policy, Trigger};
+use big_queries::bq_governor::MAX_TRACKED_SQL;
 use big_queries::bq_server::wire::{
     self, ErrorCode, Request, Response, MAX_FRAME, PROTOCOL_VERSION,
 };
-use big_queries::bq_server::{DriverError, RunningQuery};
+use big_queries::bq_server::{DriverError, QueryInfo};
 use big_queries::bq_util::{Rng, SplitMix64};
 use big_queries::prelude::*;
 
@@ -260,7 +261,7 @@ fn kill_cancels_a_running_query_from_another_session() {
     });
 
     // Poll the running-query registry until the victim's statement shows.
-    let mut target: Option<RunningQuery> = None;
+    let mut target: Option<QueryInfo> = None;
     for _ in 0..2000 {
         let running = killer.running().unwrap();
         if let Some(q) = running.into_iter().find(|q| q.session == victim_session) {
@@ -287,6 +288,68 @@ fn kill_cancels_a_running_query_from_another_session() {
 
     victim.close();
     killer.close();
+    server.shutdown(Duration::from_secs(2));
+}
+
+/// One registry of in-flight statements: a running remote select is one
+/// entry in the engine's registry (not one for the server and one for the
+/// engine), and `ListQueries` and `bq.queries` show the same row, with the
+/// text capped alike however long the client's statement was.
+#[test]
+fn a_remote_statement_is_registered_once() {
+    let _g = unarmed();
+    let (server, addr) = serve_numbers(1200, 1200, ServerConfig::default());
+    let mut victim = connect(&addr).unwrap();
+    let mut watcher = connect(&addr).unwrap();
+    let victim_session = victim.session();
+    // Trailing blanks carry the text past the registry's cap.
+    let sql = format!(
+        "select e.a, f.c from t e, u f{}",
+        " ".repeat(2 * MAX_TRACKED_SQL)
+    );
+    let runner = thread::spawn(move || {
+        let out = victim.execute(&sql).map(|_| ());
+        victim.close();
+        out
+    });
+
+    // Await the victim in bq.queries, which the engine serves.
+    let mut listed = None;
+    for _ in 0..2000 {
+        let rel = rows(
+            watcher
+                .execute(&format!(
+                    "select q.query, q.sql from bq.queries q where q.session = {victim_session}"
+                ))
+                .unwrap(),
+        );
+        if let Some(t) = rel.iter().next() {
+            listed = Some(t.clone());
+            break;
+        }
+        thread::sleep(Duration::from_millis(1));
+    }
+    let listed = listed.expect("victim never appeared in bq.queries");
+    let (Value::Int(id), Value::Str(text)) = (listed.get(0), listed.get(1)) else {
+        panic!("unexpected bq.queries row: {listed:?}");
+    };
+    let id = *id as u64;
+
+    // The watcher's select has finished, so the victim is all that runs.
+    let registry = server.db().read().unwrap().cancel_handle();
+    assert_eq!(registry.in_flight(), 1, "one statement, one registry entry");
+    let wire = watcher.running().unwrap();
+    assert_eq!(wire.len(), 1, "{wire:?}");
+    assert_eq!((wire[0].query, wire[0].session), (id, victim_session));
+    assert_eq!(&wire[0].sql, text, "ListQueries and bq.queries disagree");
+    assert_eq!(text.len(), MAX_TRACKED_SQL, "statement text is capped");
+
+    assert!(watcher.kill(id).unwrap(), "kill lost the race");
+    let err = runner.join().unwrap().expect_err("query survived its kill");
+    assert_eq!(err.code, ErrorCode::Cancelled, "{err}");
+    assert_eq!(registry.in_flight(), 0);
+
+    watcher.close();
     server.shutdown(Duration::from_secs(2));
 }
 
