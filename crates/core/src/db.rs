@@ -26,7 +26,7 @@ use bq_exec::engine::default_parallelism;
 use bq_exec::{lower, ExecMode, ExecStats, Executor};
 use bq_governor::{AdmissionController, AdmissionStats, CancelRegistry, Charger, QueryContext};
 use bq_relational::algebra::{optimize, Expr};
-use bq_relational::calculus::{eval_query, Query as CalcQuery};
+use bq_relational::calculus::Query as CalcQuery;
 use bq_relational::codd::calculus_to_algebra;
 use bq_relational::sqlish;
 use bq_relational::{Database, Relation, Schema, Tuple, Type, Value};
@@ -120,10 +120,6 @@ pub struct Answer {
     /// Wall time from admission to result, in microseconds.
     pub elapsed_us: u64,
 }
-
-/// The [`ExecStats`] label of a calculus query the translation to algebra
-/// rejects, answered by the active-domain interpreter instead.
-const CALCULUS_EVAL: &str = "CalculusEval";
 
 /// The database engine facade.
 #[derive(Debug)]
@@ -744,8 +740,7 @@ impl Db {
     /// `ctx` and `mode`, and the slow-log record. SQL text is parsed
     /// and optimized here; a prepared plan and an algebra expression run
     /// as given, never re-optimized. A calculus query is translated to
-    /// algebra by Codd's Theorem, or — when the constructive translation
-    /// rejects it — answered by the active-domain interpreter.
+    /// algebra by Codd's Theorem, then optimized like SQL text.
     pub fn run(&self, query: Query<'_>, ctx: &QueryContext, mode: ExecMode) -> Result<Answer> {
         let exec = Executor::new(mode);
         let execute = |expr: &Expr, cat: &Database| -> Result<(Relation, ExecStats)> {
@@ -766,22 +761,7 @@ impl Db {
             }
             Query::Calculus(query) => {
                 let cat = self.tables.relations();
-                match calculus_to_algebra(query, cat) {
-                    Ok(expr) => execute(&expr, cat),
-                    Err(_) => {
-                        let start_us = bq_obs::now_us();
-                        let rel = eval_query(query, cat)?;
-                        let stats = ExecStats {
-                            op: CALCULUS_EVAL.to_string(),
-                            rows_out: rel.len() as u64,
-                            elapsed: Duration::from_micros(
-                                bq_obs::now_us().saturating_sub(start_us),
-                            ),
-                            ..ExecStats::default()
-                        };
-                        Ok((rel, stats))
-                    }
-                }
+                execute(&optimize(&calculus_to_algebra(query, cat)?, cat)?, cat)
             }
         })?;
         self.note_slow(ctx, text, elapsed_us, rel.len() as u64, &stats);
@@ -1901,6 +1881,7 @@ mod tests {
     #[test]
     fn calculus_surface_runs_through_the_engine() {
         use bq_relational::calculus::ast::{Formula, Query, Range, Term};
+        use bq_relational::calculus::eval_query;
         use bq_relational::value::CmpOp;
         let db = emp_db();
         let q = Query::new(
@@ -1916,10 +1897,10 @@ mod tests {
         let direct = eval_query(&q, db.catalog()).unwrap();
         assert_eq!(via_engine.tuples(), direct.tuples());
 
-        // A quantifier over the active domain is beyond the constructive
-        // translation: the active-domain interpreter answers it, inside
-        // the same governed body.
-        let rejected = Query::new(
+        // A quantifier over the active domain translates too: the domain
+        // is algebra over the catalog's columns, and the answer's stats
+        // tree is the executed plan's operators.
+        let over_domain = Query::new(
             &[("e", "emp")],
             &[("e", "name", "name")],
             Formula::Exists {
@@ -1932,18 +1913,18 @@ mod tests {
                 )),
             },
         );
-        assert!(calculus_to_algebra(&rejected, db.catalog()).is_err());
         let logged = db.slow_log().entries().len();
         let answer = db
             .run(
-                crate::Query::Calculus(&rejected),
+                crate::Query::Calculus(&over_domain),
                 &db.govern(),
                 db.exec_mode(),
             )
             .unwrap();
-        let direct = eval_query(&rejected, db.catalog()).unwrap();
+        let direct = eval_query(&over_domain, db.catalog()).unwrap();
         assert_eq!(answer.rel.tuples(), direct.tuples());
-        assert_eq!(answer.stats.op, CALCULUS_EVAL);
+        let plan = answer.stats.render();
+        assert!(plan.contains("SeqScan [emp]"), "{plan}");
         assert_eq!(db.slow_log().entries().len(), logged + 1);
     }
 

@@ -82,15 +82,29 @@ fn ground(atom: &Atom, env: &Env) -> Option<Vec<Value>> {
     atom.args.iter().map(|t| resolve(t, env)).collect()
 }
 
+/// Rule firings between two governance checks inside a round: a round of
+/// one rule can emit a number of heads polynomial in the store, so the
+/// per-round check alone does not bound the work.
+const CHECK_EVERY: usize = 1024;
+
+/// Count one rule firing, checking `ctx` every [`CHECK_EVERY`] of them.
+fn fired(stats: &mut EvalStats, ctx: &QueryContext) -> Result<()> {
+    stats.rule_firings += 1;
+    if stats.rule_firings.is_multiple_of(CHECK_EVERY) {
+        ctx.check()?;
+    }
+    Ok(())
+}
+
 /// Evaluate one rule against `store`, optionally forcing body position
 /// `delta_pos` to match `delta` instead (semi-naive). Calls `emit` for
-/// every derived head tuple.
+/// every derived head tuple; its first error stops the firing.
 fn fire_rule(
     rule: &Rule,
     store: &FactStore,
     delta: Option<(&FactStore, usize)>,
-    emit: &mut impl FnMut(Vec<Value>),
-) {
+    emit: &mut impl FnMut(Vec<Value>) -> Result<()>,
+) -> Result<()> {
     fn rec(
         rule: &Rule,
         store: &FactStore,
@@ -98,13 +112,13 @@ fn fire_rule(
         idx: usize,
         env: &mut Env,
         trail: &mut Vec<String>,
-        emit: &mut impl FnMut(Vec<Value>),
-    ) {
+        emit: &mut impl FnMut(Vec<Value>) -> Result<()>,
+    ) -> Result<()> {
         if idx == rule.body.len() {
             if let Some(head) = ground(&rule.head, env) {
-                emit(head);
+                emit(head)?;
             }
-            return;
+            return Ok(());
         }
         match &rule.body[idx] {
             Literal::Pos(atom) => {
@@ -115,31 +129,32 @@ fn fire_rule(
                 for tuple in source.tuples(&atom.pred) {
                     let mark = trail.len();
                     if unify_in_place(atom, tuple, env, trail) {
-                        rec(rule, store, delta, idx + 1, env, trail, emit);
+                        rec(rule, store, delta, idx + 1, env, trail, emit)?;
                         unwind(env, trail, mark);
                     }
                 }
+                Ok(())
             }
             Literal::Neg(atom) => {
                 // Safety guarantees the atom is ground here.
-                if let Some(tuple) = ground(atom, env) {
-                    if !store.contains(&atom.pred, &tuple) {
-                        rec(rule, store, delta, idx + 1, env, trail, emit);
+                match ground(atom, env) {
+                    Some(tuple) if !store.contains(&atom.pred, &tuple) => {
+                        rec(rule, store, delta, idx + 1, env, trail, emit)
                     }
+                    _ => Ok(()),
                 }
             }
-            Literal::Cmp { l, op, r } => {
-                if let (Some(lv), Some(rv)) = (resolve(l, env), resolve(r, env)) {
-                    if op.apply(&lv, &rv) {
-                        rec(rule, store, delta, idx + 1, env, trail, emit);
-                    }
+            Literal::Cmp { l, op, r } => match (resolve(l, env), resolve(r, env)) {
+                (Some(lv), Some(rv)) if op.apply(&lv, &rv) => {
+                    rec(rule, store, delta, idx + 1, env, trail, emit)
                 }
-            }
+                _ => Ok(()),
+            },
         }
     }
     let mut env = Env::new();
     let mut trail = Vec::new();
-    rec(rule, store, delta, 0, &mut env, &mut trail, emit);
+    rec(rule, store, delta, 0, &mut env, &mut trail, emit)
 }
 
 /// Estimated bytes of one stored fact, for budget charging: the row's
@@ -214,9 +229,10 @@ impl Naive {
                         continue;
                     }
                     fire_rule(rule, &store, None, &mut |head| {
-                        stats.rule_firings += 1;
+                        fired(&mut stats, ctx)?;
                         new_facts.push((rule.head.pred.clone(), head));
-                    });
+                        Ok(())
+                    })?;
                 }
                 let mut charger = Charger::new(ctx);
                 let mut added = 0;
@@ -276,18 +292,20 @@ impl SemiNaive {
             stats.iterations += 1;
             ctx.check_iteration(stats.iterations as u64)?;
             let mut delta = FactStore::new();
+            let mut charger = Charger::new(ctx);
             for rule in program.proper_rules() {
                 if !stratum.contains(&rule.head.pred) {
                     continue;
                 }
                 fire_rule(rule, &store, None, &mut |head| {
-                    stats.rule_firings += 1;
+                    fired(&mut stats, ctx)?;
                     if !store.contains(&rule.head.pred, &head) {
-                        delta.insert(&rule.head.pred, head);
+                        enter_delta(&mut delta, &rule.head.pred, head, &mut charger)?;
                     }
-                });
+                    Ok(())
+                })?;
             }
-            charge_delta(ctx, &delta)?;
+            charger.flush()?;
             stats.facts_derived += store.merge(&delta);
 
             // Delta rounds: recursive rules only, one body occurrence of a
@@ -302,6 +320,7 @@ impl SemiNaive {
                 )
                 .observe(delta.total() as u64);
                 let mut next_delta = FactStore::new();
+                let mut charger = Charger::new(ctx);
                 for rule in program.proper_rules() {
                     if !stratum.contains(&rule.head.pred) {
                         continue;
@@ -312,16 +331,15 @@ impl SemiNaive {
                             continue; // not recursive through this atom
                         }
                         fire_rule(rule, &store, Some((&delta, idx)), &mut |head| {
-                            stats.rule_firings += 1;
-                            if !store.contains(&rule.head.pred, &head)
-                                && !next_delta.contains(&rule.head.pred, &head)
-                            {
-                                next_delta.insert(&rule.head.pred, head);
+                            fired(&mut stats, ctx)?;
+                            if !store.contains(&rule.head.pred, &head) {
+                                enter_delta(&mut next_delta, &rule.head.pred, head, &mut charger)?;
                             }
-                        });
+                            Ok(())
+                        })?;
                     }
                 }
-                charge_delta(ctx, &next_delta)?;
+                charger.flush()?;
                 stats.facts_derived += store.merge(&next_delta);
                 delta = next_delta;
             }
@@ -331,17 +349,21 @@ impl SemiNaive {
     }
 }
 
-/// Charge every fact in a delta round against the context's budget before
-/// it merges into the store.
-fn charge_delta(ctx: &QueryContext, delta: &FactStore) -> Result<()> {
-    let mut charger = Charger::new(ctx);
-    if charger.is_enabled() {
-        for pred in delta.preds() {
-            for tuple in delta.tuples(pred) {
-                charger.charge(fact_bytes(tuple))?;
-            }
-        }
-        charger.flush()?;
+/// Add a derived fact to a delta round, charging it against the budget
+/// when it is new there.
+fn enter_delta(
+    delta: &mut FactStore,
+    pred: &str,
+    head: Vec<Value>,
+    charger: &mut Charger<'_>,
+) -> Result<()> {
+    let bytes = if charger.is_enabled() {
+        fact_bytes(&head)
+    } else {
+        0
+    };
+    if delta.insert(pred, head) {
+        charger.charge(bytes)?;
     }
     Ok(())
 }

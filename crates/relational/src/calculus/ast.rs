@@ -11,9 +11,10 @@ pub enum Range {
     /// A named base relation: `t ∈ R`.
     Rel(String),
     /// All tuples of the given schema whose values are drawn from the
-    /// database's active domain. Only produced by the algebra→calculus
-    /// translation (the "expressive" direction of Codd's Theorem); a
-    /// formula must then restrict the variable for the query to be safe.
+    /// database's active domain (labelled nulls excluded). The
+    /// algebra→calculus translation (the "expressive" direction of Codd's
+    /// Theorem) produces these; the calculus→algebra one builds them as
+    /// products of `adom` relations.
     Domain(Schema),
 }
 

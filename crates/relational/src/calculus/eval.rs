@@ -1,9 +1,13 @@
-//! Direct evaluation of calculus queries — the reference semantics.
+//! Direct evaluation of calculus queries — the reference semantics, and
+//! only that. No engine surface calls it: `Db::run` translates a calculus
+//! query to algebra ([`crate::codd::calculus_to_algebra`]) and runs the
+//! optimized plan under its governor. This interpreter is the oracle that
+//! translation is tested against (experiment E7).
 //!
 //! Free variables and range-coupled quantifiers enumerate the tuples of
 //! their range relation; [`Range::Domain`] variables enumerate every typed
-//! combination of active-domain values (exponential in arity — only the
-//! algebra→calculus translation produces these, over small test databases).
+//! combination of active-domain values — exponential in arity, and checked
+//! by no governor, so keep its inputs small.
 
 use crate::calculus::ast::{Formula, Query, Range, Term};
 use crate::catalog::Database;

@@ -16,7 +16,8 @@
 //! * [`safety`] — scope/arity checking and the safety (range-restriction)
 //!   judgment.
 //! * [`eval`] — a direct evaluator: the reference semantics that the Codd
-//!   translation in [`crate::codd`] is tested against.
+//!   translation in [`crate::codd`] is tested against. The engine never
+//!   calls it; it runs the translation.
 
 pub mod ast;
 pub mod eval;

@@ -11,8 +11,12 @@
 //!    to a *named relation* (`Range::Rel`), the classical syntactic safety
 //!    guarantee of domain independence. Queries with `Range::Domain`
 //!    variables (produced by the algebra→calculus translation) are reported
-//!    as *unsafe-but-domain-bounded*: they still evaluate, over the active
-//!    domain, but [`check_query`] flags them.
+//!    as *unsafe-but-domain-bounded*: they still translate to algebra over
+//!    the active domain and run, but [`check_query`] flags them.
+//!
+//! The judgment is informational. Neither the translation nor the engine
+//! consults it; like the interpreter in [`crate::calculus::eval`], it
+//! serves the tests and experiment E7.
 
 use crate::calculus::ast::{Formula, Query, Range, Term};
 use crate::catalog::Database;

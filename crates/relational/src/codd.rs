@@ -4,8 +4,10 @@
 //! double implication that the calculus is implementable and the algebra
 //! expressive" (§3). Accordingly:
 //!
-//! * [`calculus_to_algebra`] — compiles any safe (range-coupled) calculus
-//!   query to a relational-algebra expression. This is the "calculus is
+//! * [`calculus_to_algebra`] — compiles a calculus query to a
+//!   relational-algebra expression, total under active-domain semantics: a
+//!   variable ranging over the domain ranges over an algebra `adom`
+//!   relation built from the catalog's columns. This is the "calculus is
 //!   implementable" direction, the one the Berkeley–IBM experiment turned
 //!   into System R and Ingres.
 //! * [`algebra_to_calculus`] — produces, for any algebra expression, an
@@ -21,7 +23,7 @@ use crate::calculus::ast::{Formula, HeadItem, Query, Range, Term};
 use crate::catalog::Database;
 use crate::error::RelError;
 use crate::schema::Schema;
-use crate::value::{CmpOp, Value};
+use crate::value::{CmpOp, Type, Value};
 use crate::Result;
 use bq_util::{Rng, SplitMix64};
 use std::collections::{BTreeSet, HashMap};
@@ -30,35 +32,22 @@ use std::collections::{BTreeSet, HashMap};
 // Calculus → algebra (the "implementable" direction)
 // ---------------------------------------------------------------------------
 
-/// Translate a safe calculus query to an equivalent algebra expression.
-///
-/// Supported fragment: all ranges are named relations ([`Range::Rel`]);
-/// negation appears only as a conjunct (`… ∧ ¬ψ`); `∀` is rewritten to
-/// `¬∃¬`. These are precisely the classical syntactic safety conditions.
+/// The ranges of the variables in scope.
+type Scope = HashMap<String, Range>;
+
+/// Translate a calculus query to an equivalent algebra expression, total
+/// under the active-domain semantics of
+/// [`eval_query`](crate::calculus::eval::eval_query): a [`Range::Domain`]
+/// variable ranges over × `adom(type)` ([`range_expr`]), `∀` becomes `¬∃¬`,
+/// `¬ψ` an anti-join, and a closed query a projection onto no columns.
+/// [`RelError::UnsafeQuery`] is left for what the algebra has no leaf for:
+/// a domain attribute of a type no column has, and a formula no range
+/// witnesses (a closed constant or bare negation, a domain of arity 0).
 pub fn calculus_to_algebra(query: &Query, db: &Database) -> Result<Expr> {
-    if query.free.is_empty() {
-        return Err(RelError::UnsafeQuery("query has no free variables".into()));
-    }
-    let mut ctx: HashMap<String, String> = HashMap::new();
-    for (v, r) in &query.free {
-        match r {
-            Range::Rel(name) => {
-                ctx.insert(v.clone(), name.clone());
-            }
-            Range::Domain(_) => {
-                return Err(RelError::UnsafeQuery(format!(
-                    "free variable `{v}` ranges over the domain"
-                )))
-            }
-        }
-    }
+    let scope: Scope = query.free.iter().cloned().collect();
     let formula = simplify(query.formula.clone().eliminate_foralls());
-    let required: Vec<(String, String)> = query
-        .free
-        .iter()
-        .map(|(v, _)| (v.clone(), ctx[v].clone()))
-        .collect();
-    let body = translate_conjunction(formula.conjuncts(), &required, &ctx, db)?;
+    let required: Vec<String> = query.free.iter().map(|(v, _)| v.clone()).collect();
+    let body = translate_conjunction(formula.conjuncts(), &required, &scope, db)?;
 
     // Head: project var.attr columns, then rename to output names. A column
     // requested twice is duplicated with the classical construction
@@ -90,7 +79,8 @@ pub fn calculus_to_algebra(query: &Query, db: &Database) -> Result<Expr> {
     Ok(expr)
 }
 
-/// Constant-fold `True`/`False` through the connectives.
+/// Constant-fold `True`/`False` through the connectives and drop double
+/// negations.
 fn simplify(f: Formula) -> Formula {
     match f {
         Formula::And(a, b) => match (simplify(*a), simplify(*b)) {
@@ -106,6 +96,7 @@ fn simplify(f: Formula) -> Formula {
         Formula::Not(x) => match simplify(*x) {
             Formula::True => Formula::False,
             Formula::False => Formula::True,
+            Formula::Not(y) => *y,
             y => Formula::Not(Box::new(y)),
         },
         Formula::Cmp { l, op, r } => {
@@ -141,12 +132,61 @@ fn simplify(f: Formula) -> Formula {
     }
 }
 
-/// Translate a conjunction. `required` lists ranges that must be present in
-/// the output even if no positive conjunct mentions them.
+/// `adom(ty)` in one column `name`: ⋃ ρ[c→name](π[c](σ[c < ⊥0](R))) over
+/// every column `c` of type `ty` in the catalog — the values of that type
+/// the interpreter quantifies over. Under [`Value::total_cmp`] every typed
+/// value sorts below every labelled null, so `c < ⊥0` drops the nulls.
+fn adom(ty: Type, name: &str, db: &Database) -> Result<Expr> {
+    let mut columns: Vec<Expr> = Vec::new();
+    for rel in db.names() {
+        for a in db.get(rel)?.schema().attrs().iter().filter(|a| a.ty == ty) {
+            let null = Operand::Const(Value::Null(0));
+            let col = Expr::rel(rel)
+                .select(Predicate::cmp(Operand::attr(&a.name), CmpOp::Lt, null))
+                .project(&[a.name.as_str()]);
+            columns.push(if a.name == name {
+                col
+            } else {
+                col.rename(&a.name, name)
+            });
+        }
+    }
+    columns.into_iter().reduce(Expr::union).ok_or_else(|| {
+        RelError::UnsafeQuery(format!(
+            "no {ty} column to draw the domain of `{name}` from"
+        ))
+    })
+}
+
+/// What variable `var` ranges over, as an expression over its qualified
+/// columns: its relation, or × over its attributes of `adom(type)`.
+fn range_expr(var: &str, scope: &Scope, db: &Database) -> Result<Expr> {
+    let expr = match scope_range(var, scope)? {
+        Range::Rel(rel) => Expr::rel(rel.clone()),
+        Range::Domain(schema) => schema
+            .attrs()
+            .iter()
+            .map(|a| adom(a.ty, &a.name, db))
+            .reduce(|l, r| Ok(l?.product(r?)))
+            .ok_or_else(|| {
+                RelError::UnsafeQuery(format!("`{var}` ranges over a domain of no attributes"))
+            })??,
+    };
+    Ok(expr.qualify(var))
+}
+
+fn scope_range<'a>(var: &str, scope: &'a Scope) -> Result<&'a Range> {
+    scope
+        .get(var)
+        .ok_or_else(|| RelError::UnknownVariable(var.to_string()))
+}
+
+/// Translate a conjunction. `required` lists variables whose ranges must be
+/// present in the output even if no positive conjunct mentions them.
 fn translate_conjunction(
     conjuncts: Vec<Formula>,
-    required: &[(String, String)],
-    ctx: &HashMap<String, String>,
+    required: &[String],
+    scope: &Scope,
     db: &Database,
 ) -> Result<Expr> {
     let mut positives: Vec<Formula> = Vec::new();
@@ -162,7 +202,7 @@ fn translate_conjunction(
     }
 
     // Vars that must be covered by the positive join.
-    let mut needed: BTreeSet<String> = required.iter().map(|(v, _)| v.clone()).collect();
+    let mut needed: BTreeSet<String> = required.iter().cloned().collect();
     for n in &negatives {
         needed.extend(n.free_vars());
     }
@@ -171,48 +211,29 @@ fn translate_conjunction(
     let mut covered: BTreeSet<String> = BTreeSet::new();
     for p in positives {
         covered.extend(p.free_vars());
-        parts.push(translate_positive(p, ctx, db)?);
+        parts.push(translate_positive(p, scope, db)?);
     }
     for v in needed {
         if !covered.contains(&v) {
-            let rel = ctx
-                .get(&v)
-                .ok_or_else(|| RelError::UnknownVariable(v.clone()))?;
-            parts.push(Expr::rel(rel.clone()).qualify(&v));
+            parts.push(range_expr(&v, scope, db)?);
             covered.insert(v);
         }
     }
     let mut expr = parts
         .into_iter()
         .reduce(|a, b| a.natural_join(b))
-        .ok_or_else(|| RelError::UnsafeQuery("empty conjunction with no ranges".into()))?;
+        .ok_or_else(|| {
+            RelError::UnsafeQuery("closed formula with no range to build it from".into())
+        })?;
 
     if const_false {
         expr = expr.select(Predicate::False);
     }
 
-    // Apply each negation as an anti-join: E := E − (E ⋈ T(g)).
+    // Apply each negation as an anti-join: E := E − (E ⋈ T(g)). Every free
+    // variable of g is covered above, so T(g)'s columns are E's.
     for g in negatives {
-        let neg = translate_positive(g, ctx, db)?;
-        // Sanity: neg's attrs must be a subset of expr's.
-        let e_attrs: BTreeSet<String> = expr
-            .schema(db)?
-            .names()
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let n_attrs: BTreeSet<String> = neg
-            .schema(db)?
-            .names()
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        if !n_attrs.is_subset(&e_attrs) {
-            return Err(RelError::UnsafeQuery(format!(
-                "negated subformula mentions unranged attributes {:?}",
-                n_attrs.difference(&e_attrs).collect::<Vec<_>>()
-            )));
-        }
+        let neg = translate_positive(g, scope, db)?;
         let joined = expr.clone().natural_join(neg);
         expr = expr.difference(joined);
     }
@@ -221,15 +242,8 @@ fn translate_conjunction(
 
 /// Translate a positive (non-negated) formula to an expression whose schema
 /// is exactly the qualified attributes of its free variables.
-fn translate_positive(
-    formula: Formula,
-    ctx: &HashMap<String, String>,
-    db: &Database,
-) -> Result<Expr> {
+fn translate_positive(formula: Formula, scope: &Scope, db: &Database) -> Result<Expr> {
     match formula {
-        Formula::True | Formula::False => Err(RelError::UnsafeQuery(
-            "boolean constant cannot stand alone in this position".into(),
-        )),
         Formula::Cmp { l, op, r } => {
             let mut vars: BTreeSet<String> = BTreeSet::new();
             for t in [&l, &r] {
@@ -237,24 +251,13 @@ fn translate_positive(
                     vars.insert(v.to_string());
                 }
             }
-            if vars.is_empty() {
-                return Err(RelError::UnsafeQuery(
-                    "constant comparison should have been folded".into(),
-                ));
-            }
-            let mut parts: Vec<Expr> = Vec::new();
-            for v in &vars {
-                let rel = ctx
-                    .get(v)
-                    .ok_or_else(|| RelError::UnknownVariable(v.clone()))?;
-                parts.push(Expr::rel(rel.clone()).qualify(v));
-            }
-            let base = parts
-                .into_iter()
-                .reduce(|a, b| a.natural_join(b))
+            let base = vars
+                .iter()
+                .map(|v| range_expr(v, scope, db))
+                .reduce(|a, b| Ok(a?.natural_join(b?)))
                 .ok_or_else(|| {
-                    RelError::UnsafeQuery("comparison binds no ranged variables".into())
-                })?;
+                    RelError::UnsafeQuery("constant comparison should have been folded".into())
+                })??;
             let to_operand = |t: Term| match t {
                 Term::Attr { var, attr } => Operand::Attr(format!("{var}.{attr}")),
                 Term::Const(v) => Operand::Const(v),
@@ -266,19 +269,21 @@ fn translate_positive(
             }))
         }
         Formula::Rel { var, rel } => {
-            // Membership of `var` (ranging over ctx[var]) in `rel`: rename
-            // rel's columns to the var's range-schema names, then qualify.
-            let range_rel = ctx
-                .get(&var)
-                .ok_or_else(|| RelError::UnknownVariable(var.clone()))?;
-            let range_schema = db.get(range_rel)?.schema().clone();
+            // Membership of `var` in `rel`: rename rel's columns to the
+            // var's range-schema names, qualify, and meet the var's range
+            // unless that is `rel` itself.
+            let range = scope_range(&var, scope)?;
+            let range_schema = match range {
+                Range::Rel(r) => db.get(r)?.schema().clone(),
+                Range::Domain(schema) => schema.clone(),
+            };
             let member_schema = db.get(&rel)?.schema().clone();
             if !range_schema.union_compatible(&member_schema) {
                 return Err(RelError::SchemaMismatch(format!(
-                    "{rel}({var}) with range {range_rel}"
+                    "{rel}({var}) with range {range}"
                 )));
             }
-            let mut e = Expr::rel(rel);
+            let mut e = Expr::rel(rel.clone());
             for (from, to) in member_schema
                 .names()
                 .iter()
@@ -288,34 +293,19 @@ fn translate_positive(
                     e = e.rename(from, to);
                 }
             }
-            Ok(e.qualify(&var))
+            let e = e.qualify(&var);
+            Ok(match range {
+                Range::Rel(r) if *r == rel => e,
+                _ => e.natural_join(range_expr(&var, scope, db)?),
+            })
         }
-        f @ Formula::And(_, _) => translate_conjunction(f.conjuncts(), &[], ctx, db),
+        f @ Formula::And(_, _) => translate_conjunction(f.conjuncts(), &[], scope, db),
         Formula::Or(a, b) => {
-            let fa = simplify(*a);
-            let fb = simplify(*b);
-            let va = fa.free_vars();
-            let vb = fb.free_vars();
-            let all: BTreeSet<String> = va.union(&vb).cloned().collect();
-            let pad = |f: Formula, have: &BTreeSet<String>| -> Result<Expr> {
-                let mut conj = f.conjuncts();
-                if conj.is_empty() {
-                    conj.push(Formula::True);
-                }
-                // Required ranges for the union's full variable set.
-                let req: Vec<(String, String)> = all
-                    .iter()
-                    .map(|v| {
-                        ctx.get(v)
-                            .map(|r| (v.clone(), r.clone()))
-                            .ok_or_else(|| RelError::UnknownVariable(v.clone()))
-                    })
-                    .collect::<Result<_>>()?;
-                let _ = have;
-                translate_conjunction(conj, &req, ctx, db)
-            };
-            let ea = pad(fa, &va)?;
-            let eb = pad(fb, &vb)?;
+            // Each side is padded with the ranges of the union's full
+            // variable set.
+            let all: Vec<String> = a.free_vars().union(&b.free_vars()).cloned().collect();
+            let ea = translate_conjunction(a.conjuncts(), &all, scope, db)?;
+            let eb = translate_conjunction(b.conjuncts(), &all, scope, db)?;
             // Align eb's column order with ea's before union.
             let order = ea.schema(db)?;
             let names: Vec<String> = order.names().iter().map(|s| s.to_string()).collect();
@@ -323,28 +313,16 @@ fn translate_positive(
             let eb = eb.project(&name_refs);
             Ok(ea.union(eb))
         }
-        Formula::Not(_) => Err(RelError::UnsafeQuery(
-            "negation must appear as a conjunct (… ∧ ¬ψ)".into(),
-        )),
         Formula::Exists { var, range, body } => {
-            let rel = match range {
-                Range::Rel(r) => r,
-                Range::Domain(_) => {
-                    return Err(RelError::UnsafeQuery(format!(
-                        "quantifier over the domain for `{var}`"
-                    )))
-                }
-            };
-            if ctx.contains_key(&var) {
+            if scope.contains_key(&var) {
                 return Err(RelError::Duplicate(format!("variable `{var}` shadowed")));
             }
-            let mut ctx2 = ctx.clone();
-            ctx2.insert(var.clone(), rel.clone());
-            let body = simplify(body.eliminate_foralls());
-            let inner = translate_conjunction(body.conjuncts(), &[(var.clone(), rel)], &ctx2, db)?;
+            let prefix = format!("{var}.");
+            let mut inner_scope = scope.clone();
+            inner_scope.insert(var.clone(), range);
+            let inner = translate_conjunction(body.conjuncts(), &[var], &inner_scope, db)?;
             // Project away the quantified variable's columns.
             let schema = inner.schema(db)?;
-            let prefix = format!("{var}.");
             let keep: Vec<String> = schema
                 .names()
                 .iter()
@@ -354,8 +332,13 @@ fn translate_positive(
             let keep_refs: Vec<&str> = keep.iter().map(String::as_str).collect();
             Ok(inner.project(&keep_refs))
         }
-        // lint: allow(panic) eliminate_foralls runs before translation
-        Formula::ForAll { .. } => unreachable!("foralls eliminated before translation"),
+        // After eliminate_foralls and simplify, constants and negations
+        // are only ever conjuncts: simplify folds the one and drops ¬¬ from
+        // the other, and conjuncts() lifts both out of ∧, ∨ and ∃ bodies.
+        Formula::True | Formula::False | Formula::Not(_) | Formula::ForAll { .. } => {
+            // lint: allow(panic) every caller translates a simplified, ∀-free formula
+            unreachable!("constants and negations are conjuncts after simplify")
+        }
     }
 }
 
@@ -945,9 +928,37 @@ mod tests {
     }
 
     #[test]
-    fn domain_ranged_free_variable_rejected() {
-        // A free variable over the raw domain is not range-restricted.
-        let schema = Schema::new(&[("a", crate::value::Type::Int)]).unwrap();
+    fn double_negation_translates() {
+        // ¬¬(e.sal > 75), and ∀x∈emp.¬ψ, which ∀-elimination turns into
+        // ¬∃x∈emp.¬¬ψ: the translation folds both double negations away.
+        let rich = Formula::cmp(
+            Term::attr("e", "sal"),
+            CmpOp::Gt,
+            Term::Const(Value::Int(75)),
+        );
+        let q = Query::new(&[("e", "emp")], &[("e", "name", "n")], rich.not().not());
+        assert_codd_equiv(&q, &db());
+        let body = Formula::cmp(Term::attr("x", "dept"), CmpOp::Eq, Term::attr("d", "dept")).and(
+            Formula::cmp(
+                Term::attr("x", "sal"),
+                CmpOp::Gt,
+                Term::Const(Value::Int(85)),
+            ),
+        );
+        let q = Query::new(
+            &[("d", "dept")],
+            &[("d", "dept", "dept")],
+            Formula::forall("x", "emp", body.not()),
+        );
+        assert_codd_equiv(&q, &db());
+        assert_eq!(eval_query(&q, &db()).unwrap().tuples(), vec![tup!["ee"]]);
+    }
+
+    #[test]
+    fn domain_ranged_free_variable_translates() {
+        // A free variable over the raw domain ranges over adom(int): every
+        // salary and every building number.
+        let schema = Schema::new(&[("a", Type::Int)]).unwrap();
         let q = Query {
             free: vec![("t".to_string(), Range::Domain(schema))],
             head: vec![HeadItem {
@@ -957,10 +968,82 @@ mod tests {
             }],
             formula: Formula::True,
         };
-        assert!(matches!(
-            calculus_to_algebra(&q, &db()),
-            Err(RelError::UnsafeQuery(_))
-        ));
+        assert_codd_equiv(&q, &db());
+        assert_eq!(eval_query(&q, &db()).unwrap().len(), 5);
+    }
+
+    #[test]
+    fn closed_queries_translate_and_leafless_ones_are_refused() {
+        // A closed query is a projection onto no columns: one empty row
+        // when it holds, none when it does not.
+        for (bound, rows) in [(85, 1), (95, 0)] {
+            let q = Query {
+                free: vec![],
+                head: vec![],
+                formula: Formula::exists(
+                    "x",
+                    "emp",
+                    Formula::cmp(
+                        Term::attr("x", "sal"),
+                        CmpOp::Gt,
+                        Term::Const(Value::Int(bound)),
+                    ),
+                ),
+            };
+            assert_codd_equiv(&q, &db());
+            assert_eq!(eval_query(&q, &db()).unwrap().len(), rows);
+        }
+        // No bool column to draw a domain from, and a closed formula that
+        // folds to a constant: the algebra has no leaf for either.
+        let bools = Query {
+            free: vec![(
+                "t".to_string(),
+                Range::Domain(Schema::new(&[("b", Type::Bool)]).unwrap()),
+            )],
+            head: vec![],
+            formula: Formula::True,
+        };
+        let constant = Query {
+            free: vec![],
+            head: vec![],
+            formula: Formula::True,
+        };
+        for q in [bools, constant] {
+            assert!(matches!(
+                calculus_to_algebra(&q, &db()),
+                Err(RelError::UnsafeQuery(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn membership_atom_meets_its_range() {
+        // { e.name | e ∈ emp : senior(e) }: emp ∩ senior, not all of senior.
+        let mut db = db();
+        let emp = db.get("emp").unwrap().schema().clone();
+        let mut senior = Relation::new(emp.clone());
+        senior.insert(tup!["ann", "cs", 90i64]).unwrap();
+        senior.insert(tup!["zed", "ee", 99i64]).unwrap();
+        db.add("senior", senior);
+        let atom = Formula::Rel {
+            var: "e".into(),
+            rel: "senior".into(),
+        };
+        let q = Query::new(&[("e", "emp")], &[("e", "name", "n")], atom.clone());
+        assert_codd_equiv(&q, &db);
+        assert_eq!(eval_query(&q, &db).unwrap().tuples(), vec![tup!["ann"]]);
+        // Over the domain a member holding a labelled null is no tuple of
+        // the range.
+        db.get_mut("senior")
+            .unwrap()
+            .insert(tup!["kim", "ee", Value::Null(0)])
+            .unwrap();
+        let q = Query {
+            free: vec![("e".to_string(), Range::Domain(emp))],
+            ..q
+        };
+        assert_codd_equiv(&q, &db);
+        assert_eq!(eval_query(&q, &db).unwrap().len(), 2);
     }
 
     #[test]

@@ -600,8 +600,9 @@ mod tests {
         assert!(is_atomic(&out), "in-doubt is not an outcome");
     }
 
-    /// Serializes tests that touch the global failpoint seed so their
-    /// deterministic draws don't interleave.
+    /// Serializes tests that configure the process-global failpoints (and
+    /// their seed): one test's `off` or re-`configure` of a site must not
+    /// land in the middle of another's run.
     static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn prob(site: &str, pct: u32) {
@@ -640,6 +641,7 @@ mod tests {
 
     #[test]
     fn duplicate_deliveries_are_idempotent() {
+        let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         bq_faults::configure(
             "twopc.msg.dup",
             bq_faults::Policy::new(bq_faults::Action::Error, bq_faults::Trigger::Always)
@@ -654,6 +656,7 @@ mod tests {
 
     #[test]
     fn total_message_loss_aborts_after_bounded_retries() {
+        let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         bq_faults::configure(
             "twopc.msg.drop",
             bq_faults::Policy::new(bq_faults::Action::Error, bq_faults::Trigger::Always)
@@ -673,6 +676,7 @@ mod tests {
 
     #[test]
     fn participant_crash_between_prepare_and_commit_recovers_via_enquiry() {
+        let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         bq_faults::configure(
             "twopc.participant.crash",
             bq_faults::Policy::new(bq_faults::Action::Panic, bq_faults::Trigger::Nth(1))

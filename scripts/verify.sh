@@ -23,6 +23,9 @@ BQ_EXEC_SEED=20260810 cargo test -q --test exec_equivalence
 echo "==> governor admission stress (pinned seed)"
 BQ_GOV_SEED=20260806 cargo test -q --test governor_integration
 
+echo "==> governance through every door: SQL, calculus, Datalog refused in bounded time (pinned seed)"
+BQ_GOV_SEED=20260806 cargo test -q --test governance
+
 echo "==> server integration: wire protocol, KILL, shedding, drain (pinned seed)"
 BQ_SERVER_SEED=20260808 cargo test -q --test server_integration
 

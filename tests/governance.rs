@@ -1,0 +1,195 @@
+//! Governance through every door: a statement whose work grows
+//! super-linearly in its input is refused with a typed governor error
+//! soon after its deadline, whichever surface it enters by, and the same
+//! `Db` answers the next statement correctly.
+//!
+//! Three such statements, each under a 20 ms deadline and a 1 MiB budget
+//! over a table `t(x)` of 120 rows:
+//!
+//! * a 3-way product in SQL — as text, prepared, as algebra, through
+//!   `explain_analyze`, and over the wire;
+//! * a calculus query quantifying over the active domain (`Db::run`);
+//! * a Datalog rule deriving `t × t × t` (`datalog_with_ctx`).
+//!
+//! `BQ_GOV_SEED=<n>` varies the table's values.
+
+use std::fmt::Debug;
+use std::sync::{Arc, RwLock};
+use std::time::{Duration, Instant};
+
+use big_queries::bq_core::{CoreError, Query};
+use big_queries::bq_relational::algebra::expr::Expr;
+use big_queries::bq_relational::calculus::ast::{Formula, Query as CalcQuery, Range, Term};
+use big_queries::bq_relational::value::CmpOp;
+use big_queries::bq_server::wire::ErrorCode;
+use big_queries::bq_util::{Rng, SplitMix64};
+use big_queries::prelude::*;
+
+const ROWS: usize = 120;
+const DEADLINE: Duration = Duration::from_millis(20);
+const BUDGET: u64 = 1 << 20;
+/// How long after its deadline a refusal may arrive.
+const SLACK: Duration = Duration::from_millis(250);
+
+/// Seed for the table's values; override with `BQ_GOV_SEED=<n>`.
+fn gov_seed() -> u64 {
+    std::env::var("BQ_GOV_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(20_260_806)
+}
+
+/// `t(x)` holding [`ROWS`] distinct seeded integers, and those integers.
+fn table_db() -> (Db, Vec<i64>) {
+    let mut rng = SplitMix64::seed_from_u64(gov_seed());
+    let mut values = std::collections::BTreeSet::new();
+    while values.len() < ROWS {
+        values.insert(rng.gen_range(1_000_000) as i64);
+    }
+    let mut db = Db::new();
+    db.create_table("t", &[("x", Type::Int)]).unwrap();
+    for v in &values {
+        db.insert("t", vec![Value::Int(*v)]).unwrap();
+    }
+    (db, values.into_iter().collect())
+}
+
+fn limited() -> QueryContext {
+    QueryContext::unlimited()
+        .with_deadline(DEADLINE)
+        .with_memory_budget(BUDGET)
+}
+
+fn governed(err: &CoreError) -> bool {
+    matches!(
+        err.governor(),
+        Some(
+            GovernorError::MemoryExceeded { .. }
+                | GovernorError::DeadlineExceeded { .. }
+                | GovernorError::Cancelled
+        )
+    )
+}
+
+/// Run `statement` (which builds its own [`limited`] context) and assert
+/// it fails with an error `typed` accepts within deadline + [`SLACK`].
+fn refused<T, E: Debug>(
+    door: &str,
+    typed: impl Fn(&E) -> bool,
+    statement: impl FnOnce() -> Result<T, E>,
+) {
+    let started = Instant::now();
+    let out = statement();
+    let elapsed = started.elapsed();
+    match &out {
+        Err(e) => assert!(typed(e), "{door}: expected a typed refusal, got {e:?}"),
+        Ok(_) => panic!("{door}: answered after {elapsed:?}, expected a typed refusal"),
+    }
+    assert!(
+        elapsed < DEADLINE + SLACK,
+        "{door}: refused only after {elapsed:?}"
+    );
+}
+
+/// The plain select every door must still answer afterwards.
+fn answers_plainly(db: &Db, values: &[i64]) {
+    let probe = values[values.len() / 2];
+    let hit = db
+        .sql(&format!("select e.x from t e where e.x = {probe}"))
+        .unwrap();
+    assert_eq!(hit.tuples(), vec![Tuple::new(vec![Value::Int(probe)])]);
+    assert_eq!(db.sql("select e.x from t e").unwrap().len(), ROWS);
+}
+
+#[test]
+fn sql_product_is_refused_through_every_door() {
+    let (db, values) = table_db();
+    let text = "select e.x as a, f.x as b, g.x as c from t e, t f, t g";
+    let db = Arc::new(RwLock::new(db));
+    {
+        let db = db.read().unwrap();
+        let mode = db.exec_mode();
+        refused("sql", governed, || {
+            db.sql_with_ctx_mode(text, &limited(), mode)
+        });
+        answers_plainly(&db, &values);
+
+        let plan = db.prepare_sql(text).unwrap();
+        refused("prepared", governed, || {
+            db.run(Query::Prepared { text, plan: &plan }, &limited(), mode)
+        });
+        answers_plainly(&db, &values);
+
+        let t = |v: &str| Expr::rel("t").qualify(v);
+        let product = t("e")
+            .product(t("f"))
+            .product(t("g"))
+            .project(&["e.x", "f.x", "g.x"]);
+        refused("algebra", governed, || {
+            db.run(Query::Algebra(&product), &limited(), mode)
+        });
+        answers_plainly(&db, &values);
+
+        refused("explain_analyze", governed, || {
+            db.explain_analyze(text, &limited(), mode)
+        });
+        answers_plainly(&db, &values);
+    }
+
+    let server = serve(db.clone(), ServerConfig::default()).unwrap();
+    let mut conn = connect(server.local_addr().to_string()).unwrap();
+    conn.set_limits(SessionLimits {
+        memory_bytes: Some(BUDGET),
+        deadline_ms: Some(DEADLINE.as_millis() as u64),
+        max_iterations: None,
+    })
+    .unwrap();
+    let wire_typed = |e: &big_queries::bq_server::DriverError| {
+        matches!(
+            e.code,
+            ErrorCode::MemoryExceeded | ErrorCode::DeadlineExceeded | ErrorCode::Cancelled
+        )
+    };
+    refused("wire", wire_typed, || conn.execute(text));
+    conn.set_limits(SessionLimits::default()).unwrap();
+    match conn.execute("select e.x from t e").unwrap() {
+        Outcome::Rows(rel) => assert_eq!(rel.len(), ROWS),
+        other => panic!("wire: expected rows, got {other:?}"),
+    }
+    conn.close();
+    server.shutdown(Duration::from_secs(2));
+    answers_plainly(&db.read().unwrap(), &values);
+}
+
+#[test]
+fn calculus_over_the_domain_is_refused() {
+    // { e.x | e ∈ t : ∃d ∈ dom(a, b, c : int). d.a > e.x ∧ ¬(d.b < d.c) }
+    let (db, values) = table_db();
+    let body = Formula::cmp(Term::attr("d", "a"), CmpOp::Gt, Term::attr("e", "x"))
+        .and(Formula::cmp(Term::attr("d", "b"), CmpOp::Lt, Term::attr("d", "c")).not());
+    let probe = CalcQuery::new(
+        &[("e", "t")],
+        &[("e", "x", "x")],
+        Formula::Exists {
+            var: "d".to_string(),
+            range: Range::Domain(
+                Schema::new(&[("a", Type::Int), ("b", Type::Int), ("c", Type::Int)]).unwrap(),
+            ),
+            body: Box::new(body),
+        },
+    );
+    refused("calculus", governed, || {
+        db.run(Query::Calculus(&probe), &limited(), db.exec_mode())
+    });
+    answers_plainly(&db, &values);
+}
+
+#[test]
+fn datalog_triple_product_is_refused() {
+    let (db, values) = table_db();
+    let rules = "p(X, Y, Z) :- t(X), t(Y), t(Z).";
+    refused("datalog", governed, || {
+        db.datalog_with_ctx(rules, "p(X, Y, Z)", &limited())
+    });
+    answers_plainly(&db, &values);
+}
