@@ -856,11 +856,12 @@ impl Db {
     }
 
     /// Run a Datalog program under an explicit [`QueryContext`]: the EDB
+    /// holds only the tables the program or the query atom names, its
     /// copy is charged against the memory budget, the fixpoint checks the
     /// deadline/cancel/iteration cap every round, and — crucially — the
     /// program is **validated before** the EDB is materialised, so an
-    /// unsafe or unstratifiable program costs parsing, not a full copy of
-    /// every table.
+    /// unsafe or unstratifiable program costs parsing, not a copy of the
+    /// tables.
     pub fn datalog_with_ctx(
         &self,
         program: &str,
@@ -872,10 +873,12 @@ impl Db {
             let atom = parse_atom(query)?;
             bq_datalog::safety::check_program(&program)?;
             bq_datalog::stratify(&program)?;
+            let mut named = program.all_preds();
+            named.insert(atom.pred.as_str());
             let mut edb = FactStore::new();
             let mut charger = Charger::new(ctx);
             let catalog = self.tables.relations();
-            for name in catalog.names() {
+            for name in catalog.names().into_iter().filter(|n| named.contains(n)) {
                 ctx.check().map_err(bq_datalog::DlError::from)?;
                 let rel = catalog.get(name)?;
                 for t in rel.iter() {
@@ -1620,6 +1623,33 @@ mod tests {
             )
             .unwrap();
         assert_eq!(answers.len(), 3);
+    }
+
+    #[test]
+    fn datalog_copies_only_the_tables_it_names() {
+        let mut db = Db::new();
+        db.create_table("parent", &[("p", Type::Int), ("c", Type::Int)])
+            .unwrap();
+        for i in 0..10 {
+            db.insert("parent", vec![Value::Int(i), Value::Int(i + 1)])
+                .unwrap();
+        }
+        let program = "anc(X, Y) :- parent(X, Y).\n\
+                       anc(X, Z) :- parent(X, Y), anc(Y, Z).";
+        let ctx = || QueryContext::unlimited().with_memory_budget(128 * 1024);
+        let alone = db.datalog_with_ctx(program, "anc(0, Y)", &ctx()).unwrap();
+        assert_eq!(alone.len(), 10);
+        // An unrelated table whose copy alone would exceed the budget.
+        db.create_table("wide", &[("id", Type::Int), ("blob", Type::Str)])
+            .unwrap();
+        for i in 0..300 {
+            db.insert("wide", vec![Value::Int(i), Value::str("x".repeat(1000))])
+                .unwrap();
+        }
+        assert_eq!(
+            db.datalog_with_ctx(program, "anc(0, Y)", &ctx()).unwrap(),
+            alone
+        );
     }
 
     #[test]

@@ -187,18 +187,6 @@ pub const CATALOG: &[(&str, &str)] = &[
         "dirty-frame writeback from the buffer pool to the store fails",
     ),
     (
-        "twopc.msg.drop",
-        "a 2PC message is dropped in flight (coordinator retries with backoff)",
-    ),
-    (
-        "twopc.msg.dup",
-        "a 2PC message is delivered twice (receivers must be idempotent)",
-    ),
-    (
-        "twopc.participant.crash",
-        "a participant crashes between voting yes and learning the decision",
-    ),
-    (
         "exec.morsel.panic",
         "an executor worker panics mid-morsel (engine falls back to sequential)",
     ),

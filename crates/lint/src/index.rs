@@ -7,13 +7,14 @@
 //! index** over every scanned file — fn items (with the guards each one
 //! acquires directly), enum definitions with their variants, guard
 //! acquisition sites with the guard stack live in their enclosing
-//! scope, calls made while a guard is held, macro invocation sites
+//! scope, every call site and every identifier reference with the fn
+//! that encloses it (the call graph), macro invocation sites
 //! (`fail_point!` / `counter!` / `gauge!` / `histogram!` /
 //! `bq_faults::hit`), and every string literal — and bundles the files
 //! into a [`Workspace`] that the phase-2 passes
 //! ([`crate::lints::lock_graph`], [`crate::lints::blocking`],
 //! [`crate::lints::wire_conformance`], [`crate::lints::site_registry`])
-//! query cross-file.
+//! and the [`crate::census`] query cross-file.
 
 use crate::lexer::Kind;
 use crate::source::SourceFile;
@@ -35,6 +36,11 @@ pub struct FnInfo {
     pub body_end: usize,
     /// Was the `fn` keyword inside a `#[cfg(test)]` item?
     pub in_test: bool,
+    /// Declared plain `pub` (not `pub(crate)` and the like)?
+    pub is_pub: bool,
+    /// A method of an `impl Trait for T` block: callable through the
+    /// trait without its name appearing (`fmt`, `drop`, `next`).
+    pub trait_impl: bool,
 }
 
 /// A guard that was live in scope when a site was recorded.
@@ -64,7 +70,7 @@ pub struct GuardSite {
     pub in_test: bool,
 }
 
-/// A call made while at least one guard was held.
+/// One call site, with the guards live at it.
 #[derive(Debug, Clone)]
 pub struct CallSite {
     /// Callee name (`sync` for `self.wal.sync()`).
@@ -85,10 +91,25 @@ pub struct CallSite {
     pub arg0: Option<String>,
     /// Line of the call.
     pub line: u32,
-    /// Guards live at the call, outermost first (never empty).
+    /// Guards live at the call, outermost first (empty when none is).
     pub held: Vec<HeldGuard>,
+    /// Index into [`FileIndex::fns`] of the enclosing fn, if any.
+    pub fn_idx: Option<usize>,
     /// Inside a `#[cfg(test)]` item?
     pub in_test: bool,
+}
+
+/// An identifier that may name a fn: any identifier but those of `use`
+/// items and the name after `fn`.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Ref {
+    /// Index into [`FileIndex::fns`] of the enclosing fn; `None` outside
+    /// fn bodies (a `const`, a `static`, a `macro_rules!` body).
+    pub fn_idx: Option<usize>,
+    /// Inside a `#[cfg(test)]` item?
+    pub in_test: bool,
+    /// The identifier.
+    pub name: String,
 }
 
 /// A registered macro invocation (`fail_point!`, `counter!`, `gauge!`,
@@ -131,8 +152,10 @@ pub struct FileIndex {
     pub fns: Vec<FnInfo>,
     /// Every guard acquisition site.
     pub guards: Vec<GuardSite>,
-    /// Every call made while a guard was held.
+    /// Every call site.
     pub calls: Vec<CallSite>,
+    /// Every distinct identifier reference, sorted.
+    pub refs: Vec<Ref>,
     /// Every registered macro / failpoint-probe invocation.
     pub macros: Vec<MacroSite>,
     /// Every enum definition.
@@ -255,9 +278,21 @@ pub fn index_file(file: &SourceFile) -> FileIndex {
     };
     let n = file.len();
 
-    // --- fn items and enum definitions (structure pass) -------------
+    // --- fn items, trait impls and enum definitions (structure pass) -
+    // Body spans `{`..`}` of the `impl Trait for T` blocks seen so far.
+    let mut trait_impls: Vec<(usize, usize)> = Vec::new();
     let mut i = 0;
     while i < n {
+        if file.is_ident(i, "impl") {
+            if let Some(open) = (i + 1..n).find(|&j| file.is_punct(j, "{") || file.is_punct(j, ";"))
+            {
+                let is_trait =
+                    (i + 1..open).any(|j| file.is_ident(j, "for") && !file.is_punct(j + 1, "<"));
+                if is_trait && file.is_punct(open, "{") {
+                    trait_impls.push((open, file.match_brace(open)));
+                }
+            }
+        }
         if file.is_ident(i, "fn") && i + 1 < n && file.tok(i + 1).kind == Kind::Ident {
             // Find the body `{`; a `;` first means a trait method
             // declaration with no body.
@@ -280,6 +315,9 @@ pub fn index_file(file: &SourceFile) -> FileIndex {
                     body_start,
                     body_end: file.match_brace(body_start),
                     in_test: file.in_test(i),
+                    // `pub [const] [unsafe] fn`; `pub(crate) fn` is not.
+                    is_pub: (i.saturating_sub(3)..i).any(|j| file.is_ident(j, "pub")),
+                    trait_impl: trait_impls.iter().any(|&(o, c)| o < i && i < c),
                 });
             }
             i += 2;
@@ -307,8 +345,33 @@ pub fn index_file(file: &SourceFile) -> FileIndex {
     // current statement, reset at `;` and braces.
     let mut stmt_binding: Option<String> = None;
     let mut stmt_is_let = false;
+    // The fns whose bodies enclose token `i`, innermost last; `fns` is in
+    // source order, so their bodies open in index order.
+    let mut fn_stack: Vec<usize> = Vec::new();
+    let mut next_fn = 0;
+    let mut in_use = false;
+    let mut refs = std::collections::BTreeSet::new();
 
     for i in 0..n {
+        while fn_stack.last().is_some_and(|&f| out.fns[f].body_end < i) {
+            fn_stack.pop();
+        }
+        while next_fn < out.fns.len() && out.fns[next_fn].body_start <= i {
+            fn_stack.push(next_fn);
+            next_fn += 1;
+        }
+        let fn_idx = fn_stack.last().copied();
+        if file.tok(i).kind == Kind::Ident {
+            in_use |= file.is_ident(i, "use");
+            let defines = i > 0 && file.is_ident(i - 1, "fn");
+            if !in_use && !defines {
+                refs.insert(Ref {
+                    fn_idx,
+                    in_test: file.in_test(i),
+                    name: file.tok(i).text.clone(),
+                });
+            }
+        }
         if file.is_punct(i, "{") {
             depth += 1;
             stmt_is_let = false;
@@ -325,6 +388,7 @@ pub fn index_file(file: &SourceFile) -> FileIndex {
         if file.is_punct(i, ";") {
             stmt_is_let = false;
             stmt_binding = None;
+            in_use = false;
             continue;
         }
         if file.is_ident(i, "let") {
@@ -403,7 +467,7 @@ pub fn index_file(file: &SourceFile) -> FileIndex {
                 recv: recv.clone(),
                 line,
                 held: held_of(&guards),
-                fn_idx: enclosing_fn(&out.fns, i),
+                fn_idx,
                 in_test: file.in_test(i),
             });
             if stmt_is_let {
@@ -417,9 +481,8 @@ pub fn index_file(file: &SourceFile) -> FileIndex {
             continue;
         }
 
-        // Calls made while a guard is held.
-        if !guards.is_empty()
-            && file.tok(i).kind == Kind::Ident
+        // Call sites.
+        if file.tok(i).kind == Kind::Ident
             && file.is_punct(i + 1, "(")
             && !NON_CALL_KEYWORDS.contains(&file.tok(i).text.as_str())
         {
@@ -445,11 +508,13 @@ pub fn index_file(file: &SourceFile) -> FileIndex {
                 .then(|| file.tok(i + 2).text.clone()),
                 line: file.tok(i).line,
                 held: held_of(&guards),
+                fn_idx,
                 in_test: file.in_test(i),
             });
         }
     }
 
+    out.refs = refs.into_iter().collect();
     out.strings = collect_strings(file);
     out
 }
@@ -523,15 +588,6 @@ fn literal_args(file: &SourceFile, open: usize, close: usize) -> (Option<String>
         .filter(|&i| file.tok(i).kind == Kind::Literal && !file.tok(i).text.is_empty())
         .map(|i| file.tok(i).text.clone());
     (lits.next(), lits.next())
-}
-
-/// Index into `fns` of the innermost fn whose body spans code token `i`.
-fn enclosing_fn(fns: &[FnInfo], i: usize) -> Option<usize> {
-    fns.iter()
-        .enumerate()
-        .filter(|(_, f)| f.body_start <= i && i <= f.body_end)
-        .min_by_key(|(_, f)| f.body_end - f.body_start)
-        .map(|(idx, _)| idx)
 }
 
 /// Every non-empty string literal in the file.
@@ -623,6 +679,44 @@ mod t { fn g() { bq_faults::fail_point!("t.site"); } }
         assert!(names.contains(&("fail_point", Some("t.site"), true)));
         let counter = idx.macros.iter().find(|m| m.name == "counter").unwrap();
         assert_eq!(counter.arg1.as_deref(), Some("help text"));
+    }
+
+    #[test]
+    fn every_call_and_reference_is_indexed_with_its_fn() {
+        let src = r#"
+use crate::codec::encode;
+const TABLE: &[fn()] = &[helper];
+pub fn outer(&self, xs: &[u8]) { xs.iter().map(encode); self.wal.sync(); }
+impl Drop for X { fn drop(&mut self) {} }
+fn helper() -> impl Iterator<Item = u8> { std::iter::empty() }
+"#;
+        let idx = index("crates/core/src/x.rs", src);
+        let shape: Vec<(&str, bool, bool)> = idx
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.is_pub, f.trait_impl))
+            .collect();
+        assert_eq!(
+            shape,
+            vec![
+                ("outer", true, false),
+                ("drop", false, true),
+                ("helper", false, false)
+            ]
+        );
+        let refs: Vec<(Option<usize>, &str)> = idx
+            .refs
+            .iter()
+            .map(|r| (r.fn_idx, r.name.as_str()))
+            .collect();
+        assert!(refs.contains(&(None, "helper")), "a const names it");
+        assert!(refs.contains(&(Some(0), "encode")), "passed as a value");
+        assert!(!refs.contains(&(None, "encode")), "a `use` is no reference");
+        assert!(!refs.iter().any(|(_, n)| *n == "outer"), "nor a definition");
+        // Calls are recorded with no guard held.
+        let sync = idx.calls.iter().find(|c| c.callee == "sync").unwrap();
+        assert!(sync.held.is_empty());
+        assert_eq!(sync.fn_idx, Some(0));
     }
 
     #[test]

@@ -250,12 +250,10 @@ pub fn lex(src: &str) -> Vec<Tok> {
         if c == '\'' {
             // Char literal vs lifetime/label.
             if i + 1 < n && chars[i + 1] == '\\' {
-                // Escaped char literal: scan to the closing quote.
-                let mut k = i + 2;
+                // Escaped char literal: past the escaped char (which may
+                // itself be `\` or `'`), scan to the closing quote.
+                let mut k = i + 3;
                 while k < n && chars[k] != '\'' {
-                    if chars[k] == '\\' {
-                        k += 1;
-                    }
                     k += 1;
                 }
                 toks.push(Tok {
@@ -356,7 +354,7 @@ mod tests {
 
     #[test]
     fn char_literals_and_lifetimes() {
-        let toks = lex("'a' 'x: loop {} &'static str '\\n' '{'");
+        let toks = lex("'a' 'x: loop {} &'static str '\\n' '{' '\\\\' '\\'' \"s\"");
         let lifetimes: Vec<_> = toks
             .iter()
             .filter(|t| t.kind == Kind::Lifetime)
@@ -364,7 +362,10 @@ mod tests {
             .collect();
         assert_eq!(lifetimes, vec!["'x", "'static"]);
         let lits = toks.iter().filter(|t| t.kind == Kind::Literal).count();
-        assert_eq!(lits, 3, "{toks:?}");
+        // `'\\'` and `'\''` end at their own closing quote: the string
+        // after them is still a string.
+        assert_eq!(lits, 6, "{toks:?}");
+        assert_eq!(toks.last().unwrap().text, "s");
     }
 
     #[test]

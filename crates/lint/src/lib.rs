@@ -14,16 +14,18 @@
 //! `check` runs in two phases. Phase 1 parses every file in parallel
 //! (scoped threads, deterministic merge), runs the per-file passes,
 //! and builds an item index ([`index::FileIndex`]) — fn spans, enum
-//! variants, guard-acquisition sites, calls made under a guard, macro
+//! variants, guard-acquisition sites, the call graph, macro
 //! registration sites. Phase 2 hands the assembled
 //! [`index::Workspace`] to the cross-file passes
 //! ([`index::WorkspaceLint`]): the inferred lock graph, blocking-
 //! while-locked, wire conformance, and the failpoint/metric site
-//! registry.
+//! registry. `bqlint census` walks the same index's call graph
+//! ([`census`]).
 //!
 //! The analyzer is std-only and dependency-free, like the rest of the
 //! workspace.
 
+pub mod census;
 pub mod index;
 pub mod lexer;
 pub mod lints;
@@ -182,6 +184,38 @@ pub fn build_workspace(root: &Path) -> std::io::Result<Workspace> {
     Ok(Workspace {
         files: shards.into_iter().map(|(_, f)| f).collect(),
     })
+}
+
+/// `bqlint census`: the index over the tree plus `benchspine/src`
+/// (product roots only, never linted), rendered by [`census::render`].
+pub fn census(root: &Path) -> std::io::Result<String> {
+    let mut ws = build_workspace(root)?;
+    let mut paths = Vec::new();
+    let benchmark = root.join(census::BENCH_ROOT);
+    if benchmark.is_dir() {
+        walk(&benchmark, &mut paths)?;
+    }
+    paths.sort();
+    for path in paths {
+        let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy();
+        let src = SourceFile::parse(&rel.replace('\\', "/"), &std::fs::read_to_string(&path)?);
+        ws.files.push(index::WsFile {
+            idx: index::index_file(&src),
+            src,
+        });
+    }
+    Ok(census::render(&ws))
+}
+
+/// The census of a set of in-memory `(virtual_path, source)` files —
+/// the fixture tests' entry point.
+pub fn census_files(files: &[(&str, &str)]) -> String {
+    census::render(&Workspace::build(
+        files
+            .iter()
+            .map(|(path, src)| SourceFile::parse(path, src))
+            .collect(),
+    ))
 }
 
 /// Run a single workspace lint over a set of in-memory files — the

@@ -4,9 +4,8 @@
 //! A blocking call under a hot lock is the classic tail-latency killer
 //! in a serving stack: every other thread that needs the guard queues
 //! behind a disk flush or a peer's TCP window. The pass walks the item
-//! index's calls-under-guard table — phase 1 recorded every call made
-//! while a `let`-bound guard was live — and flags the ones whose callee
-//! is a known blocking operation.
+//! index's call sites made while a `let`-bound guard was live and
+//! flags the ones whose callee is a known blocking operation.
 
 use crate::index::{CallSite, Workspace, WorkspaceLint};
 use crate::source::Report;
@@ -42,8 +41,8 @@ impl WorkspaceLint for Blocking {
         "Every millisecond a guard is held while the holder waits on disk or \
          network is a millisecond every contending thread also waits: one \
          fsync under the engine write lock turns a 50µs commit into a \
-         convoy. Phase 1 of the workspace analyzer records every call made \
-         while a `let`-bound MutexGuard/RwLockGuard is live; this pass flags \
+         convoy. Phase 1 of the workspace analyzer records every call site \
+         with the `let`-bound MutexGuard/RwLockGuard live at it; this pass flags \
          the blocking ones — WAL/file sync (`sync`, `sync_all`, `sync_data`, \
          `fsync`, `sync_wal`), socket I/O (`connect`, `accept`, `read_exact`, \
          `write_all`, `read_frame`, `write_frame`, `read_to_end`), \
@@ -67,7 +66,12 @@ impl WorkspaceLint for Blocking {
             {
                 continue;
             }
-            for c in f.idx.calls.iter().filter(|c| !c.in_test) {
+            for c in f
+                .idx
+                .calls
+                .iter()
+                .filter(|c| !c.in_test && !c.held.is_empty())
+            {
                 let Some(kind) = blocking_kind(c) else {
                     continue;
                 };

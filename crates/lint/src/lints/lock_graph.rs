@@ -1,20 +1,46 @@
 //! Workspace lock graph: infer the global guard-acquisition graph,
 //! detect deadlock cycles, and check it against the declared orders.
 //!
-//! The per-file `lock-order` pass sees one brace scope at a time; it
-//! cannot see crate A taking its lock and then calling into crate B,
-//! which takes its own lock and calls back into A. This pass builds the
-//! graph for the whole workspace: a node is `(crate, guard)`, and an
-//! edge `a → b` means *b was acquired while a was held* — either
-//! directly (a nested acquisition in one scope) or via a call (a fn was
-//! called under guard `a`, and that fn — resolved through the item
-//! index — directly acquires `b`). Edges compose in the graph, so a
-//! multi-hop cycle is found by SCC without chasing deep call chains.
+//! A node is `(crate, guard)`, and an edge `a → b` means *b was acquired
+//! while a was held* — either directly (a nested acquisition in one
+//! scope) or via a call (a fn was called under guard `a`, and that fn —
+//! resolved through the item index — directly acquires `b`). Edges
+//! compose in the graph, so a multi-hop cycle, one that spans crates
+//! included, is found by SCC without chasing deep call chains.
 
 use crate::index::{Workspace, WorkspaceLint, WsFile};
-use crate::lints::lock_order::CRATE_ORDERS;
 use crate::source::Report;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Declared acquisition order per crate: a guard for a name later in
+/// the list may be taken while holding an earlier one, never the
+/// reverse, and never the same name twice (Mutex self-deadlock). Names
+/// are the field/variable the guard is taken from (`self.inner.lock()`
+/// declares `inner`). The pass flags any nesting that inverts an order,
+/// any nested acquisition of an undeclared name, any crate with two or
+/// more distinct guards and no entry here at all, and any listed name no
+/// production guard of its crate acquires — this table must stay
+/// exactly reality.
+pub const CRATE_ORDERS: &[(&str, &[&str])] = &[
+    ("exec", &["first_err", "out"]),
+    ("storage", &["inner"]),
+    ("governor", &["state", "inner"]),
+    ("obs", &["metrics"]),
+    ("server", &["conns", "workers", "db"]),
+    ("repl", &["state", "db"]),
+    // `objects` is the in-memory archive's store; MemArchive methods
+    // are leaves called under `state` (and sometimes `db`).
+    ("backup", &["state", "db", "objects"]),
+    // `inner` is the session and backup registries, `ring` the
+    // slow-query ring; they guard disjoint subsystems and never nest
+    // today — the order makes any future nesting take a registry first. `rows` (the replica registry a
+    // semi-sync wait blocks on) and `horizon` (the WAL watch a shipping
+    // loop blocks on) are leaves: each is paired with a condvar, nothing
+    // is taken under either, and neither is ever held while taking the
+    // engine `RwLock<Db>` — `Db` publishes to `horizon` under the engine
+    // write guard, never the reverse.
+    ("core", &["inner", "ring", "rows", "horizon"]),
+];
 
 pub struct LockGraph;
 
@@ -50,7 +76,7 @@ impl WorkspaceLint for LockGraph {
     }
 
     fn summary(&self) -> &'static str {
-        "inferred workspace guard graph: no cycles, every nesting declared"
+        "inferred workspace guard graph: no cycles, every nesting declared and in order"
     }
 
     fn explain(&self) -> &'static str {
@@ -61,12 +87,14 @@ impl WorkspaceLint for LockGraph {
          callee is path-qualified, defined in the same crate, or globally \
          unique). Four findings: (1) a strongly-connected component in the \
          graph is a potential deadlock — two threads walking the cycle from \
-         different entry points block forever; (2) an intra-crate edge whose \
-         guards are not both in the crate's declared order (lints/lock_order.rs) \
-         is an undeclared nesting — the declaration table must stay the \
-         superset of reality, or the per-file pass is checking fiction; \
-         (3) a crate with two or more distinct production guards and no \
-         declared order at all escapes the per-file pass entirely; (4) a \
+         different entry points block forever, and taking the same Mutex \
+         twice on one thread (a self-edge) deadlocks today; (2) an \
+         intra-crate edge that inverts the crate's declared order \
+         (`CRATE_ORDERS` in lints/lock_graph.rs), or whose guards are not \
+         both in it — an undeclared nesting: the declaration table must \
+         stay the superset of reality, or the order check is checking \
+         fiction; (3) a crate with two or more distinct production guards \
+         and no declared order at all escapes the order check; (4) a \
          declared name that no production guard in its crate acquires any \
          more is stale (judged only when the crate's src/lib.rs is scanned). \
          Fix by breaking the cycle (narrow the guard scope, drop before \
@@ -127,10 +155,8 @@ impl WorkspaceLint for LockGraph {
             );
         }
 
-        // (2) Intra-crate edges vs the declared orders. Direct
-        // inversions of two *declared* guards in one scope are already
-        // the per-file pass's finding; here we add what it cannot see:
-        // undeclared nestings, and inversions reached through calls.
+        // (2) Intra-crate edges vs the declared orders: inversions, direct
+        // or through calls, and undeclared nestings.
         let mut seen: BTreeSet<(Node, Node)> = BTreeSet::new();
         for e in &edges {
             if e.from.0 != e.to.0 || !seen.insert((e.from.clone(), e.to.clone())) {
@@ -142,7 +168,7 @@ impl WorkspaceLint for LockGraph {
             let rank = |g: &str| order.iter().position(|n| *n == g);
             match (rank(&e.from.1), rank(&e.to.1)) {
                 (Some(a), Some(b)) => {
-                    if a >= b && e.via == Via::Call {
+                    if a >= b {
                         ws.files[e.file].src.emit(
                             rep,
                             self.name(),
@@ -168,7 +194,7 @@ impl WorkspaceLint for LockGraph {
                         format!(
                             "undeclared nesting: `{}` is acquired while `{}` is held \
                              ({}), but `{missing}` is not in crate `{}`'s declared \
-                             order [{}] — declare it in lints/lock_order.rs",
+                             order [{}] — declare it in `CRATE_ORDERS` (lints/lock_graph.rs)",
                             e.to.1,
                             e.from.1,
                             e.witness,
@@ -181,7 +207,7 @@ impl WorkspaceLint for LockGraph {
         }
 
         // (3) Crates with ≥ 2 distinct production guards but no
-        // declared order escape the per-file pass entirely.
+        // declared order escape the order check entirely.
         let mut per_crate: BTreeMap<&str, BTreeMap<&str, (usize, u32)>> = BTreeMap::new();
         for (fi, f) in ws.files.iter().enumerate() {
             if f.idx.test_file || !f.src.path.starts_with("crates/") {
@@ -210,7 +236,7 @@ impl WorkspaceLint for LockGraph {
                 line,
                 format!(
                     "crate `{krate}` acquires {} distinct guards ({}) but declares no \
-                     lock order; add a `{krate}` entry to lints/lock_order.rs (first \
+                     lock order; add a `{krate}` entry to `CRATE_ORDERS` (lints/lock_graph.rs) (first \
                      site: `{first_guard}`)",
                     names.len(),
                     names.join(", "),
@@ -241,7 +267,7 @@ impl WorkspaceLint for LockGraph {
                     1,
                     format!(
                         "crate `{krate}` declares lock order [{}] but no production guard \
-                         acquires {}; remove the stale name from lints/lock_order.rs",
+                         acquires {}; remove the stale name from `CRATE_ORDERS` (lints/lock_graph.rs)",
                         order.join(" < "),
                         stale.join(", ")
                     ),
@@ -331,7 +357,12 @@ fn infer_edges(ws: &Workspace) -> Vec<Edge> {
         }
         // Call edges: guards acquired inside the callee count as
         // acquired under every guard held at the call site.
-        for c in f.idx.calls.iter().filter(|c| !c.in_test) {
+        for c in f
+            .idx
+            .calls
+            .iter()
+            .filter(|c| !c.in_test && !c.held.is_empty())
+        {
             for (cf, cfn) in resolve_callee(ws, f, c) {
                 for (tcrate, trecv) in ws.fn_acquires(&ws.files[cf], cfn) {
                     for h in &c.held {

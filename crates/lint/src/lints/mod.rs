@@ -12,7 +12,6 @@ pub mod blocking;
 pub mod cancellation;
 pub mod failpoints;
 pub mod lock_graph;
-pub mod lock_order;
 pub mod operator_stats;
 pub mod panics;
 pub mod site_registry;
@@ -30,7 +29,6 @@ pub fn all() -> Vec<Box<dyn Lint>> {
         Box::new(cancellation::Cancellation),
         Box::new(failpoints::Failpoints),
         Box::new(panics::Panics),
-        Box::new(lock_order::LockOrder),
         Box::new(atomics::Atomics),
         Box::new(operator_stats::OperatorStats),
     ]

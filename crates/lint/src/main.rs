@@ -5,10 +5,11 @@
 //! bqlint list [--json]           # registered lints with one-line summaries
 //! bqlint --explain <lint>        # long-form rationale for one lint
 //! bqlint graph [ROOT]            # render the inferred workspace lock graph
+//! bqlint census [ROOT]           # fn lines the product runs vs only tests run
 //! ```
 
 use bq_lint::lints;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -19,13 +20,18 @@ fn main() -> ExitCode {
         ["list"] => cmd_list(false),
         ["list", "--json"] => cmd_list(true),
         ["--explain", name] | ["explain", name] => cmd_explain(name),
-        ["graph", rest @ ..] => cmd_graph(rest),
+        ["graph", rest @ ..] => with_root("graph", rest, |root| {
+            let ws = bq_lint::build_workspace(root)?;
+            Ok(format!("{}\n", bq_lint::lints::lock_graph::render(&ws)))
+        }),
+        ["census", rest @ ..] => with_root("census", rest, bq_lint::census),
         _ => {
             eprintln!(
                 "usage: bqlint check [--json] [ROOT]\n       \
                  bqlint list [--json]\n       \
                  bqlint --explain <lint>\n       \
-                 bqlint graph [ROOT]"
+                 bqlint graph [ROOT]\n       \
+                 bqlint census [ROOT]"
             );
             ExitCode::from(2)
         }
@@ -98,18 +104,19 @@ fn cmd_check(rest: &[&str]) -> ExitCode {
     }
 }
 
-fn cmd_graph(rest: &[&str]) -> ExitCode {
+/// Run `graph` or `census` on the optional `[ROOT]` and print its report.
+fn with_root(cmd: &str, rest: &[&str], run: impl Fn(&Path) -> std::io::Result<String>) -> ExitCode {
     let root = match rest {
         [] => PathBuf::from("."),
         [r] if !r.starts_with('-') => PathBuf::from(r),
         _ => {
-            eprintln!("usage: bqlint graph [ROOT]");
+            eprintln!("usage: bqlint {cmd} [ROOT]");
             return ExitCode::from(2);
         }
     };
-    match bq_lint::build_workspace(&root) {
-        Ok(ws) => {
-            println!("{}", bq_lint::lints::lock_graph::render(&ws));
+    match run(&root) {
+        Ok(out) => {
+            print!("{out}");
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -1,6 +1,6 @@
 // Fixture: lock acquisitions violating the governor crate's declared
 // order (state < inner).
-// Expected (as crates/governor/src/bad_lock_order.rs): 2 × [lock-order].
+// Expected (as crates/governor/src/bad_lock_order.rs): 3 × [lock-graph].
 
 fn inner_then_state(&self) {
     let inner_guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());

@@ -1,6 +1,6 @@
-// Fixture: acquisitions that respect the governor order (state < inner)
-// or don't participate at all.
-// Expected (as crates/governor/src/ok_lock_order.rs): 0 diagnostics.
+// Fixture: acquisitions that respect the governor order (state < inner),
+// plus one nesting of a lock the order does not declare.
+// Expected (as crates/governor/src/ok_lock_order.rs): 1 × [lock-graph].
 
 fn correct_nesting(&self) {
     let state_guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -19,8 +19,8 @@ fn guard_dropped_by_scope(&self) {
 }
 
 fn not_participating(&self, buf: &mut [u8]) {
-    // `cache` is not in the declared order; ordinary read/write methods
-    // take arguments and are not acquisitions.
+    // `cache` is not in the declared order (the one finding); ordinary
+    // read/write methods take arguments and are not acquisitions.
     let inner_guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
     let _c = self.cache.lock().unwrap_or_else(|e| e.into_inner());
     let _n = self.file.read(buf);

@@ -175,36 +175,60 @@ fn panic_scope_is_engine_crates_outside_integration_tests() {
 }
 
 // ------------------------------------------------------------ lock-order
+//
+// The per-file `lock-order` pass is gone; its fixtures now run under the
+// workspace `lock-graph` pass, which makes every finding it made and
+// some it could not.
+
+fn lock_graph(virtual_path: &str, src: &str) -> Report {
+    let lint = bq_lint::lints::lock_graph::LockGraph;
+    bq_lint::check_workspace(&lint, &[(virtual_path, src)])
+}
 
 #[test]
 fn lock_order_flags_inversions_and_reentry() {
-    let rep = run(
-        "lock-order",
+    let rep = lock_graph(
         "crates/governor/src/bad_lock_order.rs",
         include_str!("fixtures/bad_lock_order.rs"),
     );
-    assert_eq!(rep.diags.len(), 2, "{:#?}", rep.diags);
-    assert!(rep.diags[0].message.contains("declared order"));
+    // The inversion on line 7; on line 13 the re-entry is both a
+    // self-edge cycle and an inversion of `inner` against itself.
+    assert_eq!(diag_lines(&rep), vec![7, 13, 13], "{:#?}", rep.diags);
+    assert!(rep.diags[0]
+        .message
+        .contains("acquiring `state` (rank 0) nested under `inner`"));
+    assert!(rep.diags[0]
+        .message
+        .contains("inverts crate `governor`'s declared order"));
+    assert!(rep
+        .diags
+        .iter()
+        .any(|d| d.line == 13 && d.message.contains("potential deadlock cycle")));
 }
 
 #[test]
 fn lock_order_accepts_declared_order_and_scoped_drops() {
-    let rep = run(
-        "lock-order",
+    let rep = lock_graph(
         "crates/governor/src/ok_lock_order.rs",
         include_str!("fixtures/ok_lock_order.rs"),
     );
-    assert_eq!(rep.diags.len(), 0, "{:#?}", rep.diags);
+    // Stricter than `lock-order`: `cache`, taken under `inner` on line
+    // 25, is in no declared order, so the nesting is undeclared.
+    assert_eq!(diag_lines(&rep), vec![25], "{:#?}", rep.diags);
+    assert!(rep.diags[0].message.contains("undeclared nesting"));
 }
 
 #[test]
-fn lock_order_ignores_crates_without_a_declared_order() {
-    let rep = run(
-        "lock-order",
+fn lock_order_fixture_in_a_crate_without_a_declared_order() {
+    let rep = lock_graph(
         "crates/bench/src/bad_lock_order.rs",
         include_str!("fixtures/bad_lock_order.rs"),
     );
-    assert_eq!(rep.diags.len(), 0);
+    // Stricter than `lock-order`, which ignored order-less crates: two
+    // guards and no order is a finding, and the re-entry still a cycle.
+    assert_eq!(diag_lines(&rep), vec![6, 13], "{:#?}", rep.diags);
+    assert!(rep.diags[0].message.contains("declares no lock order"));
+    assert!(rep.diags[1].message.contains("potential deadlock cycle"));
 }
 
 // ---------------------------------------------------------- atomic-order

@@ -11,7 +11,8 @@ use crate::Result;
 /// Grammar (keywords case-insensitive):
 ///
 /// ```text
-/// query   := select (UNION | EXCEPT | INTERSECT) query | select
+/// query   := inter ((UNION | EXCEPT) inter)*     -- folds left
+/// inter   := select (INTERSECT select)*          -- binds tighter
 /// select  := SELECT cols FROM tables [WHERE pred]
 /// cols    := '*' | col (',' col)*
 /// col     := [alias '.'] name [AS out]
@@ -91,17 +92,27 @@ impl Parser {
         }
     }
 
+    /// Folds left: `a except b except c` is `(a − b) − c`, as in SQL.
     fn query(&mut self) -> Result<Expr> {
-        let left = self.select()?;
-        if self.keyword("union") {
-            Ok(left.union(self.query()?))
-        } else if self.keyword("except") {
-            Ok(left.difference(self.query()?))
-        } else if self.keyword("intersect") {
-            Ok(left.intersection(self.query()?))
-        } else {
-            Ok(left)
+        let mut acc = self.inter()?;
+        loop {
+            if self.keyword("union") {
+                acc = acc.union(self.inter()?);
+            } else if self.keyword("except") {
+                acc = acc.difference(self.inter()?);
+            } else {
+                return Ok(acc);
+            }
         }
+    }
+
+    /// INTERSECT binds tighter than UNION and EXCEPT, as in SQL.
+    fn inter(&mut self) -> Result<Expr> {
+        let mut acc = self.select()?;
+        while self.keyword("intersect") {
+            acc = acc.intersection(self.select()?);
+        }
+        Ok(acc)
     }
 
     fn select(&mut self) -> Result<Expr> {
@@ -414,6 +425,35 @@ mod tests {
     fn intersect_works() {
         let i = run("select e.name from emp e where e.sal > 75 intersect select e.name from emp e where e.dept = 'cs'");
         assert_eq!(i.tuples(), vec![tup!["ann"]]);
+    }
+
+    /// Three-arm chains over a = {1,2,3}, b = {2}, c = {2,3}: they fold
+    /// left, and INTERSECT binds tighter than UNION / EXCEPT.
+    #[test]
+    fn compound_selects_fold_left_with_intersect_tighter() {
+        let mut db = Database::new();
+        for (name, vals) in [("a", &[1i64, 2, 3][..]), ("b", &[2]), ("c", &[2, 3])] {
+            let rows = vals.iter().map(|v| vec![Value::Int(*v)]).collect();
+            db.add(
+                name,
+                Relation::from_rows(&[("x", Type::Int)], rows).unwrap(),
+            );
+        }
+        // Each one-letter word is a select of that table's column.
+        let run = |chain: &str| {
+            let sql: Vec<String> = chain
+                .split(' ')
+                .map(|w| match w.len() {
+                    1 => format!("select t.x from {w} t"),
+                    _ => w.to_string(),
+                })
+                .collect();
+            eval(&parse(&sql.join(" ")).unwrap(), &db).unwrap().tuples()
+        };
+        assert_eq!(run("a except b except c"), vec![tup![1i64]]);
+        assert_eq!(run("a union b except c"), vec![tup![1i64]]);
+        assert_eq!(run("c except b union b"), vec![tup![2i64], tup![3i64]]);
+        assert_eq!(run("c except a intersect b"), vec![tup![3i64]]);
     }
 
     #[test]

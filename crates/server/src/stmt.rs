@@ -96,20 +96,43 @@ fn query_err(msg: impl Into<String>) -> DriverError {
     DriverError::new(ErrorCode::Query, msg.into())
 }
 
+/// Split the text after `create table` / `insert into` — `name
+/// [keyword] (list)` — into the name and the inside of the list. Any
+/// other word, before the list or after it, is refused.
+fn name_and_list<'a>(
+    rest: &'a str,
+    keyword: Option<&str>,
+    what: &str,
+) -> Result<(&'a str, &'a str), DriverError> {
+    let open = rest
+        .find('(')
+        .ok_or_else(|| query_err(format!("expected {what}")))?;
+    let list = rest[open + 1..]
+        .strip_suffix(')')
+        .ok_or_else(|| query_err(format!("expected the statement to end with its {what}")))?;
+    let mut words = rest[..open].split_whitespace();
+    let name = match words.next() {
+        Some(name) if rest.starts_with(char::is_whitespace) => name,
+        _ => return Err(query_err("expected table name")),
+    };
+    let keyword_ok = match keyword {
+        Some(kw) => words.next().is_some_and(|w| w.eq_ignore_ascii_case(kw)),
+        None => true,
+    };
+    match words.next() {
+        None if keyword_ok => Ok((name, list)),
+        _ => Err(query_err(format!(
+            "expected `{}(` after the table name",
+            keyword.map(|kw| format!("{kw} ")).unwrap_or_default()
+        ))),
+    }
+}
+
 /// `create table name (col type, ...)`
 fn parse_create(line: &str) -> Result<Statement, DriverError> {
-    let open = line
-        .find('(')
-        .ok_or_else(|| query_err("expected column list"))?;
-    let close = line
-        .rfind(')')
-        .ok_or_else(|| query_err("unterminated column list"))?;
-    let name = line[..open]
-        .split_whitespace()
-        .nth(2)
-        .ok_or_else(|| query_err("expected table name"))?;
+    let (name, list) = name_and_list(&line["create table".len()..], None, "column list")?;
     let mut cols: Vec<(String, Type)> = Vec::new();
-    for part in line[open + 1..close].split(',') {
+    for part in list.split(',') {
         let mut it = part.split_whitespace();
         let col = it.next().ok_or_else(|| query_err("expected column name"))?;
         let ty = match it
@@ -133,18 +156,9 @@ fn parse_create(line: &str) -> Result<Statement, DriverError> {
 
 /// `insert into name values (v, ...)`
 fn parse_insert(line: &str) -> Result<Statement, DriverError> {
-    let open = line
-        .find('(')
-        .ok_or_else(|| query_err("expected value list"))?;
-    let close = line
-        .rfind(')')
-        .ok_or_else(|| query_err("unterminated value list"))?;
-    let table = line[..open]
-        .split_whitespace()
-        .nth(2)
-        .ok_or_else(|| query_err("expected table name"))?;
+    let (table, list) = name_and_list(&line["insert into".len()..], Some("values"), "value list")?;
     let mut row: Vec<Value> = Vec::new();
-    for part in split_top_level(&line[open + 1..close]) {
+    for part in split_top_level(list) {
         let part = part.trim();
         let v = if let Some(body) = part.strip_prefix('\'') {
             // One closing quote, and no quote inside: `'abc` and `'a'b'`
@@ -412,11 +426,13 @@ mod tests {
             parse_statement("gibberish").unwrap_err().code,
             ErrorCode::Unsupported
         );
-        assert_eq!(
-            parse_statement("create table t a int").unwrap_err().code,
-            ErrorCode::Query
-        );
         for bad in [
+            "create table t a int",
+            "create table t (a int) junk",
+            "create tablet (a int)",
+            "insert into t junk (1)",
+            "insert into t (1)",
+            "insert into t values (1) junk",
             "insert into t values (wat)",
             "insert into t values ('abc)",
             "insert into t values ('a'b')",
@@ -433,6 +449,21 @@ mod tests {
             Statement::Insert {
                 table: "t".into(),
                 row: vec![Value::str("")],
+            }
+        );
+        // No space is needed before the list, and keywords take any case.
+        assert_eq!(
+            parse_statement("INSERT INTO t VALUES(1)").unwrap(),
+            Statement::Insert {
+                table: "t".into(),
+                row: vec![Value::Int(1)],
+            }
+        );
+        assert_eq!(
+            parse_statement("create table t(a int)").unwrap(),
+            Statement::CreateTable {
+                name: "t".into(),
+                cols: vec![("a".into(), Type::Int)],
             }
         );
     }

@@ -17,8 +17,9 @@
 //! * [`tso`] — timestamp ordering.
 //! * [`occ`] — backward-validation optimistic concurrency control.
 //! * [`tree`] — the tree (hierarchical) locking protocol.
-//! * [`twopc`] — two-phase commit with failure injection (atomicity and
-//!   the blocking theorem, simulated).
+//! * [`twopc`] — two-phase commit with participant and coordinator
+//!   crashes (atomicity and the blocking theorem, simulated; experiment
+//!   **E9b**).
 //! * [`workload`] — parameterised workload generation (hotspots, read
 //!   ratios, path-structured accesses).
 //! * [`sim`] — the deterministic scheduler simulator and its metrics.
@@ -42,8 +43,5 @@ pub use conflict::{conflict_graph, is_conflict_serializable, is_view_serializabl
 pub use ops::{Access, Action, Op, TxnId};
 pub use schedule::Schedule;
 pub use sim::{run_sim, Decision, Scheduler, SimConfig, SimMetrics};
-pub use twopc::{
-    agrees_with_decision, is_atomic, run_2pc, run_2pc_durable, run_2pc_reliable, CoordinatorLog,
-    DeliveryStats, RetryPolicy, TwoPcConfig, TwoPcOutcome,
-};
+pub use twopc::{is_atomic, run_2pc, TwoPcConfig, TwoPcOutcome};
 pub use workload::{Workload, WorkloadConfig};

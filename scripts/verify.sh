@@ -58,18 +58,25 @@ echo "==> backup smoke (full + incremental chain, PITR, restore-latest, scrub)"
 BQ_BACKUP_SEED=20260809 cargo run -q --release --example backup
 
 # Workspace invariants: timing discipline, cancellation discipline,
-# failpoint hygiene, panic discipline, lock ordering, and the
-# atomic-ordering audit — all enforced at the token level by bq-lint
-# (crates/lint), which replaced the old grep/awk gates that could not
-# see strings, comments, or #[cfg(test)] scope. Phase 2 adds the
-# cross-file passes: the inferred lock graph (SCC deadlock detection +
-# declared-order conformance), blocking-while-locked, wire codec
+# failpoint hygiene, panic discipline, and the atomic-ordering audit —
+# all enforced at the token level by bq-lint (crates/lint), which
+# replaced the old grep/awk gates that could not see strings, comments,
+# or #[cfg(test)] scope. Phase 2 adds the cross-file passes: the
+# inferred lock graph (SCC deadlock detection + declared-order
+# conformance, lock ordering included), blocking-while-locked, wire codec
 # conformance, and the failpoint/metric site registry. `bqlint list`
 # shows the passes; `bqlint --explain <lint>` shows each invariant's
 # rationale. A `// lint: allow(...)` hatch without a reason is itself
 # a diagnostic, so this gate also fails on reason-less escape hatches.
 echo "==> bqlint check (per-file + workspace invariants)"
 cargo run -q -p bq-lint --release -- check
+
+# The reachability census: non-test fn lines the product runs vs those
+# only tests run vs those nothing runs, per crate. A measure, not a gate:
+# this step fails only if the command does.
+echo "==> bqlint census (per-crate totals; full list: bqlint census)"
+CENSUS="$(cargo run -q -p bq-lint --release -- census)"
+echo "$CENSUS" | sed -n '1,/^total /p'
 
 # The four workspace passes must stay registered — a registry
 # regression would silently turn the gate above back into a per-file

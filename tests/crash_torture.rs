@@ -29,11 +29,6 @@ use std::sync::{Mutex, MutexGuard};
 use big_queries::bq_faults::{self as faults, Action, Policy, Trigger};
 use big_queries::bq_storage::page::{PageId, PageStore, PAYLOAD_SIZE};
 use big_queries::bq_storage::wal::{LogRecord, RecoveryReport, TxnId, Wal};
-use big_queries::bq_txn::twopc::Crash;
-use big_queries::bq_txn::{
-    agrees_with_decision, is_atomic, run_2pc_durable, run_2pc_reliable, CoordinatorLog,
-    RetryPolicy, TwoPcConfig,
-};
 use big_queries::bq_util::{Rng, SplitMix64};
 use big_queries::prelude::*;
 
@@ -423,125 +418,6 @@ fn bit_flipped_pages_are_rebuilt_from_the_log() {
         scenarios += 1;
     }
     assert!(scenarios >= 15, "only {scenarios} bit-flip scenarios");
-}
-
-/// Seeded 2PC chaos: drops, duplications, and participant crashes can
-/// delay the reliable protocol but never split its outcome.
-#[test]
-fn two_pc_message_chaos_never_splits_the_decision() {
-    let _g = serial();
-    let base = base_seed();
-    let mut scenarios = 0usize;
-    for s in 0..60u64 {
-        faults::set_seed(base.wrapping_add(s));
-        let mut rng = SplitMix64::seed_from_u64(base.wrapping_add(s.wrapping_mul(31)));
-        let n = 2 + rng.gen_index(4);
-        let votes: Vec<bool> = (0..n).map(|_| rng.gen_pct(80)).collect();
-        let crashes: Vec<Crash> = (0..n)
-            .map(|_| {
-                *rng.choose(&[
-                    Crash::None,
-                    Crash::None,
-                    Crash::None,
-                    Crash::AfterVote,
-                    Crash::BeforeVote,
-                ])
-            })
-            .collect();
-        let coordinator_crashes = rng.gen_pct(20);
-        let cfg = TwoPcConfig {
-            votes,
-            crashes,
-            coordinator_crashes,
-            // A reliable coordinator force-logs before broadcasting, so a
-            // post-log crash is the recoverable variant.
-            decision_logged: true,
-        };
-        for site in ["twopc.msg.drop", "twopc.msg.dup"] {
-            faults::configure(
-                site,
-                Policy::new(Action::Error, Trigger::Prob(20)).caller_thread(),
-            );
-        }
-        faults::configure(
-            "twopc.participant.crash",
-            Policy::new(Action::Panic, Trigger::Prob(10)).caller_thread(),
-        );
-        let (out, _stats) = run_2pc_reliable(&cfg, &RetryPolicy::default());
-        faults::reset();
-        assert!(is_atomic(&out), "seed {s}: {cfg:?} -> {out:?}");
-        assert!(agrees_with_decision(&out), "seed {s}: {cfg:?} -> {out:?}");
-        scenarios += 1;
-    }
-    assert!(scenarios >= 60);
-}
-
-/// Seeded chaos against the *durable* coordinator: the decision is
-/// force-logged before any broadcast, so even an unlogged-crash window
-/// cannot exist. No participant ever ends in doubt, and the log always
-/// agrees with the outcome — including presumed abort on recovery.
-#[test]
-fn two_pc_durable_log_survives_coordinator_chaos() {
-    let _g = serial();
-    let base = base_seed();
-    let mut log = CoordinatorLog::new();
-    let mut coordinator_crash_runs = 0usize;
-    for s in 0..60u64 {
-        faults::set_seed(base.wrapping_add(s.wrapping_mul(7)));
-        let mut rng = SplitMix64::seed_from_u64(base.wrapping_add(s.wrapping_mul(131)));
-        let n = 2 + rng.gen_index(4);
-        let votes: Vec<bool> = (0..n).map(|_| rng.gen_pct(80)).collect();
-        let crashes: Vec<Crash> = (0..n)
-            .map(|_| {
-                *rng.choose(&[
-                    Crash::None,
-                    Crash::None,
-                    Crash::None,
-                    Crash::AfterVote,
-                    Crash::BeforeVote,
-                ])
-            })
-            .collect();
-        let coordinator_crashes = rng.gen_pct(30);
-        coordinator_crash_runs += coordinator_crashes as usize;
-        let cfg = TwoPcConfig {
-            votes,
-            crashes,
-            coordinator_crashes,
-            // Ignored by the durable variant: forcing the log *is* the
-            // protocol, not a configuration knob.
-            decision_logged: false,
-        };
-        for site in ["twopc.msg.drop", "twopc.msg.dup"] {
-            faults::configure(
-                site,
-                Policy::new(Action::Error, Trigger::Prob(20)).caller_thread(),
-            );
-        }
-        faults::configure(
-            "twopc.participant.crash",
-            Policy::new(Action::Panic, Trigger::Prob(10)).caller_thread(),
-        );
-        let (out, _stats) = run_2pc_durable(&cfg, &RetryPolicy::default(), &mut log, s);
-        faults::reset();
-        assert!(is_atomic(&out), "seed {s}: {cfg:?} -> {out:?}");
-        assert!(agrees_with_decision(&out), "seed {s}: {cfg:?} -> {out:?}");
-        assert!(
-            !out.states
-                .contains(&big_queries::bq_txn::twopc::PState::InDoubt),
-            "seed {s}: durable log left a participant in doubt: {out:?}"
-        );
-        assert_eq!(
-            log.read(s),
-            out.decision,
-            "seed {s}: log disagrees with outcome"
-        );
-    }
-    assert_eq!(log.len(), 60, "one forced record per transaction");
-    assert!(
-        coordinator_crash_runs >= 5,
-        "chaos sweep barely exercised coordinator crashes ({coordinator_crash_runs})"
-    );
 }
 
 /// Injected worker panics at every morsel index: the executor degrades to
