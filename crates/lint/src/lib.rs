@@ -197,12 +197,7 @@ pub fn census(root: &Path) -> std::io::Result<String> {
     }
     paths.sort();
     for path in paths {
-        let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy();
-        let src = SourceFile::parse(&rel.replace('\\', "/"), &std::fs::read_to_string(&path)?);
-        ws.files.push(index::WsFile {
-            idx: index::index_file(&src),
-            src,
-        });
+        ws.files.push(process_one(root, &path, &[])?.1);
     }
     Ok(census::render(&ws))
 }

@@ -66,12 +66,7 @@ impl WorkspaceLint for Blocking {
             {
                 continue;
             }
-            for c in f
-                .idx
-                .calls
-                .iter()
-                .filter(|c| !c.in_test && !c.held.is_empty())
-            {
+            for c in f.idx.calls.iter().filter(|c| !c.in_test) {
                 let Some(kind) = blocking_kind(c) else {
                     continue;
                 };

@@ -96,41 +96,37 @@ fn query_err(msg: impl Into<String>) -> DriverError {
     DriverError::new(ErrorCode::Query, msg.into())
 }
 
-/// Split the text after `create table` / `insert into` — `name
-/// [keyword] (list)` — into the name and the inside of the list. Any
-/// other word, before the list or after it, is refused.
+/// Split the text after `create table` / `insert into` into the table
+/// name and the inside of the list, refusing any other word before the
+/// list or after it.
 fn name_and_list<'a>(
     rest: &'a str,
     keyword: Option<&str>,
-    what: &str,
+    grammar: &str,
 ) -> Result<(&'a str, &'a str), DriverError> {
-    let open = rest
-        .find('(')
-        .ok_or_else(|| query_err(format!("expected {what}")))?;
-    let list = rest[open + 1..]
-        .strip_suffix(')')
-        .ok_or_else(|| query_err(format!("expected the statement to end with its {what}")))?;
+    let err = || query_err(format!("expected `{grammar}`"));
+    let open = rest.find('(').ok_or_else(err)?;
+    let list = rest[open + 1..].strip_suffix(')').ok_or_else(err)?;
     let mut words = rest[..open].split_whitespace();
-    let name = match words.next() {
-        Some(name) if rest.starts_with(char::is_whitespace) => name,
-        _ => return Err(query_err("expected table name")),
-    };
-    let keyword_ok = match keyword {
-        Some(kw) => words.next().is_some_and(|w| w.eq_ignore_ascii_case(kw)),
-        None => true,
-    };
-    match words.next() {
-        None if keyword_ok => Ok((name, list)),
-        _ => Err(query_err(format!(
-            "expected `{}(` after the table name",
-            keyword.map(|kw| format!("{kw} ")).unwrap_or_default()
-        ))),
+    let name = words
+        .next()
+        .filter(|_| rest.starts_with(char::is_whitespace))
+        .ok_or_else(err)?;
+    let keyword_ok =
+        keyword.is_none_or(|kw| words.next().is_some_and(|w| w.eq_ignore_ascii_case(kw)));
+    if !keyword_ok || words.next().is_some() {
+        return Err(err());
     }
+    Ok((name, list))
 }
 
 /// `create table name (col type, ...)`
 fn parse_create(line: &str) -> Result<Statement, DriverError> {
-    let (name, list) = name_and_list(&line["create table".len()..], None, "column list")?;
+    let (name, list) = name_and_list(
+        &line["create table".len()..],
+        None,
+        "create table name (col type, ...)",
+    )?;
     let mut cols: Vec<(String, Type)> = Vec::new();
     for part in list.split(',') {
         let mut it = part.split_whitespace();
@@ -156,7 +152,11 @@ fn parse_create(line: &str) -> Result<Statement, DriverError> {
 
 /// `insert into name values (v, ...)`
 fn parse_insert(line: &str) -> Result<Statement, DriverError> {
-    let (table, list) = name_and_list(&line["insert into".len()..], Some("values"), "value list")?;
+    let (table, list) = name_and_list(
+        &line["insert into".len()..],
+        Some("values"),
+        "insert into name values (v, ...)",
+    )?;
     let mut row: Vec<Value> = Vec::new();
     for part in split_top_level(list) {
         let part = part.trim();
