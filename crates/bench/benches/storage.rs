@@ -1,12 +1,11 @@
 //! Substrate microbenchmarks: B+-tree vs std BTreeMap, heap-file
-//! insert/scan, buffer-pool hit behaviour, WAL append + recovery.
+//! insert/scan, buffer-pool hit behaviour, facade point lookups.
 
 use bq_bench::bench;
 use bq_storage::btree::BPlusTree;
 use bq_storage::buffer::BufferPool;
 use bq_storage::heap::HeapFile;
 use bq_storage::page::{PageId, PageStore};
-use bq_storage::wal::{LogRecord, Wal};
 use std::collections::BTreeMap;
 
 fn main() {
@@ -53,27 +52,6 @@ fn main() {
             pool.stats().hit_rate()
         });
     }
-
-    bench("wal_append_recover_1000", 10, || {
-        let mut store = PageStore::new();
-        let pid = store.allocate();
-        let mut wal = Wal::new();
-        for t in 0..1000u64 {
-            wal.append(&LogRecord::Begin(t)).expect("append");
-            wal.append(&LogRecord::Update {
-                txn: t,
-                page: pid,
-                offset: (t % 100) as u32,
-                before: vec![0],
-                after: vec![(t % 256) as u8],
-            })
-            .expect("append");
-            if t % 2 == 0 {
-                wal.append(&LogRecord::Commit(t)).expect("append");
-            }
-        }
-        wal.recover(&mut store).expect("recover").redone
-    });
 
     // Facade point lookups: index vs scan.
     {

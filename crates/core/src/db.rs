@@ -7,8 +7,8 @@
 //! and leave them only through its `put`/`take`. This module owns what
 //! surrounds a row: the table-granularity strict-2PL lock table, the
 //! undo list of every open transaction, and the log record of every
-//! mutation, from which [`Db::simulate_crash_and_recover`] tells the
-//! table store which heap records to drop.
+//! mutation, from which crash recovery ([`Db::crash_at`]) tells the table
+//! store which heap records to drop.
 
 use crate::codec;
 use crate::error::CoreError;
@@ -34,7 +34,7 @@ use bq_storage::wal::{LogRecord, Wal};
 use bq_txn::locks::{LockResult, LockTable, Mode};
 use bq_txn::ops::TxnId;
 use bq_util::{ByteReader, ByteWriter, DecodeError, Fnv1a64};
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::hash::Hasher;
 use std::sync::Arc;
 use std::time::Duration;
@@ -392,14 +392,30 @@ impl Db {
         self.lock_table_for(h, table, Mode::Exclusive)?;
         let tuple = Tuple::new(row);
         let bytes = codec::encode(&tuple);
-        self.put_logged(h.0, table, tuple, bytes)
+        self.put_pending(h.0, table, tuple, bytes)
+    }
+
+    /// [`Db::put_logged`] as a row of the open transaction `txn`, which
+    /// takes it back on abort.
+    fn put_pending(&mut self, txn: u64, table: &str, tuple: Tuple, bytes: Vec<u8>) -> Result<()> {
+        if let Some(placed) = self.put_logged(txn, table, tuple, bytes)? {
+            self.open.entry(txn).or_default().push(placed);
+        }
+        Ok(())
     }
 
     /// Put a row on behalf of `txn` and log it under the record id it
     /// got — on a primary and, for a shipped row, on a replica alike.
-    fn put_logged(&mut self, txn: u64, table: &str, tuple: Tuple, bytes: Vec<u8>) -> Result<()> {
+    /// `None` when the table already holds the row: nothing was written.
+    fn put_logged(
+        &mut self,
+        txn: u64,
+        table: &str,
+        tuple: Tuple,
+        bytes: Vec<u8>,
+    ) -> Result<Option<Placed>> {
         let Some(placed) = self.tables.put(table, tuple, &bytes)? else {
-            return Ok(());
+            return Ok(None);
         };
         if let Err(e) = self.wal.append(&LogRecord::RowInsert {
             txn,
@@ -413,8 +429,7 @@ impl Db {
             self.tables.take(&placed)?;
             return Err(e.into());
         }
-        self.open.entry(txn).or_default().push(placed);
-        Ok(())
+        Ok(Some(placed))
     }
 
     /// Read a whole table within a transaction (takes a shared lock).
@@ -461,23 +476,40 @@ impl Db {
             .inc();
             return Err(e.into());
         }
-        self.sync_tolerating_full();
+        // The COMMIT record is in the log, so the transaction is over
+        // whatever the sync says.
         self.open.remove(&h.0);
         self.locks.release_all(TxnId(h.0 as u32));
         if let Some((client, request)) = tag {
             self.note_request(client, request);
         }
         bq_obs::counter!("bq_core_txn_commits_total", "transactions committed").inc();
+        // Acknowledged means durable, so a failed sync fails the commit
+        // typed. Its outcome is then unknown: the record may still become
+        // durable with the next sync, or a crash may lose it first. A
+        // tagged retry resolves it (see `seen_durably`).
+        self.sync_wal()?;
         Ok(())
     }
 
-    /// Has this (client, request) pair already committed here? Consulted
-    /// by the server before applying a tagged write, making client
-    /// retries after a lost acknowledgement exactly-once.
+    /// Has this (client, request) pair already committed here? The
+    /// commit may not be durable yet: its sync may have failed.
     pub fn seen_request(&self, client: &str, request: u64) -> bool {
         self.dedup
             .get(client)
             .is_some_and(|reqs| reqs.contains(&request))
+    }
+
+    /// [`Db::seen_request`], answered only once the commit is durable: a
+    /// hit syncs the WAL first, and a failed sync is the error. Consulted
+    /// by the server before applying a tagged write, making client
+    /// retries after a lost acknowledgement exactly-once.
+    pub fn seen_durably(&mut self, client: &str, request: u64) -> Result<bool> {
+        if !self.seen_request(client, request) {
+            return Ok(false);
+        }
+        self.sync_wal()?;
+        Ok(true)
     }
 
     /// Note a committed (client, request) pair in the bounded dedup
@@ -992,62 +1024,76 @@ impl Db {
     }
 
     // ------------------------------------------------------------------
-    // Crash / recovery demonstration
+    // Crash and recovery
     // ------------------------------------------------------------------
 
-    /// Simulate a crash: drop the relations, the indexes and every open
-    /// transaction, then rebuild them from the heap files, undoing loser
-    /// transactions via the WAL (records of transactions with no COMMIT
-    /// are removed again). Returns the ids of rolled-back transactions.
+    /// Crash with the whole WAL surviving, synced or not, and recover (see
+    /// [`Db::crash_at`], which can cut the log shorter). Returns the ids
+    /// of the transactions recovery rolled back.
     pub fn simulate_crash_and_recover(&mut self) -> Result<Vec<u64>> {
-        // The crash: volatile txn state vanishes.
-        self.open.clear();
-        self.locks = LockTable::new();
+        self.crash_at(|log, _| log.len())
+    }
 
-        // Analysis over the WAL: who began and never committed? A commit
-        // closes one of the latest begins, so it is looked for from the
-        // end of the still-open list.
-        let records = self.wal.iter()?;
-        let mut losers: Vec<u64> = Vec::new();
-        for rec in &records {
+    /// Rebuild relations and indexes from the heap pages and the
+    /// surviving log. A heap record is live iff the last surviving
+    /// `RowInsert` of its key — the table and the encoded tuple, which
+    /// names one row because a table is a set — belongs to a committed
+    /// transaction. Returns the transactions the log shows begun and
+    /// neither committed nor aborted: the ones rolled back.
+    fn recover(&mut self, records: &[LogRecord]) -> Result<Vec<u64>> {
+        // Open transactions with the rows each logged. A commit or abort
+        // ends one of the latest, so it is looked for from the end.
+        let mut open: Vec<(u64, usize)> = Vec::new();
+        let mut committed_rows = 0;
+        for rec in records {
             match rec {
-                LogRecord::Begin(t) => losers.push(*t),
-                LogRecord::Commit(t) | LogRecord::TaggedCommit { txn: t, .. } => {
-                    if let Some(i) = losers.iter().rposition(|open| open == t) {
-                        losers.remove(i);
+                LogRecord::Begin(t) => open.push((*t, 0)),
+                LogRecord::RowInsert { txn, .. } => {
+                    if let Some((_, rows)) = open.iter_mut().rev().find(|(t, _)| t == txn) {
+                        *rows += 1;
                     }
                 }
-                _ => {}
-            }
-        }
-
-        // A slot can be written again once a rollback has freed it, so the
-        // last transaction to write a slot decides whether the record in it
-        // is lost. Only the slots that end with a loser are kept — none at
-        // all, and no second pass, when every transaction committed.
-        let mut lost_slots: HashSet<(u32, u16)> = HashSet::new();
-        if !losers.is_empty() {
-            let lost: HashSet<u64> = losers.iter().copied().collect();
-            for rec in &records {
-                let LogRecord::RowInsert {
-                    txn, page, slot, ..
-                } = rec
-                else {
-                    continue;
-                };
-                let slot = (page.0, *slot);
-                if lost.contains(txn) {
-                    lost_slots.insert(slot);
-                } else {
-                    lost_slots.remove(&slot);
+                LogRecord::Commit(t)
+                | LogRecord::TaggedCommit { txn: t, .. }
+                | LogRecord::Abort(t) => {
+                    if let Some(i) = open.iter().rposition(|(o, _)| o == t) {
+                        let (_, rows) = open.remove(i);
+                        if !matches!(rec, LogRecord::Abort(_)) {
+                            committed_rows += rows;
+                        }
+                    }
                 }
+                LogRecord::CreateTable { .. } | LogRecord::Checkpoint(_) => {}
             }
         }
+        let losers: Vec<u64> = open.iter().map(|(t, _)| *t).collect();
 
-        // Rebuild: physically delete the lost records, keep the others
-        // (a winner wrote them, or they predate the WAL).
+        // Rows of runtime aborts left the heap with the abort. So when no
+        // transaction is in flight and the heap holds as many records as
+        // committed transactions logged, every record is a committed row,
+        // and none needs looking up.
+        if losers.is_empty() && self.tables.record_count() == committed_rows {
+            self.tables.recover(|_, _| true)?;
+            return Ok(losers);
+        }
+        let committed: HashSet<u64> = records
+            .iter()
+            .filter_map(|rec| match rec {
+                LogRecord::Commit(t) | LogRecord::TaggedCommit { txn: t, .. } => Some(*t),
+                _ => None,
+            })
+            .collect();
+        let mut last: HashMap<(&str, &[u8]), bool> = HashMap::new();
+        for rec in records {
+            if let LogRecord::RowInsert {
+                txn, table, bytes, ..
+            } = rec
+            {
+                last.insert((table, bytes), committed.contains(txn));
+            }
+        }
         self.tables
-            .recover(|rid| lost_slots.contains(&(rid.page.0, rid.slot)))?;
+            .recover(|table, bytes| last.get(&(table, bytes)) == Some(&true))?;
         Ok(losers)
     }
 
@@ -1181,7 +1227,8 @@ impl Db {
     /// The whole image is decoded before any state is replaced, so a
     /// corrupt snapshot leaves the engine untouched; virtual-table,
     /// session, and cancel registries keep their identities so a serving
-    /// front-end survives a re-bootstrap.
+    /// front-end survives a re-bootstrap. The engine's fresh WAL starts
+    /// with the image, synced, so a crash after the load keeps it.
     pub fn apply_snapshot(&mut self, bytes: &[u8]) -> Result<u64> {
         let mut r = ByteReader::new(bytes);
         if r.u8()? != SNAPSHOT_VERSION {
@@ -1222,30 +1269,41 @@ impl Db {
         self.dedup = BTreeMap::new();
         self.dedup_order = VecDeque::new();
 
+        // The image is logged as it loads, so a crash of this engine keeps
+        // it: the committed rows, and the dedup table as tagged commits,
+        // under txn 0, which `next_txn` never hands out; each open
+        // transaction's pending rows under that transaction.
+        self.wal.append(&LogRecord::Begin(0))?;
         for (name, cols, rows) in tables {
-            self.tables.create(name, Schema::new(&cols)?)?;
+            self.create_table(name, &cols)?;
             for row in rows {
-                self.tables.put(name, codec::decode(row)?, row)?;
+                self.put_logged(0, name, codec::decode(row)?, row.to_vec())?;
+            }
+        }
+        self.wal.append(&LogRecord::Commit(0))?;
+        for (client, reqs) in dedup {
+            for request in reqs {
+                self.wal.append(&LogRecord::TaggedCommit {
+                    txn: 0,
+                    client: client.to_string(),
+                    request,
+                })?;
+                self.note_request(client, request);
             }
         }
 
         for (txn, pending) in open {
-            let mut undo = Vec::new();
+            self.wal.append(&LogRecord::Begin(txn))?;
+            self.open.insert(txn, Vec::new());
             for (table, row) in pending {
-                undo.extend(self.tables.put(table, codec::decode(row)?, row)?);
+                self.put_pending(txn, table, codec::decode(row)?, row.to_vec())?;
             }
-            self.open.insert(txn, undo);
         }
 
         for (table, column) in index_defs {
             self.create_index(table, column)?;
         }
-
-        for (client, reqs) in dedup {
-            for r in reqs {
-                self.note_request(client, r);
-            }
-        }
+        self.sync_wal()?;
 
         bq_obs::counter!(
             "bq_core_snapshots_applied_total",
@@ -1269,13 +1327,13 @@ impl Db {
             LogRecord::Commit(txn) | LogRecord::TaggedCommit { txn, .. } => {
                 self.open.remove(txn);
                 self.wal.append(rec)?;
-                self.sync_wal()?;
                 if let LogRecord::TaggedCommit {
                     client, request, ..
                 } = rec
                 {
                     self.note_request(client, *request);
                 }
+                self.sync_wal()?;
             }
             LogRecord::Abort(t) => {
                 if let Some(undo) = self.open.remove(t) {
@@ -1303,11 +1361,10 @@ impl Db {
                 // The replica's heap chooses its own location; the row
                 // is re-logged with it so local crash recovery stays
                 // consistent.
-                self.put_logged(*txn, table, codec::decode(bytes)?, bytes.clone())?;
+                self.put_pending(*txn, table, codec::decode(bytes)?, bytes.clone())?;
             }
-            LogRecord::Update { .. } | LogRecord::Checkpoint(_) => {
-                // Physical records do not participate in logical
-                // replication; nothing to apply.
+            LogRecord::Checkpoint(_) => {
+                // Nothing writes a checkpoint yet; nothing to apply.
             }
         }
         bq_obs::counter!(
@@ -1360,14 +1417,13 @@ impl Db {
     // ------------------------------------------------------------------
 
     /// Walk every heap page verifying its checksum; if any page is
-    /// corrupt, rewrite every page from the intact relations — the same
-    /// replay discipline [`bq_storage::wal::Wal::recover`]'s
-    /// `pages_restored` machinery applies to physical logs, lifted to
-    /// this engine's logical WAL. Every row re-enters a fresh heap, the
-    /// undo entries of open transactions are re-pointed, and the indexes
-    /// are rebuilt over the new record ids. Heap placements may differ
-    /// from the originals — like a replica's — which
-    /// [`Db::content_fingerprint`] is insensitive to by design.
+    /// corrupt, rewrite every page from the intact relations. Every row
+    /// re-enters a fresh heap, the undo entries of open transactions are
+    /// re-pointed, and the indexes are rebuilt over the new record ids.
+    /// Heap placements may differ from the originals — like a replica's —
+    /// which [`Db::content_fingerprint`] is insensitive to by design, and
+    /// so is crash recovery, which finds a row by its key, not by where
+    /// its `RowInsert` says it went. Nothing is logged.
     /// Returns `(pages_checked, pages_restored)`.
     pub fn scrub_pages(&mut self) -> Result<(usize, usize)> {
         let (n, corrupt) = self.tables.verify_pages()?;
@@ -1397,6 +1453,37 @@ impl Db {
     /// the damage [`Db::scrub_pages`] exists to find and repair.
     pub fn corrupt_page(&mut self, page: u32) -> Result<()> {
         self.tables.corrupt_page(page)
+    }
+
+    /// Chaos hook: crash with the WAL cut where `cut` says, and recover.
+    /// `cut` sees the whole log and its synced length and names the byte
+    /// to cut at; a synced byte is never lost, and a cut inside a record
+    /// tears it. Relations, indexes, open transactions, locks and the
+    /// dedup table are lost with the process; the heap pages and the
+    /// catalog (tables and index definitions) stay as written. Returns the
+    /// ids of the transactions recovery rolled back. A corrupt heap page
+    /// fails recovery with a typed `Corruption` error, and the tables are
+    /// then not to be trusted.
+    pub fn crash_at(&mut self, cut: impl FnOnce(&[u8], usize) -> usize) -> Result<Vec<u64>> {
+        self.open.clear();
+        self.locks = LockTable::new();
+        let len = self.wal.byte_len();
+        let records = self.wal.crash(cut)?;
+        // The dedup table is the log's tagged commits replayed in order, so
+        // only a crash that cut the log can change it.
+        if self.wal.byte_len() < len {
+            self.dedup.clear();
+            self.dedup_order.clear();
+            for rec in &records {
+                if let LogRecord::TaggedCommit {
+                    client, request, ..
+                } = rec
+                {
+                    self.note_request(client, *request);
+                }
+            }
+        }
+        self.recover(&records)
     }
 }
 
@@ -1489,7 +1576,9 @@ mod tests {
         assert_eq!(db.lookup("t", "b", &Value::Int(2)).unwrap().len(), 1);
         assert_eq!(db.content_fingerprint(), before);
         // The duplicate was not logged.
-        let records = db.wal.iter().unwrap();
+        let records = Wal::decode_stream(&db.wal_durable_bytes(0, usize::MAX))
+            .unwrap()
+            .0;
         let is_insert = |r: &&LogRecord| matches!(r, LogRecord::RowInsert { .. });
         assert_eq!(records.iter().filter(is_insert).count(), 1);
         db.simulate_crash_and_recover().unwrap();
@@ -1568,7 +1657,9 @@ mod tests {
         db.corrupt_page(0).unwrap();
         assert_eq!(db.scrub_pages().unwrap(), (1, 1));
         db.insert("emp", row("yan")).unwrap();
-        let log = db.wal.iter().unwrap();
+        let log = Wal::decode_stream(&db.wal_durable_bytes(0, usize::MAX))
+            .unwrap()
+            .0;
         let slots = log.iter().filter_map(|r| match r {
             LogRecord::RowInsert { page, slot, .. } => Some((page.0, *slot)),
             _ => None,
@@ -1581,8 +1672,9 @@ mod tests {
         db.insert_in(open, "emp", row("wes")).unwrap();
         db.insert_in(open, "emp", row("vic")).unwrap();
 
+        // The rolled-back transaction ended with its ABORT: not a loser.
         let losers = db.simulate_crash_and_recover().unwrap();
-        assert_eq!(losers, vec![aborted.0, open.0]);
+        assert_eq!(losers, vec![open.0]);
         let names = db.sql("select e.name from emp e").unwrap();
         let want = ["ann", "bob", "eve", "yan"].map(|n| tup![n]);
         assert_eq!(names.tuples(), want, "yan's slot ends with a winner");
@@ -2132,7 +2224,8 @@ mod tests {
         check(&primary, "snapshot export");
 
         // A replica's engine publishes to its own watch as it applies,
-        // and a re-bootstrap moves the horizon back with the fresh WAL.
+        // and a re-bootstrap moves the horizon to the end of the image its
+        // fresh WAL starts with.
         let mut replica = Db::new();
         let applied = replica.wal_watch();
         ship(&primary, &mut replica, 0);
@@ -2141,8 +2234,8 @@ mod tests {
         replica
             .apply_snapshot(&primary.snapshot_bytes().unwrap())
             .unwrap();
-        assert_eq!(applied.horizon(), 0);
-        assert_eq!(replica.wal_durable_len(), 0);
+        assert_eq!(applied.horizon(), replica.wal_durable_len());
+        assert_eq!(replica.wal_durable_len() as usize, replica.wal.byte_len());
     }
 
     #[test]

@@ -203,21 +203,9 @@ impl QueryContext {
         self
     }
 
-    /// Share an existing budget (e.g. one session-wide ledger).
-    pub fn with_budget(mut self, budget: MemoryBudget) -> QueryContext {
-        self.budget = Some(budget);
-        self
-    }
-
     /// Cap fixpoint evaluation at `n` iterations.
     pub fn with_max_iterations(mut self, n: u64) -> QueryContext {
         self.max_iterations = Some(n);
-        self
-    }
-
-    /// Use `token` instead of the context's own fresh token.
-    pub fn with_cancel(mut self, token: CancelToken) -> QueryContext {
-        self.cancel = token;
         self
     }
 

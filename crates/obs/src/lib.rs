@@ -30,6 +30,6 @@ pub use registry::{
     LATENCY_BUCKETS_US, SIZE_BUCKETS,
 };
 pub use tracer::{
-    buffered, drain, enabled, flame_text, now_us, ring_capacity, set_enabled, set_ring_capacity,
-    span, span_with, spans_json, FinishedSpan, SpanGuard,
+    buffered, drain, enabled, flame_text, now_us, set_enabled, set_ring_capacity, span, span_with,
+    spans_json, FinishedSpan, SpanGuard,
 };

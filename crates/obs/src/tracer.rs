@@ -104,11 +104,6 @@ pub fn set_ring_capacity(capacity: usize) -> usize {
     capacity
 }
 
-/// The ring's current capacity bound.
-pub fn ring_capacity() -> usize {
-    ring().lock().expect("span ring poisoned").capacity
-}
-
 /// Open a span with no fields. Prefer the [`span!`](crate::span) macro,
 /// which skips field formatting when tracing is off.
 pub fn span(name: &'static str) -> SpanGuard {

@@ -173,12 +173,6 @@ impl Server {
         self.shared.read_only.store(read_only, Ordering::Relaxed);
     }
 
-    /// Is the server currently refusing mutations?
-    pub fn is_read_only(&self) -> bool {
-        // relaxed: advisory mode flag, see set_read_only().
-        self.shared.read_only.load(Ordering::Relaxed)
-    }
-
     /// Graceful shutdown: stop accepting, half-close every connection so
     /// idle sessions drain out, wait up to `drain` for in-flight
     /// statements to finish and flush their responses, then cancel
@@ -739,7 +733,8 @@ fn run_tagged(
     }
     // One write-lock scope covers the dedup probe and the apply: two
     // racing retries of the same request id serialize here, so exactly
-    // one commits and the other answers as a duplicate.
+    // one commits and the other answers as a duplicate — only once a sync
+    // covers the commit, whose own sync may have failed.
     enum Applied {
         Duplicate,
         Committed(u64),
@@ -747,13 +742,13 @@ fn run_tagged(
     }
     let applied = {
         let mut db = shared.db.write().unwrap_or_else(|e| e.into_inner());
-        if db.seen_request(client, request) {
-            Applied::Duplicate
-        } else {
-            match db.insert_tagged(&table, row, client, request) {
+        match db.seen_durably(client, request) {
+            Ok(true) => Applied::Duplicate,
+            Ok(false) => match db.insert_tagged(&table, row, client, request) {
                 Ok(()) => Applied::Committed(db.wal_durable_len()),
                 Err(e) => Applied::Failed(crate::driver::DriverError::from_core(e)),
-            }
+            },
+            Err(e) => Applied::Failed(crate::driver::DriverError::from_core(e)),
         }
     };
     match applied {

@@ -8,8 +8,10 @@
 //! recursive query evaluation), not about any particular product, so this
 //! substrate is deliberately *simulated*: pages live in memory rather than on
 //! disk, but every structure — slotted pages, heap files, a buffer pool with
-//! clock eviction, a B+-tree index, and a write-ahead log with redo/undo
-//! recovery — exercises the same code paths a disk-backed engine would.
+//! clock eviction, a B+-tree index, and a write-ahead log whose crash can
+//! lose any unsynced suffix — exercises the same code paths a disk-backed
+//! engine would. Recovery is not here: the engine that writes the log
+//! (bq-core's `Db`) reads its records back after a crash.
 //!
 //! ## Layout
 //!
@@ -18,7 +20,7 @@
 //! * [`heap`] — unordered heap files of variable-length records.
 //! * [`buffer`] — a pin-count buffer pool with clock (second-chance) eviction.
 //! * [`btree`] — an order-configurable B+-tree with linked leaves.
-//! * [`wal`] — a write-ahead log plus a redo/undo recovery routine.
+//! * [`wal`] — a write-ahead log of logical records with a durable prefix.
 
 pub mod btree;
 pub mod buffer;
@@ -34,7 +36,7 @@ pub use error::StorageError;
 pub use heap::{HeapFile, RecordId};
 pub use page::{Page, PageId, PageStore, PAGE_SIZE};
 pub use slotted::SlottedPage;
-pub use wal::{LogRecord, Lsn, RecoveryReport, Wal};
+pub use wal::{LogRecord, Lsn, Wal};
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, StorageError>;

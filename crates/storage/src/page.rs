@@ -9,7 +9,6 @@ use crate::error::StorageError;
 use crate::Result;
 use bq_util::fnv1a32;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Size of every page in bytes.
 pub const PAGE_SIZE: usize = 4096;
@@ -101,11 +100,6 @@ impl Page {
         // lint: allow(panic) the 0..4 range is exactly 4 bytes
         let stored = u32::from_le_bytes(self.data[0..4].try_into().expect("4 bytes"));
         (stored, self.compute_checksum())
-    }
-
-    /// Freeze into immutable shared bytes (cheaply cloneable for readers).
-    pub fn freeze(self) -> Arc<[u8]> {
-        self.data.into()
     }
 }
 

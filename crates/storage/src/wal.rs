@@ -1,17 +1,14 @@
-//! Write-ahead log with redo/undo crash recovery.
+//! Write-ahead log.
 //!
-//! The log is an append-only byte buffer of self-delimiting records. Each
-//! record carries a transaction id; updates carry physical before/after
-//! images of a page byte range, which makes both redo and undo trivial and
-//! idempotent — exactly the discipline the transaction-processing tradition
-//! the paper surveys ("reliability and recovery") formalised.
-//!
-//! [`Wal::recover`] implements a two-pass ARIES-style protocol over an
-//! in-memory [`PageStore`]: a redo pass replays every update in log order,
-//! then an undo pass rolls back updates of transactions with no COMMIT.
+//! The log is an append-only byte buffer of self-delimiting logical
+//! records, each carrying a transaction id. It knows which prefix of
+//! itself is durable ([`Wal::synced_len`]) and how a crash treats the rest
+//! (any longer prefix may survive, torn records included), but it holds no
+//! recovery routine: the engine that writes the records (bq-core's `Db`)
+//! decides after a crash what they mean.
 
 use crate::error::StorageError;
-use crate::page::{Page, PageId, PageStore};
+use crate::page::PageId;
 use crate::Result;
 use bq_util::{ByteReader, ByteWriter, DecodeError};
 
@@ -24,7 +21,8 @@ pub type TxnId = u64;
 const TAG_BEGIN: u8 = 1;
 const TAG_COMMIT: u8 = 2;
 const TAG_ABORT: u8 = 3;
-const TAG_UPDATE: u8 = 4;
+// Tag 4 stays unassigned: logs once defined it as a page-image update,
+// and a log holding one must be refused as corrupt, not misread.
 const TAG_CHECKPOINT: u8 = 5;
 const TAG_CREATE_TABLE: u8 = 6;
 const TAG_ROW_INSERT: u8 = 7;
@@ -37,21 +35,9 @@ pub enum LogRecord {
     Begin(TxnId),
     /// Transaction committed; its effects must survive recovery.
     Commit(TxnId),
-    /// Transaction aborted by the system; treated as a loser in recovery.
+    /// Transaction rolled back; its rows left the heap before this
+    /// record was written.
     Abort(TxnId),
-    /// A physical update to `len = before.len()` bytes of a page payload.
-    Update {
-        /// Transaction that performed the update.
-        txn: TxnId,
-        /// Page updated.
-        page: PageId,
-        /// Byte offset within the page payload.
-        offset: u32,
-        /// Pre-image (for undo).
-        before: Vec<u8>,
-        /// Post-image (for redo).
-        after: Vec<u8>,
-    },
     /// Fuzzy checkpoint marker (active transaction list).
     Checkpoint(Vec<TxnId>),
     /// Logical DDL: a table was created. Column types travel as raw
@@ -63,9 +49,10 @@ pub enum LogRecord {
         cols: Vec<(String, u8)>,
     },
     /// Logical row insert: the encoded tuple plus the heap location the
-    /// primary chose for it. Replicas replay the tuple through their own
-    /// heap (locations may differ); crash recovery uses the location to
-    /// identify the owning transaction of a heap record.
+    /// writer chose for it. Replicas replay the tuple through their own
+    /// heap (locations may differ), and crash recovery addresses the row
+    /// by table and bytes, so the location is a record of where the row
+    /// went, not a key.
     RowInsert {
         /// Transaction that inserted the row.
         txn: TxnId,
@@ -108,22 +95,6 @@ impl LogRecord {
             LogRecord::Abort(t) => {
                 buf.put_u8(TAG_ABORT);
                 buf.put_u64(*t);
-            }
-            LogRecord::Update {
-                txn,
-                page,
-                offset,
-                before,
-                after,
-            } => {
-                buf.put_u8(TAG_UPDATE);
-                buf.put_u64(*txn);
-                buf.put_u32(page.0);
-                buf.put_u32(*offset);
-                buf.put_u32(before.len() as u32);
-                buf.put_u32(after.len() as u32);
-                buf.extend_from_slice(before);
-                buf.extend_from_slice(after);
             }
             LogRecord::Checkpoint(active) => {
                 buf.put_u8(TAG_CHECKPOINT);
@@ -178,20 +149,6 @@ impl LogRecord {
             TAG_BEGIN => LogRecord::Begin(r.u64()?),
             TAG_COMMIT => LogRecord::Commit(r.u64()?),
             TAG_ABORT => LogRecord::Abort(r.u64()?),
-            TAG_UPDATE => {
-                let txn = r.u64()?;
-                let page = PageId(r.u32()?);
-                let offset = r.u32()?;
-                let before_len = r.u32()? as usize;
-                let after_len = r.u32()? as usize;
-                LogRecord::Update {
-                    txn,
-                    page,
-                    offset,
-                    before: r.take(before_len)?.to_vec(),
-                    after: r.take(after_len)?.to_vec(),
-                }
-            }
             TAG_CHECKPOINT => LogRecord::Checkpoint(r.list(8, ByteReader::u64)?),
             TAG_CREATE_TABLE => LogRecord::CreateTable {
                 name: r.str()?.to_owned(),
@@ -232,31 +189,8 @@ impl LogRecord {
     }
 }
 
-/// Summary of a recovery run.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Transactions whose COMMIT was found (winners).
-    pub committed: Vec<TxnId>,
-    /// Transactions with no COMMIT (losers, rolled back).
-    pub rolled_back: Vec<TxnId>,
-    /// Updates replayed in the redo pass.
-    pub redone: usize,
-    /// Updates reverted in the undo pass.
-    pub undone: usize,
-    /// LSN of a torn trailing record (crash mid-append), if one was
-    /// found; everything before it recovered normally.
-    pub torn_tail: Option<Lsn>,
-    /// Pages whose on-disk image failed its checksum and were rebuilt
-    /// from scratch by replaying the log.
-    pub pages_restored: usize,
-}
-
 /// An append-only write-ahead log.
-///
-/// `Clone` is deliberate: crash harnesses clone the log, truncate the
-/// clone at an arbitrary byte, and recover from it, without disturbing
-/// the live instance.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct Wal {
     buf: Vec<u8>,
     records: usize,
@@ -275,8 +209,8 @@ impl Wal {
     ///
     /// Failpoint `wal.append.torn`: only a prefix of the encoded record
     /// reaches the log — the write was torn by a crash mid-append. The
-    /// caller is expected to stop writing (the process "died"); recovery
-    /// treats the partial record as end-of-log.
+    /// caller is expected to stop writing (the process "died"), and
+    /// [`Wal::crash`] drops the partial record.
     ///
     /// Failpoint `wal.append.enospc`: the log device is full — the write
     /// is refused with [`StorageError::DiskFull`] and the log is left
@@ -402,134 +336,31 @@ impl Wal {
         Ok((out, consumed))
     }
 
-    /// Decode every complete record in order. A truncated trailing
-    /// record (crash mid-append) is treated as end-of-log, not an error;
-    /// use [`Wal::iter_with_tail`] to learn where the tear was. Only an
-    /// invalid tag — real corruption in the middle of the log — yields
-    /// [`StorageError::CorruptLog`].
-    pub fn iter(&self) -> Result<Vec<LogRecord>> {
-        Ok(self.iter_with_tail()?.0)
-    }
-
-    /// Decode every complete record, and the LSN of a torn trailing
-    /// record if the log ends mid-record.
-    pub fn iter_with_tail(&self) -> Result<(Vec<LogRecord>, Option<Lsn>)> {
+    /// A crash of the log device. `cut` sees the whole log and its synced
+    /// length and names the byte the crash cuts at; every byte past it is
+    /// lost, and a synced byte never is (the cut is clamped into
+    /// `synced_len..=byte_len`). A record the cut tears is dropped too, so
+    /// the log ends at its last complete record and the next append
+    /// decodes. Returns the surviving records.
+    pub fn crash(&mut self, cut: impl FnOnce(&[u8], usize) -> usize) -> Result<Vec<LogRecord>> {
+        let keep = cut(&self.buf, self.synced_len).clamp(self.synced_len, self.buf.len());
+        self.buf.truncate(keep);
         let mut out = Vec::with_capacity(self.records);
         let end = LogRecord::decode_prefix(&self.buf, &mut out)?;
-        if end == self.buf.len() {
-            return Ok((out, None));
+        if end < keep {
+            bq_obs::counter!(
+                "bq_storage_wal_torn_tails_total",
+                "torn trailing WAL records discarded by a crash"
+            )
+            .inc();
+            // A torn record is dropped even if a sync covered it.
+            self.buf.truncate(end);
+            self.synced_len = self.synced_len.min(end);
         }
-        bq_obs::counter!(
-            "bq_storage_wal_torn_tails_total",
-            "torn trailing WAL records discarded at recovery"
-        )
-        .inc();
-        Ok((out, Some(end as Lsn)))
-    }
-
-    /// Truncate the log to `len` bytes — simulates a crash mid-append.
-    pub fn truncate(&mut self, len: usize) {
-        self.buf.truncate(len);
-        self.synced_len = self.synced_len.min(len);
-    }
-
-    /// ARIES-style recovery: redo all updates in log order, then undo the
-    /// updates of every transaction without a COMMIT record, in reverse
-    /// order. Pages touched are sealed with the final state.
-    ///
-    /// Robust against two crash artifacts: a torn trailing record is
-    /// treated as end-of-log (reported via
-    /// [`RecoveryReport::torn_tail`]), and a page whose stored image
-    /// fails its checksum is rebuilt from scratch by the redo pass
-    /// (possible because this log is never checkpoint-truncated, so it
-    /// holds every update since the page was born).
-    pub fn recover(&self, store: &mut PageStore) -> Result<RecoveryReport> {
-        bq_obs::counter!("bq_storage_recoveries_total", "WAL recovery runs").inc();
-        let (records, torn_tail) = self.iter_with_tail()?;
-        let mut committed: Vec<TxnId> = Vec::new();
-        let mut started: Vec<TxnId> = Vec::new();
-        for rec in &records {
-            match rec {
-                LogRecord::Begin(t) if !started.contains(t) => started.push(*t),
-                LogRecord::Commit(t) => committed.push(*t),
-                LogRecord::TaggedCommit { txn, .. } => committed.push(*txn),
-                _ => {}
-            }
-        }
-        let losers: Vec<TxnId> = started
-            .iter()
-            .copied()
-            .filter(|t| !committed.contains(t))
-            .collect();
-
-        let mut report = RecoveryReport {
-            committed: committed.clone(),
-            rolled_back: losers.clone(),
-            torn_tail,
-            ..RecoveryReport::default()
-        };
-
-        // Redo pass: replay every update, winners and losers alike. A
-        // corrupt page image is replaced with a fresh zeroed page — the
-        // log replays its entire history.
-        for rec in &records {
-            if let LogRecord::Update {
-                page,
-                offset,
-                after,
-                ..
-            } = rec
-            {
-                let mut p = match store.read(*page) {
-                    Ok(p) => p,
-                    Err(StorageError::Corruption { .. }) => {
-                        report.pages_restored += 1;
-                        bq_obs::counter!(
-                            "bq_storage_recovery_page_restores_total",
-                            "corrupt pages rebuilt from the log during recovery"
-                        )
-                        .inc();
-                        Page::new()
-                    }
-                    Err(e) => return Err(e),
-                };
-                let start = *offset as usize;
-                p.payload_mut()[start..start + after.len()].copy_from_slice(after);
-                store.write(*page, p)?;
-                report.redone += 1;
-            }
-        }
-
-        // Undo pass: revert loser updates in reverse log order.
-        for rec in records.iter().rev() {
-            if let LogRecord::Update {
-                txn,
-                page,
-                offset,
-                before,
-                ..
-            } = rec
-            {
-                if losers.contains(txn) {
-                    let mut p = store.read(*page)?;
-                    let start = *offset as usize;
-                    p.payload_mut()[start..start + before.len()].copy_from_slice(before);
-                    store.write(*page, p)?;
-                    report.undone += 1;
-                }
-            }
-        }
-        bq_obs::counter!(
-            "bq_storage_recovery_redo_total",
-            "updates replayed by recovery"
-        )
-        .add(report.redone as u64);
-        bq_obs::counter!(
-            "bq_storage_recovery_undo_total",
-            "updates reverted by recovery"
-        )
-        .add(report.undone as u64);
-        Ok(report)
+        let synced = self.records.saturating_sub(self.unsynced);
+        self.records = out.len();
+        self.unsynced = self.records.saturating_sub(synced);
+        Ok(out)
     }
 }
 
@@ -537,13 +368,18 @@ impl Wal {
 mod tests {
     use super::*;
 
-    fn update(txn: TxnId, page: PageId, offset: u32, before: &[u8], after: &[u8]) -> LogRecord {
-        LogRecord::Update {
+    /// Every complete record of `wal`, in order.
+    fn records(wal: &Wal) -> Result<Vec<LogRecord>> {
+        Ok(Wal::decode_stream(&wal.buf)?.0)
+    }
+
+    fn row_insert(txn: TxnId, bytes: &[u8]) -> LogRecord {
+        LogRecord::RowInsert {
             txn,
-            page,
-            offset,
-            before: before.to_vec(),
-            after: after.to_vec(),
+            page: PageId(0),
+            slot: 0,
+            table: "t".to_string(),
+            bytes: bytes.to_vec(),
         }
     }
 
@@ -552,7 +388,7 @@ mod tests {
         let mut wal = Wal::new();
         let recs = vec![
             LogRecord::Begin(1),
-            update(1, PageId(3), 10, b"old", b"new"),
+            row_insert(1, b"new"),
             LogRecord::Checkpoint(vec![1, 2]),
             LogRecord::Commit(1),
             LogRecord::Abort(2),
@@ -560,7 +396,7 @@ mod tests {
         for r in &recs {
             wal.append(r).unwrap();
         }
-        assert_eq!(wal.iter().unwrap(), recs);
+        assert_eq!(records(&wal).unwrap(), recs);
         assert_eq!(wal.record_count(), 5);
     }
 
@@ -589,26 +425,7 @@ mod tests {
         for r in &recs {
             wal.append(r).unwrap();
         }
-        assert_eq!(wal.iter().unwrap(), recs);
-    }
-
-    #[test]
-    fn tagged_commit_is_a_winner_in_recovery() {
-        let mut store = PageStore::new();
-        let pid = store.allocate();
-        let mut wal = Wal::new();
-        wal.append(&LogRecord::Begin(1)).unwrap();
-        wal.append(&update(1, pid, 0, b"\0", b"T")).unwrap();
-        wal.append(&LogRecord::TaggedCommit {
-            txn: 1,
-            client: "c".to_string(),
-            request: 1,
-        })
-        .unwrap();
-        let report = wal.recover(&mut store).unwrap();
-        assert_eq!(report.committed, vec![1]);
-        assert!(report.rolled_back.is_empty());
-        assert_eq!(store.read(pid).unwrap().payload()[0], b'T');
+        assert_eq!(records(&wal).unwrap(), recs);
     }
 
     #[test]
@@ -660,16 +477,17 @@ mod tests {
     fn torn_trailing_record_is_end_of_log() {
         let mut wal = Wal::new();
         wal.append(&LogRecord::Begin(1)).unwrap();
-        let tear = wal
-            .append(&update(1, PageId(0), 0, b"aaaa", b"bbbb"))
-            .unwrap();
-        let full = wal.byte_len();
-        wal.truncate(full - 2);
-        // The torn record is dropped; everything before it survives.
-        let (records, tail) = wal.iter_with_tail().unwrap();
-        assert_eq!(records, vec![LogRecord::Begin(1)]);
-        assert_eq!(tail, Some(tear));
-        assert_eq!(wal.iter().unwrap(), vec![LogRecord::Begin(1)]);
+        let tear = wal.append(&row_insert(1, b"bbbb")).unwrap();
+        // The crash tears the insert two bytes short of its end: the torn
+        // record is dropped, everything before it survives, and the log
+        // ends where the torn record began.
+        let survivors = wal.crash(|log, _| log.len() - 2).unwrap();
+        assert_eq!(survivors, vec![LogRecord::Begin(1)]);
+        assert_eq!(wal.byte_len() as Lsn, tear);
+        assert_eq!(records(&wal).unwrap(), survivors);
+        // The next append decodes.
+        wal.append(&LogRecord::Abort(1)).unwrap();
+        assert_eq!(records(&wal).unwrap().len(), 2);
     }
 
     #[test]
@@ -679,30 +497,20 @@ mod tests {
         let pos = wal.byte_len();
         wal.buf.push(0xEE); // not a valid tag
         wal.buf.extend_from_slice(&[0; 8]);
-        assert_eq!(wal.iter(), Err(StorageError::CorruptLog(pos)));
+        assert_eq!(records(&wal), Err(StorageError::CorruptLog(pos)));
     }
 
+    /// The retired page-image tag decodes to a typed refusal, whatever
+    /// bytes follow it: here, the last pinned encoding it had.
     #[test]
-    fn recovery_rolls_back_transaction_with_torn_record() {
-        let mut store = PageStore::new();
-        let pid = store.allocate();
-        let mut wal = Wal::new();
-        // T1 commits fully; T2's update is torn mid-append by the crash.
-        wal.append(&LogRecord::Begin(1)).unwrap();
-        wal.append(&update(1, pid, 0, b"\0", b"C")).unwrap();
-        wal.append(&LogRecord::Commit(1)).unwrap();
-        wal.append(&LogRecord::Begin(2)).unwrap();
-        let tear = wal.append(&update(2, pid, 1, b"\0", b"L")).unwrap();
-        let full = wal.byte_len();
-        wal.truncate(full - 3);
-
-        let report = wal.recover(&mut store).unwrap();
-        assert_eq!(report.committed, vec![1]);
-        assert_eq!(report.rolled_back, vec![2]);
-        assert_eq!(report.torn_tail, Some(tear));
-        let page = store.read(pid).unwrap();
-        assert_eq!(page.payload()[0], b'C');
-        assert_eq!(page.payload()[1], 0, "torn loser update never replayed");
+    fn the_retired_update_tag_is_refused() {
+        let mut bytes = vec![4];
+        bytes.extend_from_slice(&4u64.to_le_bytes());
+        for n in [5u32, 6, 2, 2] {
+            bytes.extend_from_slice(&n.to_le_bytes());
+        }
+        bytes.extend_from_slice(b"abcd");
+        assert_eq!(Wal::decode_stream(&bytes), Err(StorageError::CorruptLog(0)));
     }
 
     #[test]
@@ -715,13 +523,12 @@ mod tests {
             bq_faults::Policy::new(bq_faults::Action::Corrupt, bq_faults::Trigger::Nth(1))
                 .caller_thread(),
         );
-        let tear = wal
-            .append(&update(9, PageId(0), 0, b"xxxx", b"yyyy"))
-            .unwrap();
+        let tear = wal.append(&row_insert(9, b"yyyy")).unwrap();
         bq_faults::off(site);
-        let (records, tail) = wal.iter_with_tail().unwrap();
-        assert_eq!(records, vec![LogRecord::Begin(9)]);
-        assert_eq!(tail, Some(tear));
+        assert!(wal.byte_len() as Lsn > tear, "a fragment reached the log");
+        let survivors = wal.crash(|log, _| log.len()).unwrap();
+        assert_eq!(survivors, vec![LogRecord::Begin(9)]);
+        assert_eq!(wal.byte_len() as Lsn, tear, "the fragment is gone");
     }
 
     #[test]
@@ -751,9 +558,8 @@ mod tests {
             "the commit record is still volatile"
         );
         // A crash that preserves only the durable prefix loses the commit.
-        let mut crashed = wal.clone();
-        crashed.truncate(crashed.synced_len());
-        assert_eq!(crashed.iter().unwrap(), vec![LogRecord::Begin(1)]);
+        let survivors = wal.crash(|_, synced| synced).unwrap();
+        assert_eq!(survivors, vec![LogRecord::Begin(1)]);
     }
 
     #[test]
@@ -761,115 +567,17 @@ mod tests {
         let mut wal = Wal::new();
         wal.append(&LogRecord::Begin(1)).unwrap();
         wal.sync().unwrap();
-        wal.truncate(1);
-        assert_eq!(wal.synced_len(), 1);
-    }
-
-    #[test]
-    fn recovery_redoes_committed_and_undoes_losers() {
-        let mut store = PageStore::new();
-        let pid = store.allocate();
-
-        let mut wal = Wal::new();
-        // T1 commits: writes "C" at offset 0.
-        wal.append(&LogRecord::Begin(1)).unwrap();
-        wal.append(&update(1, pid, 0, b"\0", b"C")).unwrap();
         wal.append(&LogRecord::Commit(1)).unwrap();
-        // T2 never commits: writes "L" at offset 1.
-        wal.append(&LogRecord::Begin(2)).unwrap();
-        wal.append(&update(2, pid, 1, b"\0", b"L")).unwrap();
-
-        // Crash: page store still holds the original zeroes (no flush).
-        let report = wal.recover(&mut store).unwrap();
-        assert_eq!(report.committed, vec![1]);
-        assert_eq!(report.rolled_back, vec![2]);
-        assert_eq!(report.redone, 2);
-        assert_eq!(report.undone, 1);
-
-        let page = store.read(pid).unwrap();
-        assert_eq!(page.payload()[0], b'C', "winner effect survives");
-        assert_eq!(page.payload()[1], 0, "loser effect rolled back");
-    }
-
-    #[test]
-    fn recovery_handles_stolen_dirty_pages() {
-        // A loser's page got flushed before the crash (STEAL policy):
-        // undo must still revert it.
-        let mut store = PageStore::new();
-        let pid = store.allocate();
-        let mut wal = Wal::new();
-        wal.append(&LogRecord::Begin(7)).unwrap();
-        wal.append(&update(7, pid, 5, b"\0\0", b"XY")).unwrap();
-        // Simulate the flush of the dirty page.
-        let mut p = store.read(pid).unwrap();
-        p.payload_mut()[5..7].copy_from_slice(b"XY");
-        store.write(pid, p).unwrap();
-
-        let report = wal.recover(&mut store).unwrap();
-        assert_eq!(report.rolled_back, vec![7]);
-        let page = store.read(pid).unwrap();
-        assert_eq!(&page.payload()[5..7], b"\0\0");
-    }
-
-    #[test]
-    fn recovery_is_idempotent() {
-        let mut store = PageStore::new();
-        let pid = store.allocate();
-        let mut wal = Wal::new();
-        wal.append(&LogRecord::Begin(1)).unwrap();
-        wal.append(&update(1, pid, 0, b"\0\0\0", b"abc")).unwrap();
+        // A cut below the synced length is clamped up to it ...
+        let survivors = wal.crash(|_, _| 1).unwrap();
+        assert_eq!(survivors, vec![LogRecord::Begin(1)]);
+        assert_eq!(wal.byte_len(), wal.synced_len());
+        // ... and one past the end keeps the whole log.
         wal.append(&LogRecord::Commit(1)).unwrap();
-        wal.recover(&mut store).unwrap();
-        wal.recover(&mut store).unwrap();
-        let page = store.read(pid).unwrap();
-        assert_eq!(&page.payload()[..3], b"abc");
-    }
-
-    #[test]
-    fn multiple_updates_same_txn_undone_in_reverse() {
-        let mut store = PageStore::new();
-        let pid = store.allocate();
-        let mut wal = Wal::new();
-        wal.append(&LogRecord::Begin(1)).unwrap();
-        // Two overlapping updates to the same byte; undo must restore "\0".
-        wal.append(&update(1, pid, 0, b"\0", b"A")).unwrap();
-        wal.append(&update(1, pid, 0, b"A", b"B")).unwrap();
-        let report = wal.recover(&mut store).unwrap();
-        assert_eq!(report.undone, 2);
-        let page = store.read(pid).unwrap();
-        assert_eq!(page.payload()[0], 0);
-    }
-
-    #[test]
-    fn recovery_rebuilds_corrupt_page_from_log() {
-        let mut store = PageStore::new();
-        let pid = store.allocate();
-        let mut wal = Wal::new();
-        wal.append(&LogRecord::Begin(1)).unwrap();
-        wal.append(&update(1, pid, 0, b"\0\0\0", b"abc")).unwrap();
-        wal.append(&LogRecord::Commit(1)).unwrap();
-        // Flush the page, then rot a byte of its stored image.
-        let mut p = store.read(pid).unwrap();
-        p.payload_mut()[..3].copy_from_slice(b"abc");
-        store.write(pid, p).unwrap();
-        store.corrupt(pid, crate::page::HEADER_SIZE + 100).unwrap();
-
-        let report = wal.recover(&mut store).unwrap();
-        assert_eq!(report.pages_restored, 1);
-        let page = store.read(pid).unwrap();
-        assert_eq!(&page.payload()[..3], b"abc");
-    }
-
-    #[test]
-    fn aborted_transaction_is_a_loser() {
-        let mut store = PageStore::new();
-        let pid = store.allocate();
-        let mut wal = Wal::new();
-        wal.append(&LogRecord::Begin(4)).unwrap();
-        wal.append(&update(4, pid, 2, b"\0", b"Z")).unwrap();
-        wal.append(&LogRecord::Abort(4)).unwrap();
-        let report = wal.recover(&mut store).unwrap();
-        assert_eq!(report.rolled_back, vec![4]);
-        assert_eq!(store.read(pid).unwrap().payload()[2], 0);
+        let len = wal.byte_len();
+        wal.crash(|_, _| usize::MAX).unwrap();
+        assert_eq!(wal.byte_len(), len);
+        // A sync after a crash counts just the records appended since.
+        assert_eq!(wal.sync().unwrap(), 1);
     }
 }

@@ -10,6 +10,7 @@
 use big_queries::bq_core::Db;
 use big_queries::bq_exec::engine::SET_BUILD;
 use big_queries::bq_exec::{lower, ExecMode, Executor, PhysPlan};
+use big_queries::bq_faults::{self as faults, Action, Policy, Trigger};
 use big_queries::bq_governor::QueryContext;
 use big_queries::bq_relational::algebra::eval::eval;
 use big_queries::bq_relational::algebra::expr::{Expr, Operand, Predicate};
@@ -19,6 +20,16 @@ use big_queries::bq_relational::error::RelError;
 use big_queries::bq_relational::value::CmpOp;
 use big_queries::bq_relational::{Relation, Schema, Tuple, Type, Value};
 use big_queries::bq_util::{Rng, SplitMix64};
+use std::sync::{RwLock, RwLockReadGuard};
+
+/// `exec.morsel.panic` is armed process-wide (the panic must land on a
+/// worker thread), so the test that arms it runs alone: it takes this
+/// lock exclusively and every other test takes it shared.
+static FAILPOINTS: RwLock<()> = RwLock::new(());
+
+fn unarmed() -> RwLockReadGuard<'static, ()> {
+    FAILPOINTS.read().unwrap_or_else(|e| e.into_inner())
+}
 
 /// What every generator seed below is xor-ed with: unset (or 0) keeps the
 /// cases this suite has always run, any other value explores new ones.
@@ -254,6 +265,7 @@ fn assert_engine_agrees(
 /// each executed under sequential mode and worker counts 1/2/4/8.
 #[test]
 fn engine_agrees_with_oracle_on_random_expressions() {
+    let _g = unarmed();
     let mut rng = seeded(0xe8ec_2024);
     let (mut ok_cases, mut err_cases, mut nonempty) = (0u32, 0u32, 0u32);
     for case in 0..240 {
@@ -383,6 +395,7 @@ fn scan_pred(rng: &mut SplitMix64, cols: &[(String, Type)]) -> (Predicate, bool)
 /// worker count.
 #[test]
 fn selections_over_base_tables_agree_with_oracle() {
+    let _g = unarmed();
     let mut rng = seeded(0x5ee4_2026);
     let (mut seeks, mut nonempty, mut partial, mut errors) = (0u32, 0u32, 0u32, 0u32);
     for case in 0..400u64 {
@@ -625,6 +638,7 @@ fn two_way(rng: &mut SplitMix64, sides: &[Side]) -> (Predicate, Shape) {
 /// must, once optimized, run as joins all the way down.
 #[test]
 fn selections_over_products_agree_with_oracle() {
+    let _g = unarmed();
     let mut rng = seeded(0x70_1a5e);
     let (mut joins, mut products, mut nonempty, mut errors, mut chains) = (0u32, 0u32, 0, 0, 0);
     for case in 0..400u64 {
@@ -882,6 +896,7 @@ fn check_dedup_shape(plan: &PhysPlan, under_join: bool, db: &Database, at: &str)
 /// join multiplies them. Every case must agree with the oracle.
 #[test]
 fn duplicates_leave_at_the_set_build_or_before_a_join() {
+    let _g = unarmed();
     let mut rng = seeded(0x5e7_b11d);
     let (mut dropped, mut deduplicated, mut joins, mut nonempty) = (0u32, 0u32, 0u32, 0u32);
     for case in 0..400u64 {
@@ -931,6 +946,7 @@ const THREEWAY_SQL: &str = "select f.id as a, g.id as b from fact f, dim d, fact
 /// oracle returns for the statement as parsed.
 #[test]
 fn the_benchmark_join_statements_run_as_hash_joins() {
+    let _g = unarmed();
     let mut db = Db::new();
     let int = |names: &[&'static str]| -> Vec<(&'static str, Type)> {
         names.iter().map(|n| (*n, Type::Int)).collect()
@@ -967,6 +983,7 @@ fn the_benchmark_join_statements_run_as_hash_joins() {
 /// A join-heavy plan big enough that every worker actually gets morsels.
 #[test]
 fn engine_agrees_on_a_large_join() {
+    let _g = unarmed();
     let mut db = Database::new();
     let mut fact = Relation::with_schema(&[("a", Type::Int), ("b", Type::Int)]).unwrap();
     let mut rng = seeded(0xb16_70b5);
@@ -999,4 +1016,45 @@ fn engine_agrees_on_a_large_join() {
         let got = ex.execute(&expr, &db).unwrap();
         assert_eq!(got, want, "{workers} workers");
     }
+}
+
+/// Injected worker panics at every morsel index: the executor degrades to
+/// a sequential re-run and the query result never changes.
+#[test]
+fn exec_panics_at_every_morsel_keep_results_exact() {
+    let _g = FAILPOINTS.write().unwrap_or_else(|e| e.into_inner());
+    faults::reset();
+    let mut db = Database::new();
+    let mut rel = Relation::with_schema(&[("k", Type::Int), ("v", Type::Int)]).unwrap();
+    for i in 0..300i64 {
+        rel.insert(Tuple::new(vec![Value::Int(i), Value::Int(i % 17)]))
+            .unwrap();
+    }
+    db.add("t", rel);
+    let expr = Expr::rel("t").project(&["v"]);
+
+    let oracle = Executor::new(ExecMode::Sequential)
+        .with_morsel_size(16)
+        .execute(&expr, &db)
+        .unwrap();
+
+    let mut scenarios = 0usize;
+    for k in 1..=25u64 {
+        // Global scope: the panic must land on a worker thread.
+        faults::configure(
+            "exec.morsel.panic",
+            Policy::new(Action::Panic, Trigger::Nth(k)),
+        );
+        let got = Executor::new(ExecMode::Parallel(4))
+            .with_morsel_size(16)
+            .execute(&expr, &db)
+            .unwrap();
+        let fired = faults::fire_count("exec.morsel.panic") >= 1;
+        faults::reset();
+        assert_eq!(got, oracle, "panic at morsel {k} changed the result");
+        if fired {
+            scenarios += 1;
+        }
+    }
+    assert!(scenarios >= 15, "only {scenarios} exec-panic scenarios");
 }

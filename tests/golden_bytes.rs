@@ -242,16 +242,6 @@ fn log_records() -> Vec<(&'static str, LogRecord)> {
         ("Begin", LogRecord::Begin(1)),
         ("Commit", LogRecord::Commit(2)),
         ("Abort", LogRecord::Abort(3)),
-        (
-            "Update",
-            LogRecord::Update {
-                txn: 4,
-                page: PageId(5),
-                offset: 6,
-                before: b"ab".to_vec(),
-                after: b"cd".to_vec(),
-            },
-        ),
         ("Checkpoint", LogRecord::Checkpoint(vec![7, 8])),
         (
             "CreateTable",
@@ -288,8 +278,6 @@ const LOG_RECORDS: &[&str] = &[
     "020200000000000000",
     // Abort
     "030300000000000000",
-    // Update
-    "0404000000000000000500000006000000020000000200000061626364",
     // Checkpoint
     "050200000007000000000000000800000000000000",
     // CreateTable

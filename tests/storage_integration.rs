@@ -1,11 +1,10 @@
-//! Storage-substrate integration: heap + buffer pool + B+-tree + WAL
-//! working together the way a mini storage engine would use them.
+//! Storage-substrate integration: heap + buffer pool + B+-tree working
+//! together the way a mini storage engine would use them.
 
 use big_queries::bq_storage::btree::BPlusTree;
 use big_queries::bq_storage::buffer::BufferPool;
 use big_queries::bq_storage::heap::HeapFile;
 use big_queries::bq_storage::page::PageStore;
-use big_queries::bq_storage::wal::{LogRecord, Wal};
 
 #[test]
 fn heap_plus_btree_index_stay_consistent() {
@@ -58,39 +57,4 @@ fn buffer_pool_caches_heap_pages() {
         }
     }
     assert!(pool.stats().hit_rate() > 0.9, "working set fits the pool");
-}
-
-#[test]
-fn wal_recovery_restores_physical_pages() {
-    // A mini engine writing physical images: winner and loser interleaved.
-    let mut store = PageStore::new();
-    let pid = store.allocate();
-    let mut wal = Wal::new();
-
-    wal.append(&LogRecord::Begin(1)).unwrap();
-    wal.append(&LogRecord::Begin(2)).unwrap();
-    wal.append(&LogRecord::Update {
-        txn: 1,
-        page: pid,
-        offset: 0,
-        before: vec![0; 4],
-        after: b"WIN!".to_vec(),
-    })
-    .unwrap();
-    wal.append(&LogRecord::Update {
-        txn: 2,
-        page: pid,
-        offset: 8,
-        before: vec![0; 4],
-        after: b"LOSE".to_vec(),
-    })
-    .unwrap();
-    wal.append(&LogRecord::Commit(1)).unwrap();
-    // Crash: nothing flushed. Recover.
-    let report = wal.recover(&mut store).unwrap();
-    assert_eq!(report.committed, vec![1]);
-    assert_eq!(report.rolled_back, vec![2]);
-    let page = store.read(pid).unwrap();
-    assert_eq!(&page.payload()[0..4], b"WIN!");
-    assert_eq!(&page.payload()[8..12], &[0, 0, 0, 0]);
 }
