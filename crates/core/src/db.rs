@@ -23,7 +23,7 @@ use crate::Result;
 use bq_datalog::parser::{parse_atom, parse_program};
 use bq_datalog::{FactStore, SemiNaive};
 use bq_exec::engine::default_parallelism;
-use bq_exec::{lower, ExecMode, ExecStats, Executor};
+use bq_exec::{lower, ExecMode, ExecStats, Executor, RowSet};
 use bq_governor::{AdmissionController, AdmissionStats, CancelRegistry, Charger, QueryContext};
 use bq_relational::algebra::{optimize, Expr};
 use bq_relational::calculus::Query as CalcQuery;
@@ -31,6 +31,7 @@ use bq_relational::codd::calculus_to_algebra;
 use bq_relational::sqlish;
 use bq_relational::{Database, Relation, Schema, Tuple, Type, Value};
 use bq_storage::wal::{LogRecord, Wal};
+use bq_storage::StorageError;
 use bq_txn::locks::{LockResult, LockTable, Mode};
 use bq_txn::ops::TxnId;
 use bq_util::{ByteReader, ByteWriter, DecodeError, Fnv1a64};
@@ -109,16 +110,91 @@ pub enum Query<'a> {
     Calculus(&'a CalcQuery),
 }
 
-/// What [`Db::run`] returns: the result set, the per-operator statistics
-/// of the plan that built it, and the statement's wall time.
+/// What [`Db::run`] returns: the result rows, the per-operator statistics
+/// of the plan that built them, and the statement's wall time. The rows
+/// still borrow the engine's tables, so the answer lives only as long as
+/// the borrow of the engine it came from (a server's read lock); its
+/// consumer copies them ([`Answer::into_relation`]) or encodes them before
+/// letting go.
 #[derive(Debug, Clone)]
-pub struct Answer {
-    /// The result relation.
-    pub rel: Relation,
+pub struct Answer<'db> {
+    /// The result rows: sorted, distinct, borrowed where no operator
+    /// built them.
+    pub rows: RowSet<'db>,
     /// Per-operator statistics, rooted at the set build.
     pub stats: ExecStats,
     /// Wall time from admission to result, in microseconds.
     pub elapsed_us: u64,
+}
+
+impl Answer<'_> {
+    /// The rows as an owned relation, the embedded surfaces' result: the
+    /// budget is charged for the copies first ([`RowSet::into_relation`]),
+    /// and a refusal there counts as the statement's.
+    pub fn into_relation(mut self, ctx: &QueryContext) -> Result<Relation> {
+        self.rows
+            .into_relation(ctx, &mut self.stats)
+            .map_err(|e| refused(e.into()))
+    }
+}
+
+/// Count `e` as a governor refusal if it is one: a refusal met while
+/// copying an [`Answer`]'s rows comes after [`Db::run`] recorded the
+/// statement.
+fn refused(e: CoreError) -> CoreError {
+    if let Some(g) = e.governor() {
+        bq_governor::record_refusal(g);
+    }
+    e
+}
+
+/// What `records` say of their transactions: the ones begun and neither
+/// committed nor aborted (recovery's losers), and the rows the committed
+/// ones logged.
+fn log_outcome(records: &[LogRecord]) -> (Vec<u64>, usize) {
+    // Open transactions with the rows each logged. A commit or abort
+    // ends one of the latest, so it is looked for from the end.
+    let mut open: Vec<(u64, usize)> = Vec::new();
+    let mut committed_rows = 0;
+    for rec in records {
+        match rec {
+            LogRecord::Begin(t) => open.push((*t, 0)),
+            LogRecord::RowInsert { txn, .. } => {
+                if let Some((_, rows)) = open.iter_mut().rev().find(|(t, _)| t == txn) {
+                    *rows += 1;
+                }
+            }
+            LogRecord::Commit(t) | LogRecord::TaggedCommit { txn: t, .. } | LogRecord::Abort(t) => {
+                if let Some(i) = open.iter().rposition(|(o, _)| o == t) {
+                    let (_, rows) = open.remove(i);
+                    if !matches!(rec, LogRecord::Abort(_)) {
+                        committed_rows += rows;
+                    }
+                }
+            }
+            LogRecord::CreateTable { .. } | LogRecord::Checkpoint(_) => {}
+        }
+    }
+    (open.iter().map(|(t, _)| *t).collect(), committed_rows)
+}
+
+/// Lower and execute `expr` against `cat` with per-operator stats, first
+/// optimizing it against `cat` unless it is `optimized` already.
+fn execute<'c>(
+    exec: &Executor,
+    expr: &Expr,
+    optimized: bool,
+    cat: &'c Database,
+    ctx: &QueryContext,
+) -> Result<(RowSet<'c>, ExecStats)> {
+    let planned;
+    let expr = if optimized {
+        expr
+    } else {
+        planned = optimize(expr, cat)?;
+        &planned
+    };
+    Ok(exec.execute_plan_rows(&lower(expr, cat)?, cat, ctx)?)
 }
 
 /// The database engine facade.
@@ -351,8 +427,8 @@ impl Db {
 
     /// Sync the WAL, tolerating a full device: freshly appended records
     /// stay volatile (exactly as under `wal.sync.skip`) and become
-    /// durable on the next successful sync. `DiskFull` is the only error
-    /// [`Wal::sync`] can raise today.
+    /// durable on the next successful sync. A torn log (`TornLog`) is
+    /// tolerated alike: nothing is durable past the tear until a crash.
     fn sync_tolerating_full(&mut self) {
         if self.sync_wal().is_err() {
             bq_obs::counter!(
@@ -469,11 +545,13 @@ impl Db {
             // surface the typed error. Reads stay available; no lock is
             // left behind.
             self.rollback_effects(h)?;
-            bq_obs::counter!(
-                "bq_core_txn_enospc_aborts_total",
-                "transactions rolled back because the WAL device was full"
-            )
-            .inc();
+            if e == StorageError::DiskFull {
+                bq_obs::counter!(
+                    "bq_core_txn_enospc_aborts_total",
+                    "transactions rolled back because the WAL device was full"
+                )
+                .inc();
+            }
             return Err(e.into());
         }
         // The COMMIT record is in the log, so the transaction is over
@@ -773,32 +851,40 @@ impl Db {
     /// and optimized here; a prepared plan and an algebra expression run
     /// as given, never re-optimized. A calculus query is translated to
     /// algebra by Codd's Theorem, then optimized like SQL text.
-    pub fn run(&self, query: Query<'_>, ctx: &QueryContext, mode: ExecMode) -> Result<Answer> {
+    pub fn run(&self, query: Query<'_>, ctx: &QueryContext, mode: ExecMode) -> Result<Answer<'_>> {
         let exec = Executor::new(mode);
-        let execute = |expr: &Expr, cat: &Database| -> Result<(Relation, ExecStats)> {
-            Ok(exec.execute_plan_with_stats_ctx(&lower(expr, cat)?, cat, ctx)?)
-        };
         let (kind, text) = match query {
             Query::Sql(text) | Query::Prepared { text, .. } => ("sql", text),
             Query::Algebra(_) => ("algebra", "(algebra)"),
             Query::Calculus(_) => ("calculus", "(calculus)"),
         };
-        let ((rel, stats), elapsed_us) = self.run_governed(kind, text, ctx, || match query {
-            Query::Sql(text) => {
-                let expr = sqlish::parse(text)?;
-                self.with_catalog_for(&expr, |cat| execute(&optimize(&expr, cat)?, cat))
-            }
-            Query::Prepared { plan, .. } | Query::Algebra(plan) => {
-                self.with_catalog_for(plan, |cat| execute(plan, cat))
-            }
-            Query::Calculus(query) => {
-                let cat = self.tables.relations();
-                execute(&optimize(&calculus_to_algebra(query, cat)?, cat)?, cat)
+        let ((rows, stats), elapsed_us) = self.run_governed(kind, text, ctx, || {
+            // SQL text and a translated calculus query are optimized
+            // against the catalog they run on; a plan runs as given.
+            let built;
+            let (expr, optimized) = match query {
+                Query::Sql(text) => {
+                    built = sqlish::parse(text)?;
+                    (&built, false)
+                }
+                Query::Prepared { plan, .. } | Query::Algebra(plan) => (plan, true),
+                Query::Calculus(query) => {
+                    built = calculus_to_algebra(query, self.tables.relations())?;
+                    (&built, false)
+                }
+            };
+            match self.overlay_for(expr)? {
+                // The overlay dies here, so its rows are copied out first.
+                Some(overlay) => {
+                    let (rows, mut stats) = execute(&exec, expr, optimized, &overlay, ctx)?;
+                    Ok((rows.into_owned(ctx, &mut stats)?, stats))
+                }
+                None => execute(&exec, expr, optimized, self.tables.relations(), ctx),
             }
         })?;
-        self.note_slow(ctx, text, elapsed_us, rel.len() as u64, &stats);
+        self.note_slow(ctx, text, elapsed_us, rows.rows.len() as u64, &stats);
         Ok(Answer {
-            rel,
+            rows,
             stats,
             elapsed_us,
         })
@@ -818,7 +904,7 @@ impl Db {
         ctx: &QueryContext,
         mode: ExecMode,
     ) -> Result<Relation> {
-        Ok(self.run(Query::Sql(text), ctx, mode)?.rel)
+        self.run(Query::Sql(text), ctx, mode)?.into_relation(ctx)
     }
 
     /// Parse and optimize a SQL-ish query into a plan for
@@ -835,17 +921,17 @@ impl Db {
     /// interpreter survives as [`bq_relational::algebra::eval`], the
     /// differential-testing oracle.)
     pub fn algebra(&self, expr: &Expr) -> Result<Relation> {
-        Ok(self
-            .run(Query::Algebra(expr), &self.govern(), self.mode)?
-            .rel)
+        let ctx = self.govern();
+        self.run(Query::Algebra(expr), &ctx, self.mode)?
+            .into_relation(&ctx)
     }
 
     /// Evaluate a tuple-calculus query under the session limits and the
     /// engine's mode; see [`Db::run`].
     pub fn calculus(&self, query: &CalcQuery) -> Result<Relation> {
-        Ok(self
-            .run(Query::Calculus(query), &self.govern(), self.mode)?
-            .rel)
+        let ctx = self.govern();
+        self.run(Query::Calculus(query), &ctx, self.mode)?
+            .into_relation(&ctx)
     }
 
     /// `EXPLAIN ANALYZE`: run the statement through [`Db::run`] and render
@@ -870,13 +956,23 @@ impl Db {
         } else {
             ctx
         };
-        let answer = self.run(Query::Sql(text), ctx, mode)?;
+        let Answer {
+            rows,
+            mut stats,
+            elapsed_us,
+        } = self.run(Query::Sql(text), ctx, mode)?;
+        // The copy is part of what an embedded statement costs.
+        let before = stats.elapsed;
+        let rows = rows
+            .into_relation(ctx, &mut stats)
+            .map_err(|e| refused(e.into()))?;
+        let copy_us = (stats.elapsed - before).as_micros() as u64;
         Ok(format!(
             "mode: {mode}\nquery: {}\nelapsed: {}us\nrows: {}\n{}",
             ctx.query_id().unwrap_or(0),
-            answer.elapsed_us,
-            answer.rel.len(),
-            answer.stats.render()
+            elapsed_us + copy_us,
+            rows.len(),
+            stats.render()
         ))
     }
 
@@ -1020,7 +1116,7 @@ impl Db {
         let plan = outcome.as_ref().map(|answer| answer.stats.render());
         let mut profile = session.finish(plan.unwrap_or_default());
         profile.query = ctx.query_id().unwrap_or(0);
-        Ok((outcome?.rel, profile))
+        Ok((outcome?.into_relation(ctx)?, profile))
     }
 
     // ------------------------------------------------------------------
@@ -1041,32 +1137,7 @@ impl Db {
     /// transaction. Returns the transactions the log shows begun and
     /// neither committed nor aborted: the ones rolled back.
     fn recover(&mut self, records: &[LogRecord]) -> Result<Vec<u64>> {
-        // Open transactions with the rows each logged. A commit or abort
-        // ends one of the latest, so it is looked for from the end.
-        let mut open: Vec<(u64, usize)> = Vec::new();
-        let mut committed_rows = 0;
-        for rec in records {
-            match rec {
-                LogRecord::Begin(t) => open.push((*t, 0)),
-                LogRecord::RowInsert { txn, .. } => {
-                    if let Some((_, rows)) = open.iter_mut().rev().find(|(t, _)| t == txn) {
-                        *rows += 1;
-                    }
-                }
-                LogRecord::Commit(t)
-                | LogRecord::TaggedCommit { txn: t, .. }
-                | LogRecord::Abort(t) => {
-                    if let Some(i) = open.iter().rposition(|(o, _)| o == t) {
-                        let (_, rows) = open.remove(i);
-                        if !matches!(rec, LogRecord::Abort(_)) {
-                            committed_rows += rows;
-                        }
-                    }
-                }
-                LogRecord::CreateTable { .. } | LogRecord::Checkpoint(_) => {}
-            }
-        }
-        let losers: Vec<u64> = open.iter().map(|(t, _)| *t).collect();
+        let (losers, committed_rows) = log_outcome(records);
 
         // Rows of runtime aborts left the heap with the abort. So when no
         // transaction is in flight and the heap holds as many records as
@@ -1483,7 +1554,26 @@ impl Db {
                 }
             }
         }
-        self.recover(&records)
+        let losers = self.recover(&records)?;
+        self.log_rollbacks(&losers);
+        Ok(losers)
+    }
+
+    /// Log an ABORT for each transaction recovery rolled back, and sync
+    /// it: a later crash then finds them ended, and a replica that was
+    /// shipped their BEGIN closes them. Best effort, as in [`Db::abort`]:
+    /// a loser whose ABORT is lost is rolled back again by the next
+    /// recovery.
+    fn log_rollbacks(&mut self, losers: &[u64]) {
+        if losers.is_empty() {
+            return;
+        }
+        for &t in losers {
+            if self.wal.append(&LogRecord::Abort(t)).is_err() {
+                return;
+            }
+        }
+        self.sync_tolerating_full();
     }
 }
 
@@ -1685,8 +1775,9 @@ mod tests {
             db.lookup("emp", "dept", &Value::str("ee")).unwrap().len(),
             1
         );
-        // And recovery changes nothing the second time.
-        assert_eq!(db.simulate_crash_and_recover().unwrap(), losers);
+        // And recovery changes nothing the second time: the loser it
+        // rolled back now ends with the ABORT it logged.
+        assert!(db.simulate_crash_and_recover().unwrap().is_empty());
         assert_eq!(db.row_count("emp").unwrap(), 4);
     }
 
@@ -1695,6 +1786,47 @@ mod tests {
         let mut db = emp_db();
         db.simulate_crash_and_recover().unwrap();
         db.simulate_crash_and_recover().unwrap();
+        assert_eq!(db.row_count("emp").unwrap(), 3);
+    }
+
+    #[test]
+    fn a_rolled_back_loser_is_logged_aborted() {
+        let row = |name: &str| vec![Value::str(name), Value::str("cs"), Value::Int(1)];
+        let mut db = emp_db();
+        db.create_table("other", &[("a", Type::Int)]).unwrap();
+        let loser = db.begin().unwrap();
+        db.insert_in(loser, "emp", row("lou")).unwrap();
+        // A commit after it makes the loser's BEGIN and row durable, so a
+        // replica is shipped them and holds the transaction open.
+        db.insert("other", vec![Value::Int(1)]).unwrap();
+        let ship = |db: &Db, replica: &mut Db, from: u64| {
+            let bytes = db.wal_durable_bytes(from, usize::MAX);
+            for rec in Wal::decode_stream(&bytes).unwrap().0 {
+                replica.apply_record(&rec).unwrap();
+            }
+            from + bytes.len() as u64
+        };
+        let mut replica = Db::new();
+        let shipped = ship(&db, &mut replica, 0);
+        assert_eq!(db.simulate_crash_and_recover().unwrap(), vec![loser.0]);
+        // The ABORT recovery logged is durable: it ships, and the replica
+        // closes the transaction and takes its row back.
+        assert_eq!(ship(&db, &mut replica, shipped), db.wal_durable_len());
+        assert_eq!(replica.content_fingerprint(), db.content_fingerprint());
+        assert!(replica.promote().unwrap().is_empty(), "nothing left open");
+        // A second crash finds the loser ended: no loser, and every heap
+        // record is a committed row, so no record is looked up.
+        let mut records = Vec::new();
+        let losers = db
+            .crash_at(|log, _| {
+                records = Wal::decode_stream(log).unwrap().0;
+                log.len()
+            })
+            .unwrap();
+        assert!(losers.is_empty(), "{losers:?}");
+        let (open, committed_rows) = log_outcome(&records);
+        assert!(open.is_empty());
+        assert_eq!(db.tables.record_count(), committed_rows);
         assert_eq!(db.row_count("emp").unwrap(), 3);
     }
 
@@ -1997,7 +2129,7 @@ mod tests {
         let plan = db.prepare_sql(text).unwrap();
         let prepared = Query::Prepared { text, plan: &plan };
         let out = db.run(prepared, &db.govern(), db.exec_mode()).unwrap();
-        assert_eq!(out.rel.len(), 1, "the prepared execution sees itself");
+        assert_eq!(out.rows.rows.len(), 1, "the prepared execution sees itself");
     }
 
     #[test]
@@ -2044,7 +2176,8 @@ mod tests {
             )
             .unwrap();
         let direct = eval_query(&over_domain, db.catalog()).unwrap();
-        assert_eq!(answer.rel.tuples(), direct.tuples());
+        let rows: Vec<Tuple> = answer.rows.rows.iter().map(|r| (**r).clone()).collect();
+        assert_eq!(rows, direct.tuples());
         let plan = answer.stats.render();
         assert!(plan.contains("SeqScan [emp]"), "{plan}");
         assert_eq!(db.slow_log().entries().len(), logged + 1);

@@ -9,8 +9,9 @@
 //! A row in flight is a [`Row`]: borrowed from the base relation until an
 //! operator (a projection, a join, a product) builds a new one. Operators
 //! that only choose rows pass them on as they are, and the root set build
-//! — the one place duplicates are guaranteed to leave — is the one place a
-//! borrowed row is copied, after the duplicates are gone.
+//! — the one place duplicates are guaranteed to leave — hands the distinct
+//! rows on still borrowed, as a [`RowSet`]. Its consumer decides whether
+//! to copy them ([`RowSet::into_relation`]) or only to read them.
 
 use crate::plan::{lower, PhysPlan, SetOpKind};
 use crate::pred::BoundPred;
@@ -72,7 +73,7 @@ pub struct Executor {
 
 /// A row in flight: borrowed from a base relation of the `'db` catalog
 /// until an operator builds a new one.
-type Row<'db> = Cow<'db, Tuple>;
+pub type Row<'db> = Cow<'db, Tuple>;
 
 /// What a scan charges the memory budget per match: the row's slot in a
 /// batch, not a copy of the row.
@@ -81,6 +82,60 @@ const ROW_SLOT_BYTES: u64 = std::mem::size_of::<Row<'static>>() as u64;
 /// The label of the root [`ExecStats`] node: the set build every plan
 /// ends in.
 pub const SET_BUILD: &str = "SetBuild";
+
+/// A plan's result as the set build leaves it: sorted, each row once, and
+/// still borrowing every row no operator built. A consumer copies it
+/// ([`RowSet::into_relation`]) or reads it where it lies.
+#[derive(Debug, Clone)]
+pub struct RowSet<'db> {
+    /// Column names and types.
+    pub schema: Schema,
+    /// The rows, in `Tuple` order, without duplicates.
+    pub rows: Vec<Row<'db>>,
+}
+
+impl RowSet<'_> {
+    /// Copy the rows into an owned relation. Each borrowed row is charged
+    /// to `ctx`'s budget before anything is copied, and `stats` — the set
+    /// build's node — gains the bytes and the time.
+    pub fn into_relation(self, ctx: &QueryContext, stats: &mut ExecStats) -> Result<Relation> {
+        let t0 = Instant::now();
+        stats.mem_bytes += charge_copies(&self.rows, ctx)?;
+        let tuples = self.rows.into_iter().map(Cow::into_owned);
+        let rel = Relation::from_tuples(self.schema, tuples)?;
+        stats.elapsed += t0.elapsed();
+        Ok(rel)
+    }
+
+    /// The same rows, each owned, for a result that must outlive the
+    /// catalog it was read from; charged like [`RowSet::into_relation`].
+    pub fn into_owned(self, ctx: &QueryContext, stats: &mut ExecStats) -> Result<RowSet<'static>> {
+        let t0 = Instant::now();
+        stats.mem_bytes += charge_copies(&self.rows, ctx)?;
+        let rows = self.rows.into_iter().map(|r| Cow::Owned(r.into_owned()));
+        let owned = RowSet {
+            schema: self.schema,
+            rows: rows.collect(),
+        };
+        stats.elapsed += t0.elapsed();
+        Ok(owned)
+    }
+}
+
+/// Charge `ctx`'s budget for a copy of each borrowed row, and return the
+/// bytes charged.
+fn charge_copies(rows: &[Row<'_>], ctx: &QueryContext) -> Result<u64> {
+    let mut charger = Charger::new(ctx);
+    if charger.is_enabled() {
+        for row in rows {
+            if let Cow::Borrowed(t) = row {
+                charger.charge(t.approx_bytes())?;
+            }
+        }
+        charger.flush()?;
+    }
+    Ok(charger.total())
+}
 
 /// Intermediate result flowing between operators: a schema and its morsels.
 struct Run<'db> {
@@ -171,21 +226,21 @@ impl Executor {
     /// Execute an already-lowered plan under a governor context, with
     /// statistics: deadline and cancellation are checked at every operator
     /// and every morsel boundary, and materializing operators charge the
-    /// context's memory budget before they grow. The root of the
-    /// statistics is the [`SET_BUILD`] node that turns the plan's rows
-    /// into the result set.
-    pub fn execute_plan_with_stats_ctx(
+    /// context's memory budget before they grow. The result is the plan's
+    /// rows as the set build leaves them, still borrowed from `db`; the
+    /// root of the statistics is the [`SET_BUILD`] node.
+    pub fn execute_plan_rows<'db>(
         &self,
         plan: &PhysPlan,
-        db: &Database,
+        db: &'db Database,
         ctx: &QueryContext,
-    ) -> Result<(Relation, ExecStats)> {
+    ) -> Result<(RowSet<'db>, ExecStats)> {
         let _span = bq_obs::span!("exec.plan", mode = self.mode, root = plan.label());
         let (run, stats) = self.exec(plan, db, ctx)?;
         let t0 = Instant::now();
         let rows_in = run.rows();
-        let (rel, mem_bytes) = build_set(run, ctx)?;
-        let rows_out = rel.len() as u64;
+        let set = build_set(run);
+        let rows_out = set.rows.len() as u64;
         let stats = record(ExecStats {
             op: SET_BUILD.to_string(),
             rows_in,
@@ -194,9 +249,22 @@ impl Executor {
             elapsed: t0.elapsed(),
             build: None,
             probe: None,
-            mem_bytes,
+            mem_bytes: 0,
             children: vec![stats],
         });
+        Ok((set, stats))
+    }
+
+    /// [`Executor::execute_plan_rows`], with the rows copied into an owned
+    /// relation ([`RowSet::into_relation`]).
+    pub fn execute_plan_with_stats_ctx(
+        &self,
+        plan: &PhysPlan,
+        db: &Database,
+        ctx: &QueryContext,
+    ) -> Result<(Relation, ExecStats)> {
+        let (set, mut stats) = self.execute_plan_rows(plan, db, ctx)?;
+        let rel = set.into_relation(ctx, &mut stats)?;
         Ok((rel, stats))
     }
 
@@ -542,27 +610,18 @@ fn record(stats: ExecStats) -> ExecStats {
 }
 
 /// The root set build: the one place a plan's duplicates are guaranteed
-/// to leave and the one place a borrowed row is copied. The rows are
-/// sorted and deduplicated by reference first, so only distinct borrowed
-/// rows are cloned, and the budget is charged for those copies before
-/// they are made. Returns the relation and the bytes charged.
-fn build_set(run: Run<'_>, ctx: &QueryContext) -> Result<(Relation, u64)> {
+/// to leave. The rows are sorted and deduplicated by reference, so
+/// nothing is copied here.
+fn build_set(run: Run<'_>) -> RowSet<'_> {
     let mut rows: Vec<Row<'_>> = run.batches.into_iter().flatten().collect();
     // Stable: a run of rows already in order (a scan's, or each side of a
     // union) is merged, not re-sorted.
     rows.sort();
     rows.dedup();
-    let mut charger = Charger::new(ctx);
-    if charger.is_enabled() {
-        for row in &rows {
-            if let Cow::Borrowed(t) = row {
-                charger.charge(t.approx_bytes())?;
-            }
-        }
-        charger.flush()?;
+    RowSet {
+        schema: run.schema,
+        rows,
     }
-    let tuples = rows.into_iter().map(Cow::into_owned);
-    Ok((Relation::from_tuples(run.schema, tuples)?, charger.total()))
 }
 
 fn drop_empty<'db>(batches: Vec<Vec<Row<'db>>>) -> Vec<Vec<Row<'db>>> {

@@ -26,9 +26,11 @@
 //! is then built and probed independently, in parallel.
 //!
 //! Set semantics are paid once (DESIGN.md §18): every plan ends in a set
-//! build that removes duplicates and copies the rows still borrowed from
-//! the base relations; a `HashDistinct` remains only on join and product
-//! inputs whose duplicates the join would multiply.
+//! build that removes duplicates and hands the rows on as a [`RowSet`],
+//! still borrowed from the base relations; its consumer copies them into
+//! a relation or encodes them where they lie. A `HashDistinct` remains
+//! only on join and product inputs whose duplicates the join would
+//! multiply.
 //!
 //! Every operator records an [`ExecStats`] node (rows in/out, batches,
 //! wall time, build/probe split for joins), under a root node for the set
@@ -45,7 +47,7 @@ pub mod plan;
 pub mod pred;
 pub mod stats;
 
-pub use engine::{ExecMode, Executor, DEFAULT_MORSEL_SIZE};
+pub use engine::{ExecMode, Executor, Row, RowSet, DEFAULT_MORSEL_SIZE};
 pub use plan::{lower, PhysPlan, Seek, SetOpKind};
 pub use pred::BoundPred;
 pub use stats::ExecStats;

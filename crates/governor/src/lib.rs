@@ -133,38 +133,47 @@ pub fn record_statement(ctx: &QueryContext, err: Option<&GovernorError>) {
         )
         .observe(budget.high_water());
     }
+    if let Some(err) = err {
+        record_refusal(err);
+    }
+}
+
+/// Count one governor refusal under its outcome counter: what
+/// [`record_statement`] does for a statement's error, and what a consumer
+/// of a statement's rows (a copy, a reply encoding) does when it is
+/// refused after the statement returned.
+pub fn record_refusal(err: &GovernorError) {
     match err {
-        Some(GovernorError::Cancelled) => {
+        GovernorError::Cancelled => {
             bq_obs::counter!(
                 "bq_governor_cancelled_total",
                 "statements stopped by cooperative cancellation"
             )
             .inc();
         }
-        Some(GovernorError::DeadlineExceeded { .. }) => {
+        GovernorError::DeadlineExceeded { .. } => {
             bq_obs::counter!(
                 "bq_governor_timed_out_total",
                 "statements stopped by their deadline"
             )
             .inc();
         }
-        Some(GovernorError::MemoryExceeded { .. }) => {
+        GovernorError::MemoryExceeded { .. } => {
             bq_obs::counter!(
                 "bq_governor_mem_exceeded_total",
                 "statements stopped by their memory budget"
             )
             .inc();
         }
-        Some(GovernorError::IterationLimit { .. }) => {
+        GovernorError::IterationLimit { .. } => {
             bq_obs::counter!(
                 "bq_governor_iteration_capped_total",
                 "fixpoints stopped by their iteration cap"
             )
             .inc();
         }
-        // Overloaded is counted at the admission controller; successful
-        // statements need no outcome counter (admitted covers them).
-        Some(GovernorError::Overloaded { .. }) | None => {}
+        // Overloaded is counted at the admission controller.
+        GovernorError::Overloaded { .. } => {}
     }
 }
 

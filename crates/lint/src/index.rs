@@ -363,7 +363,10 @@ pub fn index_file(file: &SourceFile) -> FileIndex {
         let fn_idx = fn_stack.last().copied();
         if file.tok(i).kind == Kind::Ident {
             in_use |= file.is_ident(i, "use");
-            let defines = i > 0 && file.is_ident(i - 1, "fn");
+            // A name right after `fn`, `let` or `let mut` is defined
+            // here, not referred to.
+            let after = |back: usize, word: &str| i >= back && file.is_ident(i - back, word);
+            let defines = after(1, "fn") || after(1, "let") || (after(1, "mut") && after(2, "let"));
             if !in_use && !defines {
                 refs.insert(Ref {
                     fn_idx,

@@ -21,16 +21,16 @@ fn census() -> String {
 }
 
 /// `planted` is reported test-only; `orphan` and `never_called` are
-/// unreached. Not reported: `flush_all` (a method call on a non-`self`
+/// unreached, though the binary binds locals of those names. Not reported: `flush_all` (a method call on a non-`self`
 /// receiver), `encode` (only passed as a value), `fmt` and `drop` (never
 /// named at all), `shown_text` (reached through `fmt`), `example_only`
 /// and `bench_only` (reached from an example and the benchmark only).
 const EXPECTED: &str = "\
 crate        live  test-only  unreached
-bqsh            6          0          0
+bqsh            8          0          0
 demo           17          3          4
 examples        4          0          0
-total          27          3          4
+total          29          3          4
 
 test-only pub fns (1):
   crates/demo/src/lib.rs:44 planted

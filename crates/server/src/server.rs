@@ -16,13 +16,15 @@
 //! queues on the engine lock: `ListQueries` reads that map, `Kill` cancels
 //! through it, and its id is the one the `Done` frame carries.
 
-use crate::stmt::{parse_statement, SessionCore, Statement};
+use crate::stmt::{parse_statement, Produced, SessionCore, Statement};
 use crate::wire::{self, ErrorCode, Framed, QueryInfo, Request, Response, PROTOCOL_VERSION};
 use bq_core::{
-    Db, ReplicaRegistry, ReplicaRow, SessionLimits, SessionRegistry, SessionRow, WalWatch,
+    Answer, Db, ReplicaRegistry, ReplicaRow, SessionLimits, SessionRegistry, SessionRow, WalWatch,
 };
 use bq_exec::ExecMode;
-use bq_governor::{AdmissionController, AdmissionPermit, CancelRegistry, QueryContext};
+use bq_governor::{
+    AdmissionController, AdmissionPermit, CancelRegistry, Charger, GovernorError, QueryContext,
+};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -579,10 +581,12 @@ fn dispatch(
                 }
                 let ctx = session.context();
                 let reg = shared.registry.register(&ctx, conn_id, "sql", &sql);
-                let out = session.run(&shared.db, &stmt, &ctx);
                 let qid = reg.id();
+                let out = session.run_as(&shared.db, &stmt, &ctx, |answer| {
+                    encode_reply(answer, shared.batch_rows, qid, &ctx)
+                });
                 drop(reg);
-                send_outcome(conn, shared.batch_rows, out, qid)
+                send_reply(conn, out, qid)
             }
         },
         Request::QueryTagged { sql, request } => {
@@ -603,10 +607,12 @@ fn dispatch(
             Some(sql) => {
                 let ctx = session.context();
                 let reg = shared.registry.register(&ctx, conn_id, "sql", &sql);
-                let out = session.execute_prepared(&shared.db, stmt, &ctx);
                 let qid = reg.id();
+                let out = session.execute_as(&shared.db, stmt, &ctx, |answer| {
+                    encode_reply(answer, shared.batch_rows, qid, &ctx)
+                });
                 drop(reg);
-                send_outcome(conn, shared.batch_rows, out, qid)
+                send_reply(conn, out.map(Produced::Rows), qid)
             }
         },
         Request::Kill { query } => {
@@ -812,43 +818,69 @@ fn wait_for_replica_acks(shared: &Shared, offset: u64) {
     }
 }
 
-/// Queue a statement's reply: `RowSchema`, `Rows` batches of
-/// `batch_rows` encoded straight from the relation's tuples, and `Done`;
-/// or a lone `Done`; or an `Error`.
-fn send_outcome(
-    conn: &mut Conn,
+/// A select's whole reply, encoded from the rows its answer borrows:
+/// `RowSchema`, `Rows` batches of `batch_rows` and `Done`. It runs under
+/// the engine read lock, so it fills a buffer of its own and never the
+/// socket ([`send_reply`] queues the buffer once the lock is released).
+/// Every frame's bytes are charged to `ctx`'s budget as it is encoded, so
+/// the budget bounds the reply as it bounds an embedded copy; a refusal
+/// counts as the statement's.
+fn encode_reply(
+    answer: Answer<'_>,
     batch_rows: usize,
-    out: Result<crate::driver::Outcome, crate::driver::DriverError>,
+    qid: u64,
+    ctx: &QueryContext,
+) -> bq_core::Result<Vec<u8>> {
+    let rows = answer.rows;
+    let mut out = Vec::new();
+    let mut charger = Charger::new(ctx);
+    // Charge what `out` gained since the last call.
+    let mut charged = 0;
+    let mut charge = |out: &Vec<u8>| {
+        let grown = out.len() - charged;
+        charged = out.len();
+        charger.charge(grown as u64).map_err(refused)
+    };
+    let cols = rows.schema.attrs().iter();
+    let cols = cols.map(|a| (a.name.clone(), a.ty)).collect();
+    let schema = Response::RowSchema { cols }.encode();
+    wire::push_frame(&mut out, |body| body.extend_from_slice(&schema));
+    charge(&out)?;
+    for batch in rows.rows.chunks(batch_rows) {
+        wire::push_frame(&mut out, |body| {
+            wire::encode_rows(body, batch.iter().map(|r| &**r));
+        });
+        charge(&out)?;
+    }
+    let done = Response::Done {
+        rows: rows.rows.len() as u64,
+        query: qid,
+        message: String::new(),
+    };
+    wire::push_frame(&mut out, |body| body.extend_from_slice(&done.encode()));
+    charge(&out)?;
+    charger.flush().map_err(refused)?;
+    bq_obs::counter!("bq_server_rows_streamed_total", "result rows streamed")
+        .add(rows.rows.len() as u64);
+    Ok(out)
+}
+
+/// Count a refusal met while encoding a reply as the statement's.
+fn refused(g: GovernorError) -> bq_core::CoreError {
+    bq_governor::record_refusal(&g);
+    g.into()
+}
+
+/// Queue a statement's reply: a select's frames as [`encode_reply`] left
+/// them, a lone `Done` carrying a message, or an `Error`.
+fn send_reply(
+    conn: &mut Conn,
+    out: Result<Produced<Vec<u8>>, crate::driver::DriverError>,
     qid: u64,
 ) -> io::Result<()> {
     match out {
-        Ok(crate::driver::Outcome::Rows(rel)) => {
-            let cols = rel
-                .schema()
-                .attrs()
-                .iter()
-                .map(|a| (a.name.clone(), a.ty))
-                .collect();
-            write_frame_srv(conn, &Response::RowSchema { cols })?;
-            let rows = rel.len();
-            bq_obs::counter!("bq_server_rows_streamed_total", "result rows streamed")
-                .add(rows as u64);
-            let mut tuples = rel.iter();
-            for _ in (0..rows).step_by(batch_rows) {
-                push_frame_srv(conn, |out| {
-                    wire::encode_rows(out, tuples.by_ref().take(batch_rows));
-                })?;
-            }
-            write_frame_srv(
-                conn,
-                &Response::Done {
-                    rows: rows as u64,
-                    query: qid,
-                    message: String::new(),
-                },
-            )
-        }
-        Ok(crate::driver::Outcome::Message(message)) => write_frame_srv(
+        Ok(Produced::Rows(frames)) => push_frames_srv(conn, frames),
+        Ok(Produced::Message(message)) => write_frame_srv(
             conn,
             &Response::Done {
                 rows: 0,
@@ -1165,12 +1197,72 @@ fn push_frame_srv(conn: &mut Conn, encode: impl FnOnce(&mut Vec<u8>)) -> io::Res
     Ok(())
 }
 
+/// Queue whole frames encoded away from the connection
+/// ([`encode_reply`]); `server.write.partial` acts as in
+/// [`push_frame_srv`], on the first of them.
+fn push_frames_srv(conn: &mut Conn, frames: Vec<u8>) -> io::Result<()> {
+    bq_faults::fail_point!("server.write.partial", |_| {
+        let body = bq_util::ByteReader::new(&frames).u32().unwrap_or(0) as usize;
+        let _ = conn.flush();
+        let _ = conn
+            .get_mut()
+            .write_all(&frames[..(4 + body / 2).min(frames.len())]);
+        Err(io::Error::new(
+            io::ErrorKind::WriteZero,
+            "injected partial write",
+        ))
+    });
+    let len = frames.len();
+    conn.push_frames(frames)?;
+    bq_obs::counter!("bq_server_bytes_out_total", "response bytes written").add(len as u64);
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{DriverError, Outcome};
+    use crate::driver::DriverError;
     use bq_relational::{Relation, Schema, Tuple, Type, Value};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
     use std::net::TcpListener;
+
+    // Allocations counted per thread, so a test measures only what its own
+    // thread allocates while other tests run.
+    thread_local! {
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    struct Counting;
+
+    fn count() {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+
+    // SAFETY: every call goes to `System` with the caller's arguments
+    // unchanged, so `System`'s guarantees are this allocator's; `count`
+    // only bumps a thread-local `Cell` and never allocates.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count();
+            // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System` through this allocator.
+            System.dealloc(ptr, layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count();
+            // SAFETY: `ptr` came from `System` through this allocator.
+            System.realloc(ptr, layout, new_size)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: Counting = Counting;
 
     fn socket_writes() -> u64 {
         bq_obs::global()
@@ -1180,16 +1272,12 @@ mod tests {
 
     /// Queue `out` as a reply on a real loopback socket, flush it, and
     /// return the bytes the peer received and the socket writes it took.
-    fn reply_bytes(
-        batch_rows: usize,
-        out: Result<Outcome, DriverError>,
-        qid: u64,
-    ) -> (Vec<u8>, u64) {
+    fn reply_bytes(out: Result<Produced<Vec<u8>>, DriverError>, qid: u64) -> (Vec<u8>, u64) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let mut conn = Framed::new(Socket(listener.accept().unwrap().0));
         let before = socket_writes();
-        send_outcome(&mut conn, batch_rows, out, qid).unwrap();
+        send_reply(&mut conn, out, qid).unwrap();
         conn.flush().unwrap();
         let writes = socket_writes() - before;
         drop(conn);
@@ -1215,6 +1303,34 @@ mod tests {
         Relation::from_tuples(schema, tuples).unwrap()
     }
 
+    /// An engine whose table `t` holds `rel`.
+    fn engine(rel: &Relation) -> RwLock<Db> {
+        let mut db = Db::new();
+        db.create_table("t", &[("a", Type::Int), ("s", Type::Str)])
+            .unwrap();
+        for t in rel.iter() {
+            db.insert("t", t.values().to_vec()).unwrap();
+        }
+        RwLock::new(db)
+    }
+
+    /// The server's select arm on the calling thread: run the whole-table
+    /// export under the read lock and encode its reply there.
+    fn export(
+        db: &RwLock<Db>,
+        batch_rows: usize,
+        ctx: &QueryContext,
+    ) -> Result<Vec<u8>, DriverError> {
+        let stmt = parse_statement("select x.a, x.s from t x").unwrap();
+        let out = SessionCore::new().run_as(db, &stmt, ctx, |answer| {
+            encode_reply(answer, batch_rows, 9, ctx)
+        })?;
+        match out {
+            Produced::Rows(frames) => Ok(frames),
+            Produced::Message(m) => panic!("expected rows, got `{m}`"),
+        }
+    }
+
     #[test]
     fn every_reply_is_the_frame_by_frame_bytes_in_one_write() {
         let batch = ServerConfig::default().batch_rows;
@@ -1233,13 +1349,14 @@ mod tests {
                 query: 9,
                 message: String::new(),
             });
-            let (got, writes) = reply_bytes(batch, Ok(Outcome::Rows(rel)), 9);
+            let reply = export(&engine(&rel), batch, &QueryContext::unlimited());
+            let (got, writes) = reply_bytes(reply.map(Produced::Rows), 9);
             assert_eq!(got, frame_by_frame(&frames), "{n} rows");
             assert_eq!(writes, 1, "{n} rows");
         }
 
-        let done = Ok(Outcome::Message("created table t".into()));
-        let (got, writes) = reply_bytes(batch, done, 4);
+        let done = Ok(Produced::Message("created table t".into()));
+        let (got, writes) = reply_bytes(done, 4);
         let expected = frame_by_frame(&[Response::Done {
             rows: 0,
             query: 4,
@@ -1248,11 +1365,36 @@ mod tests {
         assert_eq!((got, writes), (expected, 1));
 
         let err = Err(DriverError::new(ErrorCode::NoSuchTable, "no table t"));
-        let (got, writes) = reply_bytes(batch, err, 4);
+        let (got, writes) = reply_bytes(err, 4);
         let expected = frame_by_frame(&[Response::Error {
             code: ErrorCode::NoSuchTable,
             message: "no table t".into(),
         }]);
         assert_eq!((got, writes), (expected, 1));
+    }
+
+    #[test]
+    fn an_export_allocates_per_frame_not_per_row() {
+        let batch = ServerConfig::default().batch_rows;
+        let allocations = |n: usize| {
+            let db = engine(&numbers(n as i64));
+            let ctx = QueryContext::unlimited();
+            let before = ALLOCS.with(Cell::get);
+            let frames = export(&db, batch, &ctx).unwrap();
+            let spent = ALLOCS.with(Cell::get) - before;
+            drop(frames);
+            spent
+        };
+        let (small, large) = (allocations(100), allocations(10_000));
+        // What may grow with the export: the scan's morsels, the frames
+        // and the buffers holding them (each grown by doubling). A copy of
+        // each row alone would be 10 000 more.
+        let frames = 10_000 / batch as u64 + 1;
+        let morsels = 10_000 / bq_exec::DEFAULT_MORSEL_SIZE as u64 + 1;
+        let bound = 4 * (frames + morsels) + 64;
+        assert!(
+            large - small <= bound,
+            "100 rows: {small} allocations, 10 000 rows: {large} (bound {bound} more)"
+        );
     }
 }

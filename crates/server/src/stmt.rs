@@ -10,7 +10,7 @@
 
 use crate::driver::{DriverError, Outcome};
 use crate::wire::ErrorCode;
-use bq_core::{Db, Query, SessionLimits, TxnHandle};
+use bq_core::{Answer, Db, Query, SessionLimits, TxnHandle};
 use bq_exec::ExecMode;
 use bq_governor::QueryContext;
 use bq_relational::algebra::Expr;
@@ -220,6 +220,16 @@ pub struct PreparedPlan {
     pub expr: Expr,
 }
 
+/// What a statement produced, with a select's rows in whatever form the
+/// caller's `consume` made of them ([`SessionCore::run_as`]).
+#[derive(Debug)]
+pub(crate) enum Produced<T> {
+    /// What `consume` made of a select's answer.
+    Rows(T),
+    /// A confirmation message (DDL, DML, transaction verbs, EXPLAIN).
+    Message(String),
+}
+
 /// Per-session execution state shared by the server and the embedded
 /// driver: resource limits, execution mode, the prepared-statement table,
 /// and the interactive-transaction handle.
@@ -275,28 +285,49 @@ impl SessionCore {
         self.prepared.get(&stmt).map(|p| p.sql.as_str())
     }
 
-    /// Run one parsed statement under `ctx`. Selects execute through the
-    /// shared read lock (concurrent sessions read in parallel); mutations
-    /// take the write lock for the duration of the statement.
+    /// Run one parsed statement under `ctx`; a select's rows come back
+    /// as an owned relation ([`Answer::into_relation`]).
     pub fn run(
         &mut self,
         db: &RwLock<Db>,
         stmt: &Statement,
         ctx: &QueryContext,
     ) -> Result<Outcome, DriverError> {
+        Ok(
+            match self.run_as(db, stmt, ctx, |answer| answer.into_relation(ctx))? {
+                Produced::Rows(rel) => Outcome::Rows(rel),
+                Produced::Message(m) => Outcome::Message(m),
+            },
+        )
+    }
+
+    /// Run one parsed statement under `ctx`. Selects execute through the
+    /// shared read lock (concurrent sessions read in parallel), and
+    /// `consume` turns the answer, whose rows still borrow the tables,
+    /// into the caller's form before the lock is released; mutations take
+    /// the write lock for the duration of the statement.
+    pub(crate) fn run_as<T>(
+        &mut self,
+        db: &RwLock<Db>,
+        stmt: &Statement,
+        ctx: &QueryContext,
+        consume: impl FnOnce(Answer<'_>) -> bq_core::Result<T>,
+    ) -> Result<Produced<T>, DriverError> {
         match stmt {
             Statement::Select(sql) => self
-                .read(db, |db, mode| db.run(Query::Sql(sql), ctx, mode))
-                .map(|answer| Outcome::Rows(answer.rel)),
+                .read(db, |db, mode| {
+                    consume(db.run(Query::Sql(sql), ctx, mode)?)
+                })
+                .map(Produced::Rows),
             Statement::ExplainAnalyze(sql) => self
                 .read(db, |db, mode| db.explain_analyze(sql, ctx, mode))
-                .map(Outcome::Message),
+                .map(Produced::Message),
             Statement::CreateTable { name, cols } => {
                 let refs: Vec<(&str, Type)> = cols.iter().map(|(n, t)| (n.as_str(), *t)).collect();
                 write_db(db)
                     .create_table(name, &refs)
                     .map_err(DriverError::from_core)?;
-                Ok(Outcome::Message(format!("created table {name}")))
+                Ok(Produced::Message(format!("created table {name}")))
             }
             Statement::Insert { table, row } => {
                 let mut db = write_db(db);
@@ -305,7 +336,7 @@ impl SessionCore {
                     None => db.insert(table, row.clone()),
                 }
                 .map_err(DriverError::from_core)?;
-                Ok(Outcome::Message("1 row".to_string()))
+                Ok(Produced::Message("1 row".to_string()))
             }
             Statement::Begin => {
                 if self.txn.is_some() {
@@ -315,21 +346,21 @@ impl SessionCore {
                     ));
                 }
                 self.txn = Some(write_db(db).begin().map_err(DriverError::from_core)?);
-                Ok(Outcome::Message("begin".to_string()))
+                Ok(Produced::Message("begin".to_string()))
             }
             Statement::Commit => {
                 let h = self.txn.take().ok_or_else(|| {
                     DriverError::new(ErrorCode::TxnState, "no open transaction to commit")
                 })?;
                 write_db(db).commit(h).map_err(DriverError::from_core)?;
-                Ok(Outcome::Message("commit".to_string()))
+                Ok(Produced::Message("commit".to_string()))
             }
             Statement::Rollback => {
                 let h = self.txn.take().ok_or_else(|| {
                     DriverError::new(ErrorCode::TxnState, "no open transaction to roll back")
                 })?;
                 write_db(db).abort(h).map_err(DriverError::from_core)?;
-                Ok(Outcome::Message("rollback".to_string()))
+                Ok(Produced::Message("rollback".to_string()))
             }
         }
     }
@@ -359,13 +390,27 @@ impl SessionCore {
         Ok(id)
     }
 
-    /// Run a prepared plan under `ctx`.
+    /// Run a prepared plan under `ctx`; its rows come back as an owned
+    /// relation.
     pub fn execute_prepared(
         &self,
         db: &RwLock<Db>,
         stmt: u64,
         ctx: &QueryContext,
     ) -> Result<Outcome, DriverError> {
+        self.execute_as(db, stmt, ctx, |answer| answer.into_relation(ctx))
+            .map(Outcome::Rows)
+    }
+
+    /// Run a prepared plan under `ctx` and hand its answer to `consume`
+    /// under the read lock, as [`SessionCore::run_as`] does for a select.
+    pub(crate) fn execute_as<T>(
+        &self,
+        db: &RwLock<Db>,
+        stmt: u64,
+        ctx: &QueryContext,
+        consume: impl FnOnce(Answer<'_>) -> bq_core::Result<T>,
+    ) -> Result<T, DriverError> {
         let plan = self.prepared.get(&stmt).ok_or_else(|| {
             DriverError::new(
                 ErrorCode::NoSuchStatement,
@@ -376,8 +421,7 @@ impl SessionCore {
             text: &plan.sql,
             plan: &plan.expr,
         };
-        self.read(db, |db, mode| db.run(query, ctx, mode))
-            .map(|answer| Outcome::Rows(answer.rel))
+        self.read(db, |db, mode| consume(db.run(query, ctx, mode)?))
     }
 
     /// End the session: any open transaction is rolled back so a dropped

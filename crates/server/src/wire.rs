@@ -66,6 +66,18 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     w.write_all(body)
 }
 
+/// Append one `len | body` frame to `out`, its body written in place by
+/// `encode` behind a length placeholder patched once the body is known,
+/// and return the body's length.
+pub fn push_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let at = out.len();
+    out.put_u32(0);
+    encode(out);
+    let len = out.len() - at - 4;
+    out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    len
+}
+
 /// Read one frame body, rejecting empty and oversized frames. The body
 /// buffer grows as bytes arrive, so a header claiming 16 MiB followed by
 /// EOF costs at most one [`FRAME_BUF`], and a short body is
@@ -131,15 +143,29 @@ impl<S: Read + Write> Framed<S> {
     /// Queue one frame whose body `encode` appends in place, and return
     /// the body's length.
     pub fn push(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<usize> {
-        let at = self.out.len();
-        self.out.put_u32(0);
-        encode(&mut self.out);
-        let len = self.out.len() - at - 4;
-        self.out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        let len = push_frame(&mut self.out, encode);
+        self.spill()?;
+        Ok(len)
+    }
+
+    /// Queue whole frames encoded elsewhere ([`push_frame`]), e.g. under
+    /// a lock no socket write may happen under. An empty queue takes the
+    /// buffer as it is, so nothing is copied.
+    pub fn push_frames(&mut self, frames: Vec<u8>) -> io::Result<()> {
+        if self.out.is_empty() {
+            self.out = frames;
+        } else {
+            self.out.extend_from_slice(&frames);
+        }
+        self.spill()
+    }
+
+    /// Flush once the queue has passed [`FRAME_BUF`].
+    fn spill(&mut self) -> io::Result<()> {
         if self.out.len() >= FRAME_BUF {
             self.flush()?;
         }
-        Ok(len)
+        Ok(())
     }
 
     /// Queue one encoded frame body.

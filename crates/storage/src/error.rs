@@ -55,6 +55,11 @@ pub enum StorageError {
     /// `wal.append.enospc` failpoint simulates a full log device. The
     /// in-flight transaction aborts; the engine stays read-available.
     DiskFull,
+    /// A WAL append was torn (the `wal.append.torn` failpoint): the log
+    /// ends in a fragment, and [`crate::Wal`] refuses every append and
+    /// sync until [`crate::Wal::crash`] cuts the fragment off — a record
+    /// written after it would be lost with it.
+    TornLog,
 }
 
 impl fmt::Display for StorageError {
@@ -94,6 +99,9 @@ impl fmt::Display for StorageError {
             StorageError::Governed(g) => write!(f, "governed: {g}"),
             StorageError::DiskFull => {
                 write!(f, "storage device full (ENOSPC): WAL write refused")
+            }
+            StorageError::TornLog => {
+                write!(f, "WAL append torn: the log refuses writes until a crash")
             }
         }
     }

@@ -197,6 +197,9 @@ pub struct Wal {
     unsynced: usize,
     syncs: u64,
     synced_len: usize,
+    /// The log ends in a torn fragment: nothing more is written until a
+    /// crash cuts it off.
+    torn: bool,
 }
 
 impl Wal {
@@ -208,15 +211,20 @@ impl Wal {
     /// Append a record, returning its LSN (byte offset).
     ///
     /// Failpoint `wal.append.torn`: only a prefix of the encoded record
-    /// reaches the log — the write was torn by a crash mid-append. The
-    /// caller is expected to stop writing (the process "died"), and
-    /// [`Wal::crash`] drops the partial record.
+    /// reaches the log — the write was torn by a crash mid-append — and
+    /// the append fails with [`StorageError::TornLog`]. From then on every
+    /// append and sync fails the same way (a record after the fragment
+    /// would decode as garbage and be lost with it) until [`Wal::crash`]
+    /// drops the partial record.
     ///
     /// Failpoint `wal.append.enospc`: the log device is full — the write
     /// is refused with [`StorageError::DiskFull`] and the log is left
     /// exactly as it was. The caller aborts the in-flight transaction;
     /// reads remain available.
     pub fn append(&mut self, rec: &LogRecord) -> Result<Lsn> {
+        if self.torn {
+            return Err(StorageError::TornLog);
+        }
         if bq_faults::hit("wal.append.enospc").is_some() {
             bq_obs::counter!(
                 "bq_storage_wal_enospc_total",
@@ -234,6 +242,9 @@ impl Wal {
                 "WAL appends torn by faults"
             )
             .inc();
+            self.buf.extend_from_slice(&encoded);
+            self.torn = true;
+            return Err(StorageError::TornLog);
         }
         bq_obs::counter!("bq_storage_wal_appends_total", "WAL records appended").inc();
         bq_obs::counter!("bq_storage_wal_bytes_total", "WAL bytes appended")
@@ -255,8 +266,12 @@ impl Wal {
     ///
     /// Failpoint `wal.append.enospc`: a full device fails the fsync too —
     /// the batch stays volatile and the caller sees
-    /// [`StorageError::DiskFull`].
+    /// [`StorageError::DiskFull`]. After a torn append it fails with
+    /// [`StorageError::TornLog`]: no sync may cover the fragment.
     pub fn sync(&mut self) -> Result<usize> {
+        if self.torn {
+            return Err(StorageError::TornLog);
+        }
         if bq_faults::hit("wal.append.enospc").is_some() {
             bq_obs::counter!(
                 "bq_storage_wal_enospc_total",
@@ -341,8 +356,10 @@ impl Wal {
     /// lost, and a synced byte never is (the cut is clamped into
     /// `synced_len..=byte_len`). A record the cut tears is dropped too, so
     /// the log ends at its last complete record and the next append
-    /// decodes. Returns the surviving records.
+    /// decodes (a torn append's fragment is one such record). Returns the
+    /// surviving records.
     pub fn crash(&mut self, cut: impl FnOnce(&[u8], usize) -> usize) -> Result<Vec<LogRecord>> {
+        self.torn = false;
         let keep = cut(&self.buf, self.synced_len).clamp(self.synced_len, self.buf.len());
         self.buf.truncate(keep);
         let mut out = Vec::with_capacity(self.records);
@@ -523,12 +540,31 @@ mod tests {
             bq_faults::Policy::new(bq_faults::Action::Corrupt, bq_faults::Trigger::Nth(1))
                 .caller_thread(),
         );
-        let tear = wal.append(&row_insert(9, b"yyyy")).unwrap();
+        let tear = wal.byte_len();
+        let torn = wal.append(&row_insert(9, b"yyyy"));
         bq_faults::off(site);
-        assert!(wal.byte_len() as Lsn > tear, "a fragment reached the log");
+        assert_eq!(
+            torn,
+            Err(StorageError::TornLog),
+            "the torn append fails typed"
+        );
+        assert!(wal.byte_len() > tear, "a fragment reached the log");
+        // Nothing lands after the fragment, and no sync covers it.
+        let len = wal.byte_len();
+        assert_eq!(
+            wal.append(&LogRecord::Commit(9)),
+            Err(StorageError::TornLog)
+        );
+        assert_eq!(wal.sync(), Err(StorageError::TornLog));
+        assert_eq!((wal.byte_len(), wal.synced_len()), (len, 0));
         let survivors = wal.crash(|log, _| log.len()).unwrap();
         assert_eq!(survivors, vec![LogRecord::Begin(9)]);
-        assert_eq!(wal.byte_len() as Lsn, tear, "the fragment is gone");
+        assert_eq!(wal.byte_len(), tear, "the fragment is gone");
+        // The crash lifts the refusal.
+        wal.append(&LogRecord::Commit(9)).unwrap();
+        wal.sync().unwrap();
+        let survivors = wal.crash(|log, _| log.len()).unwrap();
+        assert_eq!(survivors, vec![LogRecord::Begin(9), LogRecord::Commit(9)]);
     }
 
     #[test]

@@ -187,10 +187,11 @@ impl Run {
             Ok(()) => {
                 self.model.acked.insert(h.0);
             }
-            // A full device. If it refused the COMMIT record, the
-            // transaction rolled back; if it refused only the sync, the
-            // commit stands in memory and the log decides it at a crash.
-            Err(CoreError::Storage(StorageError::DiskFull)) => {
+            // A full device or a torn log. If it refused the COMMIT
+            // record, the transaction rolled back; if it refused only the
+            // sync, the commit stands in memory and the log decides it at
+            // a crash.
+            Err(CoreError::Storage(StorageError::DiskFull | StorageError::TornLog)) => {
                 self.model.refused += 1;
                 let rows = self.model.wrote.get(&h.0).cloned().unwrap_or_default();
                 let shows =
@@ -319,12 +320,13 @@ fn crash_and_check(
         );
     }
 
-    // Idempotent: a second recovery from the whole surviving log.
+    // Idempotent: a second recovery from the whole surviving log, in
+    // which the losers end with the ABORTs the first one logged.
     let fingerprint = run.db.content_fingerprint();
     assert_eq!(
         run.db.simulate_crash_and_recover().unwrap(),
-        losers,
-        "{what}"
+        Vec::<u64>::new(),
+        "{what}: losers rolled back again"
     );
     assert_eq!(run.db.content_fingerprint(), fingerprint, "{what}: re-run");
     check_tables(&run.db, &want, &format!("{what} (re-run)"));
@@ -446,10 +448,11 @@ fn skipped_fsyncs_lose_the_volatile_tail_consistently() {
     assert!(scenarios >= 25);
 }
 
-/// `wal.append.torn` tears the nth append mid-record; the process "dies"
-/// there, and recovery treats the fragment as end-of-log. The step that
-/// tore never answered, so only the commits acknowledged before it must
-/// survive.
+/// `wal.append.torn` tears the nth append mid-record and fails it typed;
+/// from then on the log refuses every write, so the rest of the workload
+/// runs without a commit being acknowledged, and recovery treats the
+/// fragment as end-of-log. Every commit acknowledged before the tear
+/// survives.
 #[test]
 fn torn_appends_are_crashes_at_the_failpoint() {
     let _g = serial();
@@ -459,21 +462,25 @@ fn torn_appends_are_crashes_at_the_failpoint() {
         let policy = Policy::new(Action::Corrupt, Trigger::Nth(k)).caller_thread();
         let mut run = Run::new(seed);
         faults::configure("wal.append.torn", policy);
-        let mut acked = BTreeSet::new();
         let mut steps = 0;
         while steps < STEPS && faults::fire_count("wal.append.torn") == 0 {
-            acked = run.model.acked.clone();
             run.step();
             steps += 1;
         }
-        // The step that tore died with the process: its answer never left.
-        run.model.acked = acked;
         let fired = faults::fire_count("wal.append.torn") == 1;
         faults::reset();
         if !fired {
             continue; // the workload made fewer than k appends
         }
-        let what = replay_line(seed, steps, &format!("wal.append.torn={policy}"));
+        let what = replay_line(seed, STEPS, &format!("wal.append.torn={policy}"));
+        let acked = run.model.acked.clone();
+        for _ in steps..STEPS {
+            run.step();
+        }
+        assert_eq!(
+            run.model.acked, acked,
+            "{what}: a commit was acknowledged after the tear"
+        );
         let mut fragment = false;
         crash_and_check(&mut run, &what, true, |log, _| {
             fragment = boundaries(log).last() != Some(&log.len());
@@ -581,8 +588,11 @@ fn disarmed_failpoints_change_nothing() {
         Policy::new(Action::Corrupt, Trigger::Always),
     );
     let mut scratch = Wal::new();
-    // Corrupt-armed, not error-armed: the append itself succeeds.
-    scratch.append(&LogRecord::Begin(1)).unwrap();
+    // Corrupt-armed: the append tears and fails typed.
+    assert_eq!(
+        scratch.append(&LogRecord::Begin(1)),
+        Err(StorageError::TornLog)
+    );
     assert_eq!(faults::fire_count("wal.append.torn"), 1);
     faults::reset();
 

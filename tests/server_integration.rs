@@ -27,6 +27,7 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread;
 use std::time::Duration;
 
+use big_queries::bq_core::Query;
 use big_queries::bq_faults::{self as faults, Action, Policy, Trigger};
 use big_queries::bq_governor::MAX_TRACKED_SQL;
 use big_queries::bq_server::wire::{
@@ -242,6 +243,82 @@ fn per_session_limits_bind_only_their_session() {
 
     starved.close();
     free.close();
+    server.shutdown(Duration::from_secs(2));
+}
+
+/// The bytes a reply of `RowSchema`, `Rows` batches of `batch_rows` and
+/// `Done` takes on the wire for `rel`.
+fn reply_len(rel: &Relation, batch_rows: usize) -> u64 {
+    let cols = rel.schema().attrs().iter();
+    let mut frames = vec![Response::RowSchema {
+        cols: cols.map(|a| (a.name.clone(), a.ty)).collect(),
+    }];
+    for chunk in rel.tuples().chunks(batch_rows) {
+        frames.push(Response::Rows {
+            tuples: chunk.to_vec(),
+        });
+    }
+    frames.push(Response::Done {
+        rows: rel.len() as u64,
+        query: 0,
+        message: String::new(),
+    });
+    frames.iter().map(|f| f.encode().len() as u64 + 4).sum()
+}
+
+fn budget(bytes: u64) -> SessionLimits {
+    SessionLimits {
+        memory_bytes: Some(bytes),
+        deadline_ms: None,
+        max_iterations: None,
+    }
+}
+
+/// A remote export charges its plan and then the reply bytes it
+/// encodes; an embedded one charges its plan and then its copies. Either
+/// way a budget one byte short of the whole is refused — by text and by
+/// a prepared statement — and the session goes on answering.
+#[test]
+fn a_budget_one_byte_short_of_the_export_refuses_it_on_every_path() {
+    let _g = unarmed();
+    const EXPORT: &str = "select e.a, e.b from t e";
+    let (server, addr) = serve_numbers(300, 0, ServerConfig::default());
+    let (plan, rel) = {
+        let db = server.db();
+        let db = db.read().unwrap();
+        let ctx = QueryContext::unlimited().with_memory_budget(1 << 30);
+        let answer = db.run(Query::Sql(EXPORT), &ctx, db.exec_mode()).unwrap();
+        let plan = answer.stats.total_mem_bytes();
+        (plan, answer.into_relation(&ctx).unwrap())
+    };
+    assert_eq!(rel.len(), 300);
+    let copies: u64 = rel.iter().map(Tuple::approx_bytes).sum();
+    let remote = plan + reply_len(&rel, ServerConfig::default().batch_rows);
+    let mut embedded = EmbeddedDriver::shared(server.db());
+    let mut conn = connect(&addr).unwrap();
+    let drivers: [(&mut dyn Driver, u64); 2] =
+        [(&mut conn, remote), (&mut embedded, plan + copies)];
+    for (driver, need) in drivers {
+        let id = driver.prepare(EXPORT).unwrap();
+        for limit in [need, need - 1] {
+            driver.set_limits(budget(limit)).unwrap();
+            let what = format!("{} under {limit} of {need} bytes", driver.backend());
+            let by_text = driver.execute(EXPORT);
+            let prepared = driver.execute_prepared(id);
+            if limit == need {
+                assert_eq!(rows(by_text.unwrap()), rel, "{what}");
+                assert_eq!(rows(prepared.unwrap()), rel, "{what}");
+            } else {
+                for err in [by_text.unwrap_err(), prepared.unwrap_err()] {
+                    assert_eq!(err.code, ErrorCode::MemoryExceeded, "{what}: {err}");
+                }
+            }
+            // The same session answers the next statement.
+            let point = rows(driver.execute("select e.b from t e where e.a = 7").unwrap());
+            assert_eq!(point.len(), 1, "{what}");
+        }
+    }
+    conn.close();
     server.shutdown(Duration::from_secs(2));
 }
 
