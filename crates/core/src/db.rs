@@ -116,7 +116,7 @@ pub enum Query<'a> {
 /// the borrow of the engine it came from (a server's read lock); its
 /// consumer copies them ([`Answer::into_relation`]) or encodes them before
 /// letting go.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Answer<'db> {
     /// The result rows: sorted, distinct, borrowed where no operator
     /// built them.
@@ -125,6 +125,21 @@ pub struct Answer<'db> {
     pub stats: ExecStats,
     /// Wall time from admission to result, in microseconds.
     pub elapsed_us: u64,
+    /// Records the statement when the answer is dropped: after its
+    /// consumer has charged the budget for its copies or reply bytes.
+    recorder: Recorder,
+}
+
+/// Records a statement's governed outcome ([`bq_governor::record_statement`])
+/// when dropped, so the budget's high-water mark is read once whatever
+/// used the statement's result is done with it.
+#[derive(Debug)]
+struct Recorder(QueryContext);
+
+impl Drop for Recorder {
+    fn drop(&mut self) {
+        bq_governor::record_statement(&self.0, None);
+    }
 }
 
 impl Answer<'_> {
@@ -310,8 +325,13 @@ impl Db {
     // ------------------------------------------------------------------
 
     /// Create a table. DDL is logged and synced immediately so a lone
-    /// `create table` ships to replicas without waiting for a commit.
+    /// `create table` ships to replicas without waiting for a commit. A
+    /// `bq.` name is refused: every read of one goes to the virtual
+    /// catalog.
     pub fn create_table(&mut self, name: &str, attrs: &[(&str, Type)]) -> Result<()> {
+        if name.starts_with(VTAB_PREFIX) {
+            return Err(CoreError::ReservedName(name.to_string()));
+        }
         if self.tables.contains(name) {
             return Err(CoreError::TableExists(name.to_string()));
         }
@@ -700,14 +720,15 @@ impl Db {
     /// Statement wrapper: admission slot, registration in the in-flight
     /// registry (`bq.queries`, [`Db::cancel_handle`]), latency timer, and
     /// the once-per-statement governor metrics. Returns the result paired
-    /// with the statement's wall time in microseconds.
+    /// with the statement's wall time in microseconds and the [`Recorder`]
+    /// that records it; a failed statement is recorded here.
     fn run_governed<T>(
         &self,
         kind: &'static str,
         stmt: &str,
         ctx: &QueryContext,
         f: impl FnOnce() -> Result<T>,
-    ) -> Result<(T, u64)> {
+    ) -> Result<(T, u64, Recorder)> {
         let _permit = self.admission.admit(ctx)?;
         // A front-end (the server) registers its statements before they
         // queue on the engine lock; a context that carries no id yet is
@@ -721,8 +742,10 @@ impl Db {
         let _t = Self::stmt_timer(kind);
         let out = f();
         let elapsed_us = bq_obs::now_us().saturating_sub(start_us);
-        bq_governor::record_statement(ctx, out.as_ref().err().and_then(CoreError::governor));
-        out.map(|v| (v, elapsed_us))
+        if let Err(e) = &out {
+            bq_governor::record_statement(ctx, e.governor());
+        }
+        out.map(|v| (v, elapsed_us, Recorder(ctx.clone())))
     }
 
     /// Feed one completed statement into the slow log.
@@ -858,7 +881,7 @@ impl Db {
             Query::Algebra(_) => ("algebra", "(algebra)"),
             Query::Calculus(_) => ("calculus", "(calculus)"),
         };
-        let ((rows, stats), elapsed_us) = self.run_governed(kind, text, ctx, || {
+        let ((rows, stats), elapsed_us, recorder) = self.run_governed(kind, text, ctx, || {
             // SQL text and a translated calculus query are optimized
             // against the catalog they run on; a plan runs as given.
             let built;
@@ -887,6 +910,7 @@ impl Db {
             rows,
             stats,
             elapsed_us,
+            recorder,
         })
     }
 
@@ -960,12 +984,14 @@ impl Db {
             rows,
             mut stats,
             elapsed_us,
+            recorder,
         } = self.run(Query::Sql(text), ctx, mode)?;
         // The copy is part of what an embedded statement costs.
         let before = stats.elapsed;
         let rows = rows
             .into_relation(ctx, &mut stats)
             .map_err(|e| refused(e.into()))?;
+        drop(recorder);
         let copy_us = (stats.elapsed - before).as_micros() as u64;
         Ok(format!(
             "mode: {mode}\nquery: {}\nelapsed: {}us\nrows: {}\n{}",
@@ -1022,7 +1048,7 @@ impl Db {
             let (store, _) = SemiNaive::run_with_ctx(&program, &edb, ctx)?;
             Ok(bq_datalog::interp::query(&store, &atom))
         })
-        .map(|(rows, _)| rows)
+        .map(|(rows, _, _)| rows)
     }
 
     /// Borrow the logical catalog (for the algebra/calculus builders).
@@ -1622,6 +1648,21 @@ mod tests {
             db.create_table("emp", &[("x", Type::Int)]),
             Err(CoreError::TableExists(_))
         ));
+    }
+
+    /// A `bq.` table could be written and never read: every read of a
+    /// `bq.` name goes to the virtual catalog.
+    #[test]
+    fn the_bq_namespace_is_reserved() {
+        let mut db = emp_db();
+        for name in ["bq.x", "bq.metrics"] {
+            assert!(matches!(
+                db.create_table(name, &[("a", Type::Int)]),
+                Err(CoreError::ReservedName(n)) if n == name
+            ));
+        }
+        assert!(db.insert("bq.x", vec![Value::Int(1)]).is_err());
+        db.create_table("bqx", &[("a", Type::Int)]).unwrap();
     }
 
     #[test]

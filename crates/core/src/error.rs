@@ -15,6 +15,9 @@ pub enum CoreError {
     TableExists(String),
     /// The named table does not exist.
     NoSuchTable(String),
+    /// The name is in the `bq.` namespace, which the virtual system
+    /// catalog owns.
+    ReservedName(String),
     /// The transaction handle is unknown or already finished.
     BadTxn(u64),
     /// A lock conflict: another active transaction holds the table.
@@ -49,6 +52,9 @@ impl fmt::Display for CoreError {
             CoreError::Storage(e) => write!(f, "{e}"),
             CoreError::TableExists(t) => write!(f, "table `{t}` already exists"),
             CoreError::NoSuchTable(t) => write!(f, "no such table `{t}`"),
+            CoreError::ReservedName(t) => {
+                write!(f, "`{t}` is reserved: `bq.` names the system catalog")
+            }
             CoreError::BadTxn(h) => write!(f, "unknown transaction handle {h}"),
             CoreError::Locked { table } => write!(f, "table `{table}` is locked"),
             CoreError::Codec(m) => write!(f, "codec error: {m}"),

@@ -112,10 +112,11 @@ impl std::error::Error for GovernorError {}
 /// Record the governed outcome of one statement in the `bq-obs` registry.
 ///
 /// Called once per statement by `bq-core` (not from worker threads, so a
-/// statement that fails on four workers at once still counts once):
-/// observes the budget's reservation high-water mark and bumps the
-/// matching outcome counter for governor refusals. Admission metrics are
-/// recorded by the [`AdmissionController`] itself.
+/// statement that fails on four workers at once still counts once), after
+/// whatever consumed its result — a copy, a reply encoding — so the peak
+/// includes it: observes the budget's reservation high-water mark and
+/// bumps the matching outcome counter for governor refusals. Admission
+/// metrics are recorded by the [`AdmissionController`] itself.
 pub fn record_statement(ctx: &QueryContext, err: Option<&GovernorError>) {
     if let Some(budget) = ctx.budget() {
         bq_obs::histogram!(

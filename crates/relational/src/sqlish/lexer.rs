@@ -37,113 +37,77 @@ pub enum Token {
     Ge,
 }
 
+/// Punctuation and operators, each two-character one before its prefix.
+const SYMBOLS: [(&str, Token); 12] = [
+    ("<=", Token::Le),
+    (">=", Token::Ge),
+    ("<>", Token::Ne),
+    ("!=", Token::Ne),
+    ("<", Token::Lt),
+    (">", Token::Gt),
+    ("=", Token::Eq),
+    (",", Token::Comma),
+    (".", Token::Dot),
+    ("*", Token::Star),
+    ("(", Token::LParen),
+    (")", Token::RParen),
+];
+
+/// Length in bytes of the identifier `text` begins with, 0 if none: a
+/// letter or `_`, then letters, digits and `_`.
+fn ident_len(text: &str) -> usize {
+    match text.chars().next() {
+        Some(c) if c.is_alphabetic() || c == '_' => text
+            .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .unwrap_or(text.len()),
+        _ => 0,
+    }
+}
+
+/// Split off `text`'s first word, read by the identifier rule [`lex`]
+/// uses, and the rest, both without surrounding whitespace: `select*from
+/// t` gives `("select", "*from t")`. The word is empty when `text` does
+/// not begin with an identifier.
+pub fn leading_word(text: &str) -> (&str, &str) {
+    let text = text.trim_start();
+    let (word, rest) = text.split_at(ident_len(text));
+    (word, rest.trim_start())
+}
+
 /// Tokenize an input string.
 pub fn lex(input: &str) -> Result<Vec<Token>> {
     let mut tokens = Vec::new();
-    let chars: Vec<char> = input.chars().collect();
-    let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            c if c.is_whitespace() => i += 1,
-            ',' => {
-                tokens.push(Token::Comma);
-                i += 1;
-            }
-            '.' => {
-                tokens.push(Token::Dot);
-                i += 1;
-            }
-            '*' => {
-                tokens.push(Token::Star);
-                i += 1;
-            }
-            '(' => {
-                tokens.push(Token::LParen);
-                i += 1;
-            }
-            ')' => {
-                tokens.push(Token::RParen);
-                i += 1;
-            }
-            '=' => {
-                tokens.push(Token::Eq);
-                i += 1;
-            }
-            '!' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    tokens.push(Token::Ne);
-                    i += 2;
-                } else {
-                    return Err(RelError::ParseError(format!("stray `!` at {i}")));
-                }
-            }
-            '<' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    tokens.push(Token::Le);
-                    i += 2;
-                } else if chars.get(i + 1) == Some(&'>') {
-                    tokens.push(Token::Ne);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Lt);
-                    i += 1;
-                }
-            }
-            '>' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    tokens.push(Token::Ge);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Gt);
-                    i += 1;
-                }
-            }
-            '\'' => {
-                let mut s = String::new();
-                i += 1;
-                loop {
-                    match chars.get(i) {
-                        Some('\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&ch) => {
-                            s.push(ch);
-                            i += 1;
-                        }
-                        None => return Err(RelError::ParseError("unterminated string".into())),
-                    }
-                }
-                tokens.push(Token::Str(s));
-            }
-            c if c.is_ascii_digit()
-                || (c == '-' && chars.get(i + 1).is_some_and(|d| d.is_ascii_digit())) =>
-            {
-                let start = i;
-                i += 1;
-                while i < chars.len() && chars[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let text: String = chars[start..i].iter().collect();
-                let n = text
-                    .parse::<i64>()
-                    .map_err(|_| RelError::ParseError(format!("bad integer `{text}`")))?;
-                tokens.push(Token::Int(n));
-            }
-            c if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                }
-                tokens.push(Token::Ident(chars[start..i].iter().collect()));
-            }
-            other => {
-                return Err(RelError::ParseError(format!(
-                    "unexpected character `{other}` at {i}"
-                )))
-            }
-        }
+    let digits = |s: &str| s.find(|d: char| !d.is_ascii_digit()).unwrap_or(s.len());
+    let mut rest = input.trim_start();
+    while let Some(c) = rest.chars().next() {
+        let word = ident_len(rest);
+        let len = if word > 0 {
+            tokens.push(Token::Ident(rest[..word].to_string()));
+            word
+        } else if digits(rest) > 0 || (c == '-' && digits(&rest[1..]) > 0) {
+            let end = 1 + digits(&rest[1..]);
+            let text = &rest[..end];
+            let n = text
+                .parse::<i64>()
+                .map_err(|_| RelError::ParseError(format!("bad integer `{text}`")))?;
+            tokens.push(Token::Int(n));
+            end
+        } else if let Some(body) = rest.strip_prefix('\'') {
+            let end = body
+                .find('\'')
+                .ok_or_else(|| RelError::ParseError("unterminated string".into()))?;
+            tokens.push(Token::Str(body[..end].to_string()));
+            end + 2
+        } else if let Some((sym, tok)) = SYMBOLS.iter().find(|(s, _)| rest.starts_with(s)) {
+            tokens.push(tok.clone());
+            sym.len()
+        } else {
+            let at = input.len() - rest.len();
+            return Err(RelError::ParseError(format!(
+                "unexpected character `{c}` at {at}"
+            )));
+        };
+        rest = rest[len..].trim_start();
     }
     Ok(tokens)
 }

@@ -1,16 +1,111 @@
-//! Recursive-descent parser: SQL-ish text → relational algebra.
+//! Recursive-descent parser: SQL-ish text → statements and relational
+//! algebra.
 
 use crate::algebra::expr::{Expr, Operand, Predicate};
 use crate::error::RelError;
-use crate::sqlish::lexer::{lex, Token};
-use crate::value::{CmpOp, Value};
+use crate::sqlish::lexer::{leading_word, lex, Token};
+use crate::value::{CmpOp, Type, Value};
 use crate::Result;
+use std::iter::Peekable;
+use std::vec;
+
+/// Deepest nesting of `NOT` and parentheses in one statement.
+pub const MAX_NESTING: usize = 32;
+/// Most `AND`/`OR` connectives in one statement.
+pub const MAX_CONNECTIVES: usize = 128;
+/// Most selects one statement joins by `UNION`/`EXCEPT`/`INTERSECT`.
+pub const MAX_ARMS: usize = 16;
+/// Most tables in one `FROM` list.
+pub const MAX_TABLES: usize = 16;
+/// Most columns in one select list; each becomes a rename.
+pub const MAX_COLUMNS: usize = 16;
+
+/// One statement of the grammar [`statement`] reads.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Statement {
+    /// A select, kept as text: the engine parses ([`parse`]) and
+    /// optimizes it under governance so a parse error is a typed query
+    /// error, not a protocol one.
+    Select(String),
+    /// `explain analyze <select>`, keeping the inner select's text: run
+    /// it governed and return the physical plan annotated with
+    /// per-operator runtime stats (rows, batches, wall time, memory).
+    ExplainAnalyze(String),
+    /// `create table name (col type, ...)`.
+    CreateTable {
+        /// Table name.
+        name: String,
+        /// Column names and types, in order.
+        cols: Vec<(String, Type)>,
+    },
+    /// `insert into name values (v, ...)`.
+    Insert {
+        /// Target table.
+        table: String,
+        /// The row.
+        row: Vec<Value>,
+    },
+    /// `begin` — open an interactive transaction on this session.
+    Begin,
+    /// `commit` the session's open transaction.
+    Commit,
+    /// `rollback` (or `abort`) the session's open transaction.
+    Rollback,
+}
+
+impl Statement {
+    /// Does this statement mutate the database (needs the write lock)?
+    pub fn is_mutation(&self) -> bool {
+        !matches!(self, Statement::Select(_) | Statement::ExplainAnalyze(_))
+    }
+}
+
+/// Read one statement of [`parse`]'s grammar; `Ok(None)` when its first
+/// word begins none. A select, bare or explained, is classified by its
+/// first word and kept as text, neither lexed nor parsed here: [`parse`]
+/// reads it once, where it runs.
+pub fn statement(text: &str) -> Result<Option<Statement>> {
+    let text = text.trim();
+    let (word, rest) = leading_word(text);
+    let is = |kw: &str| word.eq_ignore_ascii_case(kw);
+    if is("select") {
+        return Ok(Some(Statement::Select(text.to_string())));
+    }
+    if is("explain") {
+        let (analyze, query) = leading_word(rest);
+        if !analyze.eq_ignore_ascii_case("analyze") {
+            return Err(parse_error(format!(
+                "expected `analyze`, found `{analyze}`"
+            )));
+        }
+        if !leading_word(query).0.eq_ignore_ascii_case("select") {
+            return Err(parse_error("explain analyze takes a select"));
+        }
+        return Ok(Some(Statement::ExplainAnalyze(query.to_string())));
+    }
+    let verbs = ["create", "insert", "begin", "commit", "rollback", "abort"];
+    if !verbs.iter().any(|v| is(v)) {
+        return Ok(None);
+    }
+    let mut p = Parser::new(lex(text)?);
+    let stmt = p.command()?;
+    p.finish()?;
+    Ok(Some(stmt))
+}
 
 /// Parse a SQL-ish query into a relational-algebra expression.
 ///
-/// Grammar (keywords case-insensitive):
+/// The grammar of every statement (keywords case-insensitive; a
+/// statement's first word is read by the lexer's identifier rule, so
+/// `select*from t` begins with `select`):
 ///
 /// ```text
+/// statement := query | EXPLAIN ANALYZE query     -- kept as text
+///            | CREATE TABLE relname '(' name type (',' name type)* ')'
+///            | INSERT INTO relname VALUES '(' value (',' value)* ')'
+///            | BEGIN | COMMIT | ROLLBACK | ABORT
+/// type    := INT | INTEGER | STR | STRING | TEXT | VARCHAR | BOOL | BOOLEAN
+/// value   := NULL | literal
 /// query   := inter ((UNION | EXCEPT) inter)*     -- folds left
 /// inter   := select (INTERSECT select)*          -- binds tighter
 /// select  := SELECT cols FROM tables [WHERE pred]
@@ -18,56 +113,85 @@ use crate::Result;
 /// col     := [alias '.'] name [AS out]
 /// tables  := table (',' table)*
 /// table   := relname [alias]
+/// relname := name ('.' name)*                    -- `bq.metrics`
 /// pred    := or ; or := and (OR and)* ; and := unary (AND unary)*
 /// unary   := NOT unary | '(' pred ')' | operand cmp operand
-/// operand := [alias '.'] name | int | 'string' | TRUE | FALSE
+/// operand := [alias '.'] name | literal
+/// literal := int | 'string' | TRUE | FALSE
 /// ```
+///
+/// Past each bound a statement is a typed [`RelError::ParseError`]:
+/// [`MAX_NESTING`] `NOT`s and parentheses and [`MAX_CONNECTIVES`] `AND`s
+/// and `OR`s per statement, [`MAX_ARMS`] selects per statement,
+/// [`MAX_TABLES`] tables per `FROM` list and [`MAX_COLUMNS`] columns per
+/// select list. Every recursive pass over a statement at all five bounds
+/// at once (parse, optimize, lower, execute, render, fingerprint, drop)
+/// fits a session thread's 2 MiB stack, in a debug build too.
 pub fn parse(input: &str) -> Result<Expr> {
-    let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(lex(input)?);
     let expr = p.query()?;
-    if p.pos != p.tokens.len() {
-        return Err(RelError::ParseError(format!(
-            "trailing tokens starting at {:?}",
-            p.tokens[p.pos]
-        )));
-    }
+    p.finish()?;
     Ok(expr)
 }
 
+fn parse_error(msg: impl Into<String>) -> RelError {
+    RelError::ParseError(msg.into())
+}
+
 struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+    /// Read once, front to back: each token moves out as it is read.
+    tokens: Peekable<vec::IntoIter<Token>>,
+    /// `NOT`s and parentheses open around the current token.
+    nesting: usize,
+    /// `AND`s and `OR`s read so far.
+    connectives: usize,
+    /// Selects read so far.
+    arms: usize,
+}
+
+/// Fail once `count` passes `max` of `what`.
+fn bound(count: usize, max: usize, what: &str) -> Result<()> {
+    if count > max {
+        return Err(parse_error(format!("more than {max} {what}")));
+    }
+    Ok(())
 }
 
 impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+    fn new(tokens: Vec<Token>) -> Parser {
+        Parser {
+            tokens: tokens.into_iter().peekable(),
+            nesting: 0,
+            connectives: 0,
+            arms: 0,
+        }
+    }
+
+    fn finish(&mut self) -> Result<()> {
+        match self.peek() {
+            None => Ok(()),
+            Some(t) => Err(parse_error(format!("trailing tokens starting at {t:?}"))),
+        }
+    }
+
+    fn peek(&mut self) -> Option<&Token> {
+        self.tokens.peek()
     }
 
     fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+        self.tokens.next()
     }
 
     fn keyword(&mut self, kw: &str) -> bool {
-        if let Some(Token::Ident(s)) = self.peek() {
-            if s.eq_ignore_ascii_case(kw) {
-                self.pos += 1;
-                return true;
-            }
-        }
-        false
+        let is_kw = |t: &Token| matches!(t, Token::Ident(s) if s.eq_ignore_ascii_case(kw));
+        self.tokens.next_if(is_kw).is_some()
     }
 
     fn expect_keyword(&mut self, kw: &str) -> Result<()> {
         if self.keyword(kw) {
             Ok(())
         } else {
-            Err(RelError::ParseError(format!(
+            Err(parse_error(format!(
                 "expected `{kw}`, found {:?}",
                 self.peek()
             )))
@@ -77,19 +201,84 @@ impl Parser {
     fn expect(&mut self, tok: &Token) -> Result<()> {
         match self.next() {
             Some(t) if &t == tok => Ok(()),
-            other => Err(RelError::ParseError(format!(
-                "expected {tok:?}, found {other:?}"
-            ))),
+            other => Err(parse_error(format!("expected {tok:?}, found {other:?}"))),
         }
+    }
+
+    /// Consume `tok` if it is next.
+    fn eat(&mut self, tok: &Token) -> bool {
+        self.tokens.next_if_eq(tok).is_some()
     }
 
     fn ident(&mut self) -> Result<String> {
         match self.next() {
             Some(Token::Ident(s)) => Ok(s),
-            other => Err(RelError::ParseError(format!(
-                "expected identifier, found {other:?}"
-            ))),
+            other => Err(parse_error(format!("expected identifier, found {other:?}"))),
         }
+    }
+
+    /// `item (',' item)*`
+    fn commas<T>(&mut self, mut item: impl FnMut(&mut Parser) -> Result<T>) -> Result<Vec<T>> {
+        let mut out = vec![item(self)?];
+        while self.eat(&Token::Comma) {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
+    /// `'(' item (',' item)* ')'`
+    fn list<T>(&mut self, item: impl FnMut(&mut Parser) -> Result<T>) -> Result<Vec<T>> {
+        self.expect(&Token::LParen)?;
+        let out = self.commas(item)?;
+        self.expect(&Token::RParen)?;
+        Ok(out)
+    }
+
+    /// Every statement but a select and `explain analyze`.
+    fn command(&mut self) -> Result<Statement> {
+        if self.keyword("create") {
+            self.expect_keyword("table")?;
+            let name = self.relname()?;
+            let cols = self.list(|p| Ok((p.ident()?, p.column_type()?)))?;
+            return Ok(Statement::CreateTable { name, cols });
+        }
+        if self.keyword("insert") {
+            self.expect_keyword("into")?;
+            let table = self.relname()?;
+            self.expect_keyword("values")?;
+            let row = self.list(|p| {
+                if p.keyword("null") {
+                    return Ok(Value::Null(0));
+                }
+                p.literal()
+                    .ok_or_else(|| parse_error(format!("expected a value, found {:?}", p.peek())))
+            })?;
+            return Ok(Statement::Insert { table, row });
+        }
+        for (verb, stmt) in [
+            ("begin", Statement::Begin),
+            ("commit", Statement::Commit),
+            ("rollback", Statement::Rollback),
+            ("abort", Statement::Rollback),
+        ] {
+            if self.keyword(verb) {
+                return Ok(stmt);
+            }
+        }
+        Err(parse_error(format!(
+            "expected a statement, found {:?}",
+            self.peek()
+        )))
+    }
+
+    fn column_type(&mut self) -> Result<Type> {
+        let name = self.ident()?;
+        Ok(match name.to_ascii_lowercase().as_str() {
+            "int" | "integer" => Type::Int,
+            "str" | "string" | "text" | "varchar" => Type::Str,
+            "bool" | "boolean" => Type::Bool,
+            _ => return Err(parse_error(format!("unknown type `{name}`"))),
+        })
     }
 
     /// Folds left: `a except b except c` is `(a − b) − c`, as in SQL.
@@ -116,10 +305,13 @@ impl Parser {
     }
 
     fn select(&mut self) -> Result<Expr> {
+        self.arms += 1;
+        bound(self.arms, MAX_ARMS, "selects in one statement")?;
         self.expect_keyword("select")?;
         let cols = self.columns()?;
         self.expect_keyword("from")?;
-        let tables = self.tables()?;
+        let tables = self.commas(Parser::table)?;
+        bound(tables.len(), MAX_TABLES, "tables in one FROM list")?;
 
         // FROM: qualify each table by its alias and fold into a product.
         let mut from = None;
@@ -131,8 +323,7 @@ impl Parser {
                 Some(acc) => Expr::product(acc, e),
             });
         }
-        let mut expr =
-            from.ok_or_else(|| RelError::ParseError("FROM needs at least one table".into()))?;
+        let mut expr = from.ok_or_else(|| parse_error("FROM needs at least one table"))?;
 
         if self.keyword("where") {
             let pred = self.pred(&aliases)?;
@@ -166,7 +357,7 @@ impl Parser {
         match alias {
             Some(a) => {
                 if !aliases.contains(a) {
-                    return Err(RelError::ParseError(format!("unknown alias `{a}`")));
+                    return Err(parse_error(format!("unknown alias `{a}`")));
                 }
                 Ok(format!("{a}.{name}"))
             }
@@ -174,7 +365,7 @@ impl Parser {
                 if aliases.len() == 1 {
                     Ok(format!("{}.{}", aliases[0], name))
                 } else {
-                    Err(RelError::ParseError(format!(
+                    Err(parse_error(format!(
                         "unqualified column `{name}` is ambiguous with {} tables",
                         aliases.len()
                     )))
@@ -184,22 +375,17 @@ impl Parser {
     }
 
     fn columns(&mut self) -> Result<Cols> {
-        if matches!(self.peek(), Some(Token::Star)) {
-            self.next();
+        if self.eat(&Token::Star) {
             return Ok(Cols::Star);
         }
-        let mut items = vec![self.column()?];
-        while matches!(self.peek(), Some(Token::Comma)) {
-            self.next();
-            items.push(self.column()?);
-        }
+        let items = self.commas(Parser::column)?;
+        bound(items.len(), MAX_COLUMNS, "columns in one select list")?;
         Ok(Cols::List(items))
     }
 
     fn column(&mut self) -> Result<ColItem> {
         let first = self.ident()?;
-        let (alias, name) = if matches!(self.peek(), Some(Token::Dot)) {
-            self.next();
+        let (alias, name) = if self.eat(&Token::Dot) {
             (Some(first), self.ident()?)
         } else {
             (None, first)
@@ -212,24 +398,19 @@ impl Parser {
         Ok(ColItem { alias, name, out })
     }
 
-    fn tables(&mut self) -> Result<Vec<(String, String)>> {
-        let mut out = vec![self.table()?];
-        while matches!(self.peek(), Some(Token::Comma)) {
-            self.next();
-            out.push(self.table()?);
-        }
-        Ok(out)
-    }
-
-    fn table(&mut self) -> Result<(String, String)> {
+    /// Dotted names (`bq.metrics`) address catalog namespaces; the joined
+    /// string is the relation name.
+    fn relname(&mut self) -> Result<String> {
         let mut name = self.ident()?;
-        // Dotted names (`bq.metrics`) address catalog namespaces; the
-        // joined string is the relation name.
-        while matches!(self.peek(), Some(Token::Dot)) {
-            self.next();
+        while self.eat(&Token::Dot) {
             name.push('.');
             name.push_str(&self.ident()?);
         }
+        Ok(name)
+    }
+
+    fn table(&mut self) -> Result<(String, String)> {
+        let name = self.relname()?;
         // Optional alias: an identifier that is not a clause keyword.
         if let Some(Token::Ident(s)) = self.peek() {
             let is_kw = [
@@ -251,9 +432,19 @@ impl Parser {
         Ok((name.clone(), name))
     }
 
+    /// Count one `AND`/`OR` if `kw` is next.
+    fn connective(&mut self, kw: &str) -> Result<bool> {
+        if !self.keyword(kw) {
+            return Ok(false);
+        }
+        self.connectives += 1;
+        bound(self.connectives, MAX_CONNECTIVES, "ANDs and ORs")?;
+        Ok(true)
+    }
+
     fn pred(&mut self, aliases: &[String]) -> Result<Predicate> {
         let mut left = self.pred_and(aliases)?;
-        while self.keyword("or") {
+        while self.connective("or")? {
             let right = self.pred_and(aliases)?;
             left = Predicate::Or(Box::new(left), Box::new(right));
         }
@@ -262,7 +453,7 @@ impl Parser {
 
     fn pred_and(&mut self, aliases: &[String]) -> Result<Predicate> {
         let mut left = self.pred_unary(aliases)?;
-        while self.keyword("and") {
+        while self.connective("and")? {
             let right = self.pred_unary(aliases)?;
             left = Predicate::And(Box::new(left), Box::new(right));
         }
@@ -270,13 +461,18 @@ impl Parser {
     }
 
     fn pred_unary(&mut self, aliases: &[String]) -> Result<Predicate> {
-        if self.keyword("not") {
-            return Ok(Predicate::Not(Box::new(self.pred_unary(aliases)?)));
-        }
-        if matches!(self.peek(), Some(Token::LParen)) {
-            self.next();
-            let inner = self.pred(aliases)?;
-            self.expect(&Token::RParen)?;
+        let not = self.keyword("not");
+        if not || self.eat(&Token::LParen) {
+            self.nesting += 1;
+            bound(self.nesting, MAX_NESTING, "nested NOTs and parentheses")?;
+            let inner = if not {
+                Predicate::Not(Box::new(self.pred_unary(aliases)?))
+            } else {
+                let inner = self.pred(aliases)?;
+                self.expect(&Token::RParen)?;
+                inner
+            };
+            self.nesting -= 1;
             return Ok(inner);
         }
         let l = self.operand(aliases)?;
@@ -288,7 +484,7 @@ impl Parser {
             Some(Token::Gt) => CmpOp::Gt,
             Some(Token::Ge) => CmpOp::Ge,
             other => {
-                return Err(RelError::ParseError(format!(
+                return Err(parse_error(format!(
                     "expected comparison operator, found {other:?}"
                 )))
             }
@@ -297,32 +493,35 @@ impl Parser {
         Ok(Predicate::Cmp { l, op, r })
     }
 
+    /// `literal := int | 'string' | TRUE | FALSE`, consumed if next.
+    fn literal(&mut self) -> Option<Value> {
+        let v = match self.tokens.peek_mut()? {
+            Token::Int(n) => Value::Int(*n),
+            Token::Str(s) => Value::Str(std::mem::take(s)),
+            Token::Ident(s) if s.eq_ignore_ascii_case("true") => Value::Bool(true),
+            Token::Ident(s) if s.eq_ignore_ascii_case("false") => Value::Bool(false),
+            _ => return None,
+        };
+        self.tokens.next();
+        Some(v)
+    }
+
     fn operand(&mut self, aliases: &[String]) -> Result<Operand> {
-        match self.next() {
-            Some(Token::Int(n)) => Ok(Operand::Const(Value::Int(n))),
-            Some(Token::Str(s)) => Ok(Operand::Const(Value::Str(s))),
-            Some(Token::Ident(s)) if s.eq_ignore_ascii_case("true") => {
-                Ok(Operand::Const(Value::Bool(true)))
+        if let Some(v) = self.literal() {
+            return Ok(Operand::Const(v));
+        }
+        let first = match self.next() {
+            Some(Token::Ident(s)) => s,
+            other => return Err(parse_error(format!("expected operand, found {other:?}"))),
+        };
+        if self.eat(&Token::Dot) {
+            let name = self.ident()?;
+            if !aliases.contains(&first) {
+                return Err(parse_error(format!("unknown alias `{first}`")));
             }
-            Some(Token::Ident(s)) if s.eq_ignore_ascii_case("false") => {
-                Ok(Operand::Const(Value::Bool(false)))
-            }
-            Some(Token::Ident(first)) => {
-                if matches!(self.peek(), Some(Token::Dot)) {
-                    self.next();
-                    let name = self.ident()?;
-                    if !aliases.contains(&first) {
-                        return Err(RelError::ParseError(format!("unknown alias `{first}`")));
-                    }
-                    Ok(Operand::Attr(format!("{first}.{name}")))
-                } else {
-                    let q = self.qualify_column(&None, &first, aliases)?;
-                    Ok(Operand::Attr(q))
-                }
-            }
-            other => Err(RelError::ParseError(format!(
-                "expected operand, found {other:?}"
-            ))),
+            Ok(Operand::Attr(format!("{first}.{name}")))
+        } else {
+            Ok(Operand::Attr(self.qualify_column(&None, &first, aliases)?))
         }
     }
 }

@@ -1,8 +1,8 @@
-//! Statement parsing and per-session execution state.
+//! Statement classification and per-session execution state.
 //!
-//! [`parse_statement`] classifies one line of input into a [`Statement`]:
-//! selects go to the SQL-ish parser inside the engine, while `create
-//! table`, `insert into`, and the transaction verbs are parsed here.
+//! [`parse_statement`] reads one line of input into a [`Statement`] with
+//! the engine's one SQL-ish grammar ([`bq_relational::sqlish::statement`]);
+//! a select is classified by its first word and parsed where it runs.
 //! [`SessionCore`] is the per-session state machine both frontends share:
 //! the server gives every TCP connection one, and the embedded driver
 //! gives the shell one, so a statement behaves identically whichever path
@@ -14,200 +14,24 @@ use bq_core::{Answer, Db, Query, SessionLimits, TxnHandle};
 use bq_exec::ExecMode;
 use bq_governor::QueryContext;
 use bq_relational::algebra::Expr;
-use bq_relational::{Type, Value};
+use bq_relational::sqlish;
+pub use bq_relational::sqlish::Statement;
+use bq_relational::Type;
 use std::collections::HashMap;
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// One parsed client statement.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Statement {
-    /// A select, kept as text: the engine parses and optimizes it under
-    /// governance so a parse error is a typed query error, not a protocol
-    /// one.
-    Select(String),
-    /// `explain analyze <select>` — run the inner select governed and
-    /// return the physical plan annotated with per-operator runtime
-    /// stats (rows, batches, wall time, memory) as a message.
-    ExplainAnalyze(String),
-    /// `create table name (col type, ...)`.
-    CreateTable {
-        /// Table name.
-        name: String,
-        /// Column names and types, in order.
-        cols: Vec<(String, Type)>,
-    },
-    /// `insert into name values (v, ...)`.
-    Insert {
-        /// Target table.
-        table: String,
-        /// The row.
-        row: Vec<Value>,
-    },
-    /// `begin` — open an interactive transaction on this session.
-    Begin,
-    /// `commit` the session's open transaction.
-    Commit,
-    /// `rollback` the session's open transaction.
-    Rollback,
-}
-
-impl Statement {
-    /// Does this statement mutate the database (needs the write lock)?
-    pub fn is_mutation(&self) -> bool {
-        !matches!(self, Statement::Select(_) | Statement::ExplainAnalyze(_))
-    }
-}
 
 /// Classify one line of input. Unknown statement shapes are
 /// [`ErrorCode::Unsupported`]; malformed known shapes are
 /// [`ErrorCode::Query`].
 pub fn parse_statement(line: &str) -> Result<Statement, DriverError> {
-    let trimmed = line.trim();
-    let lower = trimmed.to_lowercase();
-    if lower.starts_with("select") {
-        return Ok(Statement::Select(trimmed.to_string()));
-    }
-    if let Some(rest) = lower.strip_prefix("explain analyze") {
-        if !rest.trim_start().starts_with("select") {
-            return Err(query_err("explain analyze takes a select"));
-        }
-        // Slice the original (case-preserved) text past the prefix.
-        let inner = trimmed["explain analyze".len()..].trim().to_string();
-        return Ok(Statement::ExplainAnalyze(inner));
-    }
-    if lower.starts_with("create table") {
-        return parse_create(trimmed);
-    }
-    if lower.starts_with("insert into") {
-        return parse_insert(trimmed);
-    }
-    match lower.as_str() {
-        "begin" => Ok(Statement::Begin),
-        "commit" => Ok(Statement::Commit),
-        "rollback" | "abort" => Ok(Statement::Rollback),
-        _ => Err(DriverError::new(
-            ErrorCode::Unsupported,
-            format!("unrecognized statement: `{trimmed}`"),
-        )),
-    }
-}
-
-fn query_err(msg: impl Into<String>) -> DriverError {
-    DriverError::new(ErrorCode::Query, msg.into())
-}
-
-/// Split the text after `create table` / `insert into` into the table
-/// name and the inside of the list, refusing any other word before the
-/// list or after it.
-fn name_and_list<'a>(
-    rest: &'a str,
-    keyword: Option<&str>,
-    grammar: &str,
-) -> Result<(&'a str, &'a str), DriverError> {
-    let err = || query_err(format!("expected `{grammar}`"));
-    let open = rest.find('(').ok_or_else(err)?;
-    let list = rest[open + 1..].strip_suffix(')').ok_or_else(err)?;
-    let mut words = rest[..open].split_whitespace();
-    let name = words
-        .next()
-        .filter(|_| rest.starts_with(char::is_whitespace))
-        .ok_or_else(err)?;
-    let keyword_ok =
-        keyword.is_none_or(|kw| words.next().is_some_and(|w| w.eq_ignore_ascii_case(kw)));
-    if !keyword_ok || words.next().is_some() {
-        return Err(err());
-    }
-    Ok((name, list))
-}
-
-/// `create table name (col type, ...)`
-fn parse_create(line: &str) -> Result<Statement, DriverError> {
-    let (name, list) = name_and_list(
-        &line["create table".len()..],
-        None,
-        "create table name (col type, ...)",
-    )?;
-    let mut cols: Vec<(String, Type)> = Vec::new();
-    for part in list.split(',') {
-        let mut it = part.split_whitespace();
-        let col = it.next().ok_or_else(|| query_err("expected column name"))?;
-        let ty = match it
-            .next()
-            .ok_or_else(|| query_err("expected column type"))?
-            .to_lowercase()
-            .as_str()
-        {
-            "int" | "integer" => Type::Int,
-            "str" | "string" | "text" | "varchar" => Type::Str,
-            "bool" | "boolean" => Type::Bool,
-            other => return Err(query_err(format!("unknown type `{other}`"))),
-        };
-        cols.push((col.to_string(), ty));
-    }
-    Ok(Statement::CreateTable {
-        name: name.to_string(),
-        cols,
-    })
-}
-
-/// `insert into name values (v, ...)`
-fn parse_insert(line: &str) -> Result<Statement, DriverError> {
-    let (table, list) = name_and_list(
-        &line["insert into".len()..],
-        Some("values"),
-        "insert into name values (v, ...)",
-    )?;
-    let mut row: Vec<Value> = Vec::new();
-    for part in split_top_level(list) {
-        let part = part.trim();
-        let v = if let Some(body) = part.strip_prefix('\'') {
-            // One closing quote, and no quote inside: `'abc` and `'a'b'`
-            // are refused rather than read as `abc` and `a'b`.
-            match body.strip_suffix('\'') {
-                Some(text) if !text.contains('\'') => Value::str(text),
-                _ => return Err(query_err(format!("bad string literal `{part}`"))),
-            }
-        } else if part.eq_ignore_ascii_case("true") {
-            Value::Bool(true)
-        } else if part.eq_ignore_ascii_case("false") {
-            Value::Bool(false)
-        } else if part.eq_ignore_ascii_case("null") {
-            Value::Null(0)
-        } else {
-            Value::Int(
-                part.parse::<i64>()
-                    .map_err(|_| query_err(format!("bad value `{part}`")))?,
+    sqlish::statement(line)
+        .map_err(|e| DriverError::new(ErrorCode::Query, e.to_string()))?
+        .ok_or_else(|| {
+            DriverError::new(
+                ErrorCode::Unsupported,
+                format!("unrecognized statement: `{}`", line.trim()),
             )
-        };
-        row.push(v);
-    }
-    Ok(Statement::Insert {
-        table: table.to_string(),
-        row,
-    })
-}
-
-/// Split on commas that are not inside quotes.
-fn split_top_level(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    let mut in_str = false;
-    for c in s.chars() {
-        match c {
-            '\'' => {
-                in_str = !in_str;
-                cur.push(c);
-            }
-            ',' if !in_str => {
-                out.push(std::mem::take(&mut cur));
-            }
-            _ => cur.push(c),
-        }
-    }
-    if !cur.trim().is_empty() {
-        out.push(cur);
-    }
-    out
+        })
 }
 
 /// A prepared select: the optimized plan plus the original text (shown by
@@ -369,24 +193,18 @@ impl SessionCore {
     /// Only selects are preparable: the point of preparing is skipping
     /// parse+optimize on re-execution, which mutations don't have.
     pub fn prepare(&mut self, db: &RwLock<Db>, sql: &str) -> Result<u64, DriverError> {
-        if !sql.trim_start().to_lowercase().starts_with("select") {
+        let Ok(Statement::Select(sql)) = parse_statement(sql) else {
             return Err(DriverError::new(
                 ErrorCode::Unsupported,
                 "only selects can be prepared",
             ));
-        }
+        };
         let expr = read_db(db)
-            .prepare_sql(sql)
+            .prepare_sql(&sql)
             .map_err(DriverError::from_core)?;
         let id = self.next_stmt;
         self.next_stmt += 1;
-        self.prepared.insert(
-            id,
-            PreparedPlan {
-                sql: sql.trim().to_string(),
-                expr,
-            },
-        );
+        self.prepared.insert(id, PreparedPlan { sql, expr });
         Ok(id)
     }
 
@@ -437,6 +255,7 @@ impl SessionCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bq_relational::Value;
 
     #[test]
     fn parse_classifies_statement_shapes() {

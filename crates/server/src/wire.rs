@@ -798,7 +798,7 @@ impl ErrorCode {
     /// The wire code for an engine error.
     pub fn from_core(e: &CoreError) -> ErrorCode {
         match e {
-            CoreError::Rel(_) => ErrorCode::Query,
+            CoreError::Rel(_) | CoreError::ReservedName(_) => ErrorCode::Query,
             CoreError::Datalog(_) => ErrorCode::Datalog,
             CoreError::Storage(_) => ErrorCode::Storage,
             CoreError::TableExists(_) => ErrorCode::TableExists,

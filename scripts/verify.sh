@@ -72,11 +72,20 @@ echo "==> bqlint check (per-file + workspace invariants)"
 cargo run -q -p bq-lint --release -- check
 
 # The reachability census: non-test fn lines the product runs vs those
-# only tests run vs those nothing runs, per crate. A measure, not a gate:
-# this step fails only if the command does.
+# only tests run vs those nothing runs, per crate. A gate on the last
+# column: edges resolve by name, so live code is never reported
+# unreached, and a fn nothing runs (a helper orphaned by a deletion)
+# fails the step until it is deleted too.
 echo "==> bqlint census (per-crate totals; full list: bqlint census)"
 CENSUS="$(cargo run -q -p bq-lint --release -- census)"
 echo "$CENSUS" | sed -n '1,/^total /p'
+UNREACHED_LINES="$(echo "$CENSUS" | awk '$1 == "total" { print $4 }')"
+UNREACHED_FNS="$(echo "$CENSUS" | sed -n 's/^unreached pub fns (\([0-9]*\)):$/\1/p')"
+if [ "${UNREACHED_LINES:-x}" != 0 ] || [ "${UNREACHED_FNS:-x}" != 0 ]; then
+    echo "$CENSUS" | sed -n '/^unreached pub fns/,$p' >&2
+    echo "verify: census reports ${UNREACHED_LINES:-?} unreached lines and ${UNREACHED_FNS:-?} unreached pub fns; want 0" >&2
+    exit 1
+fi
 
 # The four workspace passes must stay registered — a registry
 # regression would silently turn the gate above back into a per-file

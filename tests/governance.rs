@@ -11,6 +11,11 @@
 //! * a calculus query quantifying over the active domain (`Db::run`);
 //! * a Datalog rule deriving `t × t × t` (`datalog_with_ctx`).
 //!
+//! The parser bounds what no budget can: past its bound on nesting,
+//! connectives, compound arms, `FROM` tables or select columns, a
+//! statement is a typed parse error, and the deepest statement it accepts
+//! of each shape goes through every recursive pass on a 2 MiB stack.
+//!
 //! `BQ_GOV_SEED=<n>` varies the table's values.
 
 use std::fmt::Debug;
@@ -20,6 +25,9 @@ use std::time::{Duration, Instant};
 use big_queries::bq_core::{CoreError, Query};
 use big_queries::bq_relational::algebra::expr::Expr;
 use big_queries::bq_relational::calculus::ast::{Formula, Query as CalcQuery, Range, Term};
+use big_queries::bq_relational::sqlish::parser::{
+    MAX_ARMS, MAX_COLUMNS, MAX_CONNECTIVES, MAX_NESTING, MAX_TABLES,
+};
 use big_queries::bq_relational::value::CmpOp;
 use big_queries::bq_server::wire::ErrorCode;
 use big_queries::bq_util::{Rng, SplitMix64};
@@ -192,4 +200,105 @@ fn datalog_triple_product_is_refused() {
         db.datalog_with_ctx(rules, "p(X, Y, Z)", &limited())
     });
     answers_plainly(&db, &values);
+}
+
+/// `w(c0, …)`: [`MAX_COLUMNS`] int columns and one row of zeros.
+fn wide_db() -> Db {
+    let names: Vec<String> = (0..MAX_COLUMNS).map(|i| format!("c{i}")).collect();
+    let cols: Vec<(&str, Type)> = names.iter().map(|n| (n.as_str(), Type::Int)).collect();
+    let mut db = Db::new();
+    db.create_table("w", &cols).unwrap();
+    db.insert("w", vec![Value::Int(0); MAX_COLUMNS]).unwrap();
+    db
+}
+
+/// One select over `w` per bounded shape, `past` steps beyond its bound,
+/// and one ("all") with every bound at once.
+fn bounded_shapes(past: usize) -> Vec<(&'static str, String)> {
+    let nesting = MAX_NESTING + past;
+    let cmp = |w: &str| vec![format!("{w}.c0 = 0"); MAX_CONNECTIVES + past + 1];
+    let columns = |w: &str| {
+        let cols = (0..MAX_COLUMNS + past).map(|i| format!("{w}.c{} as d{i}", i % MAX_COLUMNS));
+        cols.collect::<Vec<_>>().join(", ")
+    };
+    let tables: Vec<String> = (0..MAX_TABLES + past).map(|i| format!("w w{i}")).collect();
+    let tables = tables.join(", ");
+    let all = {
+        let arm = format!("select {} from {tables}", columns("w0"));
+        let pred = cmp("w0").join(" and ");
+        let first = format!("{arm} where {}({pred})", "not ".repeat(nesting - 1));
+        format!(
+            "{first} union {}",
+            vec![arm; MAX_ARMS + past - 1].join(" union ")
+        )
+    };
+    let from = "select w.c0 from w where ";
+    vec![
+        ("not", format!("{from}{}w.c0 = 0", "not ".repeat(nesting))),
+        (
+            "parentheses",
+            format!(
+                "{from}{}w.c0 = 0{}",
+                "(".repeat(nesting),
+                ")".repeat(nesting)
+            ),
+        ),
+        ("and", format!("{from}{}", cmp("w").join(" and "))),
+        ("or", format!("{from}{}", cmp("w").join(" or "))),
+        (
+            "arms",
+            vec!["select w.c0 from w"; MAX_ARMS + past].join(" union "),
+        ),
+        ("from", format!("select w0.c0 from {tables}")),
+        ("columns", format!("select {} from w", columns("w"))),
+        ("all", all),
+    ]
+}
+
+/// The deepest statement of each shape is parsed, optimized, lowered,
+/// executed in both modes, rendered and fingerprinted (the slow log does
+/// both for every statement at threshold 0) and dropped on a thread with
+/// a session thread's 2 MiB stack.
+#[test]
+fn the_deepest_accepted_statements_fit_a_session_stack() {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            let db = wide_db();
+            db.set_slow_threshold_us(0);
+            let ctx = QueryContext::unlimited();
+            for (shape, sql) in bounded_shapes(0) {
+                for mode in [ExecMode::Sequential, ExecMode::Parallel(2)] {
+                    let rows = db.sql_with_ctx_mode(&sql, &ctx, mode);
+                    assert_eq!(rows.unwrap().len(), 1, "{shape} in {mode}");
+                    let plan = db.explain_analyze(&sql, &ctx, mode).unwrap();
+                    assert!(plan.contains("SetBuild"), "{shape}: {plan}");
+                }
+            }
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+/// One step past each bound is a typed `Query` error over the wire, and
+/// the same session then answers the deepest accepted statement and a
+/// plain select.
+#[test]
+fn one_past_each_bound_is_a_typed_query_error_over_the_wire() {
+    let server = serve(Arc::new(RwLock::new(wide_db())), ServerConfig::default()).unwrap();
+    let mut conn = connect(server.local_addr().to_string()).unwrap();
+    for ((shape, past), (_, deepest)) in bounded_shapes(1).into_iter().zip(bounded_shapes(0)) {
+        let err = conn.execute(&past).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Query, "{shape}: {err}");
+        assert!(err.message.contains("more than"), "{shape}: {err}");
+        for sql in [deepest.as_str(), "select w.c0 from w"] {
+            match conn.execute(sql).unwrap() {
+                Outcome::Rows(rel) => assert_eq!(rel.len(), 1, "{shape}"),
+                other => panic!("{shape}: expected rows, got {other:?}"),
+            }
+        }
+    }
+    conn.close();
+    server.shutdown(Duration::from_secs(2));
 }

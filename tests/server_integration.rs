@@ -917,6 +917,114 @@ fn embedded_and_remote_drivers_agree() {
     assert_eq!(local, wired, "embedded and remote drivers disagree");
 }
 
+/// Statement texts, accepted and refused, run in order on an empty
+/// engine, with the answer every door must give: a message's first line,
+/// a row count, or an error code.
+const STATEMENT_SHAPES: &[(&str, &str)] = &[
+    ("create table t (a int, b str)", "created table t"),
+    ("create table u (a int primary key)", "[query]"),
+    ("create table u (a int extra, b str)", "[query]"),
+    ("create table u (a int) junk", "[query]"),
+    ("create table u ()", "[query]"),
+    ("create table u (a float)", "[query]"),
+    ("create table u-v (a int)", "[query]"),
+    ("create tablet (a int)", "[query]"),
+    ("create view v", "[query]"),
+    ("create table bq.x (a int)", "[query]"),
+    ("create table t (a int)", "[table-exists]"),
+    ("insert into t values (+5, 'x')", "[query]"),
+    ("insert into t values (5, 'x')", "1 row"),
+    ("INSERT INTO t VALUES(-6,'a, b')", "1 row"),
+    ("insert into t values (7, 'it''s')", "[query]"),
+    ("insert into t values (7)", "[query]"),
+    ("insert into t values ()", "[query]"),
+    ("insert into t values (7, null)", "1 row"),
+    ("insert into bq.x values (1)", "[no-such-table]"),
+    ("insert into nope values (1)", "[no-such-table]"),
+    ("select*from t", "3 rows"),
+    ("SELECT x.a FROM t x WHERE x.a = 5", "1 rows"),
+    ("select x.a from t x where x.a = +5", "[query]"),
+    ("select x.a from bq.x x", "[no-such-table]"),
+    ("selectx.a from t x", "[unsupported]"),
+    ("explain  analyze select x.a from t x", "mode: parallel(2)"),
+    ("explain analyze insert into t values (1, 'a')", "[query]"),
+    ("explain select x.a from t x", "[query]"),
+    ("begin", "begin"),
+    ("begin", "[txn-state]"),
+    ("insert into t values (8, 'z')", "1 row"),
+    ("abort", "rollback"),
+    ("commit", "[txn-state]"),
+    ("begin work", "[query]"),
+    ("rollback", "[txn-state]"),
+    ("gibberish", "[unsupported]"),
+    ("", "[unsupported]"),
+    ("select x.a from t x", "3 rows"),
+];
+
+fn shape_answers(driver: &mut dyn Driver) -> Vec<String> {
+    let answer = |out: Result<Outcome, DriverError>| match out {
+        Ok(Outcome::Rows(rel)) => format!("{} rows", rel.len()),
+        Ok(Outcome::Message(m)) => m.lines().next().unwrap_or("").to_string(),
+        Err(e) => format!("[{}]", e.code),
+    };
+    let texts = STATEMENT_SHAPES.iter();
+    texts
+        .map(|(text, _)| answer(driver.execute(text)))
+        .collect()
+}
+
+/// Every statement shape gets the same answer embedded and over the
+/// wire: one grammar reads both doors.
+#[test]
+fn statement_shapes_answer_alike_through_both_doors() {
+    let _g = unarmed();
+    let mut embedded = EmbeddedDriver::default();
+    embedded.set_mode(ExecMode::Parallel(2)).unwrap();
+    let server = serve(Arc::new(RwLock::new(Db::new())), ServerConfig::default()).unwrap();
+    let mut conn = connect(server.local_addr().to_string()).unwrap();
+    conn.set_mode(ExecMode::Parallel(2)).unwrap();
+    let doors = [shape_answers(&mut embedded), shape_answers(&mut conn)];
+    for (door, answers) in ["embedded", "wire"].iter().zip(&doors) {
+        for ((text, want), got) in STATEMENT_SHAPES.iter().zip(answers) {
+            assert_eq!(got, want, "{door}: `{text}`");
+        }
+    }
+    conn.close();
+    server.shutdown(Duration::from_secs(2));
+}
+
+/// A budgeted remote export's peak reservation is observed once the
+/// reply is encoded, so it is at least the reply's bytes. (Exclusive: the
+/// histogram is process-global.)
+#[test]
+fn a_remote_exports_observed_peak_includes_its_reply() {
+    let _g = serial();
+    const EXPORT: &str = "select e.a, e.b from t e";
+    let (server, addr) = serve_numbers(300, 0, ServerConfig::default());
+    let mut conn = connect(&addr).unwrap();
+    conn.set_limits(budget(1 << 30)).unwrap();
+    let peaks = || {
+        let snap = bq_obs::global().snapshot();
+        let name = "bq_governor_high_water_bytes";
+        (
+            snap.get(&format!("{name}_count")),
+            snap.get(&format!("{name}_sum")),
+        )
+    };
+    let (count, sum) = peaks();
+    let rel = rows(conn.execute(EXPORT).unwrap());
+    let (count_after, sum_after) = peaks();
+    assert_eq!(count_after - count, 1, "one statement, one observation");
+    let reply = reply_len(&rel, ServerConfig::default().batch_rows) as i64;
+    assert!(
+        sum_after - sum >= reply,
+        "peak {} B < reply {reply} B",
+        sum_after - sum
+    );
+    conn.close();
+    server.shutdown(Duration::from_secs(2));
+}
+
 /// A reply leaves the server in one socket write, however many frames it
 /// holds; a large one streams in writes of at least a buffer each.
 /// (Exclusive: the socket-write counter is process-global.)
