@@ -31,10 +31,10 @@ use bq_relational::codd::calculus_to_algebra;
 use bq_relational::sqlish;
 use bq_relational::{Database, Relation, Schema, Tuple, Type, Value};
 use bq_storage::wal::{LogRecord, Wal};
-use bq_storage::StorageError;
+use bq_storage::{PageId, StorageError};
 use bq_txn::locks::{LockResult, LockTable, Mode};
 use bq_txn::ops::TxnId;
-use bq_util::{ByteReader, ByteWriter, DecodeError, Fnv1a64};
+use bq_util::{ByteReader, ByteWriter, Fnv1a64};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -46,7 +46,7 @@ const MAX_DEDUP_CLIENTS: usize = 64;
 /// Bound on request ids remembered per client (FIFO).
 const MAX_DEDUP_REQUESTS: usize = 256;
 /// Version byte leading every [`Db::snapshot_bytes`] image.
-const SNAPSHOT_VERSION: u8 = 1;
+const SNAPSHOT_VERSION: u8 = 2;
 
 /// Handle of an open transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -187,7 +187,9 @@ fn log_outcome(records: &[LogRecord]) -> (Vec<u64>, usize) {
                     }
                 }
             }
-            LogRecord::CreateTable { .. } | LogRecord::Checkpoint(_) => {}
+            LogRecord::CreateTable { .. }
+            | LogRecord::CreateIndex { .. }
+            | LogRecord::Checkpoint(_) => {}
         }
     }
     (open.iter().map(|(t, _)| *t).collect(), committed_rows)
@@ -403,8 +405,15 @@ impl Db {
     // Secondary indexes
     // ------------------------------------------------------------------
 
-    /// Create (and build) a B+-tree index on `table.column`.
+    /// Create (and build) a B+-tree index on `table.column`, logged first
+    /// as [`Db::create_table`] is: a full log device refuses it typed.
     pub fn create_index(&mut self, table: &str, column: &str) -> Result<()> {
+        self.table(table)?.schema().require(column)?;
+        self.wal.append(&LogRecord::CreateIndex {
+            table: table.to_string(),
+            column: column.to_string(),
+        })?;
+        self.sync_tolerating_full();
         self.tables.create_index(table, column)
     }
 
@@ -824,18 +833,18 @@ impl Db {
         Ok(rel)
     }
 
-    /// If `expr` reads any `bq.*` relation, build the ephemeral catalog
-    /// overlay for it: point-in-time snapshots of the referenced virtual
-    /// tables plus copies of the referenced user tables, so joins across
-    /// the boundary see one consistent instant. Plain queries return
-    /// `None` and run against the real catalog, paying nothing.
-    fn overlay_for(&self, expr: &Expr) -> Result<Option<Database>> {
-        let rels = expr.relations();
+    /// If `rels`, the relations a statement names, include a `bq.*`
+    /// relation, build the ephemeral catalog overlay for it: point-in-time
+    /// snapshots of the named virtual tables plus copies of the named user
+    /// tables, so joins across the boundary see one consistent instant.
+    /// Plain queries return `None` and run against the real catalog,
+    /// paying nothing.
+    fn overlay_for(&self, rels: &BTreeSet<String>) -> Result<Option<Database>> {
         if !rels.iter().any(|n| n.starts_with(VTAB_PREFIX)) {
             return Ok(None);
         }
         let mut overlay = Database::new();
-        for name in &rels {
+        for name in rels {
             if let Some(vt) = self.vtabs.get(name.as_str()) {
                 overlay.add(name, vt.snapshot()?);
             } else if name == "bq.locks" {
@@ -856,7 +865,7 @@ impl Db {
         expr: &Expr,
         f: impl FnOnce(&Database) -> Result<T>,
     ) -> Result<T> {
-        match self.overlay_for(expr)? {
+        match self.overlay_for(&expr.relations())? {
             Some(overlay) => f(&overlay),
             None => f(self.tables.relations()),
         }
@@ -873,7 +882,9 @@ impl Db {
     /// `ctx` and `mode`, and the slow-log record. SQL text is parsed
     /// and optimized here; a prepared plan and an algebra expression run
     /// as given, never re-optimized. A calculus query is translated to
-    /// algebra by Codd's Theorem, then optimized like SQL text.
+    /// algebra by Codd's Theorem against the catalog it runs on (the
+    /// overlay of the relations it names, when it reads `bq.*`), then
+    /// optimized like SQL text.
     pub fn run(&self, query: Query<'_>, ctx: &QueryContext, mode: ExecMode) -> Result<Answer<'_>> {
         let exec = Executor::new(mode);
         let (kind, text) = match query {
@@ -885,18 +896,22 @@ impl Db {
             // SQL text and a translated calculus query are optimized
             // against the catalog they run on; a plan runs as given.
             let built;
-            let (expr, optimized) = match query {
+            let (expr, optimized, overlay) = match query {
                 Query::Sql(text) => {
                     built = sqlish::parse(text)?;
-                    (&built, false)
+                    (&built, false, self.overlay_for(&built.relations())?)
                 }
-                Query::Prepared { plan, .. } | Query::Algebra(plan) => (plan, true),
+                Query::Prepared { plan, .. } | Query::Algebra(plan) => {
+                    (plan, true, self.overlay_for(&plan.relations())?)
+                }
                 Query::Calculus(query) => {
-                    built = calculus_to_algebra(query, self.tables.relations())?;
-                    (&built, false)
+                    let overlay = self.overlay_for(&query.relations())?;
+                    let cat = overlay.as_ref().unwrap_or(self.tables.relations());
+                    built = calculus_to_algebra(query, cat)?;
+                    (&built, false, overlay)
                 }
             };
-            match self.overlay_for(expr)? {
+            match overlay {
                 // The overlay dies here, so its rows are copied out first.
                 Some(overlay) => {
                     let (rows, mut stats) = execute(&exec, expr, optimized, &overlay, ctx)?;
@@ -1258,150 +1273,106 @@ impl Db {
             .collect())
     }
 
-    /// Serialize the full engine state for replica bootstrap: schemas,
-    /// committed rows, open transactions with their pending rows, index
-    /// definitions, the write-dedup table, and the durable WAL offset
-    /// the snapshot corresponds to (shipping resumes from there). The
-    /// WAL is synced first so the offset sits on a record boundary; a
-    /// full log device fails the export typed (an image claiming a stale
-    /// horizon while carrying newer commits would restore wrongly).
+    /// The engine as a log, for replica bootstrap and full backups: a
+    /// header (the version, `next_txn` and the durable WAL offset the
+    /// image corresponds to, where shipping resumes), then the records
+    /// that rebuild it through [`Db::apply_record`]. The committed rows
+    /// and the write-dedup table come under txn 0, which `next_txn` never
+    /// hands out, then each open transaction with its pending rows, and
+    /// the index definitions last. The WAL is synced first so the offset
+    /// sits on a record boundary; a full log device fails the export
+    /// typed (an image claiming a stale horizon while carrying newer
+    /// commits would restore wrongly).
     pub fn snapshot_bytes(&mut self) -> Result<Vec<u8>> {
         self.sync_wal()?;
         let mut buf = Vec::new();
         buf.put_u8(SNAPSHOT_VERSION);
         buf.put_u64(self.next_txn);
-
-        let tables = self.tables();
-        buf.put_u32(tables.len() as u32);
-        for name in tables {
-            buf.put_str(name);
-            let schema = self.table(name)?.schema();
-            buf.put_u32(schema.arity() as u32);
-            for attr in schema.attrs() {
-                buf.put_str(&attr.name);
-                buf.put_u8(attr.ty.to_byte());
-            }
-            let rows = self.committed_rows(name)?;
-            buf.put_u32(rows.len() as u32);
-            for row in rows {
-                buf.put_bytes(&row);
-            }
-        }
-
-        buf.put_u32(self.open.len() as u32);
-        for (txn, undo) in &self.open {
-            buf.put_u64(*txn);
-            buf.put_u32(undo.len() as u32);
-            for placed in undo {
-                buf.put_str(&placed.table);
-                buf.put_bytes(&codec::encode(&placed.tuple));
-            }
-        }
-
-        let index_defs: Vec<(&str, &str)> = self.tables.index_defs().collect();
-        buf.put_u32(index_defs.len() as u32);
-        for (table, column) in index_defs {
-            buf.put_str(table);
-            buf.put_str(column);
-        }
-
-        buf.put_u32(self.dedup.len() as u32);
-        for (client, reqs) in &self.dedup {
-            buf.put_str(client);
-            buf.put_u32(reqs.len() as u32);
-            for r in reqs {
-                buf.put_u64(*r);
-            }
-        }
-
         buf.put_u64(self.wal.synced_len() as u64);
+        let mut log = |rec: LogRecord| buf.extend_from_slice(&rec.encode());
+        let row = |txn, table: &str, bytes| LogRecord::RowInsert {
+            txn,
+            page: PageId(0),
+            slot: 0,
+            table: table.to_string(),
+            bytes,
+        };
+
+        log(LogRecord::Begin(0));
+        for name in self.tables() {
+            let attrs = self.table(name)?.schema().attrs();
+            log(LogRecord::CreateTable {
+                name: name.to_string(),
+                cols: attrs
+                    .iter()
+                    .map(|a| (a.name.clone(), a.ty.to_byte()))
+                    .collect(),
+            });
+            for bytes in self.committed_rows(name)? {
+                log(row(0, name, bytes));
+            }
+        }
+        log(LogRecord::Commit(0));
+        for (client, reqs) in &self.dedup {
+            for &request in reqs {
+                log(LogRecord::TaggedCommit {
+                    txn: 0,
+                    client: client.clone(),
+                    request,
+                });
+            }
+        }
+        for (&txn, pending) in &self.open {
+            log(LogRecord::Begin(txn));
+            for placed in pending {
+                log(row(txn, &placed.table, codec::encode(&placed.tuple)));
+            }
+        }
+        for (table, column) in self.tables.index_defs() {
+            log(LogRecord::CreateIndex {
+                table: table.to_string(),
+                column: column.to_string(),
+            });
+        }
         bq_obs::counter!("bq_core_snapshots_total", "bootstrap snapshots exported").inc();
         Ok(buf)
     }
 
     /// Rebuild this engine in place from a [`Db::snapshot_bytes`] image,
     /// returning the primary WAL offset the snapshot corresponds to.
-    /// The whole image is decoded before any state is replaced, so a
-    /// corrupt snapshot leaves the engine untouched; virtual-table,
+    /// Every record goes through [`Db::apply_record`] into a fresh engine,
+    /// whose WAL then starts with the image, synced, so a crash after the
+    /// load keeps it. Only when all of them apply does that engine's
+    /// storage replace this one's: a torn or corrupt image, or a record
+    /// that does not apply, leaves the engine untouched. Virtual-table,
     /// session, and cancel registries keep their identities so a serving
-    /// front-end survives a re-bootstrap. The engine's fresh WAL starts
-    /// with the image, synced, so a crash after the load keeps it.
+    /// front-end survives a re-bootstrap.
     pub fn apply_snapshot(&mut self, bytes: &[u8]) -> Result<u64> {
         let mut r = ByteReader::new(bytes);
         if r.u8()? != SNAPSHOT_VERSION {
             return Err(CoreError::Codec("unknown snapshot version".to_string()));
         }
         let next_txn = r.u64()?;
-        // Each count's minimum item size is the item's fixed-width fields
-        // and length prefixes. A table is its name, columns and encoded
-        // rows; an open transaction is its id plus pending (table, row)
-        // writes; strings and rows stay borrowed from `bytes`.
-        let tables = r.list(12, |r| {
-            let name = r.str()?;
-            let cols = r.list(5, |r| {
-                Ok::<_, CoreError>((r.str()?, type_from_byte(r.u8()?)?))
-            })?;
-            Ok::<_, CoreError>((name, cols, r.list(4, ByteReader::bytes)?))
-        })?;
-        let open = r.list(12, |r| {
-            let txn = r.u64()?;
-            Ok::<_, DecodeError>((txn, r.list(8, |r| Ok((r.str()?, r.bytes()?)))?))
-        })?;
-        let index_defs = r.list(8, |r| Ok::<_, DecodeError>((r.str()?, r.str()?)))?;
-        let dedup = r.list(8, |r| {
-            let client = r.str()?;
-            Ok::<_, DecodeError>((client, r.list(8, ByteReader::u64)?))
-        })?;
         let wal_offset = r.u64()?;
-        r.finish()?;
-
-        // Decode succeeded: swap the storage state in.
-        self.tables = Tables::default();
-        self.locks = LockTable::new();
-        self.wal = Wal::new();
-        // A fresh WAL: the horizon moves back to zero.
-        self.watch.publish(0);
-        self.open = BTreeMap::new();
-        self.next_txn = next_txn;
-        self.dedup = BTreeMap::new();
-        self.dedup_order = VecDeque::new();
-
-        // The image is logged as it loads, so a crash of this engine keeps
-        // it: the committed rows, and the dedup table as tagged commits,
-        // under txn 0, which `next_txn` never hands out; each open
-        // transaction's pending rows under that transaction.
-        self.wal.append(&LogRecord::Begin(0))?;
-        for (name, cols, rows) in tables {
-            self.create_table(name, &cols)?;
-            for row in rows {
-                self.put_logged(0, name, codec::decode(row)?, row.to_vec())?;
-            }
+        let body = &bytes[r.pos()..];
+        let (records, consumed) = Wal::decode_stream(body)?;
+        if consumed < body.len() {
+            return Err(CoreError::Codec("snapshot ends in a torn record".into()));
         }
-        self.wal.append(&LogRecord::Commit(0))?;
-        for (client, reqs) in dedup {
-            for request in reqs {
-                self.wal.append(&LogRecord::TaggedCommit {
-                    txn: 0,
-                    client: client.to_string(),
-                    request,
-                })?;
-                self.note_request(client, request);
-            }
+        let mut fresh = Db::new();
+        for rec in &records {
+            fresh.apply_record(rec)?;
         }
+        fresh.sync_wal()?;
 
-        for (txn, pending) in open {
-            self.wal.append(&LogRecord::Begin(txn))?;
-            self.open.insert(txn, Vec::new());
-            for (table, row) in pending {
-                self.put_pending(txn, table, codec::decode(row)?, row.to_vec())?;
-            }
-        }
-
-        for (table, column) in index_defs {
-            self.create_index(table, column)?;
-        }
-        self.sync_wal()?;
-
+        self.tables = fresh.tables;
+        self.locks = fresh.locks;
+        self.wal = fresh.wal;
+        self.watch.publish(self.wal.synced_len() as u64);
+        self.open = fresh.open;
+        self.next_txn = fresh.next_txn.max(next_txn);
+        self.dedup = fresh.dedup;
+        self.dedup_order = fresh.dedup_order;
         bq_obs::counter!(
             "bq_core_snapshots_applied_total",
             "bootstrap snapshots applied"
@@ -1410,14 +1381,14 @@ impl Db {
         Ok(wal_offset)
     }
 
-    /// Apply one shipped log record on a replica: transactions are keyed
-    /// by the primary's ids, the lock table is bypassed (replication is
-    /// single-writer by construction), and each record is re-logged into
-    /// the local WAL so the replica's own durability story stays intact.
+    /// Apply one shipped, restored or snapshot log record: transactions
+    /// are keyed by the primary's ids, the lock table is bypassed (replay
+    /// is single-writer by construction), and each record is re-logged
+    /// into the local WAL so the engine's own durability story holds.
     pub fn apply_record(&mut self, rec: &LogRecord) -> Result<()> {
         match rec {
             LogRecord::Begin(t) => {
-                self.next_txn = self.next_txn.max(t + 1);
+                self.next_txn = self.next_txn.max(t.saturating_add(1));
                 self.open.insert(*t, Vec::new());
                 self.wal.append(rec)?;
             }
@@ -1448,6 +1419,14 @@ impl Db {
                     let attrs: Vec<(&str, Type)> =
                         typed.iter().map(|(n, t)| (n.as_str(), *t)).collect();
                     self.tables.create(name, Schema::new(&attrs)?)?;
+                    self.wal.append(rec)?;
+                    self.sync_wal()?;
+                }
+            }
+            LogRecord::CreateIndex { table, column } => {
+                // Idempotent, as DDL is.
+                if !self.tables.has_index(table, column) {
+                    self.tables.create_index(table, column)?;
                     self.wal.append(rec)?;
                     self.sync_wal()?;
                 }
@@ -1486,9 +1465,9 @@ impl Db {
     }
 
     /// Order-insensitive FNV-1a fingerprint of the committed logical
-    /// contents: table names, schemas, and the sorted set of committed
-    /// row encodings. Primary and replica converge to the
-    /// same fingerprint even though their heap locations differ.
+    /// contents: table names, schemas, the sorted set of committed row
+    /// encodings, and the index definitions. Primary and replica converge
+    /// to the same fingerprint even though their heap locations differ.
     pub fn content_fingerprint(&self) -> u64 {
         let mut h = Fnv1a64::default();
         for name in self.tables() {
@@ -1505,6 +1484,11 @@ impl Db {
                 h.write(&(row.len() as u32).to_le_bytes());
                 h.write(&row);
             }
+        }
+        for (table, column) in self.tables.index_defs() {
+            h.write(table.as_bytes());
+            h.write(&[0]);
+            h.write(column.as_bytes());
         }
         h.finish()
     }
@@ -1557,10 +1541,11 @@ impl Db {
     /// to cut at; a synced byte is never lost, and a cut inside a record
     /// tears it. Relations, indexes, open transactions, locks and the
     /// dedup table are lost with the process; the heap pages and the
-    /// catalog (tables and index definitions) stay as written. Returns the
-    /// ids of the transactions recovery rolled back. A corrupt heap page
-    /// fails recovery with a typed `Corruption` error, and the tables are
-    /// then not to be trusted.
+    /// catalog (tables and index definitions) stay as written, even where
+    /// the cut drops the `CreateTable` or `CreateIndex` record that made
+    /// them. Returns the ids of the transactions recovery rolled back. A
+    /// corrupt heap page fails recovery with a typed `Corruption` error,
+    /// and the tables are then not to be trusted.
     pub fn crash_at(&mut self, cut: impl FnOnce(&[u8], usize) -> usize) -> Result<Vec<u64>> {
         self.open.clear();
         self.locks = LockTable::new();
@@ -2225,6 +2210,65 @@ mod tests {
     }
 
     #[test]
+    fn calculus_reads_virtual_tables_as_sql_does() {
+        use bq_relational::calculus::ast::{Formula, HeadItem, Query, Range, Term};
+        use bq_relational::value::CmpOp;
+        let db = emp_db();
+        let metric = "bq_core_txn_begins_total";
+        let named = |var: &str, attr: &str| {
+            Formula::cmp(
+                Term::attr(var, attr),
+                CmpOp::Eq,
+                Term::Const(Value::str(metric)),
+            )
+        };
+
+        // A join across the virtual boundary.
+        let sql = db
+            .sql(&format!(
+                "select e.name, m.kind from emp e, bq.metrics m where m.name = '{metric}'"
+            ))
+            .unwrap();
+        assert_eq!(sql.len(), 3);
+        let join = Query::new(
+            &[("e", "emp"), ("m", "bq.metrics")],
+            &[("e", "name", "name"), ("m", "kind", "kind")],
+            named("m", "name"),
+        );
+        assert_eq!(db.calculus(&join).unwrap().tuples(), sql.tuples());
+
+        // A variable over the active domain: the domain is that of the
+        // relations the query reads, `bq.metrics` included.
+        let sql = db
+            .sql(&format!(
+                "select m.name from bq.metrics m where m.name = '{metric}'"
+            ))
+            .unwrap();
+        assert_eq!(sql.len(), 1);
+        let over_domain = Query {
+            free: vec![(
+                "d".to_string(),
+                Range::Domain(Schema::new(&[("name", Type::Str)]).unwrap()),
+            )],
+            head: vec![HeadItem {
+                var: "d".to_string(),
+                attr: "name".to_string(),
+                name: "name".to_string(),
+            }],
+            formula: Formula::exists(
+                "m",
+                "bq.metrics",
+                named("m", "name").and(Formula::cmp(
+                    Term::attr("m", "name"),
+                    CmpOp::Eq,
+                    Term::attr("d", "name"),
+                )),
+            ),
+        };
+        assert_eq!(db.calculus(&over_domain).unwrap().tuples(), sql.tuples());
+    }
+
+    #[test]
     fn metrics_and_profile_surfaces_work() {
         let db = emp_db();
         db.sql("select e.name from emp e").unwrap();
@@ -2460,6 +2504,42 @@ mod tests {
         let mut other = Db::new();
         assert!(other.apply_snapshot(&snap[..snap.len() / 2]).is_err());
         assert!(other.tables().is_empty());
+    }
+
+    #[test]
+    fn a_snapshot_whose_records_do_not_apply_leaves_the_engine_untouched() {
+        let mut primary = emp_db();
+        let mut image = primary.snapshot_bytes().unwrap();
+        // Corrupt the first value's kind byte of the last row: the image
+        // stays well framed, and only applying the row finds the damage.
+        let eve = codec::encode(&tup![Value::str("eve"), Value::str("ee"), Value::Int(80)]);
+        let at = image.windows(eve.len()).rposition(|w| w == eve).unwrap();
+        image[at + 4] = 0xEE;
+
+        let mut replica = emp_db();
+        replica.create_index("emp", "sal").unwrap();
+        replica
+            .insert(
+                "emp",
+                vec![Value::str("kim"), Value::str("ee"), Value::Int(60)],
+            )
+            .unwrap();
+        let before = replica.content_fingerprint();
+        let durable = replica.wal_durable_len();
+        assert!(matches!(
+            replica.apply_snapshot(&image),
+            Err(CoreError::Codec(_))
+        ));
+        assert_eq!(replica.content_fingerprint(), before);
+        assert_eq!(replica.wal_durable_len(), durable);
+        assert_eq!(replica.wal_watch().horizon(), durable);
+        assert!(replica.has_index("emp", "sal"));
+        replica
+            .insert(
+                "emp",
+                vec![Value::str("lee"), Value::str("cs"), Value::Int(50)],
+            )
+            .unwrap();
     }
 
     #[test]

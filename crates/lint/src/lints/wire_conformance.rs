@@ -34,7 +34,8 @@ impl WorkspaceLint for WireConformance {
 
     fn explain(&self) -> &'static str {
         "The binary decoders must stay total and allocation-safe as formats \
-         grow. For every enum defined in a wire codec file (`*/wire.rs`), \
+         grow. For every enum defined in a wire codec file (`*/wire.rs`, and \
+         the WAL codec `crates/storage/src/wal.rs`), \
          each variant must appear exactly once across the file's `decode` \
          fns (a missing arm silently drops an opcode; a duplicate means two \
          opcodes alias one variant) and at least once across its `encode` \
@@ -55,8 +56,10 @@ impl WorkspaceLint for WireConformance {
 
     fn check(&self, ws: &Workspace, rep: &mut Report) {
         for f in &ws.files {
-            if is_wire_file(&f.src.path) {
+            if is_wire_file(&f.src.path) || is_wal_codec(&f.src.path) {
                 check_enums(self.name(), f, rep);
+            }
+            if is_wire_file(&f.src.path) {
                 check_caps(self.name(), f, rep, false);
             } else if names_reader(f, 0, f.src.len()) {
                 check_caps(self.name(), f, rep, true);
@@ -67,6 +70,13 @@ impl WorkspaceLint for WireConformance {
 
 fn is_wire_file(path: &str) -> bool {
     path.ends_with("/wire.rs") || path == "wire.rs"
+}
+
+/// The WAL codec: its records are the bytes of every snapshot, shipped
+/// segment and incremental backup, so its enum is held to the variant
+/// rule; its allocations are checked as any reader decoder's are.
+fn is_wal_codec(path: &str) -> bool {
+    path.ends_with("crates/storage/src/wal.rs")
 }
 
 /// Does production code in tokens `lo..hi` name the shared reader?

@@ -6,8 +6,9 @@
 //! The `ws_bad_graph_{alpha,beta}.rs` pair seeds a genuine two-crate
 //! deadlock cycle (alpha/alock -> beta/block -> alpha/alock through
 //! call edges); the wire fixture plants an uncapped
-//! `with_capacity(frame_len)`, and the reader fixture a count read off
-//! the input that bypasses the reader's bounded `count(..)`.
+//! `with_capacity(frame_len)`, the WAL fixture a log record variant
+//! with no decoder, and the reader fixture a count read off the input
+//! that bypasses the reader's bounded `count(..)`.
 
 use bq_lint::source::Report;
 
@@ -257,6 +258,24 @@ fn wire_conformance_only_looks_at_wire_files() {
             include_str!("fixtures/ws_bad_wire.rs"),
         )],
     );
+    assert_eq!(rep.diags.len(), 0, "{:#?}", rep.diags);
+}
+
+#[test]
+fn wire_conformance_holds_the_wal_codec_to_the_variant_rule() {
+    let wal = include_str!("fixtures/ws_bad_wal.rs");
+    let rep = run("wire-conformance", &[("crates/storage/src/wal.rs", wal)]);
+    assert_eq!(rep.diags.len(), 1, "{:#?}", rep.diags);
+    assert_eq!(rep.diags[0].line, 8);
+    assert!(
+        rep.diags[0]
+            .message
+            .contains("LogRecord::CreateIndex is never constructed in a `decode`"),
+        "{}",
+        rep.diags[0]
+    );
+    // The same codec anywhere else in the storage crate is out of scope.
+    let rep = run("wire-conformance", &[("crates/storage/src/log.rs", wal)]);
     assert_eq!(rep.diags.len(), 0, "{:#?}", rep.diags);
 }
 

@@ -201,6 +201,28 @@ impl Formula {
         }
     }
 
+    /// Add every relation the formula names, in a range or a membership
+    /// atom, to `out`.
+    fn collect_relations(&self, out: &mut BTreeSet<String>) {
+        match self {
+            Formula::True | Formula::False | Formula::Cmp { .. } => {}
+            Formula::Rel { rel, .. } => {
+                out.insert(rel.clone());
+            }
+            Formula::And(a, b) | Formula::Or(a, b) => {
+                a.collect_relations(out);
+                b.collect_relations(out);
+            }
+            Formula::Not(f) => f.collect_relations(out),
+            Formula::Exists { range, body, .. } | Formula::ForAll { range, body, .. } => {
+                if let Range::Rel(r) = range {
+                    out.insert(r.clone());
+                }
+                body.collect_relations(out);
+            }
+        }
+    }
+
     /// Flatten a conjunction into conjuncts (`True` vanishes).
     pub fn conjuncts(self) -> Vec<Formula> {
         match self {
@@ -298,6 +320,20 @@ impl Query {
                 .collect(),
             formula,
         }
+    }
+
+    /// Every relation the query names, in a range or a membership atom.
+    pub fn relations(&self) -> BTreeSet<String> {
+        let mut out: BTreeSet<String> = self
+            .free
+            .iter()
+            .filter_map(|(_, range)| match range {
+                Range::Rel(r) => Some(r.clone()),
+                Range::Domain(_) => None,
+            })
+            .collect();
+        self.formula.collect_relations(&mut out);
+        out
     }
 }
 

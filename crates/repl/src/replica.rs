@@ -1,5 +1,9 @@
 //! The replica side of WAL shipping: dial the primary, bootstrap from a
-//! snapshot, then apply shipped segments forever.
+//! snapshot, then apply shipped segments forever. The snapshot is itself
+//! a prefix of WAL records behind a header, so bootstrap and streaming
+//! both enter the engine through `Db::apply_record`, one record at a
+//! time; the snapshot's header names the primary WAL offset the stream
+//! resumes at.
 //!
 //! One worker thread owns the whole lifecycle. It subscribes over the
 //! ordinary wire protocol ([`bq_server::wire`]), so a replica is just

@@ -516,8 +516,10 @@ pub enum Response {
         message: String,
     },
     /// Bootstrap payload for a [`Request::Subscribe`] with
-    /// [`SUBSCRIBE_BOOTSTRAP`]: a full engine snapshot in the
-    /// `bq_core::Db::snapshot_bytes` format.
+    /// [`SUBSCRIBE_BOOTSTRAP`]: a full engine snapshot from
+    /// `bq_core::Db::snapshot_bytes` — a header (version, `next_txn`, the
+    /// primary's WAL horizon) and then WAL records, which the replica
+    /// applies as it applies the segments that follow.
     Snapshot {
         /// The snapshot image.
         bytes: Vec<u8>,

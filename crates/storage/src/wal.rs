@@ -27,6 +27,7 @@ const TAG_CHECKPOINT: u8 = 5;
 const TAG_CREATE_TABLE: u8 = 6;
 const TAG_ROW_INSERT: u8 = 7;
 const TAG_TAGGED_COMMIT: u8 = 8;
+const TAG_CREATE_INDEX: u8 = 9;
 
 /// A single log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,6 +77,14 @@ pub enum LogRecord {
         client: String,
         /// Client-supplied request id, unique per client.
         request: u64,
+    },
+    /// Logical DDL: an index was created on `table.column`. It names no
+    /// rows: whoever replays it builds the index over the rows it holds.
+    CreateIndex {
+        /// Indexed table.
+        table: String,
+        /// Indexed column.
+        column: String,
     },
 }
 
@@ -136,6 +145,11 @@ impl LogRecord {
                 buf.put_str(client);
                 buf.put_u64(*request);
             }
+            LogRecord::CreateIndex { table, column } => {
+                buf.put_u8(TAG_CREATE_INDEX);
+                buf.put_str(table);
+                buf.put_str(column);
+            }
         }
         buf
     }
@@ -166,6 +180,10 @@ impl LogRecord {
                 txn: r.u64()?,
                 client: r.str()?.to_owned(),
                 request: r.u64()?,
+            },
+            TAG_CREATE_INDEX => LogRecord::CreateIndex {
+                table: r.str()?.to_owned(),
+                column: r.str()?.to_owned(),
             },
             other => return Err(DecodeError::invalid(at, format!("bad log tag {other}"))),
         })
@@ -437,6 +455,10 @@ mod tests {
                 txn: 3,
                 client: "bq-failover-a1".to_string(),
                 request: 42,
+            },
+            LogRecord::CreateIndex {
+                table: "emp".to_string(),
+                column: "name".to_string(),
             },
         ];
         for r in &recs {

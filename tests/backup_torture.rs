@@ -450,6 +450,58 @@ fn content_fingerprint_is_stable_across_snapshot_and_replay() {
     assert_ne!(fingerprint(&db), want);
 }
 
+/// Apply every durable WAL record of `src` past `from` to `dst`, one at a
+/// time; returns the new offset.
+fn ship(src: &RwLock<Db>, dst: &mut Db, from: u64) -> u64 {
+    let bytes = src.write().unwrap().wal_durable_bytes(from, usize::MAX);
+    let (records, consumed) = Wal::decode_stream(&bytes).unwrap();
+    for rec in &records {
+        dst.apply_record(rec).unwrap();
+    }
+    from + consumed as u64
+}
+
+/// **Index definitions travel by the log.** An index created after a
+/// replica bootstrapped reaches the replica with the records after it,
+/// the replica that bootstraps from that replica once it is promoted, and
+/// a point-in-time restore past it — and only a restore past it.
+#[test]
+fn an_index_created_after_bootstrap_reaches_replicas_and_restores() {
+    let _g = serial();
+    let (db, eng, _, _) = rig();
+    commit_rows(&db, 0, 4);
+    let before = eng.backup_full(&db).unwrap();
+    let mut replica = Db::new();
+    let image = db.write().unwrap().snapshot_bytes().unwrap();
+    let at = replica.apply_snapshot(&image).unwrap();
+    {
+        let mut db = db.write().unwrap();
+        db.create_index("t", "a").unwrap();
+        db.create_table("u", &[("x", Type::Int)]).unwrap();
+        db.insert("u", vec![Value::Int(1)]).unwrap();
+    }
+    let after = eng.backup_incremental(&db).unwrap();
+    let want = fingerprint(&db);
+
+    ship(&db, &mut replica, at);
+    assert!(replica.has_index("t", "a"), "shipped replica");
+    assert_eq!(replica.row_count("u").unwrap(), 1);
+    assert_eq!(replica.content_fingerprint(), want);
+
+    replica.promote().unwrap();
+    let mut next = Db::new();
+    next.apply_snapshot(&replica.snapshot_bytes().unwrap())
+        .unwrap();
+    assert!(next.has_index("t", "a"), "replica of the promoted replica");
+    assert_eq!(next.content_fingerprint(), want);
+
+    let restored = eng.restore_to_offset(after.wal_end).unwrap();
+    assert!(restored.has_index("t", "a"), "restore past the index");
+    assert_eq!(restored.content_fingerprint(), want);
+    let restored = eng.restore_to_offset(before.wal_end).unwrap();
+    assert!(!restored.has_index("t", "a"), "restore before the index");
+}
+
 /// **`bq.backups` virtual table**: backup attempts are queryable as
 /// ordinary rows, successes and failures alike.
 #[test]

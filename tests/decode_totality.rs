@@ -1,5 +1,6 @@
 //! Decoding is total for every binary format: the wire protocol, the WAL,
-//! backup manifests, the tuple codec and replica snapshots. Any input
+//! backup manifests, the tuple codec and replica snapshots (a header and
+//! WAL records, applied through `Db::apply_record`). Any input
 //! either decodes or returns a typed error — no panic, no abort — and no
 //! decode allocates more than a small multiple of the bytes it was given.
 //!
@@ -107,14 +108,16 @@ fn forged_counts_return_typed_errors_instead_of_aborting() {
     assert!(recs.is_empty());
     assert_eq!(consumed, 0);
 
-    // A snapshot whose one table claims u32::MAX columns.
-    let mut snap = vec![1];
+    // A snapshot (version, `next_txn`, WAL horizon) whose one record, a
+    // `CreateTable`, claims u32::MAX columns: a torn record, refused.
+    let mut snap = vec![2];
     snap.extend_from_slice(&0u64.to_le_bytes());
-    snap.extend_from_slice(&1u32.to_le_bytes());
+    snap.extend_from_slice(&0u64.to_le_bytes());
+    snap.push(6);
     snap.extend_from_slice(&1u32.to_le_bytes());
     snap.push(b't');
     snap.extend_from_slice(&u32::MAX.to_le_bytes());
-    assert_eq!(snap.len(), 22);
+    assert_eq!(snap.len(), 27);
     let mut db = Db::new();
     assert!(matches!(
         db.apply_snapshot(&snap),
@@ -286,10 +289,14 @@ fn log_record(rng: &mut SplitMix64, tag: usize) -> LogRecord {
             table: text(rng),
             bytes: codec::encode(&tuple(rng)),
         },
-        _ => LogRecord::TaggedCommit {
+        6 => LogRecord::TaggedCommit {
             txn,
             client: text(rng),
             request: rng.next_u64(),
+        },
+        _ => LogRecord::CreateIndex {
+            table: text(rng),
+            column: text(rng),
         },
     }
 }
@@ -411,7 +418,7 @@ fn wal_streams_decode_a_prefix_or_refuse_within_budget() {
     let mut rng = SplitMix64::seed_from_u64(SEED ^ 1);
     let streams: Vec<Vec<u8>> = (0..8)
         .map(|_| {
-            (0..7)
+            (0..8)
                 .flat_map(|tag| log_record(&mut rng, tag).encode())
                 .collect()
         })
@@ -460,6 +467,10 @@ fn snapshots_apply_or_refuse_within_budget() {
     let samples: Vec<Vec<u8>> = (0..3).map(|_| snapshot(&mut rng)).collect();
     let mut replica = Db::new();
     sweep("snapshot", &samples, |b| {
-        let _ = replica.apply_snapshot(b);
+        // A refused image leaves the engine as it was.
+        let before = replica.content_fingerprint();
+        if replica.apply_snapshot(b).is_err() {
+            assert_eq!(replica.content_fingerprint(), before);
+        }
     });
 }

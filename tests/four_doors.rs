@@ -6,12 +6,16 @@
 //! and checks that every door leads to the same table.
 //!
 //! Three engines must agree on `content_fingerprint`, `row_count`,
-//! `select *` and `lookup` of every key of an indexed leading and an
-//! indexed non-leading column — the primary, a replica fed record by
-//! record, and a replica bootstrapped from a snapshot mid-stream — and
-//! the primary must still agree after `corrupt_page` + `scrub_pages`, and
-//! again after a `simulate_crash_and_recover` of that scrubbed engine. A model (committed set + pending set
-//! per transaction) pins what they agree *on*.
+//! `select *`, which columns carry an index, and `lookup` of every key of
+//! every indexed column — the primary, a replica fed record by record
+//! from an empty engine, and a replica bootstrapped from a snapshot
+//! mid-stream. Both tables start with an indexed leading and an indexed
+//! non-leading column, and gain a third index after that bootstrap, so
+//! index definitions must travel by the log. The primary must still agree
+//! after `corrupt_page` + `scrub_pages`, and again after a
+//! `simulate_crash_and_recover` of that scrubbed engine, with both
+//! replicas promoted. A model (committed set + pending set per
+//! transaction) pins what they agree *on*.
 //!
 //! Pin a run with `BQ_TORTURE_SEED=<n>`.
 
@@ -26,6 +30,8 @@ const TABLES: [&str; 2] = ["t", "u"];
 const COLS: [&str; 3] = ["a", "b", "c"];
 /// Indexed columns: `a` leads the schema, `c` does not.
 const INDEXED: [usize; 2] = [0, 2];
+/// Indexed once the snapshot replica has bootstrapped.
+const LATE_INDEXED: usize = 1;
 /// Values per column; small, so fresh rows collide with old ones too.
 const DOMAIN: [i64; 3] = [6, 3, 5];
 const CLIENT: &str = "four-doors";
@@ -61,20 +67,23 @@ struct View {
     fingerprint: u64,
     rows: Vec<usize>,
     select: Vec<Relation>,
-    /// `(table, column, key)` → sorted hits.
+    /// `(table, column)` of every index.
+    indexes: Vec<(usize, usize)>,
+    /// `(table, column, key)` → sorted hits, over indexed columns.
     lookups: BTreeMap<(usize, usize, i64), Vec<Tuple>>,
 }
 
 fn view(db: &Db) -> View {
+    let indexes: Vec<(usize, usize)> = (0..TABLES.len())
+        .flat_map(|t| (0..COLS.len()).map(move |col| (t, col)))
+        .filter(|&(t, col)| db.has_index(TABLES[t], COLS[col]))
+        .collect();
     let mut lookups = BTreeMap::new();
-    for (t, table) in TABLES.iter().enumerate() {
-        for col in INDEXED {
-            assert!(db.has_index(table, COLS[col]));
-            for key in 0..DOMAIN[col] {
-                let mut hits = db.lookup(table, COLS[col], &Value::Int(key)).unwrap();
-                hits.sort();
-                lookups.insert((t, col, key), hits);
-            }
+    for &(t, col) in &indexes {
+        for key in 0..DOMAIN[col] {
+            let mut hits = db.lookup(TABLES[t], COLS[col], &Value::Int(key)).unwrap();
+            hits.sort();
+            lookups.insert((t, col, key), hits);
         }
     }
     View {
@@ -84,6 +93,7 @@ fn view(db: &Db) -> View {
             .iter()
             .map(|t| db.sql(&format!("select x.a, x.b, x.c from {t} x")).unwrap())
             .collect(),
+        indexes,
         lookups,
     }
 }
@@ -157,19 +167,12 @@ struct Round {
 
 impl Round {
     fn new(seed: u64) -> Round {
-        // Index definitions travel by snapshot only, so the shipped
-        // replica starts from one too — of the still-empty tables.
-        let mut primary = new_primary();
-        let mut replica = Db::new();
-        let replica_at = replica
-            .apply_snapshot(&primary.snapshot_bytes().unwrap())
-            .unwrap();
         Round {
             rng: SplitMix64::seed_from_u64(seed),
             model: Model::default(),
-            primary,
-            replica,
-            replica_at,
+            primary: new_primary(),
+            replica: Db::new(),
+            replica_at: 0,
             late: None,
             open: Vec::new(),
             tagged: 0,
@@ -292,6 +295,11 @@ fn run_round(seed: u64) {
         if step == STEPS / 2 {
             r.bootstrap_late();
         }
+        if step == STEPS * 3 / 4 {
+            for table in TABLES {
+                r.primary.create_index(table, COLS[LATE_INDEXED]).unwrap();
+            }
+        }
         if step % 20 == 19 {
             r.checkpoint(&format!("seed {seed} step {step}"));
         }
@@ -318,6 +326,7 @@ fn run_round(seed: u64) {
         late.promote().unwrap();
     }
     r.compare(&format!("{what}, after the crash"));
+    assert_eq!(view(&r.primary).indexes.len(), 6, "{what}: indexes");
     for request in 1..=r.tagged {
         assert!(r.replica.seen_request(CLIENT, request), "{what}: dedup");
     }

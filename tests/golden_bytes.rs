@@ -1,7 +1,8 @@
 //! Golden-byte pins for every binary format the engine writes: the wire
 //! protocol (one encoding per request and response opcode), the WAL (one
 //! record per tag), the backup manifest, the tuple codec (every `Value`
-//! kind) and a replica-bootstrap snapshot.
+//! kind), a replica-bootstrap snapshot (a header and WAL records) and the
+//! log a replica writes as it applies one.
 //!
 //! The suites beside each codec only round-trip, and a round trip stays
 //! green when encoder and decoder drift together. These compare against
@@ -15,8 +16,8 @@
 //! A mismatch prints every failing pin with its actual bytes at once.
 
 use big_queries::bq_backup::{BackupKind, Manifest};
-use big_queries::bq_core::codec;
 use big_queries::bq_core::slowlog::plan_fingerprint;
+use big_queries::bq_core::{codec, CoreError};
 use big_queries::bq_exec::ExecStats;
 use big_queries::bq_faults::{self as faults, Action, Policy, Trigger};
 use big_queries::bq_relational::Tuple;
@@ -268,6 +269,13 @@ fn log_records() -> Vec<(&'static str, LogRecord)> {
                 request: 11,
             },
         ),
+        (
+            "CreateIndex",
+            LogRecord::CreateIndex {
+                table: "t".into(),
+                column: "a".into(),
+            },
+        ),
     ]
 }
 
@@ -286,6 +294,8 @@ const LOG_RECORDS: &[&str] = &[
     "0709000000000000000100000002000000010000007403000000010203",
     // TaggedCommit
     "080a0000000000000001000000630b00000000000000",
+    // CreateIndex
+    "0901000000740100000061",
 ];
 
 #[test]
@@ -370,9 +380,9 @@ fn a_tuple_of_every_value_kind_encodes_to_its_pinned_bytes() {
     assert_eq!(codec::decode(&unhex(expected)).unwrap(), t);
 }
 
-/// Two tables, an index, a committed tagged write (a dedup entry) and a
-/// transaction left open with a pending row.
-fn snapshot_db() -> Db {
+/// Two tables, an index (unless `index` is false), a committed tagged
+/// write (a dedup entry) and a transaction left open with a pending row.
+fn snapshot_db(index: bool) -> Db {
     let mut db = Db::new();
     db.create_table("emp", &[("name", Type::Str), ("sal", Type::Int)])
         .unwrap();
@@ -384,7 +394,9 @@ fn snapshot_db() -> Db {
         .unwrap();
     db.insert("dept", vec![Value::str("cs"), Value::Bool(true)])
         .unwrap();
-    db.create_index("emp", "sal").unwrap();
+    if index {
+        db.create_index("emp", "sal").unwrap();
+    }
     let h = db.begin().unwrap();
     db.insert_in(h, "dept", vec![Value::str("ee"), Value::Bool(false)])
         .unwrap();
@@ -397,9 +409,32 @@ fn snapshot_db() -> Db {
 
 #[test]
 fn a_snapshot_encodes_to_its_pinned_bytes() {
-    let mut db = snapshot_db();
+    let mut db = snapshot_db(true);
     let bytes = db.snapshot_bytes().unwrap();
     let expected = concat!(
+        "0206000000000000009701000000000000010000000000000000060400000064",
+        "65707402000000040000006e616d6501040000006f70656e0207000000000000",
+        "0000000000000000000004000000646570740d00000002000000020200000063",
+        "730301070000000000000000000000000000000004000000646570740d000000",
+        "020000000202000000656503000603000000656d7002000000040000006e616d",
+        "65010300000073616c0007000000000000000000000000000000000300000065",
+        "6d7015000000020000000203000000616e6e015a000000000000000700000000",
+        "00000000000000000000000003000000656d7015000000020000000203000000",
+        "626f620146000000000000000200000000000000000800000000000000000800",
+        "0000636c69656e742d6105000000000000000105000000000000000705000000",
+        "00000000000000000000000003000000656d7015000000020000000203000000",
+        "6576650150000000000000000903000000656d700300000073616c",
+    );
+    check(&[
+        ("Snapshot", hex(&bytes), expected),
+        (
+            "content_fingerprint",
+            format!("{:016x}", db.content_fingerprint()),
+            "110d72ce03817097",
+        ),
+    ]);
+    // The same engine's version-1 image, a sectioned list, is refused.
+    let version_1 = concat!(
         "01060000000000000002000000040000006465707402000000040000006e616d",
         "6501040000006f70656e02020000000d00000002000000020200000063730301",
         "0d0000000200000002020000006565030003000000656d700200000004000000",
@@ -410,15 +445,11 @@ fn a_snapshot_encodes_to_its_pinned_bytes() {
         "000073616c0100000008000000636c69656e742d610100000005000000000000",
         "008801000000000000",
     );
-    check(&[
-        ("Snapshot", hex(&bytes), expected),
-        (
-            "content_fingerprint",
-            format!("{:016x}", db.content_fingerprint()),
-            "dd158a83d30f1c3b",
-        ),
-    ]);
     let mut replica = Db::new();
+    assert!(matches!(
+        replica.apply_snapshot(&unhex(version_1)),
+        Err(CoreError::Codec(_))
+    ));
     assert_eq!(
         replica.apply_snapshot(&unhex(expected)).unwrap(),
         db.wal_durable_len()
@@ -426,10 +457,47 @@ fn a_snapshot_encodes_to_its_pinned_bytes() {
     assert_eq!(replica.content_fingerprint(), db.content_fingerprint());
     assert!(replica.has_index("emp", "sal"));
     assert!(replica.seen_request("client-a", 5));
-    // Re-exported, the image differs only in its trailing WAL horizon:
-    // the replica's own log starts empty.
+    // Re-exported, the image differs only in the WAL horizon its header
+    // carries after the version and `next_txn`: the replica's own log
+    // started with the image.
     let again = replica.snapshot_bytes().unwrap();
-    assert_eq!(again[..again.len() - 8], bytes[..bytes.len() - 8]);
+    assert_eq!(again[..9], bytes[..9]);
+    assert_eq!(again[17..], bytes[17..]);
+}
+
+/// The log a replica writes as it applies `snapshot_db(false)`'s image,
+/// as a version-1 image (a sectioned list, not a log) was logged too.
+const REPLICA_LOG: &str = concat!(
+    "01000000000000000006040000006465707402000000040000006e616d650104",
+    "0000006f70656e02070000000000000000000000000000000004000000646570",
+    "740d000000020000000202000000637303010700000000000000000000000001",
+    "00000004000000646570740d0000000200000002020000006565030006030000",
+    "00656d7002000000040000006e616d65010300000073616c0007000000000000",
+    "0000010000000000000003000000656d7015000000020000000203000000616e",
+    "6e015a0000000000000007000000000000000001000000010000000300000065",
+    "6d7015000000020000000203000000626f620146000000000000000200000000",
+    "0000000008000000000000000008000000636c69656e742d6105000000000000",
+    "0001050000000000000007050000000000000001000000020000000300000065",
+    "6d7015000000020000000203000000657665015000000000000000",
+);
+
+#[test]
+fn an_applied_snapshot_logs_what_the_sectioned_image_logged() {
+    let index = LogRecord::CreateIndex {
+        table: "emp".into(),
+        column: "sal".into(),
+    };
+    for (with_index, expected) in [
+        (false, REPLICA_LOG.to_string()),
+        (true, format!("{REPLICA_LOG}{}", hex(&index.encode()))),
+    ] {
+        let mut replica = Db::new();
+        replica
+            .apply_snapshot(&snapshot_db(with_index).snapshot_bytes().unwrap())
+            .unwrap();
+        let log = hex(&replica.wal_durable_bytes(0, usize::MAX));
+        check(&[("replica log", log, expected.as_str())]);
+    }
 }
 
 #[test]
