@@ -694,6 +694,12 @@ fn e13_optimizer() {
         let opt = optimize(&q, &db).expect("optimize");
         let (r2, optimized) = eval_with_stats(&opt, &db).expect("optimized eval");
         assert_eq!(r1, r2);
+        assert!(
+            optimized.intermediate_tuples < naive.intermediate_tuples,
+            "optimizing must cut intermediates: {} vs {}",
+            optimized.intermediate_tuples,
+            naive.intermediate_tuples
+        );
         // The same optimized expression through the physical engine: rows
         // its operators produce below the root.
         let plan = lower(&opt, &db).expect("lower");

@@ -837,35 +837,52 @@ impl Db {
     /// relation, build the ephemeral catalog overlay for it: point-in-time
     /// snapshots of the named virtual tables plus copies of the named user
     /// tables, so joins across the boundary see one consistent instant.
-    /// Plain queries return `None` and run against the real catalog,
-    /// paying nothing.
-    fn overlay_for(&self, rels: &BTreeSet<String>) -> Result<Option<Database>> {
+    /// Every row the overlay holds is charged to `ctx`, a user table's
+    /// before it is copied. Plain queries return `None` and run against the
+    /// real catalog, paying nothing.
+    fn overlay_for(&self, rels: &BTreeSet<String>, ctx: &QueryContext) -> Result<Option<Database>> {
         if !rels.iter().any(|n| n.starts_with(VTAB_PREFIX)) {
             return Ok(None);
         }
+        let mut charger = Charger::new(ctx);
+        let mut charge = |rel: &Relation| -> Result<()> {
+            if charger.is_enabled() {
+                for t in rel.iter() {
+                    charger.charge(t.approx_bytes())?;
+                }
+            }
+            Ok(charger.flush()?)
+        };
         let mut overlay = Database::new();
         for name in rels {
-            if let Some(vt) = self.vtabs.get(name.as_str()) {
-                overlay.add(name, vt.snapshot()?);
+            let rel = if let Some(vt) = self.vtabs.get(name.as_str()) {
+                vt.snapshot()?
             } else if name == "bq.locks" {
-                overlay.add(name, self.locks_relation()?);
+                self.locks_relation()?
             } else if name.starts_with(VTAB_PREFIX) {
                 return Err(CoreError::NoSuchTable(name.clone()));
             } else {
-                overlay.add(name, self.tables.relation(name)?.clone());
-            }
+                let table = self.tables.relation(name)?;
+                charge(table)?;
+                overlay.add(name, table.clone());
+                continue;
+            };
+            charge(&rel)?;
+            overlay.add(name, rel);
         }
         Ok(Some(overlay))
     }
 
     /// Run `f` against the catalog `expr` should see: the virtual-table
-    /// overlay when it reads `bq.*`, the real catalog otherwise.
+    /// overlay when it reads `bq.*`, charged to `ctx`, the real catalog
+    /// otherwise.
     fn with_catalog_for<T>(
         &self,
         expr: &Expr,
+        ctx: &QueryContext,
         f: impl FnOnce(&Database) -> Result<T>,
     ) -> Result<T> {
-        match self.overlay_for(&expr.relations())? {
+        match self.overlay_for(&expr.relations(), ctx)? {
             Some(overlay) => f(&overlay),
             None => f(self.tables.relations()),
         }
@@ -899,13 +916,13 @@ impl Db {
             let (expr, optimized, overlay) = match query {
                 Query::Sql(text) => {
                     built = sqlish::parse(text)?;
-                    (&built, false, self.overlay_for(&built.relations())?)
+                    (&built, false, self.overlay_for(&built.relations(), ctx)?)
                 }
                 Query::Prepared { plan, .. } | Query::Algebra(plan) => {
-                    (plan, true, self.overlay_for(&plan.relations())?)
+                    (plan, true, self.overlay_for(&plan.relations(), ctx)?)
                 }
                 Query::Calculus(query) => {
-                    let overlay = self.overlay_for(&query.relations())?;
+                    let overlay = self.overlay_for(&query.relations(), ctx)?;
                     let cat = overlay.as_ref().unwrap_or(self.tables.relations());
                     built = calculus_to_algebra(query, cat)?;
                     (&built, false, overlay)
@@ -952,7 +969,7 @@ impl Db {
     /// still snapshots fresh state.
     pub fn prepare_sql(&self, text: &str) -> Result<Expr> {
         let expr = sqlish::parse(text)?;
-        self.with_catalog_for(&expr, |cat| Ok(optimize(&expr, cat)?))
+        self.with_catalog_for(&expr, &self.govern(), |cat| Ok(optimize(&expr, cat)?))
     }
 
     /// Evaluate a relational-algebra expression under the session limits
@@ -1289,7 +1306,7 @@ impl Db {
         buf.put_u8(SNAPSHOT_VERSION);
         buf.put_u64(self.next_txn);
         buf.put_u64(self.wal.synced_len() as u64);
-        let mut log = |rec: LogRecord| buf.extend_from_slice(&rec.encode());
+        let mut log = |rec: LogRecord| rec.encode_into(&mut buf);
         let row = |txn, table: &str, bytes| LogRecord::RowInsert {
             txn,
             page: PageId(0),

@@ -6,7 +6,7 @@
 //! the catalog again except to read base relations.
 
 use crate::pred::BoundPred;
-use bq_relational::algebra::expr::Expr;
+use bq_relational::algebra::expr::{join_steps, Expr, Predicate};
 use bq_relational::catalog::Database;
 use bq_relational::error::RelError;
 use bq_relational::schema::Schema;
@@ -339,11 +339,16 @@ pub fn lower(expr: &Expr, db: &Database) -> Result<PhysPlan> {
             pred: None,
             seek: None,
         }),
-        Expr::Select { pred, input } => {
-            let child = lower(input, db)?;
-            let pred = BoundPred::bind(pred, child.schema());
-            Ok(select(pred, child))
-        }
+        Expr::Select { pred, input } => match &**input {
+            // Lowered as part of the join, in written order after its own
+            // predicate.
+            Expr::Join { inputs, pred: on } => lower_join(inputs, on.clone().and(pred.clone()), db),
+            input => {
+                let child = lower(input, db)?;
+                let pred = BoundPred::bind(pred, child.schema());
+                Ok(select(pred, child))
+            }
+        },
         Expr::Project { cols, input } => {
             let child = lower(input, db)?;
             let names: Vec<&str> = cols.iter().map(String::as_str).collect();
@@ -352,43 +357,25 @@ pub fn lower(expr: &Expr, db: &Database) -> Result<PhysPlan> {
                 .iter()
                 .map(|c| child.schema().require(c))
                 .collect::<Result<_>>()?;
-            let input = Box::new(child);
-            if indices.iter().copied().eq(0..input.schema().arity()) {
-                return Ok(PhysPlan::Reschema { schema, input });
+            if indices.iter().copied().eq(0..child.schema().arity()) {
+                return Ok(reschema(schema, child));
             }
             Ok(PhysPlan::Project {
                 cols: cols.clone(),
                 indices,
                 schema,
-                input,
-            })
-        }
-        Expr::Rename { from, to, input } => {
-            let child = lower(input, db)?;
-            let schema = child.schema().rename(from, to)?;
-            Ok(PhysPlan::Reschema {
-                schema,
                 input: Box::new(child),
             })
+        }
+        Expr::Rename { pairs, input } => {
+            let child = lower(input, db)?;
+            Ok(reschema(child.schema().rename(pairs)?, child))
         }
         Expr::Qualify { var, input } => {
             let child = lower(input, db)?;
-            let schema = child.schema().qualify(var);
-            Ok(PhysPlan::Reschema {
-                schema,
-                input: Box::new(child),
-            })
+            Ok(reschema(child.schema().qualify(var), child))
         }
-        Expr::Product(l, r) => {
-            let left = join_input(lower(l, db)?);
-            let right = join_input(lower(r, db)?);
-            let schema = left.schema().product(right.schema())?;
-            Ok(PhysPlan::Product {
-                schema,
-                left,
-                right,
-            })
-        }
+        Expr::Join { inputs, pred } => lower_join(inputs, pred.clone(), db),
         Expr::NaturalJoin(l, r) => {
             let left = join_input(lower(l, db)?);
             let right = join_input(lower(r, db)?);
@@ -396,12 +383,7 @@ pub fn lower(expr: &Expr, db: &Database) -> Result<PhysPlan> {
             if common.is_empty() {
                 // Classical semantics: join without shared attributes is
                 // the cartesian product.
-                let schema = left.schema().product(right.schema())?;
-                return Ok(PhysPlan::Product {
-                    schema,
-                    left,
-                    right,
-                });
+                return join_step(left, right, &Predicate::True);
             }
             let l_key: Vec<usize> = common
                 .iter()
@@ -481,9 +463,7 @@ pub fn lower(expr: &Expr, db: &Database) -> Result<PhysPlan> {
 }
 
 /// Place a selection over `input`: folded into the base scan when only
-/// relabellings (which move no column) lie between; over a product, the
-/// equality conjuncts that span its sides become the keys of a hash join
-/// and only the other conjuncts stay a filter above it; a stand-alone
+/// relabellings (which move no column) lie between, a stand-alone
 /// [`PhysPlan::Filter`] otherwise.
 fn select(pred: BoundPred, input: PhysPlan) -> PhysPlan {
     match input {
@@ -508,48 +488,90 @@ fn select(pred: BoundPred, input: PhysPlan) -> PhysPlan {
             schema,
             input: Box::new(select(pred, *input)),
         },
-        PhysPlan::Product {
-            schema,
-            left,
-            right,
-        } => {
-            let Some((keys, rest)) = pred.split_equi_keys(&schema, left.schema().arity()) else {
-                let input = Box::new(PhysPlan::Product {
-                    schema,
-                    left,
-                    right,
-                });
-                return PhysPlan::Filter { pred, input };
-            };
-            let (l_names, r_names) = (left.schema().names(), right.schema().names());
-            let join = PhysPlan::PartitionedHashJoin {
-                on: keys
-                    .iter()
-                    .map(|&(l, r)| format!("{} = {}", l_names[l], r_names[r]))
-                    .collect(),
-                l_key: keys.iter().map(|&(l, _)| l).collect(),
-                r_key: keys.iter().map(|&(_, r)| r).collect(),
-                // Every right column: the output is laid out as the
-                // product's, so the residue and everything above bind
-                // unchanged.
-                r_rest: (0..right.schema().arity()).collect(),
-                schema,
-                left,
-                right,
-            };
-            match rest {
-                Some(pred) => PhysPlan::Filter {
-                    pred,
-                    input: Box::new(join),
-                },
-                None => join,
-            }
-        }
         input => PhysPlan::Filter {
             pred,
             input: Box::new(input),
         },
     }
+}
+
+/// A relabelling of `input`; one directly over another becomes a single
+/// node, since neither moves a column.
+fn reschema(schema: Schema, input: PhysPlan) -> PhysPlan {
+    let input = match input {
+        PhysPlan::Reschema { input, .. } => input,
+        input => Box::new(input),
+    };
+    PhysPlan::Reschema { schema, input }
+}
+
+/// Lower a join: its inputs fold left-deep, in order, and each conjunct
+/// of `pred` applies where [`join_steps`] places it — a conjunct bound by
+/// one input filters that input (folding into its scan), the others apply
+/// where the input that completes them joins, as hash-join keys when they
+/// equate a column of each side and as a filter above otherwise.
+fn lower_join(inputs: &[Expr], pred: Predicate, db: &Database) -> Result<PhysPlan> {
+    let plans: Vec<PhysPlan> = inputs.iter().map(|e| lower(e, db)).collect::<Result<_>>()?;
+    let schemas: Vec<&Schema> = plans.iter().map(PhysPlan::schema).collect();
+    let steps = join_steps(&schemas, &pred);
+    let mut acc: Option<PhysPlan> = None;
+    for (plan, (own, on)) in plans.into_iter().zip(steps) {
+        let plan = match own {
+            Predicate::True => plan,
+            own => select(BoundPred::bind(&own, plan.schema()), plan),
+        };
+        let right = join_input(plan);
+        acc = Some(match acc {
+            None => *right,
+            Some(left) => join_step(join_input(left), right, &on)?,
+        });
+    }
+    acc.ok_or_else(|| RelError::SchemaMismatch("a join of no inputs".into()))
+}
+
+/// One step of a join fold: `left × right` filtered by `on`, where every
+/// top-level conjunct equating a column of each side becomes a hash-join
+/// key ([`BoundPred::split_equi_keys`]) and the rest a filter above it.
+fn join_step(left: Box<PhysPlan>, right: Box<PhysPlan>, on: &Predicate) -> Result<PhysPlan> {
+    let schema = left.schema().product(right.schema())?;
+    if *on == Predicate::True {
+        return Ok(PhysPlan::Product {
+            schema,
+            left,
+            right,
+        });
+    }
+    let pred = BoundPred::bind(on, &schema);
+    let Some((keys, rest)) = pred.split_equi_keys(&schema, left.schema().arity()) else {
+        let input = Box::new(PhysPlan::Product {
+            schema,
+            left,
+            right,
+        });
+        return Ok(PhysPlan::Filter { pred, input });
+    };
+    let (l_names, r_names) = (left.schema().names(), right.schema().names());
+    let join = PhysPlan::PartitionedHashJoin {
+        on: keys
+            .iter()
+            .map(|&(l, r)| format!("{} = {}", l_names[l], r_names[r]))
+            .collect(),
+        l_key: keys.iter().map(|&(l, _)| l).collect(),
+        r_key: keys.iter().map(|&(_, r)| r).collect(),
+        // Every right column: the output is laid out as the product's, so
+        // the residue and everything above bind unchanged.
+        r_rest: (0..right.schema().arity()).collect(),
+        schema,
+        left,
+        right,
+    };
+    Ok(match rest {
+        Some(pred) => PhysPlan::Filter {
+            pred,
+            input: Box::new(join),
+        },
+        None => join,
+    })
 }
 
 fn reaches_scan(plan: &PhysPlan) -> bool {
@@ -747,8 +769,9 @@ mod tests {
     #[test]
     fn selections_fold_through_relabellings_only() {
         let db = db();
-        // σ over ρ over σ over a qualified scan: one scan, relabellings on
-        // top, conjuncts in evaluation order (innermost first).
+        // σ over ρ over σ over a qualified scan: one scan, one relabelling
+        // on top (adjacent ones merge), conjuncts in evaluation order
+        // (innermost first).
         let e = Expr::rel("r")
             .qualify("x")
             .select(Predicate::eq_const("x.b", "x"))
@@ -757,7 +780,7 @@ mod tests {
         let p = lower(&e, &db).unwrap();
         assert_eq!(p.schema().names(), vec!["k", "x.b"]);
         let rendered = p.render();
-        assert_eq!(p.size(), 3, "{rendered}");
+        assert_eq!(p.size(), 2, "{rendered}");
         assert!(
             rendered.contains("SeqScan [r] where (x.b = 'x' ∧ k = 1) seek a = 1, b = 'x'"),
             "{rendered}"
@@ -800,8 +823,9 @@ mod tests {
             plan.starts_with("PartitionedHashJoin [r.a = s.c, r.b = s.b]\n"),
             "{plan}"
         );
-        // Everything else stays behind as a filter on the joined tuples:
-        // a same-side equality, a comparison that is not `=`, a constant.
+        // A comparison across the sides that is not `=` stays behind as a
+        // filter on the joined tuples; a same-side equality and a
+        // constant comparison filter their side, in its scan.
         let residue = eq("s.b", "r.b")
             .and(cmp("r.a", CmpOp::Gt, 0))
             .and(eq("s.b", "s.b"))
@@ -812,11 +836,10 @@ mod tests {
             ));
         let plan = over_product(residue);
         let lines: Vec<&str> = plan.lines().collect();
-        assert_eq!(
-            lines[0], "Filter [((r.a > 0 ∧ s.b = s.b) ∧ r.a < s.c)]",
-            "{plan}"
-        );
+        assert_eq!(lines[0], "Filter [r.a < s.c]", "{plan}");
         assert_eq!(lines[1], "  PartitionedHashJoin [r.b = s.b]", "{plan}");
+        assert!(plan.contains("SeqScan [r] where r.a > 0"), "{plan}");
+        assert!(plan.contains("SeqScan [s] where s.b = s.b"), "{plan}");
         assert!(!plan.contains("Product"), "{plan}");
     }
 
@@ -827,22 +850,37 @@ mod tests {
         let or = |a: Predicate, b: Predicate| Predicate::Or(Box::new(a), Box::new(b));
         for pred in [
             // No equality across the sides at the top level.
-            cmp("r.a", CmpOp::Gt, 0),
-            eq("r.a", "r.a"),
             Predicate::cmp(Operand::attr("r.a"), CmpOp::Le, Operand::attr("s.c")),
             or(eq("r.b", "s.b"), eq("r.a", "s.c")),
             not(eq("r.b", "s.b")),
-            Predicate::True,
             // An unknown name makes evaluation fail for the tuples that
             // reach it; a join would never form most of them.
             eq("r.b", "s.b").and(Predicate::eq_const("ghost", 1i64)),
             eq("r.b", "ghost"),
+            Predicate::eq_const("ghost", 1i64).and(cmp("r.a", CmpOp::Gt, 0)),
         ] {
             let plan = over_product(pred.clone());
             let lines: Vec<&str> = plan.lines().collect();
             assert_eq!(lines[0], format!("Filter [{pred}]"), "{plan}");
             assert_eq!(lines[1], "  Product", "{plan}");
             assert!(!plan.contains("PartitionedHashJoin"), "{plan}");
+            assert!(
+                !plan.contains(" where "),
+                "a fallible or spanning {pred} sank\n{plan}"
+            );
+        }
+        // Bound by one side: that side's scan filters, and the product of
+        // what is left has no filter above it.
+        for pred in [cmp("r.a", CmpOp::Gt, 0), eq("r.a", "r.a"), Predicate::True] {
+            let plan = over_product(pred.clone());
+            assert!(plan.starts_with("Product\n"), "{plan}");
+            assert!(!plan.contains("Filter"), "{plan}");
+            if pred != Predicate::True {
+                assert!(
+                    plan.contains(&format!("SeqScan [r] where {pred}")),
+                    "{plan}"
+                );
+            }
         }
     }
 

@@ -39,7 +39,7 @@ impl WorkspaceLint for WireConformance {
          each variant must appear exactly once across the file's `decode` \
          fns (a missing arm silently drops an opcode; a duplicate means two \
          opcodes alias one variant) and at least once across its `encode` \
-         fns; an enum carried as a raw byte (the `from_u8` pattern) must map \
+         and `encode_into` fns; an enum carried as a raw byte (the `from_u8` pattern) must map \
          every variant. Separately, in wire codec files and in every fn \
          that decodes with the shared `ByteReader`, any \
          `Vec::with_capacity(..)` or `vec![0u8; ..]` whose size involves an \
@@ -93,9 +93,9 @@ fn is_bounded_count(s: &crate::source::SourceFile, k: usize) -> bool {
 /// Rule 1: enum/codec agreement.
 fn check_enums(lint: &'static str, f: &WsFile, rep: &mut Report) {
     for en in &f.idx.enums {
-        let decode = count_in_fns(f, &en.name, &en.variants, "decode");
-        let encode = count_in_fns(f, &en.name, &en.variants, "encode");
-        let from_u8 = count_in_fns(f, &en.name, &en.variants, "from_u8");
+        let decode = count_in_fns(f, &en.name, &en.variants, &["decode"]);
+        let encode = count_in_fns(f, &en.name, &en.variants, &["encode", "encode_into"]);
+        let from_u8 = count_in_fns(f, &en.name, &en.variants, &["from_u8"]);
 
         // Only enums that participate in a codec are checked; plain
         // data enums in the file have all-zero counts.
@@ -163,10 +163,11 @@ fn count_in_fns(
     f: &WsFile,
     enum_name: &str,
     variants: &[(String, u32)],
-    fn_name: &str,
+    fn_names: &[&str],
 ) -> Vec<usize> {
     let mut counts = vec![0usize; variants.len()];
-    for fun in f.idx.fns.iter().filter(|x| x.name == fn_name && !x.in_test) {
+    let fns = f.idx.fns.iter();
+    for fun in fns.filter(|x| fn_names.contains(&x.name.as_str()) && !x.in_test) {
         for i in fun.body_start..=fun.body_end.min(f.src.len().saturating_sub(1)) {
             if f.src.is_ident(i, enum_name)
                 && f.src.is_path_sep(i + 1)

@@ -6,7 +6,7 @@
 //! show *why* pushdown matters (the same shape the early query-optimization
 //! experiments established).
 
-use crate::algebra::expr::Expr;
+use crate::algebra::expr::{join_steps, Expr, Predicate};
 use crate::catalog::Database;
 use crate::error::RelError;
 use crate::relation::Relation;
@@ -66,16 +66,7 @@ fn eval_inner(
     stats.operators += 1;
     let out = match expr {
         Expr::Rel(name) => db.get(name)?.clone(),
-        Expr::Select { pred, input } => {
-            let rel = eval_inner(input, db, ctx, stats)?;
-            let mut out = Relation::new(rel.schema().clone());
-            for t in rel.iter() {
-                if pred.eval(rel.schema(), t)? {
-                    out.insert(t.clone())?;
-                }
-            }
-            out
-        }
+        Expr::Select { pred, input } => filter(eval_inner(input, db, ctx, stats)?, pred)?,
         Expr::Project { cols, input } => {
             let rel = eval_inner(input, db, ctx, stats)?;
             let names: Vec<&str> = cols.iter().map(String::as_str).collect();
@@ -90,9 +81,9 @@ fn eval_inner(
             }
             out
         }
-        Expr::Rename { from, to, input } => {
+        Expr::Rename { pairs, input } => {
             let rel = eval_inner(input, db, ctx, stats)?;
-            let schema = rel.schema().rename(from, to)?;
+            let schema = rel.schema().rename(pairs)?;
             rel.with_renamed_schema(schema)?
         }
         Expr::Qualify { var, input } => {
@@ -100,27 +91,12 @@ fn eval_inner(
             let schema = rel.schema().qualify(var);
             rel.with_renamed_schema(schema)?
         }
-        Expr::Product(l, r) => {
-            let lrel = eval_inner(l, db, ctx, stats)?;
-            let rrel = eval_inner(r, db, ctx, stats)?;
-            let schema = lrel.schema().product(rrel.schema())?;
-            // The one operator whose output is quadratic in its inputs:
-            // charge every produced tuple so a runaway cross product dies
-            // at the budget, not at the allocator.
-            let mut charger = Charger::new(ctx);
-            let mut out = Relation::new(schema);
-            for lt in lrel.iter() {
-                ctx.check()?;
-                for rt in rrel.iter() {
-                    let t = lt.concat(rt);
-                    if charger.is_enabled() {
-                        charger.charge(t.approx_bytes())?;
-                    }
-                    out.insert(t)?;
-                }
-            }
-            charger.flush()?;
-            out
+        Expr::Join { inputs, pred } => {
+            let rels: Vec<Relation> = inputs
+                .iter()
+                .map(|e| eval_inner(e, db, ctx, stats))
+                .collect::<Result<_>>()?;
+            join(rels, pred, ctx, stats)?
         }
         Expr::NaturalJoin(l, r) => {
             let lrel = eval_inner(l, db, ctx, stats)?;
@@ -168,6 +144,63 @@ fn eval_inner(
         }
     };
     stats.intermediate_tuples += out.len() as u64;
+    Ok(out)
+}
+
+/// Fold `rels` left-deep into their join on `pred`, applying each
+/// conjunct where [`join_steps`] places it. Every tuple a step produces is
+/// charged: a runaway product dies at the budget, not at the allocator.
+fn join(
+    rels: Vec<Relation>,
+    pred: &Predicate,
+    ctx: &QueryContext,
+    stats: &mut EvalStats,
+) -> Result<Relation> {
+    let schemas: Vec<&Schema> = rels.iter().map(Relation::schema).collect();
+    let mut steps = join_steps(&schemas, pred).into_iter();
+    let mut rels = rels.into_iter();
+    let (Some(first), Some((own, _))) = (rels.next(), steps.next()) else {
+        return Err(RelError::SchemaMismatch("a join of no inputs".into()));
+    };
+    let mut acc = filter(first, &own)?;
+    let mut charger = Charger::new(ctx);
+    for (k, (rel, (own, on))) in rels.zip(steps).enumerate() {
+        if k > 0 {
+            // The step before built `acc`.
+            stats.intermediate_tuples += acc.len() as u64;
+        }
+        let right = filter(rel, &own)?;
+        let mut out = Relation::new(acc.schema().product(right.schema())?);
+        for lt in acc.iter() {
+            ctx.check()?;
+            for rt in right.iter() {
+                let t = lt.concat(rt);
+                if on.eval(out.schema(), &t)? {
+                    if charger.is_enabled() {
+                        charger.charge(t.approx_bytes())?;
+                    }
+                    out.insert(t)?;
+                }
+            }
+        }
+        acc = out;
+    }
+    charger.flush()?;
+    Ok(acc)
+}
+
+/// The tuples of `rel` that satisfy `pred`; `rel` itself when `pred` is
+/// `True`.
+fn filter(rel: Relation, pred: &Predicate) -> Result<Relation> {
+    if *pred == Predicate::True {
+        return Ok(rel);
+    }
+    let mut out = Relation::new(rel.schema().clone());
+    for t in rel.iter() {
+        if pred.eval(rel.schema(), t)? {
+            out.insert(t.clone())?;
+        }
+    }
     Ok(out)
 }
 

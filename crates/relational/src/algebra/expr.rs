@@ -179,12 +179,11 @@ pub enum Expr {
         /// Input expression.
         input: Box<Expr>,
     },
-    /// ρ — rename one attribute.
+    /// ρ — rename attributes, all `(from, to)` pairs at once: `ρ[a→b,
+    /// b→a]` swaps two names.
     Rename {
-        /// Existing attribute name.
-        from: String,
-        /// New attribute name.
-        to: String,
+        /// `(existing name, new name)` pairs.
+        pairs: Vec<(String, String)>,
         /// Input expression.
         input: Box<Expr>,
     },
@@ -195,8 +194,14 @@ pub enum Expr {
         /// Input expression.
         input: Box<Expr>,
     },
-    /// × — cartesian product (attribute names must be disjoint).
-    Product(Box<Expr>, Box<Expr>),
+    /// ⋈θ — the product of two or more inputs (attribute names must be
+    /// disjoint), filtered by `pred`; a product is the case `pred = True`.
+    Join {
+        /// The inputs, in column order; at least two.
+        inputs: Vec<Expr>,
+        /// Join predicate over the concatenated schema.
+        pred: Predicate,
+    },
     /// ⋈ — natural join on shared attribute names.
     NaturalJoin(Box<Expr>, Box<Expr>),
     /// ∪ — union of union-compatible inputs.
@@ -236,11 +241,15 @@ impl Expr {
         }
     }
 
-    /// ρ builder.
+    /// ρ builder for one attribute.
     pub fn rename(self, from: &str, to: &str) -> Expr {
+        self.renames(vec![(from.to_string(), to.to_string())])
+    }
+
+    /// ρ builder for simultaneous `(from, to)` pairs.
+    pub fn renames(self, pairs: Vec<(String, String)>) -> Expr {
         Expr::Rename {
-            from: from.to_string(),
-            to: to.to_string(),
+            pairs,
             input: Box::new(self),
         }
     }
@@ -253,9 +262,21 @@ impl Expr {
         }
     }
 
-    /// × builder.
+    /// × builder: a product of products is one flat [`Expr::Join`].
     pub fn product(self, other: Expr) -> Expr {
-        Expr::Product(Box::new(self), Box::new(other))
+        let factors = |e: Expr| match e {
+            Expr::Join {
+                inputs,
+                pred: Predicate::True,
+            } => inputs,
+            e => vec![e],
+        };
+        let mut inputs = factors(self);
+        inputs.extend(factors(other));
+        Expr::Join {
+            inputs,
+            pred: Predicate::True,
+        }
     }
 
     /// ⋈ builder.
@@ -293,9 +314,11 @@ impl Expr {
                 let names: Vec<&str> = cols.iter().map(String::as_str).collect();
                 s.project(&names)
             }
-            Expr::Rename { from, to, input } => input.schema(db)?.rename(from, to),
+            Expr::Rename { pairs, input } => input.schema(db)?.rename(pairs),
             Expr::Qualify { var, input } => Ok(input.schema(db)?.qualify(var)),
-            Expr::Product(l, r) => l.schema(db)?.product(&r.schema(db)?),
+            Expr::Join { inputs, .. } => inputs
+                .iter()
+                .try_fold(Schema::default(), |s, e| s.product(&e.schema(db)?)),
             Expr::NaturalJoin(l, r) => {
                 let ls = l.schema(db)?;
                 let rs = r.schema(db)?;
@@ -335,8 +358,8 @@ impl Expr {
             | Expr::Project { input, .. }
             | Expr::Rename { input, .. }
             | Expr::Qualify { input, .. } => 1 + input.size(),
-            Expr::Product(l, r)
-            | Expr::NaturalJoin(l, r)
+            Expr::Join { inputs, .. } => 1 + inputs.iter().map(Expr::size).sum::<usize>(),
+            Expr::NaturalJoin(l, r)
             | Expr::Union(l, r)
             | Expr::Difference(l, r)
             | Expr::Intersection(l, r)
@@ -360,8 +383,8 @@ impl Expr {
             | Expr::Project { input, .. }
             | Expr::Rename { input, .. }
             | Expr::Qualify { input, .. } => input.collect_relations(out),
-            Expr::Product(l, r)
-            | Expr::NaturalJoin(l, r)
+            Expr::Join { inputs, .. } => inputs.iter().for_each(|e| e.collect_relations(out)),
+            Expr::NaturalJoin(l, r)
             | Expr::Union(l, r)
             | Expr::Difference(l, r)
             | Expr::Intersection(l, r)
@@ -373,15 +396,62 @@ impl Expr {
     }
 }
 
+/// Where a join of inputs with `schemas`, folded left-deep in order,
+/// applies `pred`: per input, the conjuncts that filter that input alone
+/// and those applied where it joins the inputs before it. Each conjunct
+/// applies at the first input whose prefix binds all its names.
+///
+/// When some conjunct names an attribute no input has, evaluating the
+/// predicate can fail, and the tuples it fails on must all be formed: the
+/// whole predicate then applies, as written, where the last input joins.
+pub fn join_steps(schemas: &[&Schema], pred: &Predicate) -> Vec<(Predicate, Predicate)> {
+    if schemas.is_empty() {
+        return Vec::new();
+    }
+    let mut steps = vec![(Vec::new(), Vec::new()); schemas.len()];
+    for conjunct in pred.clone().conjuncts() {
+        let owners: Option<Vec<usize>> = conjunct
+            .attrs()
+            .iter()
+            .map(|a| schemas.iter().position(|s| s.index_of(a).is_some()))
+            .collect();
+        let Some(owners) = owners else {
+            let mut whole = vec![(Predicate::True, Predicate::True); schemas.len()];
+            whole[schemas.len() - 1].1 = pred.clone();
+            return whole;
+        };
+        let at = owners.iter().copied().max().unwrap_or(0);
+        if owners.iter().all(|&i| i == at) {
+            steps[at].0.push(conjunct);
+        } else {
+            steps[at].1.push(conjunct);
+        }
+    }
+    let fold = Predicate::from_conjuncts;
+    steps
+        .into_iter()
+        .map(|(own, on)| (fold(own), fold(on)))
+        .collect()
+}
+
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Expr::Rel(n) => write!(f, "{n}"),
             Expr::Select { pred, input } => write!(f, "σ[{pred}]({input})"),
             Expr::Project { cols, input } => write!(f, "π[{}]({input})", cols.join(", ")),
-            Expr::Rename { from, to, input } => write!(f, "ρ[{from}→{to}]({input})"),
+            Expr::Rename { pairs, input } => {
+                let pairs: Vec<String> = pairs.iter().map(|(a, b)| format!("{a}→{b}")).collect();
+                write!(f, "ρ[{}]({input})", pairs.join(", "))
+            }
             Expr::Qualify { var, input } => write!(f, "ρ[{var}.*]({input})"),
-            Expr::Product(l, r) => write!(f, "({l} × {r})"),
+            Expr::Join { inputs, pred } => {
+                let inputs: Vec<String> = inputs.iter().map(Expr::to_string).collect();
+                match pred {
+                    Predicate::True => write!(f, "({})", inputs.join(" × ")),
+                    pred => write!(f, "⋈[{pred}]({})", inputs.join(", ")),
+                }
+            }
             Expr::NaturalJoin(l, r) => write!(f, "({l} ⋈ {r})"),
             Expr::Union(l, r) => write!(f, "({l} ∪ {r})"),
             Expr::Difference(l, r) => write!(f, "({l} − {r})"),
@@ -465,6 +535,61 @@ mod tests {
             .qualify("t")
             .product(Expr::rel("r").qualify("u"));
         assert_eq!(ok.schema(&db).unwrap().arity(), 4);
+    }
+
+    #[test]
+    fn products_stay_flat() {
+        let q = |v: &str| Expr::rel("r").qualify(v);
+        let chain = q("t").product(q("u")).product(q("v").product(q("w")));
+        assert!(
+            matches!(&chain, Expr::Join { inputs, pred: Predicate::True } if inputs.len() == 4)
+        );
+        assert_eq!(chain.schema(&db()).unwrap().arity(), 8);
+        // A filtered join is one input of the next product.
+        let on = Predicate::eq_attrs("t.a", "u.a");
+        let joined = Expr::Join {
+            inputs: vec![q("t"), q("u")],
+            pred: on.clone(),
+        };
+        let e = joined.product(q("v"));
+        assert!(
+            matches!(&e, Expr::Join { inputs, .. } if inputs.len() == 2),
+            "{e}"
+        );
+        assert_eq!(
+            e.to_string(),
+            "(⋈[t.a = u.a](ρ[t.*](r), ρ[u.*](r)) × ρ[v.*](r))"
+        );
+    }
+
+    #[test]
+    fn join_steps_place_each_conjunct_at_its_first_binding_prefix() {
+        let s = |names: &[&str]| {
+            Schema::new(&names.iter().map(|n| (*n, Type::Int)).collect::<Vec<_>>()).unwrap()
+        };
+        let (x, y, z) = (s(&["a", "b"]), s(&["c"]), s(&["d"]));
+        let schemas = [&x, &y, &z];
+        let (ac, bd, a1, d1) = (
+            Predicate::eq_attrs("a", "c"),
+            Predicate::eq_attrs("b", "d"),
+            Predicate::eq_const("a", 1i64),
+            Predicate::eq_const("d", 1i64),
+        );
+        let pred = bd.clone().and(a1.clone()).and(ac.clone()).and(d1.clone());
+        let t = Predicate::True;
+        assert_eq!(
+            join_steps(&schemas, &pred),
+            vec![
+                (a1.clone(), t.clone()),
+                (t.clone(), ac.clone()),
+                (d1.clone(), bd.clone())
+            ]
+        );
+        // A name no input has: the whole predicate, as written, at the end.
+        let ghost = pred.clone().and(Predicate::eq_const("zz", 0i64));
+        let whole = join_steps(&schemas, &ghost);
+        assert_eq!(whole[2], (t.clone(), ghost));
+        assert_eq!(whole[..2], [(t.clone(), t.clone()), (t.clone(), t)]);
     }
 
     #[test]

@@ -1,25 +1,23 @@
-//! Rule-based algebraic optimization.
+//! Rule-based algebraic optimization, in one traversal.
 //!
 //! Implements the classical rewrites every relational optimizer starts from:
 //!
-//! 1. **selection cascade** — `σ[p∧q](E)` ⇒ `σ[p](σ[q](E))` (done implicitly
-//!    by splitting conjunctions);
-//! 2. **selection pushdown** — push each conjunct below products, joins, and
-//!    set operations as far as its attributes allow;
-//! 3. **select-product fusion** — a selection left sitting directly on a
-//!    product whose conjuncts span both sides stays put but is applied while
-//!    the product is formed (the evaluator's join already does this for
-//!    natural joins);
-//! 4. **projection/rename transparency** — selections commute with renames
-//!    (with attribute substitution) and with projections that keep the
-//!    predicate's attributes;
-//! 5. **product reordering** — under a projection, the factors of a
-//!    product chain are ordered greedily along the equality conjuncts
-//!    that connect them (smallest first), so that no two factors without
-//!    a shared conjunct are multiplied while a connected one is left.
+//! 1. **selection cascade** — `σ[p](σ[q](E))` ⇒ `σ[q ∧ p](E)`, and a
+//!    selection directly over a join merges into the join's predicate;
+//! 2. **selection pushdown** — a conjunct whose attributes all lie in one
+//!    input of a join sinks into that input, and selections pass through
+//!    natural joins, unions of same-named inputs and renames (substituting
+//!    every renamed attribute at once) as far as their attributes allow;
+//! 3. **join ordering** — under a projection, the inputs of a join are
+//!    ordered greedily along the equality conjuncts that connect them
+//!    (smallest first), so that no two inputs without a shared conjunct
+//!    are multiplied while a connected one is left.
 //!
-//! The optimizer is semantics-preserving by construction and its effect is
-//! measured in intermediate-tuple counts (see `bq-bench`).
+//! What stays on a join is applied where it is formed: lowering and the
+//! evaluator place each conjunct at the first input whose prefix binds it
+//! ([`join_steps`](crate::algebra::expr::join_steps)). The optimizer is
+//! semantics-preserving by construction and its effect is measured in
+//! intermediate-tuple counts (see `bq-bench`).
 
 use crate::algebra::expr::{Expr, Operand, Predicate};
 use crate::catalog::Database;
@@ -28,14 +26,155 @@ use crate::Result;
 use std::collections::BTreeSet;
 
 /// Optimize an expression against a database schema. Equivalent to the
-/// input on every database with the same schemas (product reordering is
-/// wrapped in a projection restoring the original column order).
+/// input on every database with the same schemas (join reordering happens
+/// only under a projection, which fixes the column order).
 pub fn optimize(expr: &Expr, db: &Database) -> Result<Expr> {
-    let e = push_selections(expr.clone(), db)?;
-    let e = reorder_products(e, db)?;
-    // Reordering may strand single-side conjuncts above a new product
-    // shape; one more pushdown pass sinks them.
-    push_selections(e, db)
+    opt(expr.clone(), db, false)
+}
+
+/// `reorder`: the expression sits under a projection, through selections
+/// only, so a join's column order is free.
+fn opt(expr: Expr, db: &Database, reorder: bool) -> Result<Expr> {
+    let opt_box = |e: Box<Expr>| opt(*e, db, false).map(Box::new);
+    Ok(match expr {
+        Expr::Select { pred, input } => match *input {
+            Expr::Select { pred: inner, input } => {
+                let pred = inner.and(pred);
+                return opt(Expr::Select { pred, input }, db, reorder);
+            }
+            Expr::Join { inputs, pred: on } => {
+                join(opt_all(inputs, db)?, on.and(pred), db, reorder)?
+            }
+            input => push(opt(input, db, false)?, pred.conjuncts(), db)?,
+        },
+        Expr::Join { inputs, pred } => join(opt_all(inputs, db)?, pred, db, reorder)?,
+        Expr::Project { cols, input } => Expr::Project {
+            cols,
+            input: Box::new(opt(*input, db, true)?),
+        },
+        Expr::Rename { pairs, input } => Expr::Rename {
+            pairs,
+            input: opt_box(input)?,
+        },
+        Expr::Qualify { var, input } => Expr::Qualify {
+            var,
+            input: opt_box(input)?,
+        },
+        Expr::NaturalJoin(l, r) => Expr::NaturalJoin(opt_box(l)?, opt_box(r)?),
+        Expr::Union(l, r) => Expr::Union(opt_box(l)?, opt_box(r)?),
+        Expr::Difference(l, r) => Expr::Difference(opt_box(l)?, opt_box(r)?),
+        Expr::Intersection(l, r) => Expr::Intersection(opt_box(l)?, opt_box(r)?),
+        Expr::Division(l, r) => Expr::Division(opt_box(l)?, opt_box(r)?),
+        e @ Expr::Rel(_) => e,
+    })
+}
+
+fn opt_all(inputs: Vec<Expr>, db: &Database) -> Result<Vec<Expr>> {
+    inputs.into_iter().map(|e| opt(e, db, false)).collect()
+}
+
+/// Place `pred` over a join of optimized `inputs`: each conjunct whose
+/// attributes all lie in one input sinks into it, the others stay on the
+/// join, and with `reorder` the inputs are ordered along them.
+///
+/// A predicate naming an attribute no input has stays whole: the evaluator
+/// applies it to the full product, and sinking a conjunct written after
+/// the failing one would spare the tuples it rejects from the failure.
+fn join(inputs: Vec<Expr>, pred: Predicate, db: &Database, reorder: bool) -> Result<Expr> {
+    let attrs: Vec<BTreeSet<String>> = inputs
+        .iter()
+        .map(|e| attr_names(e, db))
+        .collect::<Result<_>>()?;
+    let conjuncts = pred.conjuncts();
+    let known = |c: &Predicate| {
+        c.attrs()
+            .iter()
+            .all(|a| attrs.iter().any(|s| s.contains(a)))
+    };
+    let mut sunk = vec![Vec::new(); inputs.len()];
+    let mut here = Vec::new();
+    if conjuncts.iter().all(known) {
+        for c in conjuncts {
+            match attrs.iter().position(|s| c.attrs().is_subset(s)) {
+                Some(i) => sunk[i].push(c),
+                None => here.push(c),
+            }
+        }
+    } else {
+        here = conjuncts;
+    }
+    let leaves: Vec<Leaf> = inputs
+        .into_iter()
+        .zip(sunk)
+        .zip(attrs)
+        .map(|((e, sunk), attrs)| {
+            let expr = push(e, sunk, db)?;
+            Ok(Leaf {
+                size: estimate(&expr, db),
+                attrs,
+                expr,
+            })
+        })
+        .collect::<Result<_>>()?;
+    let inputs = match reorder {
+        true => order(leaves, &here),
+        false => leaves.into_iter().map(|leaf| leaf.expr).collect(),
+    };
+    Ok(Expr::Join {
+        inputs,
+        pred: Predicate::from_conjuncts(here),
+    })
+}
+
+/// One input of a join, measured once.
+struct Leaf {
+    expr: Expr,
+    size: f64,
+    attrs: BTreeSet<String>,
+}
+
+/// Greedy by connection: start from the smallest input, then always take
+/// the smallest input that an equality conjunct of `on` connects to what
+/// is already joined, so every join step has a conjunct to key on. Size
+/// alone decides only when nothing is connected — ordering by size
+/// throughout can put two inputs that share no conjunct side by side and
+/// multiply them in full.
+fn order(mut leaves: Vec<Leaf>, on: &[Predicate]) -> Vec<Expr> {
+    let links: Vec<(&String, &String)> = on
+        .iter()
+        .filter_map(|c| match c {
+            Predicate::Cmp {
+                l: Operand::Attr(a),
+                op: CmpOp::Eq,
+                r: Operand::Attr(b),
+            } => Some((a, b)),
+            _ => None,
+        })
+        .collect();
+    let mut seen: BTreeSet<String> = BTreeSet::new();
+    let mut ordered = Vec::with_capacity(leaves.len());
+    while !leaves.is_empty() {
+        let connects = |leaf: &Leaf| {
+            let (joined, attrs) = (&seen, &leaf.attrs);
+            links.iter().any(|&(a, b)| {
+                (joined.contains(a) && attrs.contains(b))
+                    || (joined.contains(b) && attrs.contains(a))
+            })
+        };
+        // `min_by` returns the first of equals: ties keep the FROM order.
+        let by_size = |a: &(usize, &Leaf), b: &(usize, &Leaf)| a.1.size.total_cmp(&b.1.size);
+        let pick = leaves
+            .iter()
+            .enumerate()
+            .filter(|(_, leaf)| connects(leaf))
+            .min_by(by_size)
+            .or_else(|| leaves.iter().enumerate().min_by(by_size))
+            .map_or(0, |(i, _)| i);
+        let leaf = leaves.remove(pick);
+        seen.extend(leaf.attrs);
+        ordered.push(leaf.expr);
+    }
+    ordered
 }
 
 /// Estimated output cardinality — the crudest possible cost model (base
@@ -47,7 +186,13 @@ fn estimate(expr: &Expr, db: &Database) -> f64 {
         Expr::Project { input, .. } | Expr::Rename { input, .. } | Expr::Qualify { input, .. } => {
             estimate(input, db)
         }
-        Expr::Product(l, r) => estimate(l, db) * estimate(r, db),
+        Expr::Join { inputs, pred } => {
+            let product: f64 = inputs.iter().map(|e| estimate(e, db)).product();
+            match pred {
+                Predicate::True => product,
+                _ => product * 0.3,
+            }
+        }
         Expr::NaturalJoin(l, r) => estimate(l, db) * estimate(r, db) * 0.1,
         Expr::Union(l, r) => estimate(l, db) + estimate(r, db),
         Expr::Difference(l, _) => estimate(l, db),
@@ -56,333 +201,68 @@ fn estimate(expr: &Expr, db: &Database) -> f64 {
     }
 }
 
-/// Reorder product chains so that each factor joins what came before it
-/// on an equality conjunct, smallest estimated input first. Column order
-/// matters to product output, so reordering happens only where an
-/// enclosing projection makes the order irrelevant — i.e. under a
-/// `Project`, through any chain of `Select`s (whose predicates are
-/// name-based and order-insensitive).
-fn reorder_products(expr: Expr, db: &Database) -> Result<Expr> {
-    match expr {
-        Expr::Select { pred, input } => Ok(Expr::Select {
-            pred,
-            input: Box::new(reorder_products(*input, db)?),
-        }),
-        Expr::Project { cols, input } => Ok(Expr::Project {
-            cols,
-            input: Box::new(reorder_in_order_insensitive(*input, &mut Vec::new(), db)?),
-        }),
-        Expr::Rename { from, to, input } => Ok(Expr::Rename {
-            from,
-            to,
-            input: Box::new(reorder_products(*input, db)?),
-        }),
-        Expr::Qualify { var, input } => Ok(Expr::Qualify {
-            var,
-            input: Box::new(reorder_products(*input, db)?),
-        }),
-        Expr::NaturalJoin(l, r) => Ok(Expr::NaturalJoin(
-            Box::new(reorder_products(*l, db)?),
-            Box::new(reorder_products(*r, db)?),
-        )),
-        Expr::Union(l, r) => Ok(Expr::Union(
-            Box::new(reorder_products(*l, db)?),
-            Box::new(reorder_products(*r, db)?),
-        )),
-        Expr::Difference(l, r) => Ok(Expr::Difference(
-            Box::new(reorder_products(*l, db)?),
-            Box::new(reorder_products(*r, db)?),
-        )),
-        Expr::Intersection(l, r) => Ok(Expr::Intersection(
-            Box::new(reorder_products(*l, db)?),
-            Box::new(reorder_products(*r, db)?),
-        )),
-        Expr::Division(l, r) => Ok(Expr::Division(
-            Box::new(reorder_products(*l, db)?),
-            Box::new(reorder_products(*r, db)?),
-        )),
-        e @ (Expr::Rel(_) | Expr::Product(_, _)) => Ok(e),
-    }
-}
-
-/// Inside a projection (through selects): product chains may be freely
-/// reordered. `links` are the attribute pairs that the selections passed
-/// on the way down equate — the conjuncts the second pushdown pass will
-/// sink onto the products formed here.
-fn reorder_in_order_insensitive(
-    expr: Expr,
-    links: &mut Vec<(String, String)>,
-    db: &Database,
-) -> Result<Expr> {
-    match expr {
-        Expr::Select { pred, input } => {
-            collect_links(&pred, links);
-            Ok(Expr::Select {
-                pred,
-                input: Box::new(reorder_in_order_insensitive(*input, links, db)?),
-            })
-        }
-        Expr::Product(_, _) => {
-            let (mut leaves, mut hoisted) = (Vec::new(), Vec::new());
-            flatten_products(expr, &mut leaves, &mut hoisted, db)?;
-            hoisted.iter().for_each(|c| collect_links(c, links));
-            let mut leaves: Vec<Leaf> = leaves
-                .into_iter()
-                .map(|leaf| {
-                    let expr = reorder_products(leaf, db)?;
-                    Ok(Leaf {
-                        size: estimate(&expr, db),
-                        attrs: attr_names(&expr, db)?,
-                        expr,
-                    })
-                })
-                .collect::<Result<_>>()?;
-            // Greedy by connection: start from the smallest leaf, then
-            // always take the smallest leaf that a link connects to what is
-            // already joined, so every product formed has a conjunct to
-            // become a join on. Size alone decides only when nothing is
-            // connected — ordering by size throughout can put two leaves
-            // that share no conjunct side by side and strand their whole
-            // cross product under the leaf that links them.
-            let mut product: Option<Expr> = None;
-            let mut seen = BTreeSet::new();
-            while !leaves.is_empty() {
-                // `min_by` returns the first of equals: ties keep the FROM
-                // order.
-                let by_size =
-                    |a: &(usize, &Leaf), b: &(usize, &Leaf)| a.1.size.total_cmp(&b.1.size);
-                let connected = leaves
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, leaf)| connects(links, &seen, &leaf.attrs));
-                let pick = connected
-                    .min_by(by_size)
-                    .or_else(|| leaves.iter().enumerate().min_by(by_size))
-                    .map_or(0, |(i, _)| i);
-                let leaf = leaves.remove(pick);
-                seen.extend(leaf.attrs);
-                product = Some(match product {
-                    None => leaf.expr,
-                    Some(acc) => acc.product(leaf.expr),
-                });
-            }
-            // lint: allow(panic) the Product arm flattens to ≥ 2 leaves
-            Ok(wrap_select(product.expect("at least one leaf"), hoisted))
-        }
-        other => reorder_products(other, db),
-    }
-}
-
-/// One factor of a product chain, measured once.
-struct Leaf {
-    expr: Expr,
-    size: f64,
-    attrs: BTreeSet<String>,
-}
-
 fn attr_names(expr: &Expr, db: &Database) -> Result<BTreeSet<String>> {
     let schema = expr.schema(db)?;
     Ok(schema.names().iter().map(|s| s.to_string()).collect())
 }
 
-/// The attribute pairs `pred`'s top-level conjuncts equate.
-fn collect_links(pred: &Predicate, links: &mut Vec<(String, String)>) {
-    match pred {
-        Predicate::And(a, b) => {
-            collect_links(a, links);
-            collect_links(b, links);
-        }
-        Predicate::Cmp {
-            l: Operand::Attr(a),
-            op: CmpOp::Eq,
-            r: Operand::Attr(b),
-        } => links.push((a.clone(), b.clone())),
-        _ => {}
+/// Push `conjuncts` into an optimized `input` as far as their attributes
+/// allow, leaving the rest in a selection on top.
+fn push(input: Expr, conjuncts: Vec<Predicate>, db: &Database) -> Result<Expr> {
+    if conjuncts.is_empty() {
+        return Ok(input);
     }
-}
-
-/// Does some link equate an attribute of `joined` with one of `leaf`?
-fn connects(
-    links: &[(String, String)],
-    joined: &BTreeSet<String>,
-    leaf: &BTreeSet<String>,
-) -> bool {
-    links.iter().any(|(a, b)| {
-        (joined.contains(a) && leaf.contains(b)) || (joined.contains(b) && leaf.contains(a))
-    })
-}
-
-/// Collect the factors of a product chain. The first pushdown pass leaves
-/// the conjuncts that span only some of the factors on the sub-product of
-/// exactly those; such a selection is lifted out again (`hoisted`) and the
-/// product under it flattened too, so that all factors are ordered
-/// together — `σ[p](A) × B = σ[p](A × B)` when `A` has every attribute `p`
-/// names, and the second pushdown pass sinks `p` to wherever its factors
-/// end up.
-fn flatten_products(
-    expr: Expr,
-    leaves: &mut Vec<Expr>,
-    hoisted: &mut Vec<Predicate>,
-    db: &Database,
-) -> Result<()> {
-    match expr {
-        Expr::Product(l, r) => {
-            flatten_products(*l, leaves, hoisted, db)?;
-            flatten_products(*r, leaves, hoisted, db)?;
-        }
-        Expr::Select { pred, input }
-            if matches!(*input, Expr::Product(..))
-                && pred.attrs().is_subset(&attr_names(&input, db)?) =>
-        {
-            hoisted.extend(pred.conjuncts());
-            flatten_products(*input, leaves, hoisted, db)?;
-        }
-        other => leaves.push(other),
-    }
-    Ok(())
-}
-
-/// Recursively push selection conjuncts as close to base relations as
-/// possible.
-fn push_selections(expr: Expr, db: &Database) -> Result<Expr> {
-    match expr {
-        Expr::Select { pred, input } => {
-            let input = push_selections(*input, db)?;
-            let conjuncts = pred.conjuncts();
-            push_conjuncts(input, conjuncts, db)
-        }
-        Expr::Project { cols, input } => Ok(Expr::Project {
-            cols,
-            input: Box::new(push_selections(*input, db)?),
-        }),
-        Expr::Rename { from, to, input } => Ok(Expr::Rename {
-            from,
-            to,
-            input: Box::new(push_selections(*input, db)?),
-        }),
-        Expr::Qualify { var, input } => Ok(Expr::Qualify {
-            var,
-            input: Box::new(push_selections(*input, db)?),
-        }),
-        Expr::Product(l, r) => Ok(Expr::Product(
-            Box::new(push_selections(*l, db)?),
-            Box::new(push_selections(*r, db)?),
-        )),
-        Expr::NaturalJoin(l, r) => Ok(Expr::NaturalJoin(
-            Box::new(push_selections(*l, db)?),
-            Box::new(push_selections(*r, db)?),
-        )),
-        Expr::Union(l, r) => Ok(Expr::Union(
-            Box::new(push_selections(*l, db)?),
-            Box::new(push_selections(*r, db)?),
-        )),
-        Expr::Difference(l, r) => Ok(Expr::Difference(
-            Box::new(push_selections(*l, db)?),
-            Box::new(push_selections(*r, db)?),
-        )),
-        Expr::Intersection(l, r) => Ok(Expr::Intersection(
-            Box::new(push_selections(*l, db)?),
-            Box::new(push_selections(*r, db)?),
-        )),
-        Expr::Division(l, r) => Ok(Expr::Division(
-            Box::new(push_selections(*l, db)?),
-            Box::new(push_selections(*r, db)?),
-        )),
-        e @ Expr::Rel(_) => Ok(e),
-    }
-}
-
-/// Push a list of conjuncts into `input`, leaving unpushable ones on top.
-fn push_conjuncts(input: Expr, conjuncts: Vec<Predicate>, db: &Database) -> Result<Expr> {
     match input {
-        Expr::Product(l, r) => {
-            let l_attrs = attr_names(&l, db)?;
-            let r_attrs = attr_names(&r, db)?;
-            let mut left_preds = Vec::new();
-            let mut right_preds = Vec::new();
-            let mut here = Vec::new();
-            for c in conjuncts {
-                let used = c.attrs();
-                if used.iter().all(|a| l_attrs.contains(a)) {
-                    left_preds.push(c);
-                } else if used.iter().all(|a| r_attrs.contains(a)) {
-                    right_preds.push(c);
-                } else {
-                    here.push(c);
-                }
-            }
-            let new_l = push_conjuncts(*l, left_preds, db)?;
-            let new_r = push_conjuncts(*r, right_preds, db)?;
-            let prod = Expr::Product(Box::new(new_l), Box::new(new_r));
-            Ok(wrap_select(prod, here))
+        Expr::Join { inputs, pred } => {
+            let pred = pred.and(Predicate::from_conjuncts(conjuncts));
+            join(inputs, pred, db, false)
         }
         Expr::NaturalJoin(l, r) => {
             let l_attrs = attr_names(&l, db)?;
             let r_attrs = attr_names(&r, db)?;
-            let mut left_preds = Vec::new();
-            let mut right_preds = Vec::new();
-            let mut here = Vec::new();
+            let (mut left, mut right, mut here) = (Vec::new(), Vec::new(), Vec::new());
             for c in conjuncts {
                 let used = c.attrs();
-                let in_l = used.iter().all(|a| l_attrs.contains(a));
-                let in_r = used.iter().all(|a| r_attrs.contains(a));
                 // Join attributes appear on both sides: a predicate on them
-                // can be pushed to both (we pick one side to avoid duplicate
-                // work; pushing to both is also sound).
-                if in_l {
-                    left_preds.push(c);
-                } else if in_r {
-                    right_preds.push(c);
+                // could go to either; the left one takes it.
+                if used.is_subset(&l_attrs) {
+                    left.push(c);
+                } else if used.is_subset(&r_attrs) {
+                    right.push(c);
                 } else {
                     here.push(c);
                 }
             }
-            let new_l = push_conjuncts(*l, left_preds, db)?;
-            let new_r = push_conjuncts(*r, right_preds, db)?;
-            let join = Expr::NaturalJoin(Box::new(new_l), Box::new(new_r));
+            let join = Expr::NaturalJoin(
+                Box::new(push(*l, left, db)?),
+                Box::new(push(*r, right, db)?),
+            );
             Ok(wrap_select(join, here))
         }
-        Expr::Union(l, r) => {
-            // Union is positional-compatible, but conjuncts reference the
-            // *left* schema's names; push only when both sides share names.
-            let l_names: Vec<String> = l
-                .schema(db)?
-                .names()
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            let r_names: Vec<String> = r
-                .schema(db)?
-                .names()
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            if l_names == r_names {
-                let new_l = push_conjuncts(*l, conjuncts.clone(), db)?;
-                let new_r = push_conjuncts(*r, conjuncts, db)?;
-                Ok(Expr::Union(Box::new(new_l), Box::new(new_r)))
-            } else {
-                Ok(wrap_select(Expr::Union(l, r), conjuncts))
-            }
-        }
+        // Conjuncts name the left input's attributes; they apply to the
+        // right one only when its names are the same.
+        Expr::Union(l, r) if l.schema(db)?.names() == r.schema(db)?.names() => Ok(Expr::Union(
+            Box::new(push(*l, conjuncts.clone(), db)?),
+            Box::new(push(*r, conjuncts, db)?),
+        )),
         Expr::Select { pred, input } => {
-            // Merge with an inner selection and continue pushing.
             let mut all = pred.conjuncts();
             all.extend(conjuncts);
-            push_conjuncts(*input, all, db)
+            push(*input, all, db)
         }
-        Expr::Rename { from, to, input } => {
-            // σ[p](ρ[a→b](E)) = ρ[a→b](σ[p[b:=a]](E))
-            let renamed: Vec<Predicate> = conjuncts
+        Expr::Rename { pairs, input } => {
+            // σ[p](ρ[a→b](E)) = ρ[a→b](σ[p[b:=a]](E)), for every pair at
+            // once. An attribute the rename gives up is unknown above it,
+            // and a conjunct naming one stays there.
+            let given_up = |a: &String| {
+                pairs.iter().any(|(from, _)| from == a) && !pairs.iter().any(|(_, to)| to == a)
+            };
+            let (here, down): (Vec<Predicate>, Vec<Predicate>) = conjuncts
                 .into_iter()
-                .map(|c| substitute_attr(c, &to, &from))
-                .collect();
-            let inner = push_conjuncts(*input, renamed, db)?;
-            Ok(Expr::Rename {
-                from,
-                to,
-                input: Box::new(inner),
-            })
+                .partition(|c| c.attrs().iter().any(given_up));
+            let down = down.into_iter().map(|c| substitute(c, &pairs)).collect();
+            let input = Box::new(push(*input, down, db)?);
+            Ok(wrap_select(Expr::Rename { pairs, input }, here))
         }
         other => Ok(wrap_select(other, conjuncts)),
     }
@@ -399,27 +279,27 @@ fn wrap_select(input: Expr, conjuncts: Vec<Predicate>) -> Expr {
     }
 }
 
-/// Replace references to attribute `from` by `to` inside a predicate.
-fn substitute_attr(pred: Predicate, from: &str, to: &str) -> Predicate {
-    let sub_op = |o: Operand| match o {
-        Operand::Attr(a) if a == from => Operand::Attr(to.to_string()),
+/// Rewrite `pred` from a rename's output names to its input names: each
+/// attribute some pair renames *to* becomes that pair's `from`, all at
+/// once, so `ρ[a→b, b→a]` swaps back rather than chaining.
+fn substitute(pred: Predicate, pairs: &[(String, String)]) -> Predicate {
+    let sub = |o: Operand| match o {
+        Operand::Attr(a) => match pairs.iter().find(|(_, to)| *to == a) {
+            Some((from, _)) => Operand::Attr(from.clone()),
+            None => Operand::Attr(a),
+        },
         other => other,
     };
+    let boxed = |p: Box<Predicate>| Box::new(substitute(*p, pairs));
     match pred {
         Predicate::Cmp { l, op, r } => Predicate::Cmp {
-            l: sub_op(l),
+            l: sub(l),
             op,
-            r: sub_op(r),
+            r: sub(r),
         },
-        Predicate::And(a, b) => Predicate::And(
-            Box::new(substitute_attr(*a, from, to)),
-            Box::new(substitute_attr(*b, from, to)),
-        ),
-        Predicate::Or(a, b) => Predicate::Or(
-            Box::new(substitute_attr(*a, from, to)),
-            Box::new(substitute_attr(*b, from, to)),
-        ),
-        Predicate::Not(p) => Predicate::Not(Box::new(substitute_attr(*p, from, to))),
+        Predicate::And(a, b) => Predicate::And(boxed(a), boxed(b)),
+        Predicate::Or(a, b) => Predicate::Or(boxed(a), boxed(b)),
+        Predicate::Not(p) => Predicate::Not(boxed(p)),
         p => p,
     }
 }
@@ -482,8 +362,9 @@ mod tests {
         let opt = optimize(&e, &db).unwrap();
         // the selection should now be inside the product
         match &opt {
-            Expr::Product(l, _) => {
-                assert!(matches!(**l, Expr::Select { .. }), "got {opt}");
+            Expr::Join { inputs, pred } => {
+                assert!(matches!(inputs[0], Expr::Select { .. }), "got {opt}");
+                assert_eq!(*pred, Predicate::True, "got {opt}");
             }
             other => panic!("expected product at root, got {other}"),
         }
@@ -497,8 +378,9 @@ mod tests {
             .select(Predicate::eq_attrs("a", "c"));
         let opt = optimize(&e, &db).unwrap();
         assert!(
-            matches!(opt, Expr::Select { .. }),
-            "join predicate cannot sink"
+            matches!(&opt, Expr::Join { inputs, pred }
+                if *pred == Predicate::eq_attrs("a", "c") && inputs.iter().all(|i| matches!(i, Expr::Rel(_)))),
+            "join predicate cannot sink: {opt}"
         );
     }
 
@@ -551,8 +433,8 @@ mod tests {
                 Expr::Project { input, .. }
                 | Expr::Rename { input, .. }
                 | Expr::Qualify { input, .. } => count_selects(input),
-                Expr::Product(l, r)
-                | Expr::NaturalJoin(l, r)
+                Expr::Join { inputs, .. } => inputs.iter().map(count_selects).sum(),
+                Expr::NaturalJoin(l, r)
                 | Expr::Union(l, r)
                 | Expr::Difference(l, r)
                 | Expr::Intersection(l, r)
@@ -600,24 +482,41 @@ mod tests {
         );
     }
 
-    /// Is every product directly under a selection that equates an
-    /// attribute of its left side with one of its right side — i.e. does
-    /// the executor get a join key for each of them?
+    /// Does every step of every join fold have an equality conjunct that
+    /// links the inputs before it to the input it adds — i.e. does the
+    /// executor get a join key for each of them?
     fn every_product_is_linked(e: &Expr, db: &Database) -> bool {
         let linked = |e: &Expr| every_product_is_linked(e, db);
         match e {
-            Expr::Select { pred, input } => match &**input {
-                Expr::Product(l, r) => {
-                    let mut links = Vec::new();
-                    collect_links(pred, &mut links);
-                    let (la, ra) = (attr_names(l, db).unwrap(), attr_names(r, db).unwrap());
-                    connects(&links, &la, &ra) && linked(l) && linked(r)
-                }
-                other => linked(other),
-            },
-            Expr::Product(..) => false,
+            Expr::Join { inputs, pred } => {
+                let links: Vec<(String, String)> = pred
+                    .clone()
+                    .conjuncts()
+                    .into_iter()
+                    .filter_map(|c| match c {
+                        Predicate::Cmp {
+                            l: Operand::Attr(a),
+                            op: CmpOp::Eq,
+                            r: Operand::Attr(b),
+                        } => Some((a, b)),
+                        _ => None,
+                    })
+                    .collect();
+                let mut seen = BTreeSet::new();
+                inputs.iter().enumerate().all(|(k, input)| {
+                    let attrs = attr_names(input, db).unwrap();
+                    let ok = k == 0
+                        || links.iter().any(|(a, b)| {
+                            (seen.contains(a) && attrs.contains(b))
+                                || (seen.contains(b) && attrs.contains(a))
+                        });
+                    seen.extend(attrs);
+                    ok && linked(input)
+                })
+            }
             Expr::Rel(_) => true,
-            Expr::Project { input, .. }
+            Expr::Select { input, .. }
+            | Expr::Project { input, .. }
             | Expr::Rename { input, .. }
             | Expr::Qualify { input, .. } => linked(input),
             Expr::NaturalJoin(l, r)
@@ -665,9 +564,8 @@ mod tests {
         let (_, after) = eval_with_stats(&opt, &db).unwrap();
         assert!(after.intermediate_tuples < before.intermediate_tuples);
 
-        // A conjunct the first pushdown sinks onto a sub-product (fk = dk
-        // lands on fact × g × d) must not fence g in there: its only link,
-        // gk = ek, is to a table outside.
+        // g's only link, gk = ek, is to a table listed after it: it must
+        // wait for e rather than be multiplied in where it is listed.
         let e = Expr::rel("fact")
             .product(Expr::rel("g"))
             .product(Expr::rel("d"))
@@ -736,10 +634,54 @@ mod tests {
         assert_eq!(e, opt);
     }
 
+    fn pairs(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
+        let owned = pairs.iter().map(|(a, b)| (a.to_string(), b.to_string()));
+        owned.collect()
+    }
+
     #[test]
     fn substitute_attr_rewrites_both_sides() {
         let p = Predicate::eq_attrs("x", "y");
-        let q = substitute_attr(p, "x", "a");
+        let q = substitute(p, &pairs(&[("a", "x")]));
         assert_eq!(q, Predicate::eq_attrs("a", "y"));
+        // A swap swaps back: b := a and a := b, not a := b := a.
+        let swapped = substitute(
+            Predicate::eq_attrs("a", "b"),
+            &pairs(&[("a", "b"), ("b", "a")]),
+        );
+        assert_eq!(swapped, Predicate::eq_attrs("b", "a"));
+    }
+
+    #[test]
+    fn selections_pass_simultaneous_renames() {
+        let db = db();
+        let swap = Expr::rel("r").renames(pairs(&[("a", "b"), ("b", "a")]));
+        // `b` above the swap is `a` below it; `shift` renames onto `b`, a
+        // name its other pair gives up.
+        let shift = Expr::rel("r").renames(pairs(&[("a", "b"), ("b", "x")]));
+        for (e, pred) in [
+            (swap.clone(), Predicate::eq_const("b", 3i64)),
+            (
+                swap,
+                Predicate::eq_const("a", 6i64).and(Predicate::eq_const("b", 3i64)),
+            ),
+            (shift.clone(), Predicate::eq_const("b", 3i64)),
+            (shift, Predicate::eq_const("x", 6i64)),
+        ] {
+            let e = e.select(pred);
+            let opt = optimize(&e, &db).unwrap();
+            assert!(matches!(opt, Expr::Rename { .. }), "sank: {opt}");
+            let want = eval(&e, &db).unwrap();
+            assert_eq!(want.len(), 1, "{e}");
+            assert_eq!(want, eval(&opt, &db).unwrap(), "{e} vs {opt}");
+        }
+        // A name the rename gives up is unknown above it: the selection
+        // fails there, and must not sink to where the name resolves.
+        let e = Expr::rel("r")
+            .rename("a", "x")
+            .select(Predicate::eq_const("a", 3i64));
+        let opt = optimize(&e, &db).unwrap();
+        assert!(eval(&e, &db).is_err());
+        assert!(eval(&opt, &db).is_err(), "{opt}");
     }
 }

@@ -49,34 +49,40 @@ pub fn calculus_to_algebra(query: &Query, db: &Database) -> Result<Expr> {
     let required: Vec<String> = query.free.iter().map(|(v, _)| v.clone()).collect();
     let body = translate_conjunction(formula.conjuncts(), &required, &scope, db)?;
 
-    // Head: project var.attr columns, then rename to output names. A column
-    // requested twice is duplicated with the classical construction
-    // σ[c = c'](E × ρ[c→c'](π[c](E))).
-    let mut expr = body.clone();
+    // Head: project var.attr columns, then rename them to the output
+    // names, all at once. A column requested twice is duplicated with the
+    // classical construction σ[c = c'](E × ρ[c→c'](π[c](E))), every copy
+    // an input of one join.
+    let mut inputs = vec![body];
+    let mut links = Predicate::True;
     let mut cols: Vec<String> = Vec::with_capacity(query.head.len());
     for h in &query.head {
         let col = format!("{}.{}", h.var, h.attr);
         if cols.contains(&col) {
             let fresh = format!("{col}#{}", cols.len());
-            let copy = body.clone().project(&[col.as_str()]).rename(&col, &fresh);
-            expr = expr.product(copy).select(Predicate::eq_attrs(&col, &fresh));
+            let copy = inputs[0].clone().project(&[col.as_str()]);
+            inputs.push(copy.rename(&col, &fresh));
+            links = links.and(Predicate::eq_attrs(&col, &fresh));
             cols.push(fresh);
         } else {
             cols.push(col);
         }
     }
+    let expr = match inputs.len() {
+        1 => inputs.remove(0),
+        _ => Expr::Join {
+            inputs,
+            pred: links,
+        },
+    };
     let col_refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-    let mut expr = expr.project(&col_refs);
-    // Two-phase rename so a target name colliding with a not-yet-renamed
-    // column cannot conflict.
-    let temps: Vec<String> = (0..cols.len()).map(|i| format!("__out{i}")).collect();
-    for (col, temp) in cols.iter().zip(temps.iter()) {
-        expr = expr.rename(col, temp);
-    }
-    for (temp, h) in temps.iter().zip(query.head.iter()) {
-        expr = expr.rename(temp, &h.name);
-    }
-    Ok(expr)
+    let projected = expr.project(&col_refs);
+    let pairs = cols.iter().zip(&query.head);
+    Ok(projected.renames(
+        pairs
+            .map(|(col, h)| (col.clone(), h.name.clone()))
+            .collect(),
+    ))
 }
 
 /// Constant-fold `True`/`False` through the connectives and drop double
@@ -283,15 +289,16 @@ fn translate_positive(formula: Formula, scope: &Scope, db: &Database) -> Result<
                     "{rel}({var}) with range {range}"
                 )));
             }
-            let mut e = Expr::rel(rel.clone());
-            for (from, to) in member_schema
+            let pairs: Vec<(String, String)> = member_schema
                 .names()
-                .iter()
-                .zip(range_schema.names().iter())
-            {
-                if from != to {
-                    e = e.rename(from, to);
-                }
+                .into_iter()
+                .zip(range_schema.names())
+                .filter(|(from, to)| from != to)
+                .map(|(from, to)| (from.to_string(), to.to_string()))
+                .collect();
+            let mut e = Expr::rel(rel.clone());
+            if !pairs.is_empty() {
+                e = e.renames(pairs);
             }
             let e = e.qualify(&var);
             Ok(match range {
@@ -425,9 +432,9 @@ fn trans(expr: &Expr, db: &Database, gen: &mut VarGen) -> Result<Trans> {
             };
             Ok((t, sp.clone(), Range::Domain(sp), formula))
         }
-        Expr::Rename { from, to, input } => {
+        Expr::Rename { pairs, input } => {
             let (u, su, ru, psi_u) = trans(input, db, gen)?;
-            let sr = su.rename(from, to)?;
+            let sr = su.rename(pairs)?;
             let t = gen.fresh();
             let link = fields_eq(&t, &sr, &u, &su);
             let formula = Formula::Exists {
@@ -449,41 +456,21 @@ fn trans(expr: &Expr, db: &Database, gen: &mut VarGen) -> Result<Trans> {
             };
             Ok((t, sq.clone(), Range::Domain(sq), formula))
         }
-        Expr::Product(l, r) => {
-            let (u, su, ru, psi_l) = trans(l, db, gen)?;
-            let (v, sv, rv, psi_r) = trans(r, db, gen)?;
-            let sp = su.product(&sv)?;
+        Expr::Join { inputs, pred } => {
+            let parts = inputs
+                .iter()
+                .map(|e| trans(e, db, gen))
+                .collect::<Result<Vec<Trans>>>()?;
+            let sp = parts
+                .iter()
+                .try_fold(Schema::default(), |s, (_, su, _, _)| s.product(su))?;
             let t = gen.fresh();
-            let mut link = Formula::True;
-            for a in su.names() {
-                link = link.and(Formula::cmp(
-                    Term::attr(&t, a),
-                    CmpOp::Eq,
-                    Term::attr(&u, a),
-                ));
-            }
-            for b in sv.names() {
-                link = link.and(Formula::cmp(
-                    Term::attr(&t, b),
-                    CmpOp::Eq,
-                    Term::attr(&v, b),
-                ));
-            }
-            let inner = Formula::Exists {
-                var: v,
-                range: rv,
-                body: Box::new(psi_r.and(link)),
-            };
-            let formula = Formula::Exists {
-                var: u,
-                range: ru,
-                body: Box::new(psi_l.and(inner)),
-            };
+            let formula = agrees_with_each(&t, parts).and(predicate_to_formula(pred, &t));
             Ok((t, sp.clone(), Range::Domain(sp), formula))
         }
         Expr::NaturalJoin(l, r) => {
-            let (u, su, ru, psi_l) = trans(l, db, gen)?;
-            let (v, sv, rv, psi_r) = trans(r, db, gen)?;
+            let parts = vec![trans(l, db, gen)?, trans(r, db, gen)?];
+            let (su, sv) = (&parts[0].1, &parts[1].1);
             let mut sj = su.clone();
             for a in sv.attrs() {
                 if su.index_of(&a.name).is_none() {
@@ -491,80 +478,26 @@ fn trans(expr: &Expr, db: &Database, gen: &mut VarGen) -> Result<Trans> {
                 }
             }
             let t = gen.fresh();
-            let mut link = Formula::True;
-            for a in su.names() {
-                link = link.and(Formula::cmp(
-                    Term::attr(&t, a),
-                    CmpOp::Eq,
-                    Term::attr(&u, a),
-                ));
-            }
-            for b in sv.names() {
-                link = link.and(Formula::cmp(
-                    Term::attr(&t, b),
-                    CmpOp::Eq,
-                    Term::attr(&v, b),
-                ));
-            }
-            let inner = Formula::Exists {
-                var: v,
-                range: rv,
-                body: Box::new(psi_r.and(link)),
-            };
-            let formula = Formula::Exists {
-                var: u,
-                range: ru,
-                body: Box::new(psi_l.and(inner)),
-            };
+            let formula = agrees_with_each(&t, parts);
             Ok((t, sj.clone(), Range::Domain(sj), formula))
         }
-        Expr::Union(l, r) => {
+        Expr::Union(l, r) | Expr::Difference(l, r) | Expr::Intersection(l, r) => {
             let (u, su, ru, psi_l) = trans(l, db, gen)?;
             let (v, sv, rv, psi_r) = trans(r, db, gen)?;
             let t = gen.fresh();
-            let left = Formula::Exists {
-                var: u.clone(),
-                range: ru,
-                body: Box::new(psi_l.and(fields_eq(&t, &su, &u, &su))),
+            // ∃x ∈ range (ψ ∧ t ≈ x), positionally, under the left names.
+            let member = |x: String, sx: &Schema, range, psi: Formula| Formula::Exists {
+                body: Box::new(psi.and(fields_eq(&t, &su, &x, sx))),
+                var: x,
+                range,
             };
-            let right = Formula::Exists {
-                var: v.clone(),
-                range: rv,
-                body: Box::new(psi_r.and(fields_eq(&t, &su, &v, &sv))),
+            let (left, right) = (member(u, &su, ru, psi_l), member(v, &sv, rv, psi_r));
+            let formula = match expr {
+                Expr::Union(..) => left.or(right),
+                Expr::Difference(..) => left.and(right.not()),
+                _ => left.and(right),
             };
-            Ok((t, su.clone(), Range::Domain(su), left.or(right)))
-        }
-        Expr::Difference(l, r) => {
-            let (u, su, ru, psi_l) = trans(l, db, gen)?;
-            let (v, sv, rv, psi_r) = trans(r, db, gen)?;
-            let t = gen.fresh();
-            let left = Formula::Exists {
-                var: u.clone(),
-                range: ru,
-                body: Box::new(psi_l.and(fields_eq(&t, &su, &u, &su))),
-            };
-            let right = Formula::Exists {
-                var: v.clone(),
-                range: rv,
-                body: Box::new(psi_r.and(fields_eq(&t, &su, &v, &sv))),
-            };
-            Ok((t, su.clone(), Range::Domain(su), left.and(right.not())))
-        }
-        Expr::Intersection(l, r) => {
-            let (u, su, ru, psi_l) = trans(l, db, gen)?;
-            let (v, sv, rv, psi_r) = trans(r, db, gen)?;
-            let t = gen.fresh();
-            let left = Formula::Exists {
-                var: u.clone(),
-                range: ru,
-                body: Box::new(psi_l.and(fields_eq(&t, &su, &u, &su))),
-            };
-            let right = Formula::Exists {
-                var: v.clone(),
-                range: rv,
-                body: Box::new(psi_r.and(fields_eq(&t, &su, &v, &sv))),
-            };
-            Ok((t, su.clone(), Range::Domain(su), left.and(right)))
+            Ok((t, su.clone(), Range::Domain(su), formula))
         }
         Expr::Division(l, r) => {
             // Desugar into the defining identity
@@ -591,6 +524,19 @@ fn trans(expr: &Expr, db: &Database, gen: &mut VarGen) -> Result<Trans> {
             trans(&desugared, db, gen)
         }
     }
+}
+
+/// `∃u1 (ψ1 ∧ t ≈ u1 ∧ ∃u2 (ψ2 ∧ t ≈ u2 ∧ …))`: `t` agrees with a tuple
+/// of every part on that part's columns, by name.
+fn agrees_with_each(t: &str, parts: Vec<Trans>) -> Formula {
+    parts
+        .into_iter()
+        .rev()
+        .fold(Formula::True, |body, (u, su, ru, psi)| Formula::Exists {
+            body: Box::new(psi.and(fields_eq(t, &su, &u, &su)).and(body)),
+            var: u,
+            range: ru,
+        })
 }
 
 /// Rewrite an algebra predicate as a calculus formula over variable `var`.

@@ -38,10 +38,10 @@ pub fn is_positive(expr: &Expr) -> bool {
         Expr::Project { input, .. } | Expr::Rename { input, .. } | Expr::Qualify { input, .. } => {
             is_positive(input)
         }
-        Expr::Product(l, r)
-        | Expr::NaturalJoin(l, r)
-        | Expr::Union(l, r)
-        | Expr::Intersection(l, r) => is_positive(l) && is_positive(r),
+        Expr::Join { inputs, pred } => positive_pred(pred) && inputs.iter().all(is_positive),
+        Expr::NaturalJoin(l, r) | Expr::Union(l, r) | Expr::Intersection(l, r) => {
+            is_positive(l) && is_positive(r)
+        }
         // Difference is non-monotone; division contains an implicit
         // difference (a universal quantifier).
         Expr::Difference(_, _) | Expr::Division(_, _) => false,

@@ -122,14 +122,21 @@ impl Schema {
             .collect()
     }
 
-    /// Rename one attribute, preserving order and type.
-    pub fn rename(&self, from: &str, to: &str) -> Result<Schema> {
-        let idx = self.require(from)?;
-        if from != to && self.index_of(to).is_some() {
-            return Err(RelError::Duplicate(format!("attribute `{to}`")));
+    /// Rename attributes, all `(from, to)` pairs at once, preserving order
+    /// and type: `[(a, b), (b, a)]` swaps two names. Each `from` must exist
+    /// and be renamed once, and the result must have unique names.
+    pub fn rename(&self, pairs: &[(String, String)]) -> Result<Schema> {
+        let mut names: Vec<&str> = self.names();
+        for (i, (from, to)) in pairs.iter().enumerate() {
+            if pairs[..i].iter().any(|(f, _)| f == from) {
+                return Err(RelError::Duplicate(format!("rename of `{from}`")));
+            }
+            names[self.require(from)?] = to;
         }
-        let mut out = self.clone();
-        out.attrs[idx].name = to.to_string();
+        let mut out = Schema::default();
+        for (name, a) in names.into_iter().zip(&self.attrs) {
+            out.push(name, a.ty)?;
+        }
         Ok(out)
     }
 
@@ -217,13 +224,34 @@ mod tests {
         assert!(s1.product(&s1).is_err());
     }
 
+    fn pairs(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
+        let owned = pairs.iter().map(|(a, b)| (a.to_string(), b.to_string()));
+        owned.collect()
+    }
+
     #[test]
     fn rename_checks_conflicts() {
         let s = abc();
-        let r = s.rename("a", "z").unwrap();
+        let r = s.rename(&pairs(&[("a", "z")])).unwrap();
         assert_eq!(r.names(), vec!["z", "b", "c"]);
-        assert!(s.rename("a", "b").is_err());
-        assert!(s.rename("a", "a").is_ok(), "no-op rename is fine");
+        assert!(s.rename(&pairs(&[("a", "b")])).is_err());
+        assert!(
+            s.rename(&pairs(&[("a", "a")])).is_ok(),
+            "no-op rename is fine"
+        );
+        assert!(s.rename(&pairs(&[("zz", "y")])).is_err(), "unknown name");
+    }
+
+    #[test]
+    fn renames_are_simultaneous() {
+        let s = abc();
+        let swap = s.rename(&pairs(&[("a", "b"), ("b", "a")])).unwrap();
+        assert_eq!(swap.names(), vec!["b", "a", "c"]);
+        // `b` is given up by one pair and taken by the other.
+        let shift = s.rename(&pairs(&[("a", "b"), ("b", "d")])).unwrap();
+        assert_eq!(shift.names(), vec!["b", "d", "c"]);
+        assert!(s.rename(&pairs(&[("a", "x"), ("b", "x")])).is_err());
+        assert!(s.rename(&pairs(&[("a", "x"), ("a", "y")])).is_err());
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub const MAX_CONNECTIVES: usize = 128;
 pub const MAX_ARMS: usize = 16;
 /// Most tables in one `FROM` list.
 pub const MAX_TABLES: usize = 16;
-/// Most columns in one select list; each becomes a rename.
+/// Most columns in one select list.
 pub const MAX_COLUMNS: usize = 16;
 
 /// One statement of the grammar [`statement`] reads.
@@ -313,36 +313,41 @@ impl Parser {
         let tables = self.commas(Parser::table)?;
         bound(tables.len(), MAX_TABLES, "tables in one FROM list")?;
 
-        // FROM: qualify each table by its alias and fold into a product.
-        let mut from = None;
+        // FROM: qualify each table by its alias; two or more are one join
+        // on the WHERE predicate.
         let aliases: Vec<String> = tables.iter().map(|(_, a)| a.clone()).collect();
-        for (name, alias) in &tables {
-            let e = Expr::rel(name.clone()).qualify(alias);
-            from = Some(match from {
-                None => e,
-                Some(acc) => Expr::product(acc, e),
-            });
-        }
-        let mut expr = from.ok_or_else(|| parse_error("FROM needs at least one table"))?;
+        let mut inputs: Vec<Expr> = tables
+            .into_iter()
+            .map(|(name, alias)| Expr::rel(name).qualify(&alias))
+            .collect();
+        let pred = if self.keyword("where") {
+            self.pred(&aliases)?
+        } else {
+            Predicate::True
+        };
+        let mut expr = match inputs.len() {
+            1 => match (inputs.remove(0), pred) {
+                (e, Predicate::True) => e,
+                (e, pred) => e.select(pred),
+            },
+            _ => Expr::Join { inputs, pred },
+        };
 
-        if self.keyword("where") {
-            let pred = self.pred(&aliases)?;
-            expr = expr.select(pred);
-        }
-
-        // SELECT list: project then rename.
+        // SELECT list: project, then rename every column at once.
         if let Cols::List(items) = cols {
-            let qualified: Vec<String> = items
-                .iter()
-                .map(|c| self.qualify_column(&c.alias, &c.name, &aliases))
-                .collect::<Result<_>>()?;
+            let (mut qualified, mut pairs) = (Vec::new(), Vec::new());
+            for item in items {
+                let q = self.qualify_column(&item.alias, &item.name, &aliases)?;
+                let out = item.out.unwrap_or(item.name);
+                if q != out {
+                    pairs.push((q.clone(), out));
+                }
+                qualified.push(q);
+            }
             let refs: Vec<&str> = qualified.iter().map(String::as_str).collect();
             expr = expr.project(&refs);
-            for (q, item) in qualified.iter().zip(items.iter()) {
-                let out = item.out.clone().unwrap_or_else(|| item.name.clone());
-                if q != &out {
-                    expr = expr.rename(q, &out);
-                }
+            if !pairs.is_empty() {
+                expr = expr.renames(pairs);
             }
         }
         Ok(expr)

@@ -45,6 +45,11 @@ cargo test -q --manifest-path benchspine/Cargo.toml
 echo "==> reproduction: one question in SQL-ish, algebra, calculus and Datalog (quickstart)"
 cargo run -q --release --example quickstart
 
+# E13 asserts that the naive, the optimized and the engine's results are
+# equal and that optimizing cuts the intermediate tuples.
+echo "==> E13: the optimizer keeps answers and cuts intermediates"
+cargo run -q --release -p bq-bench --bin report e13
+
 echo "==> server smoke (ephemeral port, remote driver roundtrip, clean shutdown)"
 cargo run -q --release --example serve
 

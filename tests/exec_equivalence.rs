@@ -7,7 +7,7 @@
 //! Every generator is seeded; `BQ_EXEC_SEED=<n>` runs other cases than the
 //! default ones, and a failure prints the value to pin it with.
 
-use big_queries::bq_core::Db;
+use big_queries::bq_core::{Db, Query};
 use big_queries::bq_exec::engine::SET_BUILD;
 use big_queries::bq_exec::{lower, ExecMode, Executor, PhysPlan};
 use big_queries::bq_faults::{self as faults, Action, Policy, Trigger};
@@ -737,6 +737,192 @@ fn selections_over_products_agree_with_oracle() {
     );
 }
 
+/// The same tables in an engine, to run an expression through
+/// `Query::Algebra`, which executes it as given.
+fn engine_of(cat: &Database) -> Db {
+    let mut db = Db::new();
+    for name in cat.names() {
+        let rel = cat.get(name).unwrap();
+        let attrs = rel.schema().attrs();
+        let cols: Vec<(&str, Type)> = attrs.iter().map(|a| (a.name.as_str(), a.ty)).collect();
+        db.create_table(name, &cols).unwrap();
+        for t in rel.iter() {
+            db.insert(name, t.values().to_vec()).unwrap();
+        }
+    }
+    db
+}
+
+/// What a generated n-ary join is built from.
+#[derive(Clone, Copy, PartialEq)]
+enum Conjunct {
+    /// A comparison within one input.
+    Single,
+    /// An equality between int columns of two inputs.
+    Spanning,
+    /// A spanning comparison that keys nothing: not `=`, or the equality
+    /// under `∨` or `¬`.
+    Hidden,
+}
+
+/// A conjunct of `kind` over `sides`.
+fn nary_conjunct(rng: &mut SplitMix64, sides: &[Side], kind: Conjunct) -> Predicate {
+    let i = rng.gen_index(sides.len());
+    let j = (i + 1 + rng.gen_index(sides.len() - 1)) % sides.len();
+    let (l, r) = (&sides[i], &sides[j]);
+    match kind {
+        Conjunct::Single => {
+            let (name, ty) = pick(rng, l);
+            let op = [CmpOp::Eq, CmpOp::Ne, CmpOp::Le, CmpOp::Gt][rng.gen_index(4)];
+            let constant = Operand::Const(side_value(rng, *ty));
+            Predicate::cmp(Operand::attr(name), op, constant)
+        }
+        Conjunct::Spanning => col_eq(&l.cols[0], &r.cols[0]),
+        Conjunct::Hidden => match rng.gen_index(3) {
+            0 => residual(rng, l, r),
+            1 => Predicate::Or(
+                Box::new(col_eq(&l.cols[0], &r.cols[0])),
+                Box::new(residual(rng, l, r)),
+            ),
+            _ => Predicate::Not(Box::new(col_eq(&l.cols[0], &r.cols[0]))),
+        },
+    }
+}
+
+/// Joins of 3–5 inputs listed in a shuffled `FROM` order, as one
+/// `Expr::Join` or as a selection over a product, on predicates built
+/// from single-input, spanning, hidden and unknown-name conjuncts, with
+/// simultaneous renames — a swap `ρ[a→b, b→a]`, or a shift `ρ[a→b, b→w]`
+/// onto a name its other pair gives up — over the join and a selection
+/// above them. Each must agree with the oracle run unoptimized (by every
+/// executor and through `Query::Algebra`) and optimized; a chain whose
+/// predicate cannot fail and that the optimizer may reorder runs as n−1
+/// hash joins, and one that can fail forms the whole product.
+#[test]
+fn nary_joins_agree_with_oracle() {
+    let _g = unarmed();
+    let mut rng = seeded(0x3a7_5015);
+    let (mut nonempty, mut errors, mut renamed, mut keyed) = (0u32, 0u32, 0u32, 0u32);
+    for case in 0..300u64 {
+        let at = format!("BQ_EXEC_SEED={} case {case}", exec_seed());
+        let n = 3 + rng.gen_index(3);
+        let (cat, sides) = product_sides(&mut rng, n);
+        // A chain t0 – t1 – … so that every input has a link, then extras.
+        let mut conjuncts: Vec<Predicate> = (1..n)
+            .map(|i| col_eq(&sides[i - 1].cols[0], &sides[i].cols[0]))
+            .collect();
+        for _ in 0..rng.gen_index(4) {
+            let kind = [Conjunct::Single, Conjunct::Spanning, Conjunct::Hidden][rng.gen_index(3)];
+            conjuncts.push(nary_conjunct(&mut rng, &sides, kind));
+        }
+        let fallible = rng.gen_pct(15);
+        if fallible {
+            // An unknown name that only the tuples passing `pin` reach.
+            let side = &sides[rng.gen_index(n)];
+            let (name, ty) = pick(&mut rng, side);
+            let pin = Predicate::cmp(
+                Operand::attr(name),
+                CmpOp::Eq,
+                Operand::Const(side_value(&mut rng, *ty)),
+            );
+            conjuncts.push(pin.and(Predicate::eq_const("zz", 0i64)));
+        }
+        rng.shuffle(&mut conjuncts);
+        let pred = Predicate::from_conjuncts(conjuncts);
+        let mut from: Vec<&Side> = sides.iter().collect();
+        rng.shuffle(&mut from);
+        let inputs: Vec<Expr> = from.iter().map(|s| s.expr.clone()).collect();
+        let mut expr = if rng.gen_bool() {
+            Expr::Join { inputs, pred }
+        } else {
+            inputs
+                .into_iter()
+                .reduce(Expr::product)
+                .unwrap()
+                .select(pred)
+        };
+        // The first column of the first two inputs, under the names the
+        // projection sees.
+        let mut keep: Vec<String> = from.iter().map(|s| s.cols[0].0.clone()).collect();
+        let rename = rng.gen_pct(40);
+        if rename {
+            let (a, b) = (keep[0].clone(), keep[1].clone());
+            // `a`'s column is named `b` either way; `b`'s is named `a` or `w`.
+            let to = if rng.gen_bool() {
+                a.clone()
+            } else {
+                "w".to_string()
+            };
+            let pairs = vec![(a, b.clone()), (b.clone(), to.clone())];
+            keep[0] = b;
+            keep[1] = to;
+            // A selection on a renamed column, which the optimizer must
+            // push through the rename.
+            let pin = Predicate::cmp(
+                Operand::attr(&keep[0]),
+                CmpOp::Le,
+                Operand::Const(Value::Int(2)),
+            );
+            expr = expr.renames(pairs).select(pin);
+            renamed += 1;
+        }
+        let keep: Vec<&str> = keep.iter().map(String::as_str).collect();
+        let expr = expr.project(&keep);
+
+        let expected = eval(&expr, &cat);
+        match &expected {
+            Ok(out) => nonempty += u32::from(!out.is_empty()),
+            Err(_) => errors += 1,
+        }
+        let executors = executors(&mut rng);
+        assert_engine_agrees(case, &expr, &cat, &expected, &executors);
+        let db = engine_of(&cat);
+        let ctx = QueryContext::unlimited();
+        let door = db
+            .run(Query::Algebra(&expr), &ctx, ExecMode::Sequential)
+            .and_then(|answer| answer.into_relation(&ctx));
+        match (&expected, &door) {
+            (Ok(want), Ok(got)) => assert_eq!(got, want, "{at}: Query::Algebra on {expr}"),
+            (Err(_), Err(_)) => {}
+            _ => panic!("{at}: Query::Algebra {door:?} vs oracle {expected:?} on {expr}"),
+        }
+
+        let optimized = optimize(&expr, &cat).unwrap();
+        match (&expected, eval(&optimized, &cat)) {
+            (Ok(want), Ok(got)) => assert_eq!(&got, want, "{at}: {expr}\n{optimized}"),
+            (Err(_), Err(_)) => {}
+            (_, got) => panic!("{at}: optimized {got:?} vs {expected:?}: {expr}\n{optimized}"),
+        }
+        assert_engine_agrees(case, &optimized, &cat, &expected, &executors);
+        let plan = lower(&optimized, &cat).unwrap().render();
+        if fallible {
+            assert!(
+                !plan.contains("PartitionedHashJoin"),
+                "{at}: {optimized}\n{plan}"
+            );
+            assert_eq!(plan.matches("Product").count(), n - 1, "{at}: {plan}");
+        } else if !rename {
+            assert!(!plan.contains("Product"), "{at}: {optimized}\n{plan}");
+            assert_eq!(
+                plan.matches("PartitionedHashJoin").count(),
+                n - 1,
+                "{at}: {plan}"
+            );
+            keyed += 1;
+        }
+    }
+    assert!(nonempty >= 50, "only {nonempty}/300 answers are non-empty");
+    assert!(
+        errors >= 8,
+        "only {errors}/300 cases reach the unknown name"
+    );
+    assert!(renamed >= 90, "only {renamed}/300 cases rename");
+    assert!(
+        keyed >= 110,
+        "only {keyed}/300 cases were checked for n−1 joins"
+    );
+}
+
 /// The columns of every table the set-semantics generator draws from,
 /// with domains small enough that projections and unions collide.
 const BAG: [(&str, Type); 3] = [("a", Type::Int), ("b", Type::Int), ("c", Type::Str)];
@@ -940,10 +1126,102 @@ const STAR_SQL: &str = "select f.id, d.grp from fact f, dim d where f.k = d.k an
 const THREEWAY_SQL: &str = "select f.id as a, g.id as b from fact f, dim d, fact g \
      where f.k = d.k and g.k = d.k and f.v > 990 and g.v > 990";
 
-/// The two join statements of the `analytic-join` benchmark workload
-/// (`benchspine/src/gen.rs`), copied as literals: through `Db`, as a
-/// client runs them, neither builds a product, and both return what the
-/// oracle returns for the statement as parsed.
+/// The seven select shapes of the benchmark (`benchspine/src/gen.rs`:
+/// `point-read`'s point and range selects, `analytic-join`'s five shapes),
+/// copied as literals with their plans as EXPLAIN shows them. Join order,
+/// keys, scan predicates and seeks are what the benchmark's numbers were
+/// measured on; a change to any of them must show here.
+const BENCHMARK_PLANS: [(&str, &str); 7] = [
+    (
+        "select f.id, f.k, f.v from fact f where f.id = 1234",
+        "Reschema [(id: int, k: int, v: int)]
+  SeqScan [fact] where f.id = 1234 seek id = 1234
+",
+    ),
+    (
+        "select f.id, f.k, f.v from fact f where f.v > 990",
+        "Reschema [(id: int, k: int, v: int)]
+  SeqScan [fact] where f.v > 990
+",
+    ),
+    (
+        STAR_SQL,
+        "Reschema [(id: int, grp: int)]
+  Project [f.id, d.grp]
+    PartitionedHashJoin [d.k = f.k]
+      Reschema [(d.k: int, d.grp: int)]
+        SeqScan [dim]
+      Reschema [(f.id: int, f.k: int, f.v: int)]
+        SeqScan [fact] where f.v > 900
+",
+    ),
+    (
+        THREEWAY_SQL,
+        "Reschema [(a: int, b: int)]
+  Project [f.id, g.id]
+    PartitionedHashJoin [d.k = g.k]
+      PartitionedHashJoin [d.k = f.k]
+        Reschema [(d.k: int, d.grp: int)]
+          SeqScan [dim]
+        Reschema [(f.id: int, f.k: int, f.v: int)]
+          SeqScan [fact] where f.v > 990
+      Reschema [(g.id: int, g.k: int, g.v: int)]
+        SeqScan [fact] where g.v > 990
+",
+    ),
+    (
+        "select f.id from fact f where f.v > 500 union select f.id from fact f where f.k < 50",
+        "UnionAll
+  Reschema [(id: int)]
+    Project [f.id]
+      Reschema [(f.id: int, f.k: int, f.v: int)]
+        SeqScan [fact] where f.v > 500
+  Reschema [(id: int)]
+    Project [f.id]
+      Reschema [(f.id: int, f.k: int, f.v: int)]
+        SeqScan [fact] where f.k < 50
+",
+    ),
+    (
+        "select f.id from fact f where f.v > 500 except select f.id from fact f where f.k < 200",
+        "HashDifference
+  Reschema [(id: int)]
+    Project [f.id]
+      Reschema [(f.id: int, f.k: int, f.v: int)]
+        SeqScan [fact] where f.v > 500
+  Reschema [(id: int)]
+    Project [f.id]
+      Reschema [(f.id: int, f.k: int, f.v: int)]
+        SeqScan [fact] where f.k < 200
+",
+    ),
+    (
+        "select f.id, f.k, f.v from fact f",
+        "Reschema [(id: int, k: int, v: int)]
+  SeqScan [fact]
+",
+    ),
+];
+
+/// The operator tree `explain analyze` reports for `sql`: the lines under
+/// the root set build, without their runtime figures.
+fn explain(db: &Db, sql: &str) -> String {
+    let report = db.explain_analyze(sql, &db.govern(), db.exec_mode());
+    let report = report.unwrap();
+    let below_root = report
+        .lines()
+        .skip_while(|l| !l.starts_with(SET_BUILD))
+        .skip(1);
+    below_root
+        .map(|line| format!("{}\n", line[2..].split("  (rows=").next().unwrap()))
+        .collect()
+}
+
+/// The select statements of the benchmark workloads (`benchspine/src/
+/// gen.rs`), copied as literals: through `Db`, as a client runs them,
+/// each explains as its pinned plan — the join statements as hash joins,
+/// never a product — and returns what the oracle returns for the
+/// statement as parsed. A 16-column select explains as one relabelling.
 #[test]
 fn the_benchmark_join_statements_run_as_hash_joins() {
     let _g = unarmed();
@@ -954,7 +1232,7 @@ fn the_benchmark_join_statements_run_as_hash_joins() {
     db.create_table("fact", &int(&["id", "k", "v"])).unwrap();
     db.create_table("dim", &int(&["k", "grp"])).unwrap();
     let mut rng = seeded(0xbe_7c4);
-    // Small: the oracle below forms fact × dim × fact in full.
+    // Small: the oracle below joins by nested loops.
     for id in 0..80i64 {
         let (k, v) = (rng.gen_range(10) as i64, 880 + rng.gen_range(120) as i64);
         db.insert("fact", vec![id.into(), k.into(), v.into()])
@@ -968,9 +1246,7 @@ fn the_benchmark_join_statements_run_as_hash_joins() {
         oracle.add(table, db.table(table).unwrap().clone());
     }
     for (sql, joins) in [(STAR_SQL, 1), (THREEWAY_SQL, 2)] {
-        let plan = db
-            .explain_analyze(sql, &db.govern(), db.exec_mode())
-            .unwrap();
+        let plan = explain(&db, sql);
         assert!(!plan.contains("Product"), "{sql}\n{plan}");
         assert_eq!(plan.matches("PartitionedHashJoin").count(), joins, "{plan}");
         let parsed = big_queries::bq_relational::sqlish::parse(sql).unwrap();
@@ -978,6 +1254,25 @@ fn the_benchmark_join_statements_run_as_hash_joins() {
         assert!(!want.is_empty(), "{sql}");
         assert_eq!(db.sql(sql).unwrap(), want, "{sql}");
     }
+    for (sql, pinned) in BENCHMARK_PLANS {
+        assert_eq!(explain(&db, sql), pinned, "{sql}");
+        let parsed = big_queries::bq_relational::sqlish::parse(sql).unwrap();
+        assert_eq!(
+            db.sql(sql).unwrap(),
+            eval(&parsed, &oracle).unwrap(),
+            "{sql}"
+        );
+    }
+
+    let names: Vec<String> = (0..16).map(|i| format!("c{i}")).collect();
+    let cols: Vec<(&str, Type)> = names.iter().map(|n| (n.as_str(), Type::Int)).collect();
+    db.create_table("w", &cols).unwrap();
+    db.insert("w", vec![Value::Int(0); 16]).unwrap();
+    let list: Vec<String> = (0..16).map(|i| format!("w.c{i} as d{i}")).collect();
+    let plan = explain(&db, &format!("select {} from w", list.join(", ")));
+    assert_eq!(plan.lines().count(), 2, "{plan}");
+    assert_eq!(plan.matches("Reschema").count(), 1, "{plan}");
+    assert!(plan.contains("d15: int)]\n  SeqScan [w]"), "{plan}");
 }
 
 /// A join-heavy plan big enough that every worker actually gets morsels.

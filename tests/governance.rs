@@ -302,3 +302,66 @@ fn one_past_each_bound_is_a_typed_query_error_over_the_wire() {
     conn.close();
     server.shutdown(Duration::from_secs(2));
 }
+
+/// A statement reading `bq.*` runs against an overlay holding a copy of
+/// every user table it names: that copy is charged to the statement. Over
+/// 2 000 rows of ≈ 210 B, a 4 KiB budget refuses it, embedded and over
+/// the wire; the engine then answers the next statement, and with an
+/// ample budget the answer is what an unlimited run gives.
+#[test]
+fn a_bq_overlay_is_charged_to_the_statement() {
+    let mut db = Db::new();
+    db.create_table("t", &[("x", Type::Int), ("pad", Type::Str)])
+        .unwrap();
+    for x in 0..2_000i64 {
+        let pad = format!("{x:0>190}");
+        db.insert("t", vec![Value::Int(x), Value::str(&pad)])
+            .unwrap();
+    }
+    let metric = match db
+        .sql("select m.name from bq.metrics m")
+        .unwrap()
+        .iter()
+        .next()
+    {
+        Some(t) => t.get(0).to_string(),
+        None => panic!("bq.metrics is empty"),
+    };
+    let text = format!("select t.x from t, bq.metrics m where t.x = 0 and m.name = {metric}");
+    let plain = "select t.x from t where t.x = 1";
+    let budget = |bytes: u64| QueryContext::unlimited().with_memory_budget(bytes);
+    let mode = db.exec_mode();
+    let want = db.sql(&text).unwrap();
+    assert_eq!(want.tuples(), vec![Tuple::new(vec![Value::Int(0)])]);
+
+    let memory = |e: &CoreError| matches!(e.governor(), Some(GovernorError::MemoryExceeded { .. }));
+    refused("overlay", memory, || {
+        db.sql_with_ctx_mode(&text, &budget(4096), mode)
+    });
+    assert_eq!(db.sql(plain).unwrap().len(), 1);
+    let ample = db
+        .sql_with_ctx_mode(&text, &budget(64 << 20), mode)
+        .unwrap();
+    assert_eq!(ample, want);
+
+    let db = Arc::new(RwLock::new(db));
+    let server = serve(db.clone(), ServerConfig::default()).unwrap();
+    let mut conn = connect(server.local_addr().to_string()).unwrap();
+    let limits = |bytes: u64| SessionLimits {
+        memory_bytes: Some(bytes),
+        deadline_ms: None,
+        max_iterations: None,
+    };
+    conn.set_limits(limits(4096)).unwrap();
+    let err = conn.execute(&text).unwrap_err();
+    assert_eq!(err.code, ErrorCode::MemoryExceeded, "{err}");
+    conn.set_limits(limits(64 << 20)).unwrap();
+    for (sql, rows) in [(plain, 1), (text.as_str(), 1)] {
+        match conn.execute(sql).unwrap() {
+            Outcome::Rows(rel) => assert_eq!(rel.len(), rows, "{sql}"),
+            other => panic!("wire: expected rows, got {other:?}"),
+        }
+    }
+    conn.close();
+    server.shutdown(Duration::from_secs(2));
+}
