@@ -343,11 +343,12 @@ pub fn lower(expr: &Expr, db: &Database) -> Result<PhysPlan> {
             // Lowered as part of the join, in written order after its own
             // predicate.
             Expr::Join { inputs, pred: on } => lower_join(inputs, on.clone().and(pred.clone()), db),
-            input => {
-                let child = lower(input, db)?;
-                let pred = BoundPred::bind(pred, child.schema());
-                Ok(select(pred, child))
-            }
+            input => match lower(input, db)? {
+                // A natural join of inputs that share no attribute: the
+                // selection is that product's one join step.
+                PhysPlan::Product { left, right, .. } => join_step(left, right, pred),
+                child => Ok(select(BoundPred::bind(pred, child.schema()), child)),
+            },
         },
         Expr::Project { cols, input } => {
             let child = lower(input, db)?;
@@ -882,6 +883,27 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_selection_over_a_natural_join_of_disjoint_inputs_is_one_join_step() {
+        let e = Expr::rel("r")
+            .qualify("r")
+            .natural_join(Expr::rel("s").qualify("s"));
+        let keyed = Predicate::eq_attrs("r.b", "s.b").and(cmp("r.a", CmpOp::Gt, 0));
+        let plan = lower(&e.clone().select(keyed), &db()).unwrap().render();
+        assert!(
+            plan.starts_with("Filter [r.a > 0]\n  PartitionedHashJoin [r.b = s.b]\n"),
+            "{plan}"
+        );
+        assert!(!plan.contains("Product"), "{plan}");
+        // An unknown name: the whole predicate over the whole product.
+        let ghost = Predicate::eq_attrs("r.b", "s.b").and(Predicate::eq_const("ghost", 1i64));
+        let plan = lower(&e.select(ghost.clone()), &db()).unwrap().render();
+        assert!(
+            plan.starts_with(&format!("Filter [{ghost}]\n  Product\n")),
+            "{plan}"
+        );
     }
 
     #[test]

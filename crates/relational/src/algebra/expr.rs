@@ -403,7 +403,9 @@ impl Expr {
 ///
 /// When some conjunct names an attribute no input has, evaluating the
 /// predicate can fail, and the tuples it fails on must all be formed: the
-/// whole predicate then applies, as written, where the last input joins.
+/// whole predicate then applies, as written, where the last input joins,
+/// or to the one input of a join of one. The first input's join slot is
+/// always `True`: it joins nothing.
 pub fn join_steps(schemas: &[&Schema], pred: &Predicate) -> Vec<(Predicate, Predicate)> {
     if schemas.is_empty() {
         return Vec::new();
@@ -417,7 +419,12 @@ pub fn join_steps(schemas: &[&Schema], pred: &Predicate) -> Vec<(Predicate, Pred
             .collect();
         let Some(owners) = owners else {
             let mut whole = vec![(Predicate::True, Predicate::True); schemas.len()];
-            whole[schemas.len() - 1].1 = pred.clone();
+            let last = schemas.len() - 1;
+            if last == 0 {
+                whole[0].0 = pred.clone();
+            } else {
+                whole[last].1 = pred.clone();
+            }
             return whole;
         };
         let at = owners.iter().copied().max().unwrap_or(0);
@@ -588,8 +595,10 @@ mod tests {
         // A name no input has: the whole predicate, as written, at the end.
         let ghost = pred.clone().and(Predicate::eq_const("zz", 0i64));
         let whole = join_steps(&schemas, &ghost);
-        assert_eq!(whole[2], (t.clone(), ghost));
-        assert_eq!(whole[..2], [(t.clone(), t.clone()), (t.clone(), t)]);
+        assert_eq!(whole[2], (t.clone(), ghost.clone()));
+        assert_eq!(whole[..2], [(t.clone(), t.clone()), (t.clone(), t.clone())]);
+        // A join of one input: the whole predicate filters that input.
+        assert_eq!(join_steps(&[&x], &ghost), vec![(ghost, t)]);
     }
 
     #[test]

@@ -257,22 +257,30 @@ fn translate_positive(formula: Formula, scope: &Scope, db: &Database) -> Result<
                     vars.insert(v.to_string());
                 }
             }
-            let base = vars
+            let mut ranges: Vec<Expr> = vars
                 .iter()
                 .map(|v| range_expr(v, scope, db))
-                .reduce(|a, b| Ok(a?.natural_join(b?)))
-                .ok_or_else(|| {
-                    RelError::UnsafeQuery("constant comparison should have been folded".into())
-                })??;
+                .collect::<Result<_>>()?;
             let to_operand = |t: Term| match t {
                 Term::Attr { var, attr } => Operand::Attr(format!("{var}.{attr}")),
                 Term::Const(v) => Operand::Const(v),
             };
-            Ok(base.select(Predicate::Cmp {
+            let pred = Predicate::Cmp {
                 l: to_operand(l),
                 op,
                 r: to_operand(r),
-            }))
+            };
+            // One range is filtered; two are one join on the comparison.
+            match ranges.len() {
+                0 => Err(RelError::UnsafeQuery(
+                    "constant comparison should have been folded".into(),
+                )),
+                1 => Ok(ranges.remove(0).select(pred)),
+                _ => Ok(Expr::Join {
+                    inputs: ranges,
+                    pred,
+                }),
+            }
         }
         Formula::Rel { var, rel } => {
             // Membership of `var` in `rel`: rename rel's columns to the

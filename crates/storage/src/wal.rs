@@ -96,22 +96,6 @@ impl LogRecord {
         buf
     }
 
-    /// The length of [`LogRecord::encode`]'s bytes.
-    fn encoded_len(&self) -> usize {
-        let str_len = |s: &str| 4 + s.len();
-        1 + match self {
-            LogRecord::Begin(_) | LogRecord::Commit(_) | LogRecord::Abort(_) => 8,
-            LogRecord::Checkpoint(active) => 4 + 8 * active.len(),
-            LogRecord::CreateTable { name, cols } => {
-                let cols: usize = cols.iter().map(|(c, _)| str_len(c) + 1).sum();
-                str_len(name) + 4 + cols
-            }
-            LogRecord::RowInsert { table, bytes, .. } => 16 + str_len(table) + 4 + bytes.len(),
-            LogRecord::TaggedCommit { client, .. } => 16 + str_len(client),
-            LogRecord::CreateIndex { table, column } => str_len(table) + str_len(column),
-        }
-    }
-
     /// Append [`LogRecord::encode`]'s bytes to `buf`.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
@@ -272,27 +256,26 @@ impl Wal {
             .inc();
             return Err(StorageError::DiskFull);
         }
-        // Reserving the record's length up front grows the buffer as
-        // copying in a finished record would (capacity is resident memory).
-        let (start, len) = (self.buf.len(), rec.encoded_len());
-        self.buf.reserve(len);
-        rec.encode_into(&mut self.buf);
-        debug_assert_eq!(self.buf.len() - start, len, "encoded_len of {rec:?}");
+        let lsn = self.buf.len() as Lsn;
+        let mut encoded = rec.encode();
         if bq_faults::hit("wal.append.torn").is_some() {
-            self.buf.truncate(start + (len / 2).max(1));
+            encoded.truncate((encoded.len() / 2).max(1));
             bq_obs::counter!(
                 "bq_storage_wal_torn_appends_total",
                 "WAL appends torn by faults"
             )
             .inc();
+            self.buf.extend_from_slice(&encoded);
             self.torn = true;
             return Err(StorageError::TornLog);
         }
         bq_obs::counter!("bq_storage_wal_appends_total", "WAL records appended").inc();
-        bq_obs::counter!("bq_storage_wal_bytes_total", "WAL bytes appended").add(len as u64);
+        bq_obs::counter!("bq_storage_wal_bytes_total", "WAL bytes appended")
+            .add(encoded.len() as u64);
+        self.buf.extend_from_slice(&encoded);
         self.records += 1;
         self.unsynced += 1;
-        Ok(start as Lsn)
+        Ok(lsn)
     }
 
     /// Force the log to stable storage (simulated): all records appended
@@ -484,7 +467,6 @@ mod tests {
             },
         ];
         for r in &recs {
-            assert_eq!(r.encoded_len(), r.encode().len(), "{r:?}");
             wal.append(r).unwrap();
         }
         assert_eq!(records(&wal).unwrap(), recs);

@@ -15,7 +15,10 @@ use big_queries::bq_governor::QueryContext;
 use big_queries::bq_relational::algebra::eval::eval;
 use big_queries::bq_relational::algebra::expr::{Expr, Operand, Predicate};
 use big_queries::bq_relational::algebra::optimize::optimize;
+use big_queries::bq_relational::calculus::ast::{Formula, Query as CalcQuery, Term};
+use big_queries::bq_relational::calculus::eval::eval_query;
 use big_queries::bq_relational::catalog::Database;
+use big_queries::bq_relational::codd::calculus_to_algebra;
 use big_queries::bq_relational::error::RelError;
 use big_queries::bq_relational::value::CmpOp;
 use big_queries::bq_relational::{Relation, Schema, Tuple, Type, Value};
@@ -921,6 +924,101 @@ fn nary_joins_agree_with_oracle() {
         keyed >= 110,
         "only {keyed}/300 cases were checked for n−1 joins"
     );
+}
+
+/// A join of one input is that input filtered by the whole predicate: an
+/// unknown name in it fails through the oracle, the engine and
+/// `Query::Algebra` alike, rather than vanishing with a join slot the one
+/// input never has.
+#[test]
+fn a_join_of_one_input_keeps_its_predicate() {
+    let _g = unarmed();
+    let mut rng = seeded(0x1_1a7);
+    let (cat, sides) = loop {
+        let (cat, sides) = product_sides(&mut rng, 1);
+        if !cat.get("t0").unwrap().is_empty() {
+            break (cat, sides);
+        }
+    };
+    let join = |pred: Predicate| Expr::Join {
+        inputs: vec![sides[0].expr.clone()],
+        pred,
+    };
+    let ghost = join(Predicate::eq_const("ghost", 1i64));
+    assert!(
+        matches!(eval(&ghost, &cat), Err(RelError::UnknownAttribute(_))),
+        "{:?}",
+        eval(&ghost, &cat)
+    );
+    let db = engine_of(&cat);
+    let ctx = QueryContext::unlimited();
+    for expr in [ghost.clone(), optimize(&ghost, &cat).unwrap()] {
+        let expected = eval(&expr, &cat);
+        assert_engine_agrees(0, &expr, &cat, &expected, &executors(&mut rng));
+        let door = db
+            .run(Query::Algebra(&expr), &ctx, ExecMode::Sequential)
+            .and_then(|answer| answer.into_relation(&ctx));
+        assert!(door.is_err(), "Query::Algebra answered {expr}: {door:?}");
+    }
+    // A predicate it binds filters it, as a selection would.
+    let (name, ty) = &sides[0].cols[0];
+    let pin = Predicate::cmp(
+        Operand::attr(name),
+        CmpOp::Le,
+        Operand::Const(side_value(&mut rng, *ty)),
+    );
+    let want = eval(&sides[0].expr.clone().select(pin.clone()), &cat);
+    assert_eq!(eval(&join(pin.clone()), &cat), want);
+    assert_engine_agrees(1, &join(pin), &cat, &want, &executors(&mut rng));
+}
+
+/// A comparison between two calculus variables is one join of their
+/// ranges, so it runs as a hash join — translated as is, and optimized —
+/// and never as a product filtered afterwards.
+#[test]
+fn calculus_comparisons_between_variables_run_as_hash_joins() {
+    let _g = unarmed();
+    let mut rng = seeded(0xca1c);
+    let mut cat = Database::new();
+    let mut r = Relation::with_schema(&[("a", Type::Int), ("b", Type::Int)]).unwrap();
+    let mut s = Relation::with_schema(&[("b", Type::Int), ("c", Type::Int)]).unwrap();
+    for _ in 0..40 {
+        let v = |rng: &mut SplitMix64| Value::Int(rng.gen_range(8) as i64);
+        r.insert(Tuple::new(vec![v(&mut rng), v(&mut rng)]))
+            .unwrap();
+        s.insert(Tuple::new(vec![v(&mut rng), v(&mut rng)]))
+            .unwrap();
+    }
+    cat.add("r", r);
+    cat.add("s", s);
+    let link = Formula::cmp(Term::attr("x", "b"), CmpOp::Eq, Term::attr("y", "b"));
+    let both_free = CalcQuery::new(
+        &[("x", "r"), ("y", "s")],
+        &[("x", "a", "a"), ("y", "c", "c")],
+        link.clone(),
+    );
+    let one_free = CalcQuery::new(
+        &[("x", "r")],
+        &[("x", "a", "a")],
+        Formula::exists("y", "s", link),
+    );
+    for query in [both_free, one_free] {
+        let want = eval_query(&query, &cat).unwrap();
+        assert!(!want.is_empty(), "{query}");
+        let translated = calculus_to_algebra(&query, &cat).unwrap();
+        let optimized = optimize(&translated, &cat).unwrap();
+        for expr in [&translated, &optimized] {
+            let plan = lower(expr, &cat).unwrap().render();
+            assert_eq!(
+                plan.matches("PartitionedHashJoin").count(),
+                1,
+                "{expr}\n{plan}"
+            );
+            assert!(!plan.contains("Product"), "{expr}\n{plan}");
+            assert_engine_agrees(0, expr, &cat, &Ok(want.clone()), &executors(&mut rng));
+        }
+        assert_eq!(engine_of(&cat).calculus(&query).unwrap(), want, "{query}");
+    }
 }
 
 /// The columns of every table the set-semantics generator draws from,
